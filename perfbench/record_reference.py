@@ -14,9 +14,9 @@ import shutil
 import sys
 from pathlib import Path
 
-import oracles
-import run
-import workloads
+import run  # first: it pins OpenBLAS to one thread before numpy loads
+import oracles  # noqa: E402
+import workloads  # noqa: E402
 
 
 def main() -> int:

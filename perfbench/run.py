@@ -4,8 +4,10 @@
 
 Run from the root of a source checkout; beamlab is imported from its `src/`.
 Each pass invokes `beamlab.cli.main` in this process once per scenario file of
-the workload, single-threaded (sweep_workers keeps its default of 1).  Passes
-repeat until `--seconds` is spent (at least three).  Every pass is checked:
+the workload, single-threaded: sweep_workers keeps its default of 1 and
+OpenBLAS runs one thread.  Passes repeat until `--seconds` is spent (at least
+three).  Times are scaled to a nominal host speed by `hostspeed.Stopwatch`;
+the report line gives the raw wall times too.  Every pass is checked:
 an operation fails on a non-zero exit, an exception, output bytes that differ
 from the first pass, or a miss against the oracles in `oracles.py`.
 
@@ -34,9 +36,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
-import oracles
-import spans
-import workloads
+# One BLAS thread: on a 2-vCPU host a second one made beam_large twice as
+# noisy and no faster.  Set before oracles imports numpy.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import hostspeed  # noqa: E402
+import oracles  # noqa: E402
+import spans  # noqa: E402
+import workloads  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -123,18 +130,21 @@ def fingerprint(op, work: Path, stdout: str) -> tuple[str, int, int]:
     return digest.hexdigest(), nbytes, cells
 
 
-def run_pass(beamlab, ops, work: Path) -> tuple[float, list[Outcome]]:
-    """Time one pass over every operation; fingerprint outputs afterwards."""
+def run_pass(beamlab, ops, work: Path, scale: bool = False):
+    """Time one pass over every operation; fingerprint outputs afterwards.
+
+    Returns the pass's `hostspeed.Stopwatch` and the outcomes.  With `scale`
+    the stopwatch samples the host's speed, so `scaled_s` is set.
+    """
     shutil.rmtree(work / "out", ignore_errors=True)
     gc.collect()  # start every pass with the same collector state
     results = []
-    start = perf_counter()
-    for op in ops:
-        results.append((op, *invoke(beamlab, op, work)))
-    wall = perf_counter() - start
+    with hostspeed.Stopwatch(sample=scale) as watch:
+        for op in ops:
+            results.append((op, *invoke(beamlab, op, work)))
     outcomes = [Outcome(op, error, stdout, *fingerprint(op, work, stdout))
                 for op, error, stdout in results]
-    return wall, outcomes
+    return watch, outcomes
 
 
 # ---- checking ----------------------------------------------------------------
@@ -195,20 +205,21 @@ class Checker:
 # ---- set-up --------------------------------------------------------------------
 
 
-def setup_probe(workload: str, seed: int, work: Path) -> float:
-    """Seconds to import beamlab and write the workload's scenario files.
+def setup_probe(workload: str, seed: int, work: Path) -> hostspeed.Stopwatch:
+    """Time importing beamlab and writing the workload's scenario files.
 
     Runs in a fresh interpreter (see `measure_setup`), so the import is cold
     in the same way a user's first command is.
     """
-    start = perf_counter()
-    beamlab = import_beamlab()
-    workloads.write_inputs(workloads.build_ops(beamlab, workload, seed), work)
-    return perf_counter() - start
+    with hostspeed.Stopwatch() as watch:
+        beamlab = import_beamlab()
+        workloads.write_inputs(workloads.build_ops(beamlab, workload, seed), work)
+    return watch
 
 
-def measure_setup(workload: str, seed: int, work: Path) -> list[float]:
-    """Set-up seconds from SETUP_SAMPLES child interpreters, one after another."""
+def measure_setup(workload: str, seed: int, work: Path) -> list[tuple[float, float]]:
+    """(wall, scaled) set-up seconds from SETUP_SAMPLES child interpreters,
+    one after another."""
     samples = []
     for i in range(SETUP_SAMPLES):
         probe_dir = work / f"setup{i}"
@@ -220,7 +231,8 @@ def measure_setup(workload: str, seed: int, work: Path) -> list[float]:
         shutil.rmtree(probe_dir, ignore_errors=True)
         if done.returncode != 0:
             raise RuntimeError(f"set-up probe failed: {done.stderr.strip()}")
-        samples.append(float(done.stdout.split()[-1]))
+        wall, scaled = done.stdout.split()[-2:]
+        samples.append((float(wall), float(scaled)))
     return samples
 
 
@@ -336,28 +348,33 @@ def quartiles(values: list[float]) -> dict:
 def traced_pass(beamlab, ops, work: Path):
     tracer = spans.Tracer()
     with spans.installed(tracer) as absent:
-        wall, outcomes = run_pass(beamlab, ops, work)
-    return wall, outcomes, tracer, absent
+        watch, outcomes = run_pass(beamlab, ops, work)
+    return watch, outcomes, tracer, absent
 
 
 def measure(beamlab, ops, work: Path, seconds: float, trace: bool, checker: Checker):
-    """Run passes until `seconds` are spent; alternate traced passes if `trace`."""
-    walls, traced_walls, traces, absent = [], [], [], []
+    """Run passes until `seconds` are spent; alternate traced passes if `trace`.
+
+    Untraced passes are scaled to the nominal host speed unless `trace`: the
+    speed samples would land inside the spans, and the tracing overhead
+    compares raw traced and untraced walls.
+    """
+    watches, traced_walls, traces, absent = [], [], [], []
     start = perf_counter()
     while True:
-        if trace and len(walls) > len(traced_walls):
-            wall, outcomes, tracer, absent = traced_pass(beamlab, ops, work)
-            traced_walls.append(wall)
+        if trace and len(watches) > len(traced_walls):
+            watch, outcomes, tracer, absent = traced_pass(beamlab, ops, work)
+            traced_walls.append(watch.wall_s)
             summary = spans.summarize(tracer.spans)
             traces.append((layer_metrics(summary, tracer.counts, outcomes), summary))
         else:
-            wall, outcomes = run_pass(beamlab, ops, work)
-            walls.append(wall)
+            watch, outcomes = run_pass(beamlab, ops, work, scale=not trace)
+            watches.append(watch)
         checker.add_pass(outcomes)
-        done = len(walls) + len(traced_walls)
-        typical = statistics.median(walls + traced_walls)
+        done = len(watches) + len(traced_walls)
+        typical = statistics.median([w.wall_s for w in watches] + traced_walls)
         if done >= MIN_PASSES and perf_counter() - start + typical > seconds:
-            return walls, traced_walls, traces, absent
+            return watches, traced_walls, traces, absent
 
 
 def main(argv=None) -> int:
@@ -373,7 +390,8 @@ def main(argv=None) -> int:
         print(f"error: no beamlab sources under {SRC}", file=sys.stderr)
         return 2
     if args.setup_probe:
-        print(setup_probe(args.workload, args.seed, Path(args.setup_probe)))
+        watch = setup_probe(args.workload, args.seed, Path(args.setup_probe))
+        print(watch.wall_s, watch.scaled_s)
         return 0
 
     work = ROOT / ".perfbench_work" / f"{args.workload}-{os.getpid()}"
@@ -394,9 +412,10 @@ def _benchmark(args, work: Path) -> int:
     workloads.write_inputs(ops, work)
 
     checker = Checker(work)
-    walls, traced_walls, traces, absent = measure(
+    watches, traced_walls, traces, absent = measure(
         beamlab, ops, work, args.seconds, bool(args.trace), checker
     )
+    walls = [w.wall_s for w in watches]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     reference = None
     if args.seed == 0:
@@ -410,8 +429,9 @@ def _benchmark(args, work: Path) -> int:
         "seed": args.seed,
         "operations": [op.name for op in ops],
         "machine": machine_block(),
-        "wall_s": quartiles(walls),
-        "setup_s": quartiles(setup),
+        "raw_wall_s": quartiles(walls),
+        "raw_setup_s": quartiles([wall for wall, _ in setup]),
+        "setup_s": quartiles([scaled for _, scaled in setup]),
         "failures": checker.failures[:20],
     }
     if args.trace:
@@ -427,9 +447,11 @@ def _benchmark(args, work: Path) -> int:
         report["last_traced_pass_spans"] = traces[-1][1]
         metrics = {name: {"value": v, "unit": layer_unit(name)} for name, v in values.items()}
     else:
+        report["wall_s"] = quartiles([w.scaled_s for w in watches])
+        report["host_speed"] = quartiles([w.speed for w in watches])
         values = {
-            "wall_s": statistics.median(walls),
-            "setup_s": statistics.median(setup),
+            "wall_s": report["wall_s"]["median"],
+            "setup_s": report["setup_s"]["median"],
             "peak_rss_mb": peak_rss_mb,
         }
         metrics = {name: {"value": v, "unit": END_TO_END_UNITS[name]}

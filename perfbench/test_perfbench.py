@@ -5,16 +5,20 @@
 
 import json
 import shutil
+import signal
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
-import oracles
-import run
-import spans
-import workloads
+import run  # first: it pins OpenBLAS to one thread before numpy loads
+import hostspeed  # noqa: E402
+import oracles  # noqa: E402
+import spans  # noqa: E402
+import workloads  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +87,10 @@ def test_corrupted_csv_fails_the_oracle(beamlab, tmp_path, corrupt):
 def _traced(beamlab, workload, seed, work):
     ops = _ops(beamlab, workload, seed)
     workloads.write_inputs(ops, work)
-    wall, outcomes, tracer, absent = run.traced_pass(beamlab, ops, work)
+    watch, outcomes, tracer, absent = run.traced_pass(beamlab, ops, work)
     assert absent == [] and all(o.error is None for o in outcomes)
     summary = spans.summarize(tracer.spans)
-    return ops, wall, summary, run.layer_metrics(summary, tracer.counts, outcomes)
+    return ops, watch.wall_s, summary, run.layer_metrics(summary, tracer.counts, outcomes)
 
 
 @pytest.mark.parametrize("workload", ["presets", "beam_large"])
@@ -152,6 +156,28 @@ def test_refuses_to_run_without_sources(tmp_path):
     )
     assert done.returncode != 0
     assert done.stdout == ""
+
+
+def test_stopwatch_scales_wall_time_by_host_speed():
+    before = signal.getsignal(signal.SIGALRM)
+    with hostspeed.Stopwatch() as watch:
+        deadline = perf_counter() + 0.35
+        while perf_counter() < deadline:
+            pass
+    # one sample before, at least two from the timer, one after
+    assert len(watch.samples) >= 4
+    inside = sum(watch.samples[1:-1])
+    assert watch.speed == hostspeed.NOMINAL_KERNEL_S / statistics.median(watch.samples)
+    assert watch.scaled_s == pytest.approx((watch.wall_s - inside) * watch.speed)
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+def test_stopwatch_without_sampling_keeps_wall_time():
+    with hostspeed.Stopwatch(sample=False) as watch:
+        pass
+    assert watch.samples == [] and watch.speed is None
+    assert watch.scaled_s == watch.wall_s > 0.0
 
 
 def test_clamped_free_roots_match_tabulated_values():
