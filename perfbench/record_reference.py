@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 import run  # first: it pins OpenBLAS to one thread before numpy loads
-import oracles  # noqa: E402
-import workloads  # noqa: E402
+import oracles
+import workloads
 
 
 def main() -> int:

@@ -15,10 +15,10 @@ from time import perf_counter
 import pytest
 
 import run  # first: it pins OpenBLAS to one thread before numpy loads
-import hostspeed  # noqa: E402
-import oracles  # noqa: E402
-import spans  # noqa: E402
-import workloads  # noqa: E402
+import hostspeed
+import oracles
+import spans
+import workloads
 
 
 @pytest.fixture(scope="module")
