@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import (
-    BeamSpec,
-    IterationError,
-    SpatialGrid,
-    StaticProfile,
-    ValidationError,
-)
+from .model import BeamSpec, SpatialGrid, StaticProfile, ValidationError
 from .statics import cantilever_point_deflection
 
 
@@ -109,18 +103,15 @@ def nonlinear_cantilever_deflection(
     a: float,
     beam: BeamSpec,
     mat: RambergOsgood,
-    tol: float = 1e-8,
-    max_iter: int = 50,
     n_nodes: int = 201,
 ) -> StaticProfile:
     """Cantilever (clamped at x=0, free at x=L) deflection with an effective
     per-node modulus.
 
-    Fixed-point loop: each pass replaces E_eff,i by the secant modulus at the
-    extreme-fiber stress sigma_i = |M_i|*(h/2)/I.  The moment field of a
-    cantilever is statically determinate, so the stress state never moves and
-    the loop lands after one update; the tolerance and iteration budget guard
-    the contract all the same.  Deflection comes from double integration of
+    E_eff,i is the secant modulus at the extreme-fiber stress
+    sigma_i = |M_i|*(h/2)/I.  The moment field of a cantilever is statically
+    determinate, so the stress state does not depend on the stiffness and no
+    iteration is needed.  Deflection comes from double integration of
     M_i/(E_eff,i * I) with per-interval formulas exact for linear curvature.
     """
     if p < 0.0:
@@ -133,23 +124,7 @@ def nonlinear_cantilever_deflection(
     moment = p * np.clip(a - xs, 0.0, None)
     fiber = 0.5 * beam.height
     sigma = moment * fiber / sec.second_moment
-
-    e_eff = np.full(grid.node_count, mat.elastic_modulus)
-    converged = False
-    residual = np.inf
-    for _ in range(max_iter):
-        e_next = secant_modulus(mat, sigma)
-        residual = float(np.max(np.abs(e_next - e_eff)) / mat.elastic_modulus)
-        e_eff = e_next
-        if residual < tol:
-            converged = True
-            break
-    if not converged:
-        raise IterationError(
-            f"effective modulus did not settle in {max_iter} iterations "
-            f"(residual {residual:.2e})"
-        )
-
+    e_eff = secant_modulus(mat, sigma)
     curvature = moment / (e_eff * sec.second_moment)
     dx = grid.spacing
     # exact double integration of piecewise-linear curvature:

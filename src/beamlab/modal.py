@@ -1,10 +1,13 @@
 """Natural frequencies and mode shapes.
 
 Free vibration of a uniform beam separates into shapes of the form
-phi(x) = c1 sin(bx) + c2 cos(bx) + c3 sinh(bx) + c4 cosh(bx).  Each end
-condition contributes two linear constraints on (c1..c4); a nontrivial shape
-exists only where the resulting 4x4 matrix is singular.  Roots b of that
-determinant give circular frequencies omega = b^2 * sqrt(EI / rho*A).
+phi(x) = c1 sin(bx) + c2 cos(bx) + c3 exp(-bx) + c4 exp(b(x-L)).  The two
+decaying exponentials span the same space as sinh and cosh but stay within
+[0, 1] on the span, so the matrix keeps full precision at large bL, where
+sinh(bL) and cosh(bL) round to the same number.  Each end condition
+contributes two linear constraints on (c1..c4); a nontrivial shape exists only
+where the resulting 4x4 matrix is singular.  Roots b of that determinant give
+circular frequencies omega = b^2 * sqrt(EI / rho*A).
 
 The determinant is evaluated with rows scaled to unit max magnitude, which
 keeps it well conditioned out to many multiples of the fundamental root, and
@@ -38,25 +41,27 @@ SCAN_STEP_SCALE = 0.05
 ROOT_TOL_SCALE = 1e-10
 
 
-def _basis_rows(beta: float, x: float):
+def _basis_rows(beta: float, x: float, length: float):
     """Value/slope/curvature/third-derivative rows of the shape basis at x."""
     s, c = math.sin(beta * x), math.cos(beta * x)
-    sh, ch = math.sinh(beta * x), math.cosh(beta * x)
-    value = np.array([s, c, sh, ch])
-    slope = beta * np.array([c, -s, ch, sh])
-    curvature = beta**2 * np.array([-s, -c, sh, ch])
-    third = beta**3 * np.array([-c, s, ch, sh])
+    em, ep = math.exp(-beta * x), math.exp(beta * (x - length))
+    value = np.array([s, c, em, ep])
+    slope = beta * np.array([c, -s, -em, ep])
+    curvature = beta**2 * np.array([-s, -c, em, ep])
+    third = beta**3 * np.array([-c, s, -em, ep])
     return value, slope, curvature, third
 
 
-def _end_rows(end: EndCondition, beta: float, x: float, ei: float, sign: float):
+def _end_rows(
+    end: EndCondition, beta: float, x: float, length: float, ei: float, sign: float
+):
     """Two boundary rows for one end.
 
     `sign` is +1 at the left end and -1 at the right end: a deflected end
     spring pushes back, which lands on the third derivative with opposite
     orientation at the two ends (EI*phi''' = -k*phi at x=0, +k*phi at x=L).
     """
-    value, slope, curvature, third = _basis_rows(beta, x)
+    value, slope, curvature, third = _basis_rows(beta, x, length)
     if end.kind == "pinned":
         return value, curvature
     if end.kind == "clamped":
@@ -71,8 +76,9 @@ def characteristic_matrix(beta: float, beam: BeamSpec, bc: BoundarySpec) -> np.n
     if beta <= 0.0:
         raise ValidationError(f"beta must be positive, got {beta}")
     ei = beam.section.flexural_rigidity
-    left = _end_rows(bc.left, beta, 0.0, ei, +1.0)
-    right = _end_rows(bc.right, beta, beam.length, ei, -1.0)
+    length = beam.length
+    left = _end_rows(bc.left, beta, 0.0, length, ei, +1.0)
+    right = _end_rows(bc.right, beta, length, length, ei, -1.0)
     return np.vstack([left[0], left[1], right[0], right[1]])
 
 
@@ -199,8 +205,8 @@ def mode_shape(
         [
             np.sin(beta * xs),
             np.cos(beta * xs),
-            np.sinh(beta * xs),
-            np.cosh(beta * xs),
+            np.exp(-beta * xs),
+            np.exp(beta * (xs - beam.length)),
         ]
     )
     shape = basis @ coeffs

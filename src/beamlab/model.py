@@ -48,10 +48,6 @@ class DegenerateModeError(SolverError):
     """Mode-shape extraction hit a non-isolated singular value."""
 
 
-class IterationError(SolverError):
-    """A fixed-point iteration exceeded its iteration budget."""
-
-
 def _positive(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
@@ -260,9 +256,6 @@ class HarmonicPointLoad:
 
 LoadCase = Union[UdlLoad, PointLoad, MovingPointLoad, HarmonicPointLoad]
 
-#: Load variants that depend on time (rejected by static solvers).
-TIME_DEPENDENT_LOADS = (MovingPointLoad, HarmonicPointLoad)
-
 
 def check_load_positions(loads, length: float) -> None:
     """Raise ValidationError for any load position outside [0, length]."""
@@ -318,7 +311,11 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time axis from `start` to `end` with step `dt` (seconds)."""
+    """Uniform time axis from `start` to `end` with step `dt` (seconds).
+
+    The span must hold a whole number of steps (to a relative 1e-9), so the
+    last sample lands on `end`.
+    """
 
     start: float
     end: float
@@ -332,10 +329,16 @@ class TimeGrid:
             raise ValidationError(
                 f"time end must exceed start, got [{self.start}, {self.end}]"
             )
+        steps = (self.end - self.start) / self.dt
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValidationError(
+                f"time span [{self.start}, {self.end}] is not a whole number of "
+                f"steps dt={self.dt} ({steps:.6g} steps)"
+            )
 
     @property
     def step_count(self) -> int:
-        return max(1, round((self.end - self.start) / self.dt))
+        return round((self.end - self.start) / self.dt)
 
     @property
     def times(self) -> np.ndarray:

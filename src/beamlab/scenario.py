@@ -9,9 +9,11 @@ in the output provenance block.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from functools import reduce
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -23,16 +25,15 @@ from .dynamics import (
     frequency_sweep,
     integrate,
     sdof_system,
-    SweepPoint,
 )
 from .material import (
-    LoadCurvePoint,
     RambergOsgood,
     linear_vs_nonlinear_curve,
     nonlinear_cantilever_deflection,
 )
 from .modal import ModeSolution, solve_modes
 from .model import (
+    _END_KINDS,
     BeamSpec,
     BoundarySpec,
     EndCondition,
@@ -295,318 +296,314 @@ class _Fields:
             raise ValidationError(f"unknown field(s): {extras}")
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"'{path}' must be a number")
-    return float(value)
+class _F(NamedTuple):
+    """One schema entry: JSON key, kind, default and constructor attribute.
+
+    `default` is _MISSING (the key is required), None (an absent key passes
+    and records nothing) or the JSON value to parse in the key's place, which
+    is then recorded in defaults_applied.  `attr` defaults to `key`; a dotted
+    attr reaches into a nested object when serializing.
+    """
+
+    key: str
+    kind: object
+    default: object = _MISSING
+    attr: str | None = None
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"'{path}' must be an integer")
-    return value
+@dataclass(frozen=True)
+class _Scalar:
+    types: tuple
+    noun: str
+    convert: Callable
+
+    def parse(self, raw, label: str, defaults: dict):
+        if isinstance(raw, bool) or not isinstance(raw, self.types):
+            raise ValidationError(f"'{label}' must be {self.noun}")
+        return self.convert(raw)
+
+    def dump(self, value):
+        return value
 
 
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"'{path}' must be a string")
-    return value
+_NUMBER = _Scalar((int, float), "a number", float)
+_INTEGER = _Scalar((int,), "an integer", int)
+_STRING = _Scalar((str,), "a string", str)
 
 
-def _parse_beam(data, defaults) -> BeamSpec:
-    f = _Fields(data, "beam")
-    beam = BeamSpec(
-        length=_number(f.require("length"), "beam.length"),
-        width=_number(f.require("width"), "beam.width"),
-        height=_number(f.require("height"), "beam.height"),
-        elastic_modulus=_number(f.require("elastic_modulus"), "beam.elastic_modulus"),
-        density=_number(f.require("density"), "beam.density"),
-    )
-    f.finish()
-    return beam
+@dataclass(frozen=True)
+class _List:
+    item: object
+    noun: str = ""
+
+    def parse(self, raw, label: str, defaults: dict) -> tuple:
+        if not isinstance(raw, list):
+            raise ValidationError(f"'{label}' must be a list{self.noun}")
+        return tuple(
+            self.item.parse(v, f"{label}[{i}]", defaults) for i, v in enumerate(raw)
+        )
+
+    def dump(self, values) -> list:
+        return [self.item.dump(v) for v in values]
 
 
-_END_KINDS = ("pinned", "clamped", "free", "spring")
+def _record(defaults: dict, label: str, value) -> None:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _record(defaults, f"{label}.{key}", item)
+    else:
+        defaults[label] = copy.copy(value)
 
 
-def _parse_bc(data, defaults) -> BoundarySpec:
-    f = _Fields(data, "bc")
-    left = _string(f.require("left"), "bc.left")
-    right = _string(f.require("right"), "bc.right")
-    raw_k = f.optional("k")
-    f.finish()
-    for side, kind in (("bc.left", left), ("bc.right", right)):
-        if kind not in _END_KINDS:
+class _Block:
+    """A JSON object given by its field table.
+
+    `make` builds the value from the parsed fields; without one the fields
+    are attributes of the enclosing object (the block only groups keys).
+    """
+
+    def __init__(self, make: Callable | None, *fields: _F):
+        self.make = make
+        self.fields = fields
+
+    def take(self, f: _Fields, defaults: dict) -> dict:
+        kwargs: dict = {}
+        for entry in self.fields:
+            label = f.label(entry.key)
+            raw = f.optional(entry.key)
+            if raw is _MISSING:
+                if entry.default is _MISSING:
+                    raise ValidationError(f"missing required field '{label}'")
+                if entry.default is None:
+                    continue
+                raw = entry.default
+                _record(defaults, label, raw)
+            value = entry.kind.parse(raw, label, defaults)
+            if _inline(entry):
+                kwargs.update(value)
+            else:
+                kwargs[entry.attr or entry.key] = value
+        f.finish()
+        return kwargs
+
+    def parse(self, raw, label: str, defaults: dict):
+        kwargs = self.take(_Fields(raw, label), defaults)
+        return kwargs if self.make is None else self.make(**kwargs)
+
+    def dump(self, obj) -> dict:
+        out: dict = {}
+        for entry in self.fields:
+            if _inline(entry):
+                value = entry.kind.dump(obj)
+            else:
+                value = reduce(getattr, (entry.attr or entry.key).split("."), obj)
+                if value is None:
+                    continue
+                value = entry.kind.dump(value)
+            if entry.default is None and value in ({}, []):
+                continue
+            out[entry.key] = value
+        return out
+
+
+def _inline(entry: _F) -> bool:
+    return isinstance(entry.kind, _Block) and entry.kind.make is None
+
+
+@dataclass(frozen=True)
+class _Tagged:
+    """A JSON object whose 'type' key picks the field table of the rest."""
+
+    blocks: Mapping[str, _Block]
+
+    def parse(self, raw, label: str, defaults: dict):
+        f = _Fields(raw, label)
+        tag = _STRING.parse(f.require("type"), f"{label}.type", defaults)
+        if tag not in self.blocks:
             raise ValidationError(
-                f"'{side}' must be one of {', '.join(_END_KINDS)}; got '{kind}'"
+                f"'{label}.type' must be one of {', '.join(self.blocks)}; got '{tag}'"
             )
-    if "spring" in (left, right):
-        if raw_k is _MISSING:
+        block = self.blocks[tag]
+        return block.make(**block.take(f, defaults))
+
+    def dump(self, value) -> dict:
+        for tag, block in self.blocks.items():
+            if type(value) is block.make:
+                return {"type": tag, **block.dump(value)}
+        raise ValidationError(f"cannot serialize load of type {type(value).__name__}")
+
+
+class _Boundary:
+    """The bc block: two end kinds, and `k` exactly when an end is a spring."""
+
+    _ENDS = _Block(
+        None, _F("left", _STRING), _F("right", _STRING), _F("k", _NUMBER, None)
+    )
+
+    def parse(self, raw, label: str, defaults: dict) -> BoundarySpec:
+        ends = self._ENDS.parse(raw, label, defaults)
+        kinds = (ends["left"], ends["right"])
+        for side, kind in zip(("bc.left", "bc.right"), kinds):
+            if kind not in _END_KINDS:
+                raise ValidationError(
+                    f"'{side}' must be one of {', '.join(_END_KINDS)}; got '{kind}'"
+                )
+        k = ends.get("k")
+        if "spring" in kinds and k is None:
             raise ValidationError("'bc.k' is required when an end is 'spring'")
-        k = _number(raw_k, "bc.k")
-    elif raw_k is not _MISSING:
-        raise ValidationError("'bc.k' given but neither end is 'spring'")
-
-    def end(kind: str) -> EndCondition:
-        if kind == "spring":
-            return EndCondition.spring(k)
-        return getattr(EndCondition, kind)()
-
-    return BoundarySpec(end(left), end(right))
-
-
-def _parse_load(data, path: str, defaults):
-    f = _Fields(data, path)
-    kind = _string(f.require("type"), f"{path}.type")
-    if kind == "udl":
-        load = UdlLoad(q=_number(f.require("q"), f"{path}.q"))
-    elif kind == "point":
-        load = PointLoad(
-            p=_number(f.require("p"), f"{path}.p"),
-            position=_number(f.require("position"), f"{path}.position"),
+        if "spring" not in kinds and k is not None:
+            raise ValidationError("'bc.k' given but neither end is 'spring'")
+        return BoundarySpec(
+            *(EndCondition(kind, k if kind == "spring" else None) for kind in kinds)
         )
-    elif kind == "moving_point":
-        raw_x0 = f.optional("x0")
-        if raw_x0 is _MISSING:
-            x0 = 0.0
-            defaults[f"{path}.x0"] = 0.0
-        else:
-            x0 = _number(raw_x0, f"{path}.x0")
-        load = MovingPointLoad(
-            p=_number(f.require("p"), f"{path}.p"),
-            speed=_number(f.require("speed"), f"{path}.speed"),
-            x0=x0,
-        )
-    elif kind == "harmonic_point":
-        load = HarmonicPointLoad(
-            p0=_number(f.require("p0"), f"{path}.p0"),
-            f_hz=_number(f.require("f_hz"), f"{path}.f_hz"),
-            position=_number(f.require("position"), f"{path}.position"),
-        )
-    else:
-        raise ValidationError(
-            f"'{path}.type' must be one of udl, point, moving_point, "
-            f"harmonic_point; got '{kind}'"
-        )
-    f.finish()
-    return load
+
+    def dump(self, bc: BoundarySpec) -> dict:
+        block: dict = {"left": bc.left.kind, "right": bc.right.kind}
+        for end in (bc.left, bc.right):
+            if end.kind == "spring":
+                block["k"] = end.stiffness
+        return block
 
 
-def _parse_time(data, defaults) -> TimeGrid:
-    f = _Fields(data, "time")
-    raw_start = f.optional("start")
-    if raw_start is _MISSING:
-        start = 0.0
-        defaults["time.start"] = 0.0
-    else:
-        start = _number(raw_start, "time.start")
-    tgrid = TimeGrid(
-        start=start,
-        end=_number(f.require("end"), "time.end"),
-        dt=_number(f.require("dt"), "time.dt"),
-    )
-    f.finish()
-    return tgrid
-
-
-def _parse_integrator(data, defaults) -> tuple[IntegratorConfig, float]:
-    if data is _MISSING:
-        defaults["integrator.gamma"] = 0.5
-        defaults["integrator.beta"] = 0.25
-        defaults["integrator.rayleigh.zeta1"] = 0.0
-        return IntegratorConfig(), 0.0
-    f = _Fields(data, "integrator")
-    raw_gamma = f.optional("gamma")
-    if raw_gamma is _MISSING:
-        gamma = 0.5
-        defaults["integrator.gamma"] = 0.5
-    else:
-        gamma = _number(raw_gamma, "integrator.gamma")
-    raw_beta = f.optional("beta")
-    if raw_beta is _MISSING:
-        beta = 0.25
-        defaults["integrator.beta"] = 0.25
-    else:
-        beta = _number(raw_beta, "integrator.beta")
-    raw_rayleigh = f.optional("rayleigh")
-    if raw_rayleigh is _MISSING:
-        zeta1 = 0.0
-        defaults["integrator.rayleigh.zeta1"] = 0.0
-    else:
-        rf = _Fields(raw_rayleigh, "integrator.rayleigh")
-        zeta1 = _number(rf.require("zeta1"), "integrator.rayleigh.zeta1")
-        rf.finish()
-    f.finish()
-    return IntegratorConfig(gamma=gamma, beta_nm=beta), zeta1
-
-
-def _parse_material(data, defaults) -> RambergOsgood:
-    f = _Fields(data, "material")
-    mat = RambergOsgood(
-        elastic_modulus=_number(f.require("E"), "material.E"),
-        alpha=_number(f.require("alpha"), "material.alpha"),
-        n=_number(f.require("n"), "material.n"),
-    )
-    f.finish()
-    return mat
-
-
-def _parse_sweep(data, defaults) -> SweepSpec:
-    f = _Fields(data, "sweep")
-    kwargs = {
-        "f_min": _number(f.require("f_min"), "sweep.f_min"),
-        "f_max": _number(f.require("f_max"), "sweep.f_max"),
-        "f_count": _integer(f.require("f_count"), "sweep.f_count"),
+_LOADS = _Tagged(
+    {
+        "udl": _Block(UdlLoad, _F("q", _NUMBER)),
+        "point": _Block(PointLoad, _F("p", _NUMBER), _F("position", _NUMBER)),
+        "moving_point": _Block(
+            MovingPointLoad,
+            _F("p", _NUMBER),
+            _F("speed", _NUMBER),
+            _F("x0", _NUMBER, 0.0),
+        ),
+        "harmonic_point": _Block(
+            HarmonicPointLoad,
+            _F("p0", _NUMBER),
+            _F("f_hz", _NUMBER),
+            _F("position", _NUMBER),
+        ),
     }
-    for key in ("settle_periods", "measure_periods"):
-        raw = f.optional(key)
-        if raw is _MISSING:
-            defaults[f"sweep.{key}"] = SweepSpec.__dataclass_fields__[key].default
-        else:
-            kwargs[key] = _integer(raw, f"sweep.{key}")
-    f.finish()
-    return SweepSpec(**kwargs)
+)
 
-
-def _parse_load_sweep(data, defaults) -> LoadSweepSpec:
-    f = _Fields(data, "load_sweep")
-    spec = LoadSweepSpec(
-        p_min=_number(f.require("p_min"), "load_sweep.p_min"),
-        p_max=_number(f.require("p_max"), "load_sweep.p_max"),
-        count=_integer(f.require("count"), "load_sweep.count"),
-    )
-    f.finish()
-    return spec
-
-
-def _parse_system(data, defaults) -> SystemSpec:
-    f = _Fields(data, "system")
-    mass = _number(f.require("mass"), "system.mass")
-    damping = _number(f.require("damping"), "system.damping")
-    stiffness = _number(f.require("stiffness"), "system.stiffness")
-    dofs = _integer(f.require("dofs"), "system.dofs")
-    ff = _Fields(f.require("force"), "system.force")
-    raw_axis = ff.optional("axis")
-    if raw_axis is _MISSING:
-        axis = "x"
-        defaults["system.force.axis"] = "x"
-    else:
-        axis = _string(raw_axis, "system.force.axis")
-    force = HarmonicDrive(
-        amplitude=_number(ff.require("amplitude"), "system.force.amplitude"),
-        f_hz=_number(ff.require("f_hz"), "system.force.f_hz"),
-        axis=axis,
-    )
-    ff.finish()
-    f.finish()
-    return SystemSpec(mass=mass, damping=damping, stiffness=stiffness, dofs=dofs, force=force)
+#: Every top-level key after "schema", in file order.  Integrator gamma and
+#: beta arrive under dotted names and are joined into an IntegratorConfig.
+_SCENARIO = _Block(
+    None,
+    _F("name", _STRING),
+    _F("solver", _STRING),
+    _F(
+        "beam",
+        _Block(
+            BeamSpec,
+            _F("length", _NUMBER),
+            _F("width", _NUMBER),
+            _F("height", _NUMBER),
+            _F("elastic_modulus", _NUMBER),
+            _F("density", _NUMBER),
+        ),
+        None,
+    ),
+    _F("bc", _Boundary(), None),
+    _F("loads", _List(_LOADS), None),
+    _F(
+        "grid",
+        _Block(None, _F("nodes", _INTEGER, attr="grid_nodes")),
+        {"nodes": _DEFAULT_GRID_NODES},
+    ),
+    _F(
+        "time",
+        _Block(
+            TimeGrid, _F("start", _NUMBER, 0.0), _F("end", _NUMBER), _F("dt", _NUMBER)
+        ),
+        None,
+        "tgrid",
+    ),
+    _F(
+        "integrator",
+        _Block(
+            None,
+            _F("gamma", _NUMBER, 0.5, "integrator.gamma"),
+            _F("beta", _NUMBER, 0.25, "integrator.beta_nm"),
+            _F("rayleigh", _Block(None, _F("zeta1", _NUMBER)), {"zeta1": 0.0}),
+        ),
+        {},
+    ),
+    _F(
+        "material",
+        _Block(
+            RambergOsgood,
+            _F("E", _NUMBER, attr="elastic_modulus"),
+            _F("alpha", _NUMBER),
+            _F("n", _NUMBER),
+        ),
+        None,
+    ),
+    _F(
+        "sweep",
+        _Block(
+            SweepSpec,
+            _F("f_min", _NUMBER),
+            _F("f_max", _NUMBER),
+            _F("f_count", _INTEGER),
+            _F("settle_periods", _INTEGER, 30),
+            _F("measure_periods", _INTEGER, 10),
+        ),
+        None,
+    ),
+    _F(
+        "load_sweep",
+        _Block(
+            LoadSweepSpec,
+            _F("p_min", _NUMBER),
+            _F("p_max", _NUMBER),
+            _F("count", _INTEGER),
+        ),
+        None,
+    ),
+    _F(
+        "system",
+        _Block(
+            SystemSpec,
+            _F("mass", _NUMBER),
+            _F("damping", _NUMBER),
+            _F("stiffness", _NUMBER),
+            _F("dofs", _INTEGER),
+            _F(
+                "force",
+                _Block(
+                    HarmonicDrive,
+                    _F("amplitude", _NUMBER),
+                    _F("f_hz", _NUMBER),
+                    _F("axis", _STRING, "x"),
+                ),
+            ),
+        ),
+        None,
+    ),
+    _F(
+        "modal_only",
+        _Block(None, _F("bearing_k", _NUMBER, attr="modal_bearing_k")),
+        None,
+    ),
+    _F("probes", _List(_NUMBER, " of positions in meters"), []),
+    _F("output", _Block(None, _F("stride", _INTEGER, 1)), {}),
+    _F("notes", _List(_STRING, " of strings"), None),
+)
 
 
 def scenario_from_dict(data) -> Scenario:
     """Validate a decoded JSON object into a Scenario (strict keys)."""
     defaults: dict[str, object] = {}
     f = _Fields(data, "")
-    schema = _string(f.require("schema"), "schema")
+    schema = _STRING.parse(f.require("schema"), "schema", defaults)
     if schema != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported schema '{schema}' (this build reads '{SCHEMA_VERSION}')"
         )
-    name = _string(f.require("name"), "name")
-    solver = _string(f.require("solver"), "solver")
-
-    raw = f.optional("beam")
-    beam = None if raw is _MISSING else _parse_beam(raw, defaults)
-    raw = f.optional("bc")
-    bc = None if raw is _MISSING else _parse_bc(raw, defaults)
-
-    raw = f.optional("loads")
-    loads: list = []
-    if raw is not _MISSING:
-        if not isinstance(raw, list):
-            raise ValidationError("'loads' must be a list")
-        loads = [
-            _parse_load(item, f"loads[{i}]", defaults) for i, item in enumerate(raw)
-        ]
-
-    raw = f.optional("grid")
-    if raw is _MISSING:
-        grid_nodes = _DEFAULT_GRID_NODES
-        defaults["grid.nodes"] = _DEFAULT_GRID_NODES
-    else:
-        gf = _Fields(raw, "grid")
-        grid_nodes = _integer(gf.require("nodes"), "grid.nodes")
-        gf.finish()
-
-    raw = f.optional("time")
-    tgrid = None if raw is _MISSING else _parse_time(raw, defaults)
-    integrator, zeta1 = _parse_integrator(f.optional("integrator"), defaults)
-    raw = f.optional("material")
-    material = None if raw is _MISSING else _parse_material(raw, defaults)
-    raw = f.optional("sweep")
-    sweep = None if raw is _MISSING else _parse_sweep(raw, defaults)
-    raw = f.optional("load_sweep")
-    load_sweep = None if raw is _MISSING else _parse_load_sweep(raw, defaults)
-    raw = f.optional("system")
-    system = None if raw is _MISSING else _parse_system(raw, defaults)
-
-    raw = f.optional("modal_only")
-    modal_bearing_k = None
-    if raw is not _MISSING:
-        mf = _Fields(raw, "modal_only")
-        modal_bearing_k = _number(mf.require("bearing_k"), "modal_only.bearing_k")
-        mf.finish()
-
-    raw = f.optional("probes")
-    if raw is _MISSING:
-        probes: tuple = ()
-        defaults["probes"] = []
-    else:
-        if not isinstance(raw, list):
-            raise ValidationError("'probes' must be a list of positions in meters")
-        probes = tuple(_number(p, f"probes[{i}]") for i, p in enumerate(raw))
-
-    raw = f.optional("output")
-    if raw is _MISSING:
-        stride = 1
-        defaults["output.stride"] = 1
-    else:
-        of = _Fields(raw, "output")
-        raw_stride = of.optional("stride")
-        if raw_stride is _MISSING:
-            stride = 1
-            defaults["output.stride"] = 1
-        else:
-            stride = _integer(raw_stride, "output.stride")
-        of.finish()
-
-    raw = f.optional("notes")
-    notes: tuple = ()
-    if raw is not _MISSING:
-        if not isinstance(raw, list):
-            raise ValidationError("'notes' must be a list of strings")
-        notes = tuple(_string(n, f"notes[{i}]") for i, n in enumerate(raw))
-
-    f.finish()
-    return Scenario(
-        name=name,
-        solver=solver,
-        beam=beam,
-        bc=bc,
-        loads=tuple(loads),
-        grid_nodes=grid_nodes,
-        tgrid=tgrid,
-        integrator=integrator,
-        zeta1=zeta1,
-        material=material,
-        sweep=sweep,
-        load_sweep=load_sweep,
-        system=system,
-        modal_bearing_k=modal_bearing_k,
-        probes=probes,
-        stride=stride,
-        notes=notes,
-        defaults_applied=defaults,
+    kwargs = _SCENARIO.take(f, defaults)
+    integrator = IntegratorConfig(
+        gamma=kwargs.pop("integrator.gamma"), beta_nm=kwargs.pop("integrator.beta_nm")
     )
+    return Scenario(integrator=integrator, defaults_applied=defaults, **kwargs)
 
 
 def parse_scenario(text) -> Scenario:
@@ -623,93 +620,9 @@ def parse_scenario(text) -> Scenario:
     return scenario_from_dict(data)
 
 
-def _end_to_dict(bc: BoundarySpec) -> dict:
-    block: dict = {"left": bc.left.kind, "right": bc.right.kind}
-    for end in (bc.left, bc.right):
-        if end.kind == "spring":
-            block["k"] = end.stiffness
-    return block
-
-
-def _load_to_dict(load) -> dict:
-    if isinstance(load, UdlLoad):
-        return {"type": "udl", "q": load.q}
-    if isinstance(load, PointLoad):
-        return {"type": "point", "p": load.p, "position": load.position}
-    if isinstance(load, MovingPointLoad):
-        return {"type": "moving_point", "p": load.p, "speed": load.speed, "x0": load.x0}
-    if isinstance(load, HarmonicPointLoad):
-        return {
-            "type": "harmonic_point",
-            "p0": load.p0,
-            "f_hz": load.f_hz,
-            "position": load.position,
-        }
-    raise ValidationError(f"cannot serialize load of type {type(load).__name__}")
-
-
 def scenario_to_dict(s: Scenario) -> dict:
     """Inverse of scenario_from_dict; resolved values, no defaults omitted."""
-    out: dict = {"schema": SCHEMA_VERSION, "name": s.name, "solver": s.solver}
-    if s.beam is not None:
-        out["beam"] = {
-            "length": s.beam.length,
-            "width": s.beam.width,
-            "height": s.beam.height,
-            "elastic_modulus": s.beam.elastic_modulus,
-            "density": s.beam.density,
-        }
-    if s.bc is not None:
-        out["bc"] = _end_to_dict(s.bc)
-    if s.loads:
-        out["loads"] = [_load_to_dict(load) for load in s.loads]
-    out["grid"] = {"nodes": s.grid_nodes}
-    if s.tgrid is not None:
-        out["time"] = {"start": s.tgrid.start, "end": s.tgrid.end, "dt": s.tgrid.dt}
-    out["integrator"] = {
-        "gamma": s.integrator.gamma,
-        "beta": s.integrator.beta_nm,
-        "rayleigh": {"zeta1": s.zeta1},
-    }
-    if s.material is not None:
-        out["material"] = {
-            "E": s.material.elastic_modulus,
-            "alpha": s.material.alpha,
-            "n": s.material.n,
-        }
-    if s.sweep is not None:
-        out["sweep"] = {
-            "f_min": s.sweep.f_min,
-            "f_max": s.sweep.f_max,
-            "f_count": s.sweep.f_count,
-            "settle_periods": s.sweep.settle_periods,
-            "measure_periods": s.sweep.measure_periods,
-        }
-    if s.load_sweep is not None:
-        out["load_sweep"] = {
-            "p_min": s.load_sweep.p_min,
-            "p_max": s.load_sweep.p_max,
-            "count": s.load_sweep.count,
-        }
-    if s.system is not None:
-        out["system"] = {
-            "mass": s.system.mass,
-            "damping": s.system.damping,
-            "stiffness": s.system.stiffness,
-            "dofs": s.system.dofs,
-            "force": {
-                "amplitude": s.system.force.amplitude,
-                "f_hz": s.system.force.f_hz,
-                "axis": s.system.force.axis,
-            },
-        }
-    if s.modal_bearing_k is not None:
-        out["modal_only"] = {"bearing_k": s.modal_bearing_k}
-    out["probes"] = list(s.probes)
-    out["output"] = {"stride": s.stride}
-    if s.notes:
-        out["notes"] = list(s.notes)
-    return out
+    return {"schema": SCHEMA_VERSION, **_SCENARIO.dump(s)}
 
 
 def scenario_to_json(s: Scenario) -> str:
@@ -730,178 +643,142 @@ _BRIDGE_ZETA = 0.05
 _BRIDGE_STIFFNESS = _BRIDGE_MASS * (2.0 * np.pi * _BRIDGE_NATURAL_HZ) ** 2
 _BRIDGE_DAMPING = 2.0 * _BRIDGE_ZETA * float(np.sqrt(_BRIDGE_STIFFNESS * _BRIDGE_MASS))
 
-PRESET_NAMES = ("exp1", "exp2_1", "exp2_2", "exp3", "exp4", "exp5_1", "exp5_2")
+#: Built-in scenarios by name; each is a scenario file less its schema and name.
+_PRESETS = {
+    "exp1": {
+        "solver": "static",
+        "beam": _REFERENCE_BEAM,
+        "bc": {"left": "pinned", "right": "pinned"},
+        "loads": [{"type": "udl", "q": 5000.0}],
+        "grid": {"nodes": 201},
+        "modal_only": {"bearing_k": 1000.0},
+        "probes": [5.0],
+        "notes": [
+            "Bearing stiffness 1000 N/m feeds the modal analysis only; "
+            "the static solve keeps ideal pin supports.",
+        ],
+    },
+    "exp2_1": {
+        "solver": "quasi_static",
+        "beam": _REFERENCE_BEAM,
+        "bc": {"left": "pinned", "right": "pinned"},
+        "loads": [{"type": "moving_point", "p": 10000.0, "speed": 1.0, "x0": 0.0}],
+        "grid": {"nodes": 201},
+        "time": {"start": 0.0, "end": 15.0, "dt": 0.05},
+        "probes": [5.0],
+        "notes": [
+            "Each frame is the static influence solution at the load's "
+            "instantaneous position; inertia is deliberately excluded.",
+            "Section and material values reuse the shared reference beam.",
+        ],
+    },
+    "exp2_2": {
+        "solver": "quasi_static",
+        "beam": _REFERENCE_BEAM,
+        "bc": {"left": "pinned", "right": "pinned"},
+        "loads": [
+            {"type": "harmonic_point", "p0": 10000.0, "f_hz": 1.0, "position": 5.0}
+        ],
+        "grid": {"nodes": 201},
+        "time": {"start": 0.0, "end": 10.0, "dt": 0.01},
+        "probes": [5.0],
+        "notes": [
+            "Frames follow the static influence shape scaled by the "
+            "instantaneous load, so the history is exactly periodic at "
+            "the forcing frequency.",
+            "Section and material values reuse the shared reference beam.",
+        ],
+    },
+    "exp3": {
+        "solver": "static",
+        "beam": _REFERENCE_BEAM,
+        "bc": {"left": "clamped", "right": "free"},
+        "loads": [{"type": "point", "p": 10000.0, "position": 5.0}],
+        "grid": {"nodes": 201},
+        "probes": [5.0, 10.0],
+        "notes": [
+            "Section and material values reuse the shared reference beam; "
+            "this case pins only span, load magnitude and load position.",
+        ],
+    },
+    "exp4": {
+        "solver": "nonlinear",
+        "beam": _REFERENCE_BEAM,
+        "bc": {"left": "clamped", "right": "free"},
+        "loads": [{"type": "point", "p": 10000.0, "position": 5.0}],
+        "material": {"E": 25.0e9, "alpha": 5.0e6, "n": 3.0},
+        "load_sweep": {"p_min": 1.0e4, "p_max": 1.0e6, "count": 25},
+        "grid": {"nodes": 201},
+        "probes": [10.0],
+        "notes": [
+            "Hardening coefficients alpha=5e6 and n=3 are assumed "
+            "defaults chosen so the nonlinear branch becomes visible "
+            "over the 1e4..1e6 N load sweep.",
+            "The deflection comparison softens the effective modulus "
+            "with stress so the nonlinear curve sits above the linear "
+            "one; see README for the construction.",
+        ],
+    },
+    "exp5_1": {
+        "solver": "sweep",
+        "beam": _REFERENCE_BEAM,
+        "bc": {"left": "pinned", "right": "pinned"},
+        "loads": [
+            {"type": "harmonic_point", "p0": 1000.0, "f_hz": 5.5, "position": 5.0}
+        ],
+        "grid": {"nodes": 41},
+        "integrator": {"gamma": 0.5, "beta": 0.25, "rayleigh": {"zeta1": 0.02}},
+        "sweep": {
+            "f_min": 0.5,
+            "f_max": 15.0,
+            "f_count": 30,
+            "settle_periods": 30,
+            "measure_periods": 10,
+        },
+        "probes": [5.0],
+        "notes": [
+            "Peak response frequencies of 1.02 Hz, 2.04 Hz and 4.09 Hz "
+            "have been quoted for this setup elsewhere; they are "
+            "inconsistent with the closed-form fundamental frequency of "
+            "about 5.74 Hz for this beam, so the sweep is expected to "
+            "peak at the grid frequency nearest the analytic value.",
+            "The f_hz on the load entry is nominal; the sweep grid "
+            "governs the forcing frequency.",
+            "First-mode damping ratio 0.02 is an assumed default; no "
+            "damping value is pinned for this case.",
+        ],
+    },
+    "exp5_2": {
+        "solver": "dynamic",
+        "system": {
+            "mass": _BRIDGE_MASS,
+            "damping": _BRIDGE_DAMPING,
+            "stiffness": _BRIDGE_STIFFNESS,
+            "dofs": 2,
+            "force": {"amplitude": 1000.0, "f_hz": 1.8, "axis": "x"},
+        },
+        "time": {"start": 0.0, "end": 10.0, "dt": 0.001},
+        "notes": [
+            "All numeric values (mass 1000 kg, 2 Hz natural frequency, "
+            "5% damping, 1000 N drive at 1.8 Hz) are assumed defaults "
+            "for a two-axis mass-spring comparison model.",
+            "Set system.dofs to 1 for the single-mass variant of the "
+            "same comparison.",
+        ],
+    },
+}
 
-
-def _preset_dict(name: str) -> dict:
-    if name == "exp1":
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": "exp1",
-            "solver": "static",
-            "beam": dict(_REFERENCE_BEAM),
-            "bc": {"left": "pinned", "right": "pinned"},
-            "loads": [{"type": "udl", "q": 5000.0}],
-            "grid": {"nodes": 201},
-            "modal_only": {"bearing_k": 1000.0},
-            "probes": [5.0],
-            "notes": [
-                "Bearing stiffness 1000 N/m feeds the modal analysis only; "
-                "the static solve keeps ideal pin supports.",
-            ],
-        }
-    if name == "exp2_1":
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": "exp2_1",
-            "solver": "quasi_static",
-            "beam": dict(_REFERENCE_BEAM),
-            "bc": {"left": "pinned", "right": "pinned"},
-            "loads": [
-                {"type": "moving_point", "p": 10000.0, "speed": 1.0, "x0": 0.0}
-            ],
-            "grid": {"nodes": 201},
-            "time": {"start": 0.0, "end": 15.0, "dt": 0.05},
-            "probes": [5.0],
-            "notes": [
-                "Each frame is the static influence solution at the load's "
-                "instantaneous position; inertia is deliberately excluded.",
-                "Section and material values reuse the shared reference beam.",
-            ],
-        }
-    if name == "exp2_2":
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": "exp2_2",
-            "solver": "quasi_static",
-            "beam": dict(_REFERENCE_BEAM),
-            "bc": {"left": "pinned", "right": "pinned"},
-            "loads": [
-                {
-                    "type": "harmonic_point",
-                    "p0": 10000.0,
-                    "f_hz": 1.0,
-                    "position": 5.0,
-                }
-            ],
-            "grid": {"nodes": 201},
-            "time": {"start": 0.0, "end": 10.0, "dt": 0.01},
-            "probes": [5.0],
-            "notes": [
-                "Frames follow the static influence shape scaled by the "
-                "instantaneous load, so the history is exactly periodic at "
-                "the forcing frequency.",
-                "Section and material values reuse the shared reference beam.",
-            ],
-        }
-    if name == "exp3":
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": "exp3",
-            "solver": "static",
-            "beam": dict(_REFERENCE_BEAM),
-            "bc": {"left": "clamped", "right": "free"},
-            "loads": [{"type": "point", "p": 10000.0, "position": 5.0}],
-            "grid": {"nodes": 201},
-            "probes": [5.0, 10.0],
-            "notes": [
-                "Section and material values reuse the shared reference beam; "
-                "this case pins only span, load magnitude and load position.",
-            ],
-        }
-    if name == "exp4":
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": "exp4",
-            "solver": "nonlinear",
-            "beam": dict(_REFERENCE_BEAM),
-            "bc": {"left": "clamped", "right": "free"},
-            "loads": [{"type": "point", "p": 10000.0, "position": 5.0}],
-            "material": {"E": 25.0e9, "alpha": 5.0e6, "n": 3.0},
-            "load_sweep": {"p_min": 1.0e4, "p_max": 1.0e6, "count": 25},
-            "grid": {"nodes": 201},
-            "probes": [10.0],
-            "notes": [
-                "Hardening coefficients alpha=5e6 and n=3 are assumed "
-                "defaults chosen so the nonlinear branch becomes visible "
-                "over the 1e4..1e6 N load sweep.",
-                "The deflection comparison softens the effective modulus "
-                "with stress so the nonlinear curve sits above the linear "
-                "one; see README for the construction.",
-            ],
-        }
-    if name == "exp5_1":
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": "exp5_1",
-            "solver": "sweep",
-            "beam": dict(_REFERENCE_BEAM),
-            "bc": {"left": "pinned", "right": "pinned"},
-            "loads": [
-                {
-                    "type": "harmonic_point",
-                    "p0": 1000.0,
-                    "f_hz": 5.5,
-                    "position": 5.0,
-                }
-            ],
-            "grid": {"nodes": 41},
-            "integrator": {
-                "gamma": 0.5,
-                "beta": 0.25,
-                "rayleigh": {"zeta1": 0.02},
-            },
-            "sweep": {
-                "f_min": 0.5,
-                "f_max": 15.0,
-                "f_count": 30,
-                "settle_periods": 30,
-                "measure_periods": 10,
-            },
-            "probes": [5.0],
-            "notes": [
-                "Peak response frequencies of 1.02 Hz, 2.04 Hz and 4.09 Hz "
-                "have been quoted for this setup elsewhere; they are "
-                "inconsistent with the closed-form fundamental frequency of "
-                "about 5.74 Hz for this beam, so the sweep is expected to "
-                "peak at the grid frequency nearest the analytic value.",
-                "The f_hz on the load entry is nominal; the sweep grid "
-                "governs the forcing frequency.",
-                "First-mode damping ratio 0.02 is an assumed default; no "
-                "damping value is pinned for this case.",
-            ],
-        }
-    if name == "exp5_2":
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": "exp5_2",
-            "solver": "dynamic",
-            "system": {
-                "mass": _BRIDGE_MASS,
-                "damping": _BRIDGE_DAMPING,
-                "stiffness": _BRIDGE_STIFFNESS,
-                "dofs": 2,
-                "force": {"amplitude": 1000.0, "f_hz": 1.8, "axis": "x"},
-            },
-            "time": {"start": 0.0, "end": 10.0, "dt": 0.001},
-            "notes": [
-                "All numeric values (mass 1000 kg, 2 Hz natural frequency, "
-                "5% damping, 1000 N drive at 1.8 Hz) are assumed defaults "
-                "for a two-axis mass-spring comparison model.",
-                "Set system.dofs to 1 for the single-mass variant of the "
-                "same comparison.",
-            ],
-        }
-    raise AssertionError(name)
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> Scenario:
     """Built-in scenario by name; see PRESET_NAMES for the valid set."""
-    if name not in PRESET_NAMES:
+    if name not in _PRESETS:
         raise ValidationError(
             f"unknown preset '{name}'; valid names: {', '.join(PRESET_NAMES)}"
         )
-    return scenario_from_dict(_preset_dict(name))
+    data = {"schema": SCHEMA_VERSION, "name": name, **_PRESETS[name]}
+    return scenario_from_dict(data)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,14 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_partial_time_step_exit_2(tmp_path, capsys):
+    path = tmp_path / "partial.json"
+    text = scenario_to_json(preset("exp2_1")).replace('"end": 15.0', '"end": 15.02')
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "whole number" in capsys.readouterr().err
+
+
 def test_solver_error_exit_3(tmp_path, capsys):
     text = scenario_to_json(preset("exp1")).replace('"right": "pinned"', '"right": "free"')
     path = tmp_path / "under.json"

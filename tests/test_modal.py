@@ -72,6 +72,16 @@ class TestFindBetaRoots:
         for beta, ref in zip(betas, clamped_free_reference_roots()):
             assert beta * length == pytest.approx(ref, abs=1e-8)
 
+    def test_clamped_free_roots_to_mode_50(self, ref_beam):
+        # sinh(bL) and cosh(bL) are equal in floating point above bL ~ 36, so
+        # this range needs a basis that stays bounded on the span
+        fn = lambda z: math.cos(z) * math.cosh(z) + 1.0
+        brackets = [(1.5, 2.5)]
+        brackets += [(k * math.pi - 2.0, k * math.pi - 1.0) for k in range(2, 51)]
+        reference = [brentq(fn, lo, hi, xtol=1e-13) for lo, hi in brackets]
+        roots = find_beta_roots(ref_beam, CLAMPED_FREE, 50) * ref_beam.length
+        np.testing.assert_allclose(roots, reference, rtol=0.0, atol=1e-8)
+
     def test_free_free_roots(self, ref_beam):
         length = ref_beam.length
         betas = find_beta_roots(ref_beam, FREE_FREE, 2)
@@ -163,7 +173,12 @@ class TestModeShape:
         # recover the coefficients by fitting the sampled shape back
         xs = grid.positions
         basis = np.column_stack(
-            [np.sin(beta * xs), np.cos(beta * xs), np.sinh(beta * xs), np.cosh(beta * xs)]
+            [
+                np.sin(beta * xs),
+                np.cos(beta * xs),
+                np.exp(-beta * xs),
+                np.exp(beta * (xs - ref_beam.length)),
+            ]
         )
         coeffs, *_ = np.linalg.lstsq(basis, shape.deflection, rcond=None)
         residual = np.max(np.abs((matrix / norms[:, None]) @ coeffs))

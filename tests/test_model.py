@@ -141,6 +141,16 @@ class TestGrids:
         with pytest.raises(ValidationError, match="dt"):
             TimeGrid(0.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("end,dt", [(1.0, 0.4), (0.01, 1.0)])
+    def test_time_grid_rejects_partial_step(self, end, dt):
+        # both used to run silently: to t=0.8, and past the end to t=1.0
+        with pytest.raises(ValidationError, match="whole number"):
+            TimeGrid(0.0, end, dt)
+
+    def test_time_grid_tolerates_rounding_in_span(self):
+        assert 0.3 / 0.1 != 3.0
+        assert TimeGrid(0.0, 0.3, 0.1).step_count == 3
+
 
 class TestResults:
     def test_static_profile_shape_checked(self, ref_beam):

@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamlab.model import (
     BoundarySpec,
@@ -480,3 +482,173 @@ def test_run_scenario_rejects_unvalidated_loads(ref_beam):
             bc=BoundarySpec.pinned_pinned(),
             loads=(UdlLoad(q=1.0), HarmonicPointLoad(1.0, 1.0, 5.0)),
         )
+
+
+# ------------------------------------------------------ schema properties
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
+
+POSITIVE = st.floats(min_value=1e-3, max_value=1e6)
+NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6)
+FINITE = st.floats(min_value=-1e6, max_value=1e6)
+
+#: Leaves that stay valid for any value of their strategy, in every preset.
+#: Probes and Rayleigh damping are free only on beam runs.
+FREE_LEAVES = {
+    ("name",): st.text(min_size=1, max_size=12),
+    ("beam", "width"): POSITIVE,
+    ("beam", "height"): POSITIVE,
+    ("beam", "elastic_modulus"): POSITIVE,
+    ("beam", "density"): POSITIVE,
+    ("loads", 0, "q"): FINITE,
+    ("loads", 0, "p"): FINITE,
+    ("loads", 0, "p0"): FINITE,
+    ("loads", 0, "speed"): NONNEGATIVE,
+    ("loads", 0, "f_hz"): POSITIVE,
+    ("grid", "nodes"): st.integers(min_value=2, max_value=500),
+    ("material", "alpha"): NONNEGATIVE,
+    ("sweep", "settle_periods"): st.integers(min_value=1, max_value=60),
+    ("sweep", "measure_periods"): st.integers(min_value=1, max_value=60),
+    ("system", "mass"): POSITIVE,
+    ("system", "damping"): NONNEGATIVE,
+    ("system", "stiffness"): POSITIVE,
+    ("system", "force", "amplitude"): FINITE,
+    ("system", "force", "f_hz"): POSITIVE,
+    ("modal_only", "bearing_k"): POSITIVE,
+    ("output", "stride"): st.integers(min_value=1, max_value=20),
+    ("notes",): st.lists(st.text(max_size=20), max_size=3),
+}
+
+#: Optional keys, and the defaults their omission records (see README).
+OPTIONAL = {
+    ("loads", 0, "x0"): {("loads", 0, "x0"): 0.0},
+    ("grid",): {("grid", "nodes"): 201},
+    ("time", "start"): {("time", "start"): 0.0},
+    ("integrator",): {
+        ("integrator", "gamma"): 0.5,
+        ("integrator", "beta"): 0.25,
+        ("integrator", "rayleigh", "zeta1"): 0.0,
+    },
+    ("integrator", "gamma"): {("integrator", "gamma"): 0.5},
+    ("integrator", "beta"): {("integrator", "beta"): 0.25},
+    ("integrator", "rayleigh"): {("integrator", "rayleigh", "zeta1"): 0.0},
+    ("sweep", "settle_periods"): {("sweep", "settle_periods"): 30},
+    ("sweep", "measure_periods"): {("sweep", "measure_periods"): 10},
+    ("system", "force", "axis"): {("system", "force", "axis"): "x"},
+    ("modal_only",): {},
+    ("probes",): {("probes",): []},
+    ("output",): {("output", "stride"): 1},
+    ("output", "stride"): {("output", "stride"): 1},
+    ("notes",): {},
+}
+
+
+def dotted(keys) -> str:
+    out = ""
+    for key in keys:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}" if out else key
+    return out
+
+
+def lookup(data, keys):
+    for key in keys:
+        data = data[key]
+    return data
+
+
+def has(data, keys) -> bool:
+    try:
+        lookup(data, keys)
+    except (KeyError, IndexError):
+        return False
+    return True
+
+
+def nodes(data, keys=()):
+    """Every (keys, value) pair in a decoded JSON tree, root first."""
+    yield keys, data
+    if isinstance(data, dict):
+        children = data.items()
+    elif isinstance(data, list):
+        children = enumerate(data)
+    else:
+        children = ()
+    for key, value in children:
+        yield from nodes(value, keys + (key,))
+
+
+@st.composite
+def mutated_presets(draw):
+    """A valid scenario dict from a preset, plus the defaults it should record.
+
+    Free leaves get random values and optional keys are dropped at random.
+    """
+    data = scenario_to_dict(preset(draw(st.sampled_from(PRESET_NAMES))))
+    for keys, values in FREE_LEAVES.items():
+        if has(data, keys) and draw(st.booleans()):
+            lookup(data, keys[:-1])[keys[-1]] = draw(values)
+    if "beam" in data:
+        span = st.floats(min_value=0.0, max_value=data["beam"]["length"])
+        data["probes"] = draw(st.lists(span, max_size=3))
+        data["integrator"]["rayleigh"]["zeta1"] = draw(st.floats(0.0, 1.0))
+    omitted = [keys for keys in OPTIONAL if has(data, keys) and draw(st.booleans())]
+    expected = {}
+    for keys in sorted(omitted, key=len, reverse=True):
+        del lookup(data, keys[:-1])[keys[-1]]
+        expected.update(OPTIONAL[keys])
+    return data, expected
+
+
+@PROPERTY_SETTINGS
+@given(mutated_presets())
+def test_property_round_trip(case):
+    data, _ = case
+    s = scenario_from_dict(data)
+    again = parse_scenario(scenario_to_json(s))
+    assert again == s
+    assert scenario_to_dict(again) == scenario_to_dict(s)
+
+
+@PROPERTY_SETTINGS
+@given(mutated_presets())
+def test_property_omitted_fields_record_defaults(case):
+    data, expected = case
+    s = scenario_from_dict(data)
+    assert s.defaults_applied == {dotted(k): v for k, v in expected.items()}
+    resolved = scenario_to_dict(s)
+    for keys, value in expected.items():
+        assert lookup(resolved, keys) == value
+
+
+@PROPERTY_SETTINGS
+@given(mutated_presets(), st.data())
+def test_property_unknown_key_names_its_path(case, draw):
+    data, _ = case
+    blocks = [keys for keys, node in nodes(data) if isinstance(node, dict)]
+    keys = draw.draw(st.sampled_from(blocks))
+    name = "unknown_" + draw.draw(st.text("abc123", max_size=4))
+    lookup(data, keys)[name] = 1.0
+    message = f"unknown field(s): {dotted(keys + (name,))}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        scenario_from_dict(data)
+
+
+WRONG_TYPE = {
+    float: st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.just([])),
+    int: st.one_of(st.floats(allow_nan=False), st.text(max_size=3), st.booleans()),
+    str: st.one_of(st.integers(), st.floats(allow_nan=False), st.none(), st.just({})),
+    list: st.one_of(st.just({}), st.integers(), st.text(max_size=3), st.none()),
+    dict: st.one_of(st.just([]), st.integers(), st.text(max_size=3), st.none()),
+}
+
+
+@PROPERTY_SETTINGS
+@given(mutated_presets(), st.data())
+def test_property_wrong_type_names_its_path(case, draw):
+    data, _ = case
+    leaves = [keys for keys, _ in nodes(data) if keys]
+    keys = draw.draw(st.sampled_from(leaves))
+    lookup(data, keys[:-1])[keys[-1]] = draw.draw(WRONG_TYPE[type(lookup(data, keys))])
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(data)
+    assert dotted(keys) in str(info.value)
