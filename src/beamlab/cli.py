@@ -57,7 +57,9 @@ def _execute(s: Scenario, out_dir) -> int:
 def _cmd_run(args) -> int:
     s = _scenario_from_args(args.scenario, args.preset)
     if args.stride is not None:
-        s = replace(s, stride=args.stride)
+        defaults = dict(s.defaults_applied)
+        defaults.pop("output.stride", None)
+        s = replace(s, stride=args.stride, defaults_applied=defaults)
     return _execute(s, args.out)
 
 

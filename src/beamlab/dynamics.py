@@ -13,12 +13,20 @@ damping.  The effective matrix is factorized once per run.
 Beams are reduced to mass-spring chains by lumping rho*A over nodal tributary
 lengths and reusing the static bending stiffness; damping, when requested, is
 Rayleigh stiffness-proportional fitted to a first-mode damping ratio.
+
+Resonance sweeps take a shortcut.  With stiffness-proportional damping over a
+diagonal lumped mass, the mass-normalized eigenvectors Phi of (K, M) diagonalize
+M, C and K together (classical damping), and the Newmark update is linear, so it
+commutes with u = Phi q: integrating the modal coordinates q one scalar mode at
+a time gives the same displacements as the coupled update, up to rounding.
+`frequency_sweep` discretizes and eigensolves once, then advances every
+(frequency, mode) pair as one array per step.  Other runs keep the direct
+factorized path.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -189,37 +197,6 @@ def _check_force(force: np.ndarray, n: int, t: float) -> np.ndarray:
     return force
 
 
-def newmark_step(
-    system: MdofSystem,
-    state: DynamicState,
-    force_next: np.ndarray,
-    cfg: IntegratorConfig,
-) -> DynamicState:
-    """One implicit step of size cfg.dt from `state`.
-
-    Exact for constant acceleration over the step.  Raises on a singular
-    effective matrix and on non-finite force input.
-    """
-    if cfg.dt is None:
-        raise ValidationError("newmark_step requires cfg.dt")
-    dt = cfg.dt
-    force_next = _check_force(force_next, system.size, state.time + dt)
-    effective = (
-        system.mass + cfg.gamma * dt * system.damping + cfg.beta_nm * dt**2 * system.stiffness
-    )
-    try:
-        lu = scipy.linalg.lu_factor(effective)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SolverError(f"effective matrix factorization failed: {exc}") from exc
-    u_pred = state.displacement + dt * state.velocity + (0.5 - cfg.beta_nm) * dt**2 * state.acceleration
-    v_pred = state.velocity + (1.0 - cfg.gamma) * dt * state.acceleration
-    rhs = force_next - system.damping @ v_pred - system.stiffness @ u_pred
-    a_next = scipy.linalg.lu_solve(lu, rhs)
-    u_next = u_pred + cfg.beta_nm * dt**2 * a_next
-    v_next = v_pred + cfg.gamma * dt * a_next
-    return DynamicState(u_next, v_next, a_next, state.time + dt)
-
-
 def integrate(
     system: MdofSystem,
     force_schedule,
@@ -331,6 +308,10 @@ def bridge_2d_system(m: float, c: float, k: float) -> MdofSystem:
     )
 
 
+#: Fewest grid nodes a discretized beam accepts.
+MIN_BEAM_NODES = 7
+
+
 def discretize_beam(
     beam: BeamSpec,
     bc: BoundarySpec,
@@ -344,8 +325,8 @@ def discretize_beam(
     Under-constrained support sets are allowed (for eigen comparisons) but
     tagged with a rank warning that `integrate` honors.
     """
-    if n_nodes < 7:
-        raise ValidationError(f"n_nodes must be >= 7, got {n_nodes}")
+    if n_nodes < MIN_BEAM_NODES:
+        raise ValidationError(f"n_nodes must be >= {MIN_BEAM_NODES}, got {n_nodes}")
     grid = SpatialGrid.for_beam(beam, n_nodes)
     stiffness_full, free = beam_stiffness_matrix(beam, bc, grid)
     masses_full = beam.section.mass_per_length * trapezoid_weights(grid)
@@ -495,7 +476,6 @@ def frequency_sweep(
     settle_periods: int = 30,
     measure_periods: int = 10,
     zeta1: float = 0.02,
-    workers: int = 1,
 ) -> list[SweepPoint]:
     """Steady-state midspan amplitude of a harmonic point load, per frequency.
 
@@ -503,36 +483,84 @@ def frequency_sweep(
     hundredth of the forcing period; the reported amplitude is the max
     absolute midspan displacement over the measure window.  If that window
     still grows past the settle window the run has no steady state and a
-    NonConvergenceError names the frequency.  Runs are independent, so they
-    may execute on a thread pool; results keep the input frequency order.
+    NonConvergenceError names the first such frequency in input order.
+
+    The beam is discretized and eigensolved once.  Rayleigh damping is
+    stiffness-proportional, so each mode i obeys the scalar equation
+    q'' + b*lam_i*q' + lam_i*q = Gamma_i*sin(2*pi*f*t), with Gamma = Phi^T p.
+    One Newmark recurrence advances every (frequency, mode) pair as a
+    (frequency x mode) array, each frequency with its own dt, and keeps only
+    the midspan displacement Phi[mid] @ q at each step.  Frequencies whose
+    grids hold fewer steps run on with the rest; their extra samples are
+    never read.
     """
     freqs = [float(f) for f in freqs]
     if any(f <= 0.0 for f in freqs):
         raise ValidationError("sweep frequencies must be positive")
     if settle_periods < 1 or measure_periods < 1:
         raise ValidationError("settle_periods and measure_periods must be >= 1")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     mid_node = SpatialGrid.for_beam(beam, n_nodes).nearest_node(beam.length / 2.0)
-
-    def run_one(f_hz: float) -> SweepPoint:
+    if not freqs:
+        return []
+    tgrids = []
+    for f_hz in freqs:
         period_step = 1.0 / (SWEEP_STEPS_PER_PERIOD * f_hz)
-        dt = period_step if cfg.dt is None else min(cfg.dt, period_step)
-        total = (settle_periods + measure_periods) / f_hz
-        tgrid = TimeGrid(0.0, total, dt)
-        result = beam_time_response(
-            beam,
-            bc,
-            n_nodes,
-            [HarmonicPointLoad(p0, f_hz, xload)],
-            tgrid,
-            replace(cfg, dt=None),
-            zeta1=zeta1,
+        f_dt = period_step if cfg.dt is None else min(cfg.dt, period_step)
+        tgrids.append(TimeGrid(0.0, (settle_periods + measure_periods) / f_hz, f_dt))
+    check_load_positions([HarmonicPointLoad(p0, f, xload) for f in freqs], beam.length)
+
+    system = discretize_beam(beam, bc, n_nodes)
+    lam, phi = scipy.linalg.eigh(system.stiffness, system.mass)
+    if zeta1 > 0.0:
+        omega1 = math.sqrt(max(float(lam[0]), 0.0))
+        stiffness_coeff = RayleighCoeffs.for_first_mode(zeta1, omega1).stiffness_coeff
+    elif system.rank_warning:
+        raise RankDeficiencyError(
+            f"cannot integrate undamped rank-deficient system: {system.rank_warning}"
         )
-        mid = result.frames[:, mid_node]
+    else:
+        stiffness_coeff = 0.0
+    load = point_load_vector(p0, xload, system.grid)[system.free_mask]
+    shapes = np.zeros((system.grid.node_count, lam.size))  # constrained rows stay 0
+    shapes[system.free_mask] = phi
+    mid_row = shapes[mid_node]
+
+    # one row per frequency, one column per mode; the step coefficients are
+    # spelled out to full rows, as same-shape products beat broadcasts here
+    step = np.array([g.dt for g in tgrids])[:, None]
+    omega = 2.0 * math.pi * np.array(freqs)[:, None]
+    dt = step * np.ones(lam.size)
+    gamma, beta = cfg.gamma, cfg.beta_nm
+    damping = stiffness_coeff * lam
+    effective = 1.0 + gamma * dt * damping + beta * dt**2 * lam
+    gain = (phi.T @ load) / effective
+    damping_gain = damping / effective
+    stiffness_gain = lam / effective
+    c_upred = (0.5 - beta) * dt**2
+    c_vpred = (1.0 - gamma) * dt
+    c_u = beta * dt**2
+    c_v = gamma * dt
+
+    steps = max(g.step_count for g in tgrids)
+    q = np.zeros((len(freqs), lam.size))
+    v = np.zeros_like(q)
+    a = np.zeros_like(q)
+    midspan = np.zeros((steps + 1, len(freqs)))
+    for i in range(1, steps + 1):
+        u_pred = q + dt * v + c_upred * a
+        v_pred = v + c_vpred * a
+        force = gain * np.sin(omega * (i * step))
+        a = force - damping_gain * v_pred - stiffness_gain * u_pred
+        q = u_pred + c_u * a
+        v = v_pred + c_v * a
+        midspan[i] = q @ mid_row
+
+    points = []
+    for column, (f_hz, tgrid) in enumerate(zip(freqs, tgrids)):
+        mid = midspan[: tgrid.step_count + 1, column]
         boundary = settle_periods / f_hz
-        settle = np.abs(mid[result.times < boundary])
-        measure = np.abs(mid[result.times >= boundary])
+        settle = np.abs(mid[tgrid.times < boundary])
+        measure = np.abs(mid[tgrid.times >= boundary])
         amplitude = float(measure.max())
         settle_peak = float(settle.max())
         if settle_peak > 0.0 and amplitude > GROWTH_LIMIT * settle_peak:
@@ -540,9 +568,5 @@ def frequency_sweep(
                 f"no steady state at f_hz={f_hz}: amplitude grew from "
                 f"{settle_peak:.3e} to {amplitude:.3e}"
             )
-        return SweepPoint(f_hz=f_hz, amplitude_m=amplitude)
-
-    if workers == 1:
-        return [run_one(f) for f in freqs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, freqs))
+        points.append(SweepPoint(f_hz=f_hz, amplitude_m=amplitude))
+    return points

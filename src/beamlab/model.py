@@ -272,6 +272,10 @@ def check_load_positions(loads, length: float) -> None:
             raise ValidationError(f"moving load x0 {load.x0} outside [0, {length}]")
 
 
+#: Fewest nodes a spatial grid accepts.
+MIN_GRID_NODES = 5
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform grid of `node_count` nodes spanning [0, length]."""
@@ -281,9 +285,10 @@ class SpatialGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "length", _positive(self.length, "grid length"))
-        if int(self.node_count) != self.node_count or self.node_count < 5:
+        if int(self.node_count) != self.node_count or self.node_count < MIN_GRID_NODES:
             raise ValidationError(
-                f"grid node_count must be an integer >= 5, got {self.node_count}"
+                f"grid node_count must be an integer >= {MIN_GRID_NODES}, "
+                f"got {self.node_count}"
             )
         object.__setattr__(self, "node_count", int(self.node_count))
 

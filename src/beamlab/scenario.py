@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    MIN_BEAM_NODES,
     IntegratorConfig,
     beam_time_response,
     bridge_2d_system,
@@ -34,6 +35,7 @@ from .material import (
 from .modal import ModeSolution, solve_modes
 from .model import (
     _END_KINDS,
+    MIN_GRID_NODES,
     BeamSpec,
     BoundarySpec,
     EndCondition,
@@ -173,8 +175,10 @@ class Scenario:
             raise ValidationError(
                 f"solver must be one of {', '.join(SOLVERS)}; got '{self.solver}'"
             )
-        if self.grid_nodes < 2:
-            raise ValidationError(f"grid.nodes must be >= 2, got {self.grid_nodes}")
+        if self.grid_nodes < MIN_GRID_NODES:
+            raise ValidationError(
+                f"grid.nodes must be >= {MIN_GRID_NODES}, got {self.grid_nodes}"
+            )
         if self.stride < 1:
             raise ValidationError(f"output.stride must be >= 1, got {self.stride}")
         if self.zeta1 < 0.0:
@@ -263,6 +267,14 @@ class Scenario:
                 self.bc is not None
                 and self.bc == BoundarySpec.clamped_free(),
                 "bc {left: clamped, right: free} (cantilever)",
+            )
+        discretized = self.solver == "sweep" or (
+            self.solver == "dynamic" and self.system is None
+        )
+        if discretized and self.grid_nodes < MIN_BEAM_NODES:
+            raise ValidationError(
+                f"grid.nodes must be >= {MIN_BEAM_NODES} for solver "
+                f"'{self.solver}', got {self.grid_nodes}"
             )
 
 
@@ -864,7 +876,7 @@ def _run_quasi_static(s: Scenario) -> ResultSet:
     result = _attach_probes(s, _sampled(result, s.stride))
     return ResultSet(
         scenario=s,
-        provenance=_provenance(s, {"grid_nodes": s.grid_nodes}),
+        provenance=_provenance(s, {"grid_nodes": s.grid_nodes, "stride": s.stride}),
         time_series=result,
     )
 
@@ -921,7 +933,11 @@ def _run_dynamic(s: Scenario) -> ResultSet:
         result = integrate(
             system, schedule, zeros, zeros, s.tgrid, s.integrator, stride=s.stride
         )
-        extras = {"system_dofs": spec.dofs, "drive_axis": spec.force.axis}
+        extras = {
+            "system_dofs": spec.dofs,
+            "drive_axis": spec.force.axis,
+            "stride": s.stride,
+        }
         return ResultSet(
             scenario=s, provenance=_provenance(s, extras), time_series=result
         )
@@ -936,11 +952,11 @@ def _run_dynamic(s: Scenario) -> ResultSet:
         stride=s.stride,
     )
     result = _attach_probes(s, result)
-    extras = {"grid_nodes": s.grid_nodes, "zeta1": s.zeta1}
+    extras = {"grid_nodes": s.grid_nodes, "zeta1": s.zeta1, "stride": s.stride}
     return ResultSet(scenario=s, provenance=_provenance(s, extras), time_series=result)
 
 
-def _run_sweep(s: Scenario, workers: int) -> ResultSet:
+def _run_sweep(s: Scenario) -> ResultSet:
     load = s.loads[0]
     points = frequency_sweep(
         s.beam,
@@ -953,7 +969,6 @@ def _run_sweep(s: Scenario, workers: int) -> ResultSet:
         settle_periods=s.sweep.settle_periods,
         measure_periods=s.sweep.measure_periods,
         zeta1=s.zeta1,
-        workers=workers,
     )
     first_mode_hz = solve_modes(s.beam, s.bc, 1)[0].f_hz
     extras = {
@@ -999,16 +1014,19 @@ def run_scenario(
 ) -> ResultSet:
     """Dispatch a validated scenario to its solver.
 
-    Deterministic: no clocks, no randomness, and sweep results are identical
-    for any worker count.  Solver failures are re-raised with the scenario
-    name prefixed, preserving the original error type.
+    Deterministic: no clocks, no randomness.  `sweep_workers` is accepted for
+    compatibility and has no effect: a sweep runs all its frequencies as one
+    batched recurrence in the calling thread.  Solver failures are re-raised
+    with the scenario name prefixed, preserving the original error type.
     """
+    if sweep_workers < 1:
+        raise ValidationError(f"sweep_workers must be >= 1, got {sweep_workers}")
     runners = {
         "static": lambda: _run_static(s),
         "quasi_static": lambda: _run_quasi_static(s),
         "modal": lambda: _run_modal(s, mode_count),
         "dynamic": lambda: _run_dynamic(s),
-        "sweep": lambda: _run_sweep(s, sweep_workers),
+        "sweep": lambda: _run_sweep(s),
         "nonlinear": lambda: _run_nonlinear(s),
     }
     try:

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -42,6 +43,23 @@ def test_run_stride_override(tmp_path):
     assert main(["run", str(path), "--out", str(out_dir), "--stride", "10"]) == 0
     lines = (out_dir / "frames.csv").read_text().splitlines()
     assert len(lines) == 32  # header + 301 samples every 10th
+
+
+def test_run_stride_override_in_provenance(tmp_path):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--preset", "exp2_1", "--out", str(out_dir), "--stride", "10"]) == 0
+    block = json.loads((out_dir / "provenance.json").read_text())
+    assert "output.stride" not in block["defaults_applied"]
+    assert block["stride"] == 10
+
+
+def test_too_few_grid_nodes_exit_2(tmp_path, capsys):
+    data = json.loads(scenario_to_json(preset("exp1")))
+    data["grid"] = {"nodes": 3}
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "grid.nodes" in capsys.readouterr().err
 
 
 def test_run_needs_exactly_one_source(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from beamlab import (
     BoundarySpec,
@@ -17,11 +19,11 @@ from beamlab import (
     ValidationError,
 )
 from beamlab.dynamics import (
+    SWEEP_STEPS_PER_PERIOD,
     DynamicState,
     IntegratorConfig,
     MdofSystem,
     RayleighCoeffs,
-    SweepPoint,
     beam_time_response,
     bridge_2d_system,
     discretize_beam,
@@ -30,7 +32,6 @@ from beamlab.dynamics import (
     initial_state,
     integrate,
     moving_load_force,
-    newmark_step,
     sdof_system,
     system_energy,
 )
@@ -47,6 +48,56 @@ UNIT_OSC = dict(m=1.0, c=0.0, k=OMEGA_UNIT**2)
 def constant_force(vector):
     vec = np.asarray(vector, dtype=float)
     return lambda t: vec.copy()
+
+
+def newmark_step(
+    system: MdofSystem,
+    state: DynamicState,
+    force_next: np.ndarray,
+    cfg: IntegratorConfig,
+) -> DynamicState:
+    """Reference oracle: one implicit Newmark step of size cfg.dt.
+
+    Written for clarity, not speed: it refactorizes the effective matrix on
+    every call.
+    """
+    if cfg.dt is None:
+        raise ValidationError("newmark_step requires cfg.dt")
+    dt = cfg.dt
+    force_next = np.asarray(force_next, dtype=float)
+    if not np.all(np.isfinite(force_next)):
+        raise ValidationError(f"force at t={state.time + dt} is not finite")
+    effective = (
+        system.mass + cfg.gamma * dt * system.damping + cfg.beta_nm * dt**2 * system.stiffness
+    )
+    u_pred = state.displacement + dt * state.velocity + (0.5 - cfg.beta_nm) * dt**2 * state.acceleration
+    v_pred = state.velocity + (1.0 - cfg.gamma) * dt * state.acceleration
+    rhs = force_next - system.damping @ v_pred - system.stiffness @ u_pred
+    a_next = scipy.linalg.lu_solve(scipy.linalg.lu_factor(effective), rhs)
+    u_next = u_pred + cfg.beta_nm * dt**2 * a_next
+    v_next = v_pred + cfg.gamma * dt * a_next
+    return DynamicState(u_next, v_next, a_next, state.time + dt)
+
+
+def reference_sweep(
+    beam, bc, n_nodes, p0, xload, freqs, cfg=IntegratorConfig(), *,
+    settle_periods, measure_periods, zeta1,
+):
+    """Midspan amplitudes from one coupled beam_time_response per frequency."""
+    mid_node = SpatialGrid.for_beam(beam, n_nodes).nearest_node(beam.length / 2.0)
+    amplitudes, step_counts = [], []
+    for f_hz in freqs:
+        period_step = 1.0 / (SWEEP_STEPS_PER_PERIOD * f_hz)
+        dt = period_step if cfg.dt is None else min(cfg.dt, period_step)
+        tgrid = TimeGrid(0.0, (settle_periods + measure_periods) / f_hz, dt)
+        result = beam_time_response(
+            beam, bc, n_nodes, [HarmonicPointLoad(p0, f_hz, xload)], tgrid,
+            replace(cfg, dt=None), zeta1=zeta1,
+        )
+        measure = result.times >= settle_periods / f_hz
+        amplitudes.append(np.abs(result.frames[measure, mid_node]).max())
+        step_counts.append(tgrid.step_count)
+    return np.array(amplitudes), step_counts
 
 
 class TestSystemBuilders:
@@ -110,6 +161,22 @@ class TestNewmarkStep:
         state = DynamicState(np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
         with pytest.raises(ValidationError, match="t="):
             newmark_step(system, state, np.array([np.nan]), IntegratorConfig(dt=0.01))
+
+    def test_integrate_matches_step_oracle(self, ref_beam):
+        coeffs = RayleighCoeffs(stiffness_coeff=1e-3)
+        system = discretize_beam(ref_beam, PINNED, 21, damping=coeffs)
+        shape = np.linspace(0.0, 1e3, system.size)
+        schedule = lambda t: math.sin(20.0 * t) * shape
+        tgrid = TimeGrid(0.0, 0.2, 1e-3)
+        zeros = np.zeros(system.size)
+        result = integrate(system, schedule, zeros, zeros, tgrid)
+        state = initial_state(system, zeros, zeros, schedule(0.0))
+        frames = [state.displacement]
+        for t in tgrid.times[1:]:
+            state = newmark_step(system, state, schedule(t), IntegratorConfig(dt=tgrid.dt))
+            frames.append(state.displacement)
+        scale = np.max(np.abs(frames))
+        np.testing.assert_allclose(result.frames, frames, rtol=0, atol=1e-10 * scale)
 
     def test_gamma_beta_validation(self):
         with pytest.raises(ValidationError, match="gamma"):
@@ -375,14 +442,51 @@ class TestFrequencySweep:
                 settle_periods=30, measure_periods=10, zeta1=0.0,
             )
 
-    def test_thread_pool_matches_serial(self, ref_beam):
-        freqs = [2.0, 4.0, 6.0]
-        kwargs = dict(settle_periods=8, measure_periods=4, zeta1=0.05)
-        serial = frequency_sweep(ref_beam, PINNED, 21, 1e3, 5.0, freqs, **kwargs)
-        pooled = frequency_sweep(
-            ref_beam, PINNED, 21, 1e3, 5.0, freqs, workers=3, **kwargs
+    @pytest.mark.parametrize(
+        "bc, cfg, freqs",
+        [
+            (PINNED, IntegratorConfig(), [2.0, 4.5, 7.0]),
+            (BoundarySpec.clamped_free(), IntegratorConfig(), [0.5, 1.8, 3.0]),
+            # one explicit dt: 3000, 1200 and 750 steps, and 600 steps at
+            # 20 Hz, where a hundredth of the period is the smaller step
+            (PINNED, IntegratorConfig(dt=1e-3), [2.0, 5.0, 8.0, 20.0]),
+        ],
+        ids=["pinned", "clamped_free", "explicit_dt"],
+    )
+    def test_modal_batch_matches_coupled_runs(self, ref_beam, bc, cfg, freqs):
+        kwargs = dict(settle_periods=4, measure_periods=2, zeta1=0.05)
+        want, step_counts = reference_sweep(
+            ref_beam, bc, 21, 1e3, 3.0, freqs, cfg, **kwargs
         )
-        assert serial == pooled  # bitwise identical dataclasses
+        points = frequency_sweep(ref_beam, bc, 21, 1e3, 3.0, freqs, cfg, **kwargs)
+        assert [p.f_hz for p in points] == freqs
+        got = np.array([p.amplitude_m for p in points])
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
+        if cfg.dt is not None:
+            assert len(set(step_counts)) == len(freqs)
+
+    def test_nonconvergence_names_first_failing_frequency(self, ref_beam):
+        system = discretize_beam(ref_beam, PINNED, 21)
+        f1, _, f3 = eigenfrequencies(system, 3) / (2.0 * math.pi)
+        freqs = [0.3 * f1, float(f3), float(f1)]  # both resonances grow undamped
+        with pytest.raises(NonConvergenceError, match=f"f_hz={freqs[1]}:"):
+            frequency_sweep(
+                ref_beam, PINNED, 21, 1e3, 5.0, freqs,
+                settle_periods=30, measure_periods=10, zeta1=0.0,
+            )
+        with pytest.raises(NonConvergenceError, match=f"f_hz={freqs[2]}:"):
+            frequency_sweep(
+                ref_beam, PINNED, 21, 1e3, 5.0, freqs[::2],
+                settle_periods=30, measure_periods=10, zeta1=0.0,
+            )
+
+    def test_undamped_free_free_rejected(self, ref_beam):
+        free_free = BoundarySpec(EndCondition.free(), EndCondition.free())
+        with pytest.raises(RankDeficiencyError, match="rigid-body"):
+            frequency_sweep(
+                ref_beam, free_free, 21, 1e3, 5.0, [2.0],
+                settle_periods=4, measure_periods=2, zeta1=0.0,
+            )
 
     def test_rejects_bad_frequencies(self, ref_beam):
         with pytest.raises(ValidationError):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beamlab.dynamics import MIN_BEAM_NODES
 from beamlab.model import (
+    MIN_GRID_NODES,
     BoundarySpec,
     HarmonicPointLoad,
     MovingPointLoad,
@@ -473,6 +475,45 @@ def test_sweep_worker_counts_agree():
     assert serial.sweep_points == pooled.sweep_points
 
 
+def test_sweep_workers_must_be_positive():
+    with pytest.raises(ValidationError, match="sweep_workers"):
+        run_scenario(preset("exp1"), sweep_workers=0)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_too_few_grid_nodes_rejected_at_parse(name):
+    data = scenario_to_dict(preset(name))
+    data["grid"] = {"nodes": MIN_GRID_NODES - 1}
+    with pytest.raises(ValidationError, match=r"grid\.nodes must be >= "):
+        scenario_from_dict(data)
+
+
+def dynamic_beam_dict():
+    data = minimal_static_dict()
+    data["solver"] = "dynamic"
+    data["time"] = {"end": 1.0, "dt": 0.01}
+    return data
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: scenario_to_dict(preset("exp5_1")), dynamic_beam_dict],
+    ids=["sweep", "dynamic_beam"],
+)
+def test_discretized_runs_need_more_grid_nodes(make):
+    data = make()
+    data["grid"] = {"nodes": MIN_BEAM_NODES - 1}
+    with pytest.raises(ValidationError, match=rf"grid\.nodes must be >= {MIN_BEAM_NODES}"):
+        scenario_from_dict(data)
+    data["grid"] = {"nodes": MIN_BEAM_NODES}
+    assert scenario_from_dict(data).grid_nodes == MIN_BEAM_NODES
+
+
+def test_system_runs_keep_the_grid_minimum():
+    data = scenario_to_dict(preset("exp5_2"))
+    data["grid"] = {"nodes": MIN_GRID_NODES}
+    assert scenario_from_dict(data).grid_nodes == MIN_GRID_NODES
+
+
 def test_run_scenario_rejects_unvalidated_loads(ref_beam):
     with pytest.raises(ValidationError):
         Scenario(
@@ -505,7 +546,7 @@ FREE_LEAVES = {
     ("loads", 0, "p0"): FINITE,
     ("loads", 0, "speed"): NONNEGATIVE,
     ("loads", 0, "f_hz"): POSITIVE,
-    ("grid", "nodes"): st.integers(min_value=2, max_value=500),
+    ("grid", "nodes"): st.integers(min_value=MIN_BEAM_NODES, max_value=500),
     ("material", "alpha"): NONNEGATIVE,
     ("sweep", "settle_periods"): st.integers(min_value=1, max_value=60),
     ("sweep", "measure_periods"): st.integers(min_value=1, max_value=60),
