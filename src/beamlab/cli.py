@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .model import SolverError, ValidationError
@@ -23,18 +22,18 @@ from .scenario import (
 )
 
 
-def _scenario_from_args(path, preset_name) -> Scenario:
+def _scenario_from_args(path, preset_name, stride=None) -> Scenario:
     if (path is None) == (preset_name is None):
         raise ValidationError(
             "provide exactly one of a scenario file or --preset NAME"
         )
     if preset_name is not None:
-        return preset(preset_name)
+        return preset(preset_name, stride=stride)
     try:
         text = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read scenario file: {exc}") from None
-    return parse_scenario(text)
+    return parse_scenario(text, stride=stride)
 
 
 def _load_file_scenario(path, expected_solver: str) -> Scenario:
@@ -55,11 +54,7 @@ def _execute(s: Scenario, out_dir) -> int:
 
 
 def _cmd_run(args) -> int:
-    s = _scenario_from_args(args.scenario, args.preset)
-    if args.stride is not None:
-        defaults = dict(s.defaults_applied)
-        defaults.pop("output.stride", None)
-        s = replace(s, stride=args.stride, defaults_applied=defaults)
+    s = _scenario_from_args(args.scenario, args.preset, args.stride)
     return _execute(s, args.out)
 
 

@@ -238,9 +238,11 @@ def integrate(
 
     effective = mass + gamma * dt * damping + beta * dt**2 * stiffness
     try:
-        lu = scipy.linalg.lu_factor(effective)
+        lu, piv = scipy.linalg.lu_factor(effective)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"effective matrix factorization failed: {exc}") from exc
+    # the LAPACK routine lu_solve wraps, called without its per-call checks
+    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
 
     steps = tgrid.step_count
     record_count = steps // stride + 1
@@ -250,6 +252,8 @@ def integrate(
 
     c_upred = (0.5 - beta) * dt**2
     c_vpred = (1.0 - gamma) * dt
+    c_u = beta * dt**2
+    c_v = gamma * dt
     for i in range(1, steps + 1):
         t = tgrid.start + i * dt
         force = _check_force(force_schedule(t), n, t)
@@ -258,14 +262,16 @@ def integrate(
         rhs = force - stiffness @ u_pred
         if damped:
             rhs -= damping @ v_pred
-        a = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-        u = u_pred + beta * dt**2 * a
-        v = v_pred + gamma * dt * a
+        a, info = getrs(lu, piv, rhs, overwrite_b=True)
+        if info != 0:
+            raise SolverError(f"effective matrix solve failed at t={t}: getrs info {info}")
+        u = u_pred + c_u * a
+        v = v_pred + c_v * a
         if i % stride == 0:
             frames[recorded] = u
             recorded += 1
 
-    times = tgrid.start + dt * np.arange(0, steps + 1, stride)
+    times = tgrid.sample_times(stride)
     meta = {
         "solver": "newmark",
         "gamma": gamma,

@@ -11,7 +11,9 @@ circular frequencies omega = b^2 * sqrt(EI / rho*A).
 
 The determinant is evaluated with rows scaled to unit max magnitude, which
 keeps it well conditioned out to many multiples of the fundamental root, and
-roots are located by a sign-change scan refined with bisection.
+roots are located by a sign-change scan refined with bisection.  The scan
+takes its determinants in stacked chunks; the values are the same as one call
+per point.
 """
 
 from __future__ import annotations
@@ -39,21 +41,28 @@ BETA_MIN_SCALE = 0.1
 #: step over adjacent roots.
 SCAN_STEP_SCALE = 0.05
 ROOT_TOL_SCALE = 1e-10
+#: Scan points whose determinants are taken in one stacked call.
+SCAN_CHUNK = 128
 
 
 def _basis_rows(beta: float, x: float, length: float):
-    """Value/slope/curvature/third-derivative rows of the shape basis at x."""
+    """Value/slope/curvature/third-derivative rows of the shape basis at x.
+
+    Rows are tuples of Python floats: a 4x4 matrix built from them costs a
+    fraction of one built from small numpy arrays, with the same arithmetic.
+    """
     s, c = math.sin(beta * x), math.cos(beta * x)
     em, ep = math.exp(-beta * x), math.exp(beta * (x - length))
-    value = np.array([s, c, em, ep])
-    slope = beta * np.array([c, -s, -em, ep])
-    curvature = beta**2 * np.array([-s, -c, em, ep])
-    third = beta**3 * np.array([-c, s, -em, ep])
+    b2, b3 = beta**2, beta**3
+    value = (s, c, em, ep)
+    slope = (beta * c, beta * -s, beta * -em, beta * ep)
+    curvature = (b2 * -s, b2 * -c, b2 * em, b2 * ep)
+    third = (b3 * -c, b3 * s, b3 * -em, b3 * ep)
     return value, slope, curvature, third
 
 
 def _end_rows(
-    end: EndCondition, beta: float, x: float, length: float, ei: float, sign: float
+    end: EndCondition, beta: float, x: float, beam: BeamSpec, sign: float
 ):
     """Two boundary rows for one end.
 
@@ -61,32 +70,47 @@ def _end_rows(
     spring pushes back, which lands on the third derivative with opposite
     orientation at the two ends (EI*phi''' = -k*phi at x=0, +k*phi at x=L).
     """
-    value, slope, curvature, third = _basis_rows(beta, x, length)
+    value, slope, curvature, third = _basis_rows(beta, x, beam.length)
     if end.kind == "pinned":
         return value, curvature
     if end.kind == "clamped":
         return value, slope
     if end.kind == "free":
         return curvature, third
-    return curvature, ei * third + sign * end.stiffness * value
+    ei = beam.section.flexural_rigidity
+    k = sign * end.stiffness
+    return curvature, tuple(ei * t + k * v for t, v in zip(third, value))
+
+
+def _matrix_rows(beta: float, beam: BeamSpec, bc: BoundarySpec) -> tuple:
+    left = _end_rows(bc.left, beta, 0.0, beam, +1.0)
+    right = _end_rows(bc.right, beta, beam.length, beam, -1.0)
+    return (*left, *right)
+
+
+def _scaled_rows(beta: float, beam: BeamSpec, bc: BoundarySpec) -> list:
+    """Characteristic rows each divided by its largest magnitude."""
+    scaled = []
+    for a, b, c, d in _matrix_rows(beta, beam, bc):
+        norm = max(abs(a), abs(b), abs(c), abs(d)) or 1.0
+        scaled.append([a / norm, b / norm, c / norm, d / norm])
+    return scaled
+
+
+def _check_beta(beta: float) -> None:
+    if beta <= 0.0:
+        raise ValidationError(f"beta must be positive, got {beta}")
 
 
 def characteristic_matrix(beta: float, beam: BeamSpec, bc: BoundarySpec) -> np.ndarray:
     """4x4 boundary-condition matrix applied to the shape coefficients."""
-    if beta <= 0.0:
-        raise ValidationError(f"beta must be positive, got {beta}")
-    ei = beam.section.flexural_rigidity
-    length = beam.length
-    left = _end_rows(bc.left, beta, 0.0, length, ei, +1.0)
-    right = _end_rows(bc.right, beta, length, length, ei, -1.0)
-    return np.vstack([left[0], left[1], right[0], right[1]])
+    _check_beta(beta)
+    return np.array(_matrix_rows(beta, beam, bc))
 
 
 def _scaled_matrix(beta: float, beam: BeamSpec, bc: BoundarySpec) -> np.ndarray:
-    matrix = characteristic_matrix(beta, beam, bc)
-    norms = np.max(np.abs(matrix), axis=1)
-    norms[norms == 0.0] = 1.0
-    return matrix / norms[:, None]
+    _check_beta(beta)
+    return np.array(_scaled_rows(beta, beam, bc))
 
 
 def characteristic_det(beta: float, beam: BeamSpec, bc: BoundarySpec) -> float:
@@ -96,6 +120,23 @@ def characteristic_det(beta: float, beam: BeamSpec, bc: BoundarySpec) -> float:
     different beta are comparable and sign changes bracket the true roots.
     """
     return float(np.linalg.det(_scaled_matrix(beta, beam, bc)))
+
+
+def _scan(beta: float, step: float, beta_max: float, beam: BeamSpec, bc: BoundarySpec):
+    """Yield (beta, det) for beta + step, beta + 2*step, ... up to and
+    including the first point at or above beta_max.
+
+    Each point is the previous one plus `step`, as in a one-at-a-time scan.
+    The determinants of SCAN_CHUNK points come from one stacked call, which
+    gives each matrix the value a call of its own gives.
+    """
+    while beta < beta_max:
+        chunk = []
+        while len(chunk) < SCAN_CHUNK and beta < beta_max:
+            beta = beta + step
+            chunk.append(beta)
+        dets = np.linalg.det(np.array([_scaled_rows(b, beam, bc) for b in chunk]))
+        yield from zip(chunk, dets.tolist())
 
 
 def find_beta_roots(
@@ -124,9 +165,7 @@ def find_beta_roots(
     roots: list[float] = []
     beta_prev = BETA_MIN_SCALE / length
     det_prev = characteristic_det(beta_prev, beam, bc)
-    while beta_prev < beta_max and len(roots) < n_roots:
-        beta_next = beta_prev + scan_step
-        det_next = characteristic_det(beta_next, beam, bc)
+    for beta_next, det_next in _scan(beta_prev, scan_step, beta_max, beam, bc):
         if det_next == 0.0:
             roots.append(beta_next)
         elif det_prev * det_next < 0.0:
@@ -145,6 +184,8 @@ def find_beta_roots(
             root = 0.5 * (lo + hi)
             if not roots or root - roots[-1] > 0.5 * scan_step:
                 roots.append(root)
+        if len(roots) == n_roots:
+            break
         beta_prev, det_prev = beta_next, det_next
 
     if len(roots) < n_roots:

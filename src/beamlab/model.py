@@ -347,7 +347,13 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return self.start + self.dt * np.arange(self.step_count + 1)
+        return self.sample_times(1)
+
+    def sample_times(self, stride: int) -> np.ndarray:
+        """Every `stride`-th entry of `times`, computed without the others."""
+        if stride < 1:
+            raise ValidationError(f"stride must be >= 1, got {stride}")
+        return self.start + self.dt * np.arange(0, self.step_count + 1, stride)
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:

@@ -8,23 +8,29 @@ same scenario produce byte-identical output.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .model import StaticProfile, TimeSeriesResult
 from .scenario import ResultSet, Scenario
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _line(values) -> str:
+    """One CSV line from Python floats and ints.
+
+    No cell needs quoting: labels are generated, and a float's repr holds no
+    comma, quote or line break.
+    """
+    return ",".join(map(repr, values))
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _series_files(out: Path, result: TimeSeriesResult) -> list[Path]:
@@ -32,23 +38,22 @@ def _series_files(out: Path, result: TimeSeriesResult) -> list[Path]:
     if len(columns) != result.frames.shape[1]:
         columns = [f"c{i}" for i in range(result.frames.shape[1])]
     frames_path = out / "frames.csv"
+    # one row at a time: converting whole arrays to lists costs memory
     _write_csv(
         frames_path,
         ["t", *columns],
         (
-            [_fmt(t), *(_fmt(v) for v in row)]
+            _line([float(t), *row.tolist()])
             for t, row in zip(result.times, result.frames)
         ),
     )
     probes_path = out / "probes.csv"
     probe_items = list(result.probes.items())
+    probes = np.column_stack([result.times, *(series for _, series in probe_items)])
     _write_csv(
         probes_path,
         ["t", *(columns[idx] for idx, _ in probe_items)],
-        (
-            [_fmt(t), *(_fmt(series[j]) for _, series in probe_items)]
-            for j, t in enumerate(result.times)
-        ),
+        (_line(row.tolist()) for row in probes),
     )
     return [frames_path, probes_path]
 
@@ -60,14 +65,14 @@ def _profile_files(out: Path, profile: StaticProfile, scenario: Scenario) -> lis
     _write_csv(
         frames_path,
         ["t", *columns],
-        [[_fmt(0.0), *(_fmt(v) for v in profile.deflection)]],
+        [_line([0.0, *profile.deflection.tolist()])],
     )
     probes_path = out / "probes.csv"
     indices = [profile.grid.nearest_node(pos) for pos in scenario.probes]
     _write_csv(
         probes_path,
         ["t", *(columns[idx] for idx in indices)],
-        [[_fmt(0.0), *(_fmt(profile.deflection[idx]) for idx in indices)]],
+        [_line([0.0, *(float(profile.deflection[idx]) for idx in indices)])],
     )
     return [frames_path, probes_path]
 
@@ -94,7 +99,7 @@ def write_result(rs: ResultSet, out_dir) -> list[Path]:
             path,
             ["mode_index", "beta", "omega_rad_s", "f_hz"],
             (
-                [str(i), _fmt(m.beta), _fmt(m.omega_rad_s), _fmt(m.f_hz)]
+                _line([i, float(m.beta), float(m.omega_rad_s), float(m.f_hz)])
                 for i, m in enumerate(rs.modes, start=1)
             ),
         )
@@ -105,7 +110,7 @@ def write_result(rs: ResultSet, out_dir) -> list[Path]:
         _write_csv(
             path,
             ["f_hz", "amplitude_m"],
-            ([_fmt(pt.f_hz), _fmt(pt.amplitude_m)] for pt in rs.sweep_points),
+            (_line([float(pt.f_hz), float(pt.amplitude_m)]) for pt in rs.sweep_points),
         )
         written.append(path)
 
@@ -114,7 +119,10 @@ def write_result(rs: ResultSet, out_dir) -> list[Path]:
         _write_csv(
             path,
             ["p_n", "w_lin_m", "w_nl_m"],
-            ([_fmt(pt.p), _fmt(pt.w_lin), _fmt(pt.w_nl)] for pt in rs.load_curve),
+            (
+                _line([float(pt.p), float(pt.w_lin), float(pt.w_nl)])
+                for pt in rs.load_curve
+            ),
         )
         written.append(path)
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (
     MIN_BEAM_NODES,
+    SWEEP_STEPS_PER_PERIOD,
     IntegratorConfig,
     beam_time_response,
     bridge_2d_system,
@@ -56,6 +57,14 @@ SCHEMA_VERSION = "beamlab/1"
 SOLVERS = ("static", "quasi_static", "modal", "dynamic", "sweep", "nonlinear")
 _STATIC_LOADS = (UdlLoad, PointLoad)
 _DEFAULT_GRID_NODES = 201
+#: Largest array a run may hold, in bytes: the dense beam operator, the
+#: recorded frames or a sweep's midspan history.  A scenario estimated above
+#: it fails at parse instead of running out of memory mid-solve.
+MAX_ARRAY_BYTES = 2**30
+#: n x n float64 arrays the dense beam path holds at once (curvature stencil,
+#: product, stiffness, reduced copy, effective matrix or its factor).
+_OPERATOR_COPIES = 5
+_MIB = 2**20
 
 
 @dataclass(frozen=True)
@@ -193,6 +202,7 @@ class Scenario:
                         f"probe position {pos} outside [0, {self.beam.length}]"
                     )
         self._check_solver_inputs()
+        self._check_array_sizes()
 
     def _check_solver_inputs(self):
         def need(condition: bool, what: str):
@@ -275,6 +285,45 @@ class Scenario:
             raise ValidationError(
                 f"grid.nodes must be >= {MIN_BEAM_NODES} for solver "
                 f"'{self.solver}', got {self.grid_nodes}"
+            )
+
+    def _check_array_sizes(self):
+        """Reject runs whose largest array would exceed MAX_ARRAY_BYTES."""
+
+        def limit(nbytes: int, what: str, remedy: str) -> None:
+            if nbytes > MAX_ARRAY_BYTES:
+                raise ValidationError(
+                    f"{what} would take about {nbytes / _MIB:.0f} MiB, above the "
+                    f"{MAX_ARRAY_BYTES / _MIB:.0f} MiB limit; {remedy}"
+                )
+
+        n = self.grid_nodes
+        if self.solver in ("static", "sweep") or (
+            self.solver == "dynamic" and self.system is None
+        ):
+            limit(
+                8 * _OPERATOR_COPIES * n * n,
+                f"grid.nodes {n}: the dense beam operator",
+                "lower grid.nodes",
+            )
+        if self.solver in ("quasi_static", "dynamic"):
+            columns = n if self.system is None else self.system.dofs
+            records = self.tgrid.step_count // self.stride + 1
+            limit(
+                8 * records * columns,
+                f"output.stride {self.stride}: {records} recorded frames of "
+                f"{columns} columns",
+                "raise output.stride"
+                + ("" if self.system is not None else " or lower grid.nodes"),
+            )
+        if self.solver == "sweep":
+            sweep = self.sweep
+            periods = sweep.settle_periods + sweep.measure_periods
+            samples = periods * SWEEP_STEPS_PER_PERIOD + 1
+            limit(
+                8 * samples * sweep.f_count,
+                f"sweep.f_count {sweep.f_count}: midspan histories of {samples} steps",
+                "lower sweep.f_count or the settle and measure periods",
             )
 
 
@@ -602,8 +651,16 @@ _SCENARIO = _Block(
 )
 
 
-def scenario_from_dict(data) -> Scenario:
-    """Validate a decoded JSON object into a Scenario (strict keys)."""
+def scenario_from_dict(data, *, stride: int | None = None) -> Scenario:
+    """Validate a decoded JSON object into a Scenario (strict keys).
+
+    `stride`, when given, replaces `output.stride` before validation, so the
+    size limits see the stride the run will use.
+    """
+    if stride is not None and isinstance(data, dict):
+        output = data.get("output", {})
+        if isinstance(output, dict):
+            data = {**data, "output": {**output, "stride": stride}}
     defaults: dict[str, object] = {}
     f = _Fields(data, "")
     schema = _STRING.parse(f.require("schema"), "schema", defaults)
@@ -618,8 +675,8 @@ def scenario_from_dict(data) -> Scenario:
     return Scenario(integrator=integrator, defaults_applied=defaults, **kwargs)
 
 
-def parse_scenario(text) -> Scenario:
-    """Parse scenario JSON given as bytes or str."""
+def parse_scenario(text, *, stride: int | None = None) -> Scenario:
+    """Parse scenario JSON given as bytes or str; `stride` as in scenario_from_dict."""
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
     try:
@@ -629,7 +686,7 @@ def parse_scenario(text) -> Scenario:
             f"scenario is not valid JSON: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}"
         ) from None
-    return scenario_from_dict(data)
+    return scenario_from_dict(data, stride=stride)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -783,14 +840,17 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def preset(name: str) -> Scenario:
-    """Built-in scenario by name; see PRESET_NAMES for the valid set."""
+def preset(name: str, *, stride: int | None = None) -> Scenario:
+    """Built-in scenario by name; see PRESET_NAMES for the valid set.
+
+    `stride` as in scenario_from_dict.
+    """
     if name not in _PRESETS:
         raise ValidationError(
             f"unknown preset '{name}'; valid names: {', '.join(PRESET_NAMES)}"
         )
     data = {"schema": SCHEMA_VERSION, "name": name, **_PRESETS[name]}
-    return scenario_from_dict(data)
+    return scenario_from_dict(data, stride=stride)
 
 
 @dataclass(frozen=True)
@@ -846,14 +906,6 @@ def _attach_probes(s: Scenario, result: TimeSeriesResult) -> TimeSeriesResult:
     return replace(result, probes=mapping)
 
 
-def _sampled(result: TimeSeriesResult, stride: int) -> TimeSeriesResult:
-    if stride == 1:
-        return result
-    meta = dict(result.meta)
-    meta["stride"] = stride
-    return TimeSeriesResult(result.times[::stride], result.frames[::stride], meta=meta)
-
-
 def _run_static(s: Scenario) -> ResultSet:
     profile = static_fd_solve(s.beam, s.bc, list(s.loads), s.grid_nodes)
     return ResultSet(
@@ -867,13 +919,13 @@ def _run_quasi_static(s: Scenario) -> ResultSet:
     load = s.loads[0]
     if isinstance(load, MovingPointLoad):
         result = quasi_static_moving(
-            s.beam, load.p, load.speed, load.x0, s.tgrid, s.grid_nodes
+            s.beam, load.p, load.speed, load.x0, s.tgrid, s.grid_nodes, s.stride
         )
     else:
         result = quasi_static_sinusoidal(
-            s.beam, load.p0, load.f_hz, load.position, s.tgrid, s.grid_nodes
+            s.beam, load.p0, load.f_hz, load.position, s.tgrid, s.grid_nodes, s.stride
         )
-    result = _attach_probes(s, _sampled(result, s.stride))
+    result = _attach_probes(s, result)
     return ResultSet(
         scenario=s,
         provenance=_provenance(s, {"grid_nodes": s.grid_nodes, "stride": s.stride}),

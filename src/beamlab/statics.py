@@ -203,19 +203,20 @@ def quasi_static_moving(
     x0: float,
     tgrid: TimeGrid,
     n_nodes: int,
+    stride: int = 1,
 ) -> TimeSeriesResult:
     """Moving-load history where every frame is the static influence solution
     at the load's current position x0 + speed*t.
 
     After the load leaves the span the frame is exactly zero: the model has no
-    memory, by construction.
+    memory, by construction.  Only every `stride`-th time is computed.
     """
     if speed < 0.0:
         raise ValidationError(f"moving load speed must be nonnegative, got {speed}")
     _check_span(x0, beam.length, "moving load x0")
     grid = SpatialGrid.for_beam(beam, n_nodes)
     xs = grid.positions
-    times = tgrid.times
+    times = tgrid.sample_times(stride)
     frames = np.zeros((times.size, grid.node_count))
     for j, t in enumerate(times):
         position = x0 + speed * t
@@ -225,6 +226,7 @@ def quasi_static_moving(
         "solver": "quasi_static_moving",
         "columns": [f"x={float(pos)!r}" for pos in xs],
         "grid_nodes": grid.node_count,
+        "stride": stride,
     }
     return TimeSeriesResult(times, frames, meta=meta)
 
@@ -236,18 +238,20 @@ def quasi_static_sinusoidal(
     position: float,
     tgrid: TimeGrid,
     n_nodes: int,
+    stride: int = 1,
 ) -> TimeSeriesResult:
     """Harmonic-load history built from the static influence function.
 
     frame(t) = static solution for a point load p0*sin(2*pi*f*t) at `position`;
     the envelope is constant because the model carries no damping or inertia.
+    Only every `stride`-th time is computed.
     """
     if f_hz <= 0.0:
         raise ValidationError(f"forcing frequency must be positive, got {f_hz}")
     _check_span(position, beam.length, "harmonic load position")
     grid = SpatialGrid.for_beam(beam, n_nodes)
     xs = grid.positions
-    times = tgrid.times
+    times = tgrid.sample_times(stride)
     shape = ss_point_deflection(xs, 1.0, position, beam)
     scale = p0 * np.sin(2.0 * np.pi * f_hz * times)
     frames = scale[:, None] * shape[None, :]
@@ -255,5 +259,6 @@ def quasi_static_sinusoidal(
         "solver": "quasi_static_sinusoidal",
         "columns": [f"x={float(pos)!r}" for pos in xs],
         "grid_nodes": grid.node_count,
+        "stride": stride,
     }
     return TimeSeriesResult(times, frames, meta=meta)

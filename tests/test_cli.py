@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -177,3 +178,69 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert "exp1" in proc.stdout.splitlines()
+
+
+# SHA-256 of every file `beamlab run --preset NAME` writes and of the stdout
+# of three `beamlab modal` runs, recorded before the step loop, the root scan
+# and the CSV writer were rewritten for speed.  They pin the outputs bit for
+# bit, so they hold for one build: numpy 2.4.6 and scipy 1.17.1 with OpenBLAS
+# on x86-64, one BLAS thread (the static solves of exp1 and exp3 change in the
+# last bits with the thread count).  A different BLAS or CPU may change them
+# legitimately; a code change that moves them changes results.
+RECORDED_DIGESTS = {
+    "exp1/frames.csv": "007ed26609e31edd02cb93d335bc28dbcc6c417b4639de4d4859c9bf0650cc22",
+    "exp1/probes.csv": "8b233cf526504a8ec945eba3cbd8e0960521ec6b7584fc3672299694d2bfef1a",
+    "exp1/provenance.json": "7b9b1f10f71eaafe326598232804fae87b1168ffcb4f1b3c639302c5cf715c89",
+    "exp2_1/frames.csv": "957c56a3bba75e4a0ea6d668bdc5bdd75083ff93e0efec4e642af5e35ce52745",
+    "exp2_1/probes.csv": "f0fbddf933c55957ab015d5aa35704f0d0f5a3bdcca77313acb07ecfea22bf5c",
+    "exp2_1/provenance.json": "8ad998e534744d97f0c6ae61a93536e46771b191b1b489e7544b65d22fa69e79",
+    "exp2_2/frames.csv": "e77ab3c9ec10878ca5522be5ed956fbb7b2b1c3b8edefcc2d50c359a4750844b",
+    "exp2_2/probes.csv": "b9ccd1ab82765d43f6bef4d7c62ea407934eb4f827d2035ffd46e18b324d2fbc",
+    "exp2_2/provenance.json": "a5334ab9b56d7daa766076b04796245c29abfd98608fed0989ebcd343f853350",
+    "exp3/frames.csv": "4bf61a5148303d2a32792f3844a874bbf30681384be3231969d43b304816625d",
+    "exp3/probes.csv": "6056f232e39c83560876759558a56b7a80cf4c3cdf6af55f996ffbe4e53edcaa",
+    "exp3/provenance.json": "2c392aa099109ba3e5525f19a3c349fb62f2a6e93bf87f37bee1191b20e40b30",
+    "exp4/frames.csv": "2c445a3b9f4baf3ae25618d6d8a0a0c14001d39a96c2829ac7a576d870e1d565",
+    "exp4/loadcurve.csv": "6900a59f4100daa16440bb2f992063052e646fe6119af144adb8e8714fc95422",
+    "exp4/probes.csv": "284494e6bd0358f56b5610098410923dea77498b79dc32b23c9d5f136f095661",
+    "exp4/provenance.json": "29512aa401db439229b499972a2d2bb88e29a98878f8019b93025db005ba9553",
+    "exp5_1/provenance.json": "4091c26d15689ac141f30291785f06c77dc86329c6ca1ed8e9519bf8acb23709",
+    "exp5_1/sweep.csv": "da540a09a39b4987b91f3987f04d08d67e927602983608dad0162002612259a7",
+    "exp5_2/frames.csv": "1ca3302c8b342b0afc8c2441f70003eaa741bfdc29ef313b988962173453c668",
+    "exp5_2/probes.csv": "c89980a9f932f22e14a31a7b5bd5b19d88e5ffab6614a14c0a502368235e70fd",
+    "exp5_2/provenance.json": "8f96a8c067ca4bcfa298e33bcc0e644884606de05887290df2f7d06dc102892e",
+    "modal exp3 3": "15a24371e9ec7f16b1a52af262367c24810ce8707ff4d4e83a90a4a3c42777a0",
+    "modal exp2_1 50": "36bc7603c3644e6f8b16661e395d3fc6d45af9c36bd0c79c1b09c4a53ad969fa",
+    "modal exp1 5": "391589495f71b3546eb8cffd36b93bf04e01bc3219989ebc73948da19cb062b0",
+}
+
+DIGEST_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from beamlab.cli import main
+from beamlab.scenario import PRESET_NAMES
+out, digests = Path(sys.argv[1]), {}
+for name in PRESET_NAMES:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--preset", name, "--out", str(out / name)]) == 0
+    for path in sorted((out / name).iterdir()):
+        digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+for name, modes in (("exp3", 3), ("exp2_1", 50), ("exp1", 5)):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["modal", "--preset", name, "--modes", str(modes)]) == 0
+    digests[f"modal {name} {modes}"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_preset_outputs_match_recorded_digests(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", DIGEST_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == RECORDED_DIGESTS

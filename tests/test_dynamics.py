@@ -13,6 +13,7 @@ from beamlab import (
     NonConvergenceError,
     PointLoad,
     RankDeficiencyError,
+    SolverError,
     SpatialGrid,
     TimeGrid,
     UdlLoad,
@@ -210,6 +211,19 @@ class TestIntegrate:
         result = integrate(system, constant_force([10.0]), [0.0], [0.0], tgrid)
         static = 10.0 / system.stiffness[0, 0]
         assert result.frames[-1, 0] == pytest.approx(static, rel=1e-2)
+
+    def test_solve_failure_names_the_time(self, monkeypatch):
+        # getrs reports a bad argument (info < 0) on every solve
+        def broken_getrs(lu, piv, b, overwrite_b=False):
+            return b, -3
+
+        monkeypatch.setattr(
+            scipy.linalg, "get_lapack_funcs", lambda names, arrays: (broken_getrs,)
+        )
+        system = sdof_system(1.0, 1.0, OMEGA_UNIT**2)
+        tgrid = TimeGrid(0.0, 1.0, 0.25)
+        with pytest.raises(SolverError, match=r"failed at t=0\.25: getrs info -3"):
+            integrate(system, constant_force([1.0]), [0.0], [0.0], tgrid)
 
     def test_damped_resonance_amplitude(self):
         m, c, k = 1.0, 0.2, OMEGA_UNIT**2

@@ -10,7 +10,12 @@ from beamlab import (
     SpatialGrid,
     ValidationError,
 )
+from beamlab import modal
+from beamlab.model import InsufficientRootsError
 from beamlab.modal import (
+    BETA_MIN_SCALE,
+    ROOT_TOL_SCALE,
+    SCAN_STEP_SCALE,
     ModeSolution,
     characteristic_det,
     characteristic_matrix,
@@ -19,6 +24,7 @@ from beamlab.modal import (
     natural_frequencies,
     solve_modes,
 )
+from beamlab.scenario import modal_bc, preset
 
 PINNED = BoundarySpec.pinned_pinned()
 CLAMPED_FREE = BoundarySpec.clamped_free()
@@ -35,6 +41,53 @@ def free_free_reference_roots():
     # independent oracle: cos(z)*cosh(z) = +1 (first two nonzero roots)
     fn = lambda z: math.cos(z) * math.cosh(z) - 1.0
     return [brentq(fn, 4.0, 5.5, xtol=1e-13), brentq(fn, 7.0, 8.5, xtol=1e-13)]
+
+
+def scalar_find_beta_roots(beam, bc, n_roots, scan_step=None):
+    """Reference oracle: the one-determinant-at-a-time scan.
+
+    `find_beta_roots` evaluates its scan in stacked chunks; this loop takes
+    the same points in the same order, one `characteristic_det` call each,
+    so both must return the same roots bit for bit.
+    """
+    length = beam.length
+    if scan_step is None:
+        scan_step = SCAN_STEP_SCALE / length
+    tol = ROOT_TOL_SCALE / length
+    beta_max = (4.0 * math.pi * n_roots + 10.0) / length
+
+    roots = []
+    beta_prev = BETA_MIN_SCALE / length
+    det_prev = characteristic_det(beta_prev, beam, bc)
+    while beta_prev < beta_max and len(roots) < n_roots:
+        beta_next = beta_prev + scan_step
+        det_next = characteristic_det(beta_next, beam, bc)
+        if det_next == 0.0:
+            roots.append(beta_next)
+        elif det_prev * det_next < 0.0:
+            lo, hi = beta_prev, beta_next
+            f_lo = det_prev
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                f_mid = characteristic_det(mid, beam, bc)
+                if f_mid == 0.0:
+                    lo = hi = mid
+                    break
+                if f_lo * f_mid < 0.0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+            root = 0.5 * (lo + hi)
+            if not roots or root - roots[-1] > 0.5 * scan_step:
+                roots.append(root)
+        beta_prev, det_prev = beta_next, det_next
+
+    if len(roots) < n_roots:
+        raise InsufficientRootsError(
+            f"found {len(roots)} of {n_roots} characteristic roots with "
+            f"beta*L <= {beta_max * length:.2f}"
+        )
+    return np.array(roots)
 
 
 class TestCharacteristicDet:
@@ -104,6 +157,41 @@ class TestFindBetaRoots:
             bc = BoundarySpec(EndCondition.spring(k), EndCondition.spring(k))
             roots.append(find_beta_roots(ref_beam, bc, 1)[0])
         assert all(r2 > r1 for r1, r2 in zip(roots, roots[1:])), f"roots {roots}"
+
+    @pytest.mark.parametrize("chunk", [1, 7, modal.SCAN_CHUNK])
+    @pytest.mark.parametrize(
+        "case, n_roots",
+        [("pinned", 50), ("clamped_free", 50), ("exp1_springs", 5), ("free_free", 10)],
+    )
+    def test_chunked_scan_matches_scalar_scan(self, ref_beam, monkeypatch, chunk, case, n_roots):
+        if case == "exp1_springs":
+            s = preset("exp1")
+            beam, bc = s.beam, modal_bc(s)
+            assert bc.left.kind == bc.right.kind == "spring"
+        else:
+            beam = ref_beam
+            bc = {"pinned": PINNED, "clamped_free": CLAMPED_FREE, "free_free": FREE_FREE}[case]
+        monkeypatch.setattr(modal, "SCAN_CHUNK", chunk)
+        chunked = find_beta_roots(beam, bc, n_roots)
+        assert np.array_equal(chunked, scalar_find_beta_roots(beam, bc, n_roots))
+
+    def test_window_runs_out_inside_a_chunk(self, ref_beam):
+        # a scan step just over 2*pi/L samples sin(beta*L) at a slowly
+        # drifting phase: a few sign changes, far fewer than the roots asked for
+        length = ref_beam.length
+        step = (2.0 * math.pi + 0.1) / length
+        n_roots = 100
+        beta_max = (4.0 * math.pi * n_roots + 10.0) / length
+        beta, points = BETA_MIN_SCALE / length, 0
+        while beta < beta_max:
+            beta, points = beta + step, points + 1
+        assert points > modal.SCAN_CHUNK and points % modal.SCAN_CHUNK != 0
+        with pytest.raises(InsufficientRootsError) as scalar:
+            scalar_find_beta_roots(ref_beam, PINNED, n_roots, scan_step=step)
+        with pytest.raises(InsufficientRootsError) as chunked:
+            find_beta_roots(ref_beam, PINNED, n_roots, scan_step=step)
+        assert str(chunked.value) == str(scalar.value)
+        assert "found 6 of 100 characteristic roots" in str(chunked.value)
 
     def test_bad_arguments(self, ref_beam):
         with pytest.raises(ValidationError):

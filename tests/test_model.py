@@ -133,6 +133,12 @@ class TestGrids:
         assert tg.times[0] == 0.0
         assert tg.times[-1] == pytest.approx(15.0, abs=1e-12)
 
+    def test_time_grid_sample_times(self):
+        tg = TimeGrid(0.0, 15.0, 0.05)
+        np.testing.assert_array_equal(tg.sample_times(7), tg.times[::7])
+        with pytest.raises(ValidationError, match="stride"):
+            tg.sample_times(0)
+
     def test_time_grid_rejects_reversed_range(self):
         with pytest.raises(ValidationError, match="end"):
             TimeGrid(1.0, 1.0, 0.1)

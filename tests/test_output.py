@@ -1,11 +1,16 @@
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamlab.dynamics import SweepPoint
 from beamlab.material import LoadCurvePoint
+from beamlab.model import TimeSeriesResult
 from beamlab.output import write_result
 from beamlab.scenario import ResultSet, preset, run_scenario
 
@@ -139,3 +144,77 @@ def test_write_result_creates_directory(tmp_path):
     target = tmp_path / "deep" / "nested"
     write_result(run_scenario(preset("exp1")), target)
     assert (target / "provenance.json").exists()
+
+
+def csv_writer_bytes(header, rows):
+    """Reference: the bytes `csv.writer` gives for repr(float(v)) cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) for v in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,  # smallest subnormal
+    -2.2250738585072e-310,  # subnormal
+    2.2250738585072014e-308,  # smallest normal
+    1e-5,
+    0.1,
+    1e16,
+    -1e16,
+    1e308,
+    -1e308,
+    1.7976931348623157e308,
+]
+cells = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def series_results(draw):
+    width = draw(st.integers(min_value=1, max_value=2))
+    count = draw(st.integers(min_value=1, max_value=6))
+    times = draw(st.lists(cells, min_size=count, max_size=count))
+    frames = draw(
+        st.lists(
+            st.lists(cells, min_size=width, max_size=width), min_size=count, max_size=count
+        )
+    )
+    probed = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
+    frames = np.array(frames, dtype=float).reshape(count, width)
+    probes = {idx: frames[:, idx] for idx in probed}
+    columns = [f"x={i * 0.5!r}" for i in range(width)]
+    return TimeSeriesResult(times, frames, probes=probes, meta={"columns": columns})
+
+
+@given(series_results(), st.lists(st.tuples(cells, cells), max_size=4))
+@settings(max_examples=60, deadline=None, database=None)
+def test_writer_matches_csv_module(result, sweep):
+    rs = ResultSet(
+        scenario=preset("exp5_2"),
+        provenance={},
+        time_series=result,
+        sweep_points=tuple(SweepPoint(f, a) for f, a in sweep),
+    )
+    columns = result.meta["columns"]
+    times = result.times
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_result(rs, out)
+        frames_bytes = (out / "frames.csv").read_bytes()
+        probes_bytes = (out / "probes.csv").read_bytes()
+        sweep_bytes = (out / "sweep.csv").read_bytes() if sweep else None
+    expected_frames = csv_writer_bytes(
+        ["t", *columns], [[t, *row] for t, row in zip(times, result.frames)]
+    )
+    assert frames_bytes == expected_frames
+    probe_items = list(result.probes.items())
+    expected_probes = csv_writer_bytes(
+        ["t", *(columns[idx] for idx, _ in probe_items)],
+        [[t, *(series[j] for _, series in probe_items)] for j, t in enumerate(times)],
+    )
+    assert probes_bytes == expected_probes
+    if sweep:
+        assert sweep_bytes == csv_writer_bytes(["f_hz", "amplitude_m"], sweep)

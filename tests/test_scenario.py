@@ -514,6 +514,60 @@ def test_system_runs_keep_the_grid_minimum():
     assert scenario_from_dict(data).grid_nodes == MIN_GRID_NODES
 
 
+def parse_dict(data):
+    return parse_scenario(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [minimal_static_dict, dynamic_beam_dict, lambda: scenario_to_dict(preset("exp5_1"))],
+    ids=["static", "dynamic_beam", "sweep"],
+)
+def test_dense_operator_size_bounded_at_parse(make):
+    # about 5 n^2 doubles: 6000 nodes is 1.4 GB, 4000 nodes 0.6 GB
+    data = make()
+    data["grid"] = {"nodes": 6000}
+    with pytest.raises(ValidationError, match=r"^grid\.nodes 6000: .* MiB limit; lower grid\.nodes$"):
+        parse_dict(data)
+    data["grid"] = {"nodes": 4000}
+    assert parse_dict(data).grid_nodes == 4000
+
+
+@pytest.mark.parametrize(
+    "make, time, stride, remedy",
+    [
+        (dynamic_beam_dict, {"end": 10.0, "dt": 1e-5}, 2, "raise output.stride or lower grid.nodes"),
+        (lambda: scenario_to_dict(preset("exp2_1")), {"end": 10.0, "dt": 1e-5}, 2,
+         "raise output.stride or lower grid.nodes"),
+        (lambda: scenario_to_dict(preset("exp5_2")), {"end": 10.0, "dt": 1e-7}, 100,
+         "raise output.stride"),
+    ],
+    ids=["dynamic_beam", "quasi_static", "system"],
+)
+def test_frames_size_bounded_at_parse(make, time, stride, remedy):
+    data = make()
+    data["time"] = time
+    data["output"] = {"stride": 1}
+    with pytest.raises(ValidationError) as excinfo:
+        parse_dict(data)
+    message = str(excinfo.value)
+    assert message.startswith("output.stride 1: ")
+    assert message.endswith(f"MiB limit; {remedy}")
+    # an override (beamlab run --stride) is applied before the check
+    overridden = parse_scenario(json.dumps(data), stride=stride)
+    assert overridden.stride == stride
+    assert "output.stride" not in overridden.defaults_applied
+    data["output"] = {"stride": stride}
+    assert parse_dict(data).stride == stride
+
+
+def test_sweep_history_size_bounded_at_parse():
+    data = scenario_to_dict(preset("exp5_1"))
+    data["sweep"]["f_count"] = 100_000
+    with pytest.raises(ValidationError, match=r"^sweep\.f_count 100000: "):
+        parse_dict(data)
+
+
 def test_run_scenario_rejects_unvalidated_loads(ref_beam):
     with pytest.raises(ValidationError):
         Scenario(

@@ -303,3 +303,17 @@ class TestQuasiStaticSinusoidal:
     def test_bad_frequency_rejected(self, ref_beam):
         with pytest.raises(ValidationError, match="frequency"):
             quasi_static_sinusoidal(ref_beam, P_REF, 0.0, 5.0, TimeGrid(0.0, 1.0, 0.1), 51)
+
+
+@pytest.mark.parametrize("stride", [2, 3, 7])
+@pytest.mark.parametrize(
+    "history, args",
+    [(quasi_static_moving, (P_REF, 1.0, 0.0)), (quasi_static_sinusoidal, (P_REF, 1.0, 5.0))],
+    ids=["moving", "sinusoidal"],
+)
+def test_stride_computes_the_same_samples(ref_beam, history, args, stride):
+    tgrid = TimeGrid(0.0, 12.0, 0.01)
+    full = history(ref_beam, *args, tgrid, 51)
+    strided = history(ref_beam, *args, tgrid, 51, stride)
+    np.testing.assert_array_equal(strided.times, full.times[::stride])
+    np.testing.assert_array_equal(strided.frames, full.frames[::stride])
