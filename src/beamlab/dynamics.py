@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 import scipy.linalg
@@ -56,38 +57,25 @@ from .statics import (
 )
 
 
-@dataclass(frozen=True)
-class RayleighCoeffs:
-    """C = mass_coeff * M + stiffness_coeff * K."""
+def stiffness_damping_coeff(zeta1: float, omega1: float) -> float:
+    """Coefficient b of Rayleigh damping C = b*K with damping ratio zeta1 at omega1.
 
-    mass_coeff: float = 0.0
-    stiffness_coeff: float = 0.0
-
-    def __post_init__(self):
-        if self.mass_coeff < 0.0 or self.stiffness_coeff < 0.0:
-            raise ValidationError("Rayleigh coefficients must be nonnegative")
-
-    @classmethod
-    def for_first_mode(cls, zeta1: float, omega1: float) -> "RayleighCoeffs":
-        """Stiffness-proportional fit hitting damping ratio zeta1 at omega1.
-
-        zeta(omega) = stiffness_coeff * omega / 2 grows with frequency, so
-        higher modes are damped harder: convenient for steady-state sweeps.
-        """
-        if zeta1 < 0.0:
-            raise ValidationError(f"zeta1 must be nonnegative, got {zeta1}")
-        if omega1 <= 0.0:
-            raise ValidationError(f"omega1 must be positive, got {omega1}")
-        return cls(mass_coeff=0.0, stiffness_coeff=2.0 * zeta1 / omega1)
+    zeta(omega) = b * omega / 2 grows with frequency, so higher modes are
+    damped harder: convenient for steady-state sweeps.
+    """
+    if zeta1 < 0.0:
+        raise ValidationError(f"zeta1 must be nonnegative, got {zeta1}")
+    if omega1 <= 0.0:
+        raise ValidationError(f"omega1 must be positive, got {omega1}")
+    return 2.0 * zeta1 / omega1
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Newmark parameters; dt may be left None and taken from the TimeGrid."""
+    """Newmark parameters; the step comes from the TimeGrid."""
 
     gamma: float = 0.5
     beta_nm: float = 0.25
-    dt: float | None = None
 
     def __post_init__(self):
         if self.gamma < 0.5:
@@ -96,8 +84,6 @@ class IntegratorConfig:
             raise ValidationError(
                 f"beta_nm must be >= gamma/2 for unconditional stability, got {self.beta_nm}"
             )
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
 
 
 def _symmetric(name: str, matrix: np.ndarray) -> None:
@@ -214,10 +200,6 @@ def integrate(
     """
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
-    if cfg.dt is not None and abs(cfg.dt - tgrid.dt) > 1e-12 * tgrid.dt:
-        raise ValidationError(
-            f"integrator dt {cfg.dt} conflicts with time grid dt {tgrid.dt}"
-        )
     if system.rank_warning and not system.is_damped:
         raise RankDeficiencyError(
             f"cannot integrate undamped rank-deficient system: {system.rank_warning}"
@@ -271,16 +253,7 @@ def integrate(
             frames[recorded] = u
             recorded += 1
 
-    times = tgrid.sample_times(stride)
-    meta = {
-        "solver": "newmark",
-        "gamma": gamma,
-        "beta_nm": beta,
-        "dt": dt,
-        "stride": stride,
-        "columns": list(system.labels),
-    }
-    return TimeSeriesResult(times, frames[:recorded], meta=meta)
+    return TimeSeriesResult(tgrid.sample_times(stride), frames[:recorded], system.labels)
 
 
 def system_energy(system: MdofSystem, u: np.ndarray, v: np.ndarray) -> float:
@@ -318,16 +291,11 @@ def bridge_2d_system(m: float, c: float, k: float) -> MdofSystem:
 MIN_BEAM_NODES = 7
 
 
-def discretize_beam(
-    beam: BeamSpec,
-    bc: BoundarySpec,
-    n_nodes: int,
-    damping: RayleighCoeffs = RayleighCoeffs(),
-) -> MdofSystem:
-    """Lumped-mass finite-difference beam model over the free nodes.
+def discretize_beam(beam: BeamSpec, bc: BoundarySpec, n_nodes: int) -> MdofSystem:
+    """Undamped lumped-mass finite-difference beam model over the free nodes.
 
     Mass lumps rho*A over nodal tributary lengths (half cells at the ends);
-    stiffness is the static bending operator; C = a*M + b*K (Rayleigh).
+    stiffness is the static bending operator.
     Under-constrained support sets are allowed (for eigen comparisons) but
     tagged with a rank warning that `integrate` honors.
     """
@@ -338,18 +306,16 @@ def discretize_beam(
     masses_full = beam.section.mass_per_length * trapezoid_weights(grid)
     stiffness = stiffness_full[np.ix_(free, free)]
     mass = np.diag(masses_full[free])
-    damping_matrix = damping.mass_coeff * mass + damping.stiffness_coeff * stiffness
     warning = None
     if bc.constraint_count < 2:
         warning = (
             f"end conditions {bc.left.kind}-{bc.right.kind} leave rigid-body modes free"
         )
-    labels = tuple(f"x={float(pos)!r}" for pos in grid.positions[free])
     return MdofSystem(
         mass=mass,
-        damping=damping_matrix,
+        damping=np.zeros_like(mass),
         stiffness=stiffness,
-        labels=labels,
+        labels=tuple(compress(grid.labels, free)),
         grid=grid,
         free_mask=free,
         rank_warning=warning,
@@ -434,10 +400,8 @@ def beam_time_response(
     system = discretize_beam(beam, bc, n_nodes)
     if zeta1 > 0.0:
         omega1 = float(eigenfrequencies(system, 1)[0])
-        coeffs = RayleighCoeffs.for_first_mode(zeta1, omega1)
-        system = replace(
-            system, damping=coeffs.stiffness_coeff * np.asarray(system.stiffness)
-        )
+        coeff = stiffness_damping_coeff(zeta1, omega1)
+        system = replace(system, damping=coeff * np.asarray(system.stiffness))
     grid = system.grid
     schedule = build_force_schedule(loads, beam, grid, system.free_mask)
     zeros = np.zeros(system.size)
@@ -445,17 +409,7 @@ def beam_time_response(
 
     frames = np.zeros((dof_result.times.size, grid.node_count))
     frames[:, system.free_mask] = dof_result.frames
-    meta = {
-        "solver": "newmark_beam",
-        "gamma": cfg.gamma,
-        "beta_nm": cfg.beta_nm,
-        "dt": tgrid.dt,
-        "stride": stride,
-        "zeta1": zeta1,
-        "grid_nodes": grid.node_count,
-        "columns": [f"x={float(pos)!r}" for pos in grid.positions],
-    }
-    return TimeSeriesResult(dof_result.times, frames, meta=meta)
+    return TimeSeriesResult(dof_result.times, frames, grid.labels)
 
 
 @dataclass(frozen=True)
@@ -485,9 +439,9 @@ def frequency_sweep(
 ) -> list[SweepPoint]:
     """Steady-state midspan amplitude of a harmonic point load, per frequency.
 
-    Each frequency integrates settle+measure periods at a step of at most one
-    hundredth of the forcing period; the reported amplitude is the max
-    absolute midspan displacement over the measure window.  If that window
+    Each frequency integrates settle+measure periods at SWEEP_STEPS_PER_PERIOD
+    steps per forcing period; the reported amplitude is the max absolute
+    midspan displacement over the measure window.  If that window
     still grows past the settle window the run has no steady state and a
     NonConvergenceError names the first such frequency in input order.
 
@@ -495,10 +449,9 @@ def frequency_sweep(
     stiffness-proportional, so each mode i obeys the scalar equation
     q'' + b*lam_i*q' + lam_i*q = Gamma_i*sin(2*pi*f*t), with Gamma = Phi^T p.
     One Newmark recurrence advances every (frequency, mode) pair as a
-    (frequency x mode) array, each frequency with its own dt, and keeps only
-    the midspan displacement Phi[mid] @ q at each step.  Frequencies whose
-    grids hold fewer steps run on with the rest; their extra samples are
-    never read.
+    (frequency x mode) array, each frequency with its own dt and the same
+    step count, and keeps only the midspan displacement Phi[mid] @ q at each
+    step.
     """
     freqs = [float(f) for f in freqs]
     if any(f <= 0.0 for f in freqs):
@@ -508,18 +461,18 @@ def frequency_sweep(
     mid_node = SpatialGrid.for_beam(beam, n_nodes).nearest_node(beam.length / 2.0)
     if not freqs:
         return []
-    tgrids = []
-    for f_hz in freqs:
-        period_step = 1.0 / (SWEEP_STEPS_PER_PERIOD * f_hz)
-        f_dt = period_step if cfg.dt is None else min(cfg.dt, period_step)
-        tgrids.append(TimeGrid(0.0, (settle_periods + measure_periods) / f_hz, f_dt))
+    periods = settle_periods + measure_periods
+    tgrids = [
+        TimeGrid(0.0, periods / f_hz, 1.0 / (SWEEP_STEPS_PER_PERIOD * f_hz))
+        for f_hz in freqs
+    ]
     check_load_positions([HarmonicPointLoad(p0, f, xload) for f in freqs], beam.length)
 
     system = discretize_beam(beam, bc, n_nodes)
     lam, phi = scipy.linalg.eigh(system.stiffness, system.mass)
     if zeta1 > 0.0:
         omega1 = math.sqrt(max(float(lam[0]), 0.0))
-        stiffness_coeff = RayleighCoeffs.for_first_mode(zeta1, omega1).stiffness_coeff
+        stiffness_coeff = stiffness_damping_coeff(zeta1, omega1)
     elif system.rank_warning:
         raise RankDeficiencyError(
             f"cannot integrate undamped rank-deficient system: {system.rank_warning}"
@@ -547,7 +500,7 @@ def frequency_sweep(
     c_u = beta * dt**2
     c_v = gamma * dt
 
-    steps = max(g.step_count for g in tgrids)
+    steps = periods * SWEEP_STEPS_PER_PERIOD
     q = np.zeros((len(freqs), lam.size))
     v = np.zeros_like(q)
     a = np.zeros_like(q)
@@ -563,7 +516,7 @@ def frequency_sweep(
 
     points = []
     for column, (f_hz, tgrid) in enumerate(zip(freqs, tgrids)):
-        mid = midspan[: tgrid.step_count + 1, column]
+        mid = midspan[:, column]
         boundary = settle_periods / f_hz
         settle = np.abs(mid[tgrid.times < boundary])
         measure = np.abs(mid[tgrid.times >= boundary])

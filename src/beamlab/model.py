@@ -304,6 +304,11 @@ class SpatialGrid:
     def positions(self) -> np.ndarray:
         return np.linspace(0.0, self.length, self.node_count)
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Column label of each node in output files: `x=` and the position's repr."""
+        return tuple(f"x={pos!r}" for pos in self.positions.tolist())
+
     def nearest_node(self, position: float) -> int:
         """Index of the grid node closest to `position` (m)."""
         position = _finite(position, "probe position")
@@ -388,15 +393,15 @@ class TimeSeriesResult:
     """Sampled response history.
 
     `frames` holds one row per recorded time and one column per node (beam
-    runs) or per degree of freedom (mass-spring runs); `probes` maps column
-    index to its extracted history; `meta` carries grid/solver context such as
-    the column labels used for CSV output.
+    runs) or per degree of freedom (mass-spring runs); `columns` labels the
+    frame columns, one string each; `probes` maps a column index to its
+    extracted history.
     """
 
     times: np.ndarray
     frames: np.ndarray
+    columns: tuple[str, ...]
     probes: Mapping[int, np.ndarray] = field(default_factory=dict)
-    meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         times = _readonly(np.asarray(self.times, dtype=float))
@@ -407,11 +412,17 @@ class TimeSeriesResult:
             )
         if not np.all(np.isfinite(frames)) or not np.all(np.isfinite(times)):
             raise ValidationError("time series contains non-finite values")
+        columns = tuple(self.columns)
+        if len(columns) != frames.shape[1] or not all(isinstance(c, str) for c in columns):
+            raise ValidationError(
+                f"columns must be {frames.shape[1]} strings, one per frame column, "
+                f"got {len(columns)} labels"
+            )
         probes = {int(k): _readonly(np.asarray(v, dtype=float)) for k, v in self.probes.items()}
         for idx, series in probes.items():
             if series.shape != (times.size,):
                 raise ValidationError(f"probe {idx} history length mismatch")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "probes", probes)
-        object.__setattr__(self, "meta", dict(self.meta))

@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import StaticProfile, TimeSeriesResult
-from .scenario import ResultSet, Scenario
+from .scenario import ResultSet, probe_nodes
 
 
 def _line(values) -> str:
@@ -33,46 +32,23 @@ def _write_csv(path: Path, header, lines) -> None:
             fh.write(line + "\n")
 
 
-def _series_files(out: Path, result: TimeSeriesResult) -> list[Path]:
-    columns = list(result.meta.get("columns", []))
-    if len(columns) != result.frames.shape[1]:
-        columns = [f"c{i}" for i in range(result.frames.shape[1])]
+def _frame_files(out: Path, times, frames, columns, nodes) -> list[Path]:
+    """frames.csv with every column, probes.csv with the columns at `nodes`.
+
+    probes.csv has one column per entry of `nodes`, in order, repeats kept.
+    """
     frames_path = out / "frames.csv"
     # one row at a time: converting whole arrays to lists costs memory
     _write_csv(
         frames_path,
         ["t", *columns],
-        (
-            _line([float(t), *row.tolist()])
-            for t, row in zip(result.times, result.frames)
-        ),
+        (_line([t, *row.tolist()]) for t, row in zip(times.tolist(), frames)),
     )
     probes_path = out / "probes.csv"
-    probe_items = list(result.probes.items())
-    probes = np.column_stack([result.times, *(series for _, series in probe_items)])
     _write_csv(
         probes_path,
-        ["t", *(columns[idx] for idx, _ in probe_items)],
-        (_line(row.tolist()) for row in probes),
-    )
-    return [frames_path, probes_path]
-
-
-def _profile_files(out: Path, profile: StaticProfile, scenario: Scenario) -> list[Path]:
-    # a static solve is a single frame at t = 0
-    columns = [f"x={float(pos)!r}" for pos in profile.grid.positions]
-    frames_path = out / "frames.csv"
-    _write_csv(
-        frames_path,
-        ["t", *columns],
-        [_line([0.0, *profile.deflection.tolist()])],
-    )
-    probes_path = out / "probes.csv"
-    indices = [profile.grid.nearest_node(pos) for pos in scenario.probes]
-    _write_csv(
-        probes_path,
-        ["t", *(columns[idx] for idx in indices)],
-        [_line([0.0, *(float(profile.deflection[idx]) for idx in indices)])],
+        ["t", *(columns[idx] for idx in nodes)],
+        (_line([t, *row.tolist()]) for t, row in zip(times.tolist(), frames[:, nodes])),
     )
     return [frames_path, probes_path]
 
@@ -88,10 +64,16 @@ def write_result(rs: ResultSet, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
+    nodes = probe_nodes(rs.scenario)
     if rs.time_series is not None:
-        written += _series_files(out, rs.time_series)
+        ts = rs.time_series
+        written += _frame_files(out, ts.times, ts.frames, ts.columns, nodes)
     elif rs.static_profile is not None:
-        written += _profile_files(out, rs.static_profile, rs.scenario)
+        # a static solve is a single frame at t = 0
+        profile = rs.static_profile
+        written += _frame_files(
+            out, np.zeros(1), profile.deflection[None, :], profile.grid.labels, nodes
+        )
 
     if rs.modes:
         path = out / "modes.csv"

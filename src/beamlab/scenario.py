@@ -44,6 +44,7 @@ from .model import (
     MovingPointLoad,
     PointLoad,
     SolverError,
+    SpatialGrid,
     StaticProfile,
     TimeGrid,
     TimeSeriesResult,
@@ -892,9 +893,10 @@ def _provenance(s: Scenario, extras: dict | None = None) -> dict:
     return block
 
 
-def _probe_indices(s: Scenario):
-    from .model import SpatialGrid
-
+def probe_nodes(s: Scenario) -> list[int]:
+    """Grid node of each entry of `s.probes`, in order, repeats kept."""
+    if not s.probes:
+        return []
     grid = SpatialGrid.for_beam(s.beam, s.grid_nodes)
     return [grid.nearest_node(pos) for pos in s.probes]
 
@@ -902,7 +904,7 @@ def _probe_indices(s: Scenario):
 def _attach_probes(s: Scenario, result: TimeSeriesResult) -> TimeSeriesResult:
     if not s.probes:
         return result
-    mapping = {idx: result.frames[:, idx] for idx in _probe_indices(s)}
+    mapping = {idx: result.frames[:, idx] for idx in probe_nodes(s)}
     return replace(result, probes=mapping)
 
 

@@ -222,13 +222,7 @@ def quasi_static_moving(
         position = x0 + speed * t
         if 0.0 <= position <= beam.length:
             frames[j] = ss_point_deflection(xs, p, position, beam)
-    meta = {
-        "solver": "quasi_static_moving",
-        "columns": [f"x={float(pos)!r}" for pos in xs],
-        "grid_nodes": grid.node_count,
-        "stride": stride,
-    }
-    return TimeSeriesResult(times, frames, meta=meta)
+    return TimeSeriesResult(times, frames, grid.labels)
 
 
 def quasi_static_sinusoidal(
@@ -255,10 +249,4 @@ def quasi_static_sinusoidal(
     shape = ss_point_deflection(xs, 1.0, position, beam)
     scale = p0 * np.sin(2.0 * np.pi * f_hz * times)
     frames = scale[:, None] * shape[None, :]
-    meta = {
-        "solver": "quasi_static_sinusoidal",
-        "columns": [f"x={float(pos)!r}" for pos in xs],
-        "grid_nodes": grid.node_count,
-        "stride": stride,
-    }
-    return TimeSeriesResult(times, frames, meta=meta)
+    return TimeSeriesResult(times, frames, grid.labels)

@@ -234,13 +234,72 @@ print(json.dumps(digests))
 """
 
 
-def test_preset_outputs_match_recorded_digests(tmp_path):
+def run_digests(script, *args):
+    """Run `script` in a subprocess with one BLAS thread; its JSON stdout."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", DIGEST_SCRIPT, str(tmp_path)],
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == RECORDED_DIGESTS
+    return json.loads(proc.stdout)
+
+
+def test_preset_outputs_match_recorded_digests(tmp_path):
+    assert run_digests(DIGEST_SCRIPT, tmp_path) == RECORDED_DIGESTS
+
+
+# No preset runs a beam `dynamic` scenario, so this one pins that path: a
+# damped pinned beam under a uniform, a harmonic and a moving load, with a
+# stride and two probes.  Digests recorded as RECORDED_DIGESTS above, before
+# the frames and probes writers were merged into one.
+BEAM_DYNAMIC = {
+    "schema": "beamlab/1",
+    "name": "beam_dynamic",
+    "solver": "dynamic",
+    "beam": {
+        "length": 10.0,
+        "width": 0.2,
+        "height": 0.4,
+        "elastic_modulus": 25e9,
+        "density": 2500.0,
+    },
+    "bc": {"left": "pinned", "right": "pinned"},
+    "loads": [
+        {"type": "udl", "q": 2000.0},
+        {"type": "harmonic_point", "p0": 5000.0, "f_hz": 4.0, "position": 4.0},
+        {"type": "moving_point", "p": 20000.0, "speed": 25.0, "x0": 0.5},
+    ],
+    "grid": {"nodes": 41},
+    "time": {"start": 0.0, "end": 0.2, "dt": 0.0005},
+    "integrator": {"rayleigh": {"zeta1": 0.02}},
+    "probes": [2.5, 6.0],
+    "output": {"stride": 4},
+}
+
+BEAM_DYNAMIC_DIGESTS = {
+    "frames.csv": "aa15fce124476960d970b4476669cab46e64d8f7082ac8bc17559e1a98e6c5cd",
+    "probes.csv": "97a76fdd6fc9a4ad90460c33cc126de9e230b5ef0aa380d99e0648c617f0423b",
+    "provenance.json": "375b9c0874528744dc56056061cf107cf7522582753d4f21167ac9aa4b914cbe",
+}
+
+BEAM_DYNAMIC_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from beamlab.cli import main
+work = Path(sys.argv[1])
+(work / "scenario.json").write_text(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["run", str(work / "scenario.json"), "--out", str(work / "out")]) == 0
+print(json.dumps({
+    path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+    for path in sorted((work / "out").iterdir())
+}))
+"""
+
+
+def test_beam_dynamic_outputs_match_recorded_digests(tmp_path):
+    digests = run_digests(BEAM_DYNAMIC_SCRIPT, tmp_path, json.dumps(BEAM_DYNAMIC))
+    assert digests == BEAM_DYNAMIC_DIGESTS

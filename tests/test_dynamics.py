@@ -24,7 +24,6 @@ from beamlab.dynamics import (
     DynamicState,
     IntegratorConfig,
     MdofSystem,
-    RayleighCoeffs,
     beam_time_response,
     bridge_2d_system,
     discretize_beam,
@@ -34,6 +33,7 @@ from beamlab.dynamics import (
     integrate,
     moving_load_force,
     sdof_system,
+    stiffness_damping_coeff,
     system_energy,
 )
 from beamlab.modal import find_beta_roots, natural_frequencies
@@ -55,16 +55,14 @@ def newmark_step(
     system: MdofSystem,
     state: DynamicState,
     force_next: np.ndarray,
-    cfg: IntegratorConfig,
+    dt: float,
+    cfg: IntegratorConfig = IntegratorConfig(),
 ) -> DynamicState:
-    """Reference oracle: one implicit Newmark step of size cfg.dt.
+    """Reference oracle: one implicit Newmark step of size dt.
 
     Written for clarity, not speed: it refactorizes the effective matrix on
     every call.
     """
-    if cfg.dt is None:
-        raise ValidationError("newmark_step requires cfg.dt")
-    dt = cfg.dt
     force_next = np.asarray(force_next, dtype=float)
     if not np.all(np.isfinite(force_next)):
         raise ValidationError(f"force at t={state.time + dt} is not finite")
@@ -81,24 +79,20 @@ def newmark_step(
 
 
 def reference_sweep(
-    beam, bc, n_nodes, p0, xload, freqs, cfg=IntegratorConfig(), *,
-    settle_periods, measure_periods, zeta1,
+    beam, bc, n_nodes, p0, xload, freqs, *, settle_periods, measure_periods, zeta1
 ):
     """Midspan amplitudes from one coupled beam_time_response per frequency."""
     mid_node = SpatialGrid.for_beam(beam, n_nodes).nearest_node(beam.length / 2.0)
-    amplitudes, step_counts = [], []
+    amplitudes = []
     for f_hz in freqs:
-        period_step = 1.0 / (SWEEP_STEPS_PER_PERIOD * f_hz)
-        dt = period_step if cfg.dt is None else min(cfg.dt, period_step)
+        dt = 1.0 / (SWEEP_STEPS_PER_PERIOD * f_hz)
         tgrid = TimeGrid(0.0, (settle_periods + measure_periods) / f_hz, dt)
         result = beam_time_response(
-            beam, bc, n_nodes, [HarmonicPointLoad(p0, f_hz, xload)], tgrid,
-            replace(cfg, dt=None), zeta1=zeta1,
+            beam, bc, n_nodes, [HarmonicPointLoad(p0, f_hz, xload)], tgrid, zeta1=zeta1
         )
         measure = result.times >= settle_periods / f_hz
         amplitudes.append(np.abs(result.frames[measure, mid_node]).max())
-        step_counts.append(tgrid.step_count)
-    return np.array(amplitudes), step_counts
+    return np.array(amplitudes)
 
 
 class TestSystemBuilders:
@@ -144,28 +138,21 @@ class TestSystemBuilders:
 class TestNewmarkStep:
     def test_zero_everything_stays_zero(self):
         system = sdof_system(**UNIT_OSC)
-        cfg = IntegratorConfig(dt=0.01)
         state = DynamicState(np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
         for _ in range(10):
-            state = newmark_step(system, state, np.zeros(1), cfg)
+            state = newmark_step(system, state, np.zeros(1), 0.01)
         assert state.displacement[0] == 0.0
         assert state.time == pytest.approx(0.1)
-
-    def test_requires_dt(self):
-        system = sdof_system(**UNIT_OSC)
-        state = DynamicState(np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
-        with pytest.raises(ValidationError, match="dt"):
-            newmark_step(system, state, np.zeros(1), IntegratorConfig())
 
     def test_nonfinite_force_rejected(self):
         system = sdof_system(**UNIT_OSC)
         state = DynamicState(np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
         with pytest.raises(ValidationError, match="t="):
-            newmark_step(system, state, np.array([np.nan]), IntegratorConfig(dt=0.01))
+            newmark_step(system, state, np.array([np.nan]), 0.01)
 
     def test_integrate_matches_step_oracle(self, ref_beam):
-        coeffs = RayleighCoeffs(stiffness_coeff=1e-3)
-        system = discretize_beam(ref_beam, PINNED, 21, damping=coeffs)
+        system = discretize_beam(ref_beam, PINNED, 21)
+        system = replace(system, damping=1e-3 * system.stiffness)
         shape = np.linspace(0.0, 1e3, system.size)
         schedule = lambda t: math.sin(20.0 * t) * shape
         tgrid = TimeGrid(0.0, 0.2, 1e-3)
@@ -174,7 +161,7 @@ class TestNewmarkStep:
         state = initial_state(system, zeros, zeros, schedule(0.0))
         frames = [state.displacement]
         for t in tgrid.times[1:]:
-            state = newmark_step(system, state, schedule(t), IntegratorConfig(dt=tgrid.dt))
+            state = newmark_step(system, state, schedule(t), tgrid.dt)
             frames.append(state.displacement)
         scale = np.max(np.abs(frames))
         np.testing.assert_allclose(result.frames, frames, rtol=0, atol=1e-10 * scale)
@@ -340,17 +327,22 @@ class TestDiscretizeBeam:
         with pytest.raises(ValidationError, match="n_nodes"):
             discretize_beam(ref_beam, PINNED, 5)
 
-    def test_rayleigh_damping_assembled(self, ref_beam):
-        coeffs = RayleighCoeffs(mass_coeff=0.1, stiffness_coeff=1e-4)
-        system = discretize_beam(ref_beam, PINNED, 21, damping=coeffs)
-        expected = 0.1 * np.asarray(system.mass) + 1e-4 * np.asarray(system.stiffness)
-        np.testing.assert_allclose(system.damping, expected, rtol=1e-12)
+    def test_undamped_with_grid_labels(self, ref_beam):
+        system = discretize_beam(ref_beam, BoundarySpec.clamped_free(), 21)
+        assert not system.is_damped
+        assert system.labels == SpatialGrid.for_beam(ref_beam, 21).labels[1:]
 
     def test_rayleigh_fit_hits_target(self):
-        coeffs = RayleighCoeffs.for_first_mode(0.02, 40.0)
-        assert coeffs.mass_coeff == 0.0
-        # modal damping ratio at omega1: stiffness_coeff * omega1 / 2
-        assert coeffs.stiffness_coeff * 40.0 / 2.0 == pytest.approx(0.02, rel=1e-12)
+        coeff = stiffness_damping_coeff(0.02, 40.0)
+        # modal damping ratio at omega1: coeff * omega1 / 2
+        assert coeff * 40.0 / 2.0 == pytest.approx(0.02, rel=1e-12)
+
+    def test_rayleigh_fit_rejects_bad_inputs(self):
+        assert stiffness_damping_coeff(0.0, 40.0) == 0.0
+        with pytest.raises(ValidationError, match="zeta1 must be nonnegative"):
+            stiffness_damping_coeff(-0.01, 40.0)
+        with pytest.raises(ValidationError, match="omega1 must be positive"):
+            stiffness_damping_coeff(0.02, 0.0)
 
 
 class TestMovingLoadForce:
@@ -457,27 +449,20 @@ class TestFrequencySweep:
             )
 
     @pytest.mark.parametrize(
-        "bc, cfg, freqs",
+        "bc, freqs",
         [
-            (PINNED, IntegratorConfig(), [2.0, 4.5, 7.0]),
-            (BoundarySpec.clamped_free(), IntegratorConfig(), [0.5, 1.8, 3.0]),
-            # one explicit dt: 3000, 1200 and 750 steps, and 600 steps at
-            # 20 Hz, where a hundredth of the period is the smaller step
-            (PINNED, IntegratorConfig(dt=1e-3), [2.0, 5.0, 8.0, 20.0]),
+            (PINNED, [2.0, 4.5, 7.0]),
+            (BoundarySpec.clamped_free(), [0.5, 1.8, 3.0]),
         ],
-        ids=["pinned", "clamped_free", "explicit_dt"],
+        ids=["pinned", "clamped_free"],
     )
-    def test_modal_batch_matches_coupled_runs(self, ref_beam, bc, cfg, freqs):
+    def test_modal_batch_matches_coupled_runs(self, ref_beam, bc, freqs):
         kwargs = dict(settle_periods=4, measure_periods=2, zeta1=0.05)
-        want, step_counts = reference_sweep(
-            ref_beam, bc, 21, 1e3, 3.0, freqs, cfg, **kwargs
-        )
-        points = frequency_sweep(ref_beam, bc, 21, 1e3, 3.0, freqs, cfg, **kwargs)
+        want = reference_sweep(ref_beam, bc, 21, 1e3, 3.0, freqs, **kwargs)
+        points = frequency_sweep(ref_beam, bc, 21, 1e3, 3.0, freqs, **kwargs)
         assert [p.f_hz for p in points] == freqs
         got = np.array([p.amplitude_m for p in points])
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
-        if cfg.dt is not None:
-            assert len(set(step_counts)) == len(freqs)
 
     def test_nonconvergence_names_first_failing_frequency(self, ref_beam):
         system = discretize_beam(ref_beam, PINNED, 21)

@@ -122,6 +122,12 @@ class TestGrids:
         assert idx == 100
         assert grid.positions[idx] == 5.0
 
+    def test_labels_round_trip_positions(self, ref_beam):
+        assert SpatialGrid(10.0, 5).labels == ("x=0.0", "x=2.5", "x=5.0", "x=7.5", "x=10.0")
+        grid = SpatialGrid.for_beam(ref_beam, 201)
+        parsed = [float(label.removeprefix("x=")) for label in grid.labels]
+        np.testing.assert_array_equal(parsed, grid.positions)
+
     def test_too_few_nodes(self):
         with pytest.raises(ValidationError, match="node_count"):
             SpatialGrid(10.0, 4)
@@ -179,15 +185,22 @@ class TestResults:
 
     def test_time_series_row_count_invariant(self):
         with pytest.raises(ValidationError, match="frames"):
-            TimeSeriesResult(np.arange(5.0), np.zeros((4, 3)))
+            TimeSeriesResult(np.arange(5.0), np.zeros((4, 3)), ("a", "b", "c"))
 
     def test_time_series_probe_length_checked(self):
         with pytest.raises(ValidationError, match="probe"):
-            TimeSeriesResult(np.arange(5.0), np.zeros((5, 3)), probes={1: np.zeros(4)})
+            TimeSeriesResult(
+                np.arange(5.0), np.zeros((5, 3)), ("a", "b", "c"), probes={1: np.zeros(4)}
+            )
 
     def test_time_series_accepts_consistent_data(self):
         res = TimeSeriesResult(
-            np.arange(3.0), np.ones((3, 2)), probes={0: np.ones(3)}, meta={"solver": "x"}
+            np.arange(3.0), np.ones((3, 2)), ["x", "y"], probes={0: np.ones(3)}
         )
         assert res.frames.shape == (3, 2)
-        assert res.meta["solver"] == "x"
+        assert res.columns == ("x", "y")
+
+    @pytest.mark.parametrize("columns", [(), ("x",), ("x", "y", "z"), ("x", 2)])
+    def test_time_series_columns_checked(self, columns):
+        with pytest.raises(ValidationError, match="columns must be 2 strings"):
+            TimeSeriesResult(np.arange(3.0), np.ones((3, 2)), columns)

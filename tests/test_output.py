@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from beamlab.dynamics import SweepPoint
 from beamlab.material import LoadCurvePoint
-from beamlab.model import TimeSeriesResult
+from beamlab.model import SpatialGrid, TimeSeriesResult
 from beamlab.output import write_result
-from beamlab.scenario import ResultSet, preset, run_scenario
+from beamlab.scenario import (
+    ResultSet,
+    preset,
+    run_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 
 def read_rows(path):
@@ -174,7 +181,12 @@ cells = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity
 
 @st.composite
 def series_results(draw):
-    width = draw(st.integers(min_value=1, max_value=2))
+    """A scenario, a random history for it and the probed frame columns.
+
+    Mass-spring runs have one or two DOF columns and no probes; beam runs
+    have a 5- to 7-node grid and probes at drawn nodes, repeats allowed.
+    """
+    width = draw(st.sampled_from([1, 2, 5, 6, 7]))
     count = draw(st.integers(min_value=1, max_value=6))
     times = draw(st.lists(cells, min_size=count, max_size=count))
     frames = draw(
@@ -182,23 +194,29 @@ def series_results(draw):
             st.lists(cells, min_size=width, max_size=width), min_size=count, max_size=count
         )
     )
-    probed = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
     frames = np.array(frames, dtype=float).reshape(count, width)
-    probes = {idx: frames[:, idx] for idx in probed}
-    columns = [f"x={i * 0.5!r}" for i in range(width)]
-    return TimeSeriesResult(times, frames, probes=probes, meta={"columns": columns})
+    if width < 5:
+        scenario, columns, picked = preset("exp5_2"), ("x", "y")[:width], []
+    else:
+        grid = SpatialGrid(10.0, width)
+        picked = draw(st.lists(st.integers(0, width - 1), max_size=4))
+        probes = [grid.positions[i] for i in picked]
+        scenario = replace(preset("exp3"), grid_nodes=width, probes=probes)
+        columns = grid.labels
+    return scenario, TimeSeriesResult(times, frames, columns), picked
 
 
 @given(series_results(), st.lists(st.tuples(cells, cells), max_size=4))
 @settings(max_examples=60, deadline=None, database=None)
-def test_writer_matches_csv_module(result, sweep):
+def test_writer_matches_csv_module(run, sweep):
+    scenario, result, picked = run
     rs = ResultSet(
-        scenario=preset("exp5_2"),
+        scenario=scenario,
         provenance={},
         time_series=result,
         sweep_points=tuple(SweepPoint(f, a) for f, a in sweep),
     )
-    columns = result.meta["columns"]
+    columns = result.columns
     times = result.times
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -210,11 +228,38 @@ def test_writer_matches_csv_module(result, sweep):
         ["t", *columns], [[t, *row] for t, row in zip(times, result.frames)]
     )
     assert frames_bytes == expected_frames
-    probe_items = list(result.probes.items())
     expected_probes = csv_writer_bytes(
-        ["t", *(columns[idx] for idx, _ in probe_items)],
-        [[t, *(series[j] for _, series in probe_items)] for j, t in enumerate(times)],
+        ["t", *(columns[i] for i in picked)],
+        [[t, *(row[i] for i in picked)] for t, row in zip(times, result.frames)],
     )
     assert probes_bytes == expected_probes
     if sweep:
         assert sweep_bytes == csv_writer_bytes(["f_hz", "amplitude_m"], sweep)
+
+
+def _coincident_probes(name):
+    if name == "beam_dynamic":
+        data = scenario_to_dict(preset("exp2_1"))
+        data.update(
+            solver="dynamic",
+            grid={"nodes": 41},
+            time={"start": 0.0, "end": 0.5, "dt": 0.005},
+            integrator={"rayleigh": {"zeta1": 0.02}},
+        )
+    else:
+        data = scenario_to_dict(preset(name))
+    # 5.01 snaps to the 5.0 node on both the 201- and the 41-node grid
+    data["probes"] = [5.0, 5.01, 5.0, 2.5]
+    return scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("name", ["exp3", "exp2_2", "beam_dynamic"])
+def test_one_probe_column_per_listed_probe(tmp_path, name):
+    write_result(run_scenario(_coincident_probes(name)), tmp_path)
+    frame_rows = read_rows(tmp_path / "frames.csv")
+    probe_rows = read_rows(tmp_path / "probes.csv")
+    assert probe_rows[0] == ["t", "x=5.0", "x=5.0", "x=5.0", "x=2.5"]
+    assert len(probe_rows) == len(frame_rows) > 1
+    index = [frame_rows[0].index(label) for label in probe_rows[0]]
+    for frame_row, probe_row in zip(frame_rows, probe_rows):
+        assert probe_row == [frame_row[i] for i in index]

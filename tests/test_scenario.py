@@ -391,7 +391,7 @@ def test_exp1_modal_bearing_override():
 def test_exp5_2_drives_x_only():
     rs = run_scenario(preset("exp5_2"))
     frames = rs.time_series.frames
-    assert rs.time_series.meta["columns"] == ["x", "y"]
+    assert rs.time_series.columns == ("x", "y")
     assert np.max(np.abs(frames[:, 0])) > 0.0
     np.testing.assert_allclose(frames[:, 1], 0.0, atol=0.0)
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamlab import (
+    BeamSpec,
     BoundarySpec,
     EndCondition,
     HarmonicPointLoad,
@@ -252,6 +254,54 @@ class TestFdSolve:
                 51,
             )
 
+
+
+# Properties of the finite-difference solve on small grids, over every support
+# pair that static_fd_solve accepts.  The beam is the shared reference beam;
+# it is built here because Hypothesis reruns a test body per example.
+FD_BEAM = BeamSpec(10.0, 0.2, 0.4, 25e9, 2500.0)
+FD_SUPPORTS = st.sampled_from(
+    [
+        BoundarySpec.pinned_pinned(),
+        BoundarySpec.clamped_free(),
+        BoundarySpec(EndCondition.clamped(), EndCondition.clamped()),
+        BoundarySpec(EndCondition.pinned(), EndCondition.clamped()),
+        BoundarySpec(EndCondition.spring(1e6), EndCondition.spring(2e7)),
+    ]
+)
+FD_NODES = st.integers(min_value=5, max_value=41)
+# zero or 1 N to 100 kN either way; subnormal loads give subnormal deflections,
+# where rounding is no longer relative
+FD_LOADS = st.just(0.0) | st.floats(1.0, 1e5) | st.floats(-1e5, -1.0)
+
+
+@given(
+    bc=FD_SUPPORTS,
+    n=FD_NODES,
+    q=FD_LOADS,
+    p=FD_LOADS,
+    frac=st.floats(0.0, 1.0),
+)
+@settings(max_examples=40, deadline=None, database=None)
+def test_fd_solve_superposition(bc, n, q, p, frac):
+    udl, point = UdlLoad(q), PointLoad(p, frac * FD_BEAM.length)
+    both = static_fd_solve(FD_BEAM, bc, [udl, point], n).deflection
+    w_udl = static_fd_solve(FD_BEAM, bc, [udl], n).deflection
+    w_point = static_fd_solve(FD_BEAM, bc, [point], n).deflection
+    scale = np.abs(w_udl).max() + np.abs(w_point).max()
+    np.testing.assert_allclose(both, w_udl + w_point, rtol=0, atol=1e-9 * scale)
+
+
+@given(bc=FD_SUPPORTS, n=FD_NODES, data=st.data())
+@settings(max_examples=40, deadline=None, database=None)
+def test_fd_influence_maxwell_reciprocity(bc, n, data):
+    # w at x_i from a unit load at x_j equals w at x_j from a unit load at x_i
+    i, j = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    x = SpatialGrid.for_beam(FD_BEAM, n).positions
+    from_j = static_fd_solve(FD_BEAM, bc, [PointLoad(1.0, x[j])], n).deflection
+    from_i = static_fd_solve(FD_BEAM, bc, [PointLoad(1.0, x[i])], n).deflection
+    scale = max(np.abs(from_j).max(), np.abs(from_i).max())
+    assert abs(from_j[i] - from_i[j]) <= 1e-9 * scale
 
 class TestQuasiStaticMoving:
     def test_peak_at_center_crossing(self, ref_beam):
