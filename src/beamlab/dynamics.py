@@ -34,10 +34,9 @@ import numpy as np
 import scipy.linalg
 
 from .model import (
+    STATIC_LOADS,
     BeamSpec,
     BoundarySpec,
-    HarmonicPointLoad,
-    MovingPointLoad,
     NonConvergenceError,
     PointLoad,
     RankDeficiencyError,
@@ -45,16 +44,10 @@ from .model import (
     SpatialGrid,
     TimeGrid,
     TimeSeriesResult,
-    UdlLoad,
     ValidationError,
     check_load_positions,
 )
-from .statics import (
-    beam_stiffness_matrix,
-    point_load_vector,
-    trapezoid_weights,
-    udl_load_vector,
-)
+from .statics import beam_stiffness_matrix, nodal_force, trapezoid_weights
 
 
 def stiffness_damping_coeff(zeta1: float, omega1: float) -> float:
@@ -256,11 +249,6 @@ def integrate(
     return TimeSeriesResult(tgrid.sample_times(stride), frames[:recorded], system.labels)
 
 
-def system_energy(system: MdofSystem, u: np.ndarray, v: np.ndarray) -> float:
-    """Total mechanical energy, kinetic plus elastic."""
-    return 0.5 * float(v @ system.mass @ v + u @ system.stiffness @ u)
-
-
 def sdof_system(m: float, c: float, k: float) -> MdofSystem:
     """Single mass-spring-damper: M=[m], C=[c], K=[k]."""
     if m <= 0.0:
@@ -332,56 +320,6 @@ def eigenfrequencies(system: MdofSystem, count: int) -> np.ndarray:
     return np.sqrt(np.clip(values, 0.0, None))
 
 
-def moving_load_force(
-    p: float, speed: float, x0: float, grid: SpatialGrid, t: float
-) -> np.ndarray:
-    """Full-grid nodal force for a load at x0 + speed*t; zero once off-span.
-
-    While the load is on the span the vector sums exactly to p (linear split
-    between the bracketing nodes).
-    """
-    if t < 0.0:
-        raise ValidationError(f"time must be nonnegative, got {t}")
-    position = x0 + speed * t
-    if position < 0.0 or position > grid.length:
-        return np.zeros(grid.node_count)
-    return point_load_vector(p, position, grid)
-
-
-def build_force_schedule(loads, beam: BeamSpec, grid: SpatialGrid, free: np.ndarray):
-    """Time-to-force closure over the free dofs for a mixed load list."""
-    check_load_positions(loads, beam.length)
-    static_part = np.zeros(grid.node_count)
-    harmonic_parts = []
-    moving_parts = []
-    for load in loads:
-        if isinstance(load, UdlLoad):
-            static_part += udl_load_vector(load.q, grid)
-        elif isinstance(load, PointLoad):
-            static_part += point_load_vector(load.p, load.position, grid)
-        elif isinstance(load, HarmonicPointLoad):
-            harmonic_parts.append(
-                (point_load_vector(load.p0, load.position, grid), 2.0 * math.pi * load.f_hz)
-            )
-        elif isinstance(load, MovingPointLoad):
-            moving_parts.append(load)
-        else:
-            raise ValidationError(f"unknown load case {load!r}")
-
-    static_free = static_part[free]
-    harmonic_free = [(vec[free], omega) for vec, omega in harmonic_parts]
-
-    def schedule(t: float) -> np.ndarray:
-        force = static_free.copy()
-        for vec, omega in harmonic_free:
-            force += math.sin(omega * t) * vec
-        for load in moving_parts:
-            force += moving_load_force(load.p, load.speed, load.x0, grid, t)[free]
-        return force
-
-    return schedule
-
-
 def beam_time_response(
     beam: BeamSpec,
     bc: BoundarySpec,
@@ -395,20 +333,36 @@ def beam_time_response(
     """Integrate a discretized beam from rest and report full-grid frames.
 
     zeta1 > 0 adds stiffness-proportional Rayleigh damping fitted to the
-    discrete first mode.
+    discrete first mode.  Udl and point loads are turned into nodal forces
+    once; harmonic and moving loads are added at every step.
     """
+    check_load_positions(loads, beam.length)
     system = discretize_beam(beam, bc, n_nodes)
     if zeta1 > 0.0:
         omega1 = float(eigenfrequencies(system, 1)[0])
         coeff = stiffness_damping_coeff(zeta1, omega1)
         system = replace(system, damping=coeff * np.asarray(system.stiffness))
-    grid = system.grid
-    schedule = build_force_schedule(loads, beam, grid, system.free_mask)
+    grid, free = system.grid, system.free_mask
+    fixed = np.zeros(grid.node_count)
+    varying = []
+    for load in loads:
+        if isinstance(load, STATIC_LOADS):
+            fixed += nodal_force(load, grid)
+        else:
+            varying.append(load)
+    fixed = fixed[free]
+
+    def schedule(t: float) -> np.ndarray:
+        force = fixed.copy()
+        for load in varying:
+            force += nodal_force(load, grid, t)[free]
+        return force
+
     zeros = np.zeros(system.size)
     dof_result = integrate(system, schedule, zeros, zeros, tgrid, cfg, stride=stride)
 
     frames = np.zeros((dof_result.times.size, grid.node_count))
-    frames[:, system.free_mask] = dof_result.frames
+    frames[:, free] = dof_result.frames
     return TimeSeriesResult(dof_result.times, frames, grid.labels)
 
 
@@ -458,15 +412,16 @@ def frequency_sweep(
         raise ValidationError("sweep frequencies must be positive")
     if settle_periods < 1 or measure_periods < 1:
         raise ValidationError("settle_periods and measure_periods must be >= 1")
-    mid_node = SpatialGrid.for_beam(beam, n_nodes).nearest_node(beam.length / 2.0)
+    grid = SpatialGrid.for_beam(beam, n_nodes)
+    mid_node = grid.nearest_node(beam.length / 2.0)
     if not freqs:
         return []
+    load = nodal_force(PointLoad(p0, xload), grid)
     periods = settle_periods + measure_periods
     tgrids = [
         TimeGrid(0.0, periods / f_hz, 1.0 / (SWEEP_STEPS_PER_PERIOD * f_hz))
         for f_hz in freqs
     ]
-    check_load_positions([HarmonicPointLoad(p0, f, xload) for f in freqs], beam.length)
 
     system = discretize_beam(beam, bc, n_nodes)
     lam, phi = scipy.linalg.eigh(system.stiffness, system.mass)
@@ -479,8 +434,7 @@ def frequency_sweep(
         )
     else:
         stiffness_coeff = 0.0
-    load = point_load_vector(p0, xload, system.grid)[system.free_mask]
-    shapes = np.zeros((system.grid.node_count, lam.size))  # constrained rows stay 0
+    shapes = np.zeros((grid.node_count, lam.size))  # constrained rows stay 0
     shapes[system.free_mask] = phi
     mid_row = shapes[mid_node]
 
@@ -492,7 +446,7 @@ def frequency_sweep(
     gamma, beta = cfg.gamma, cfg.beta_nm
     damping = stiffness_coeff * lam
     effective = 1.0 + gamma * dt * damping + beta * dt**2 * lam
-    gain = (phi.T @ load) / effective
+    gain = (phi.T @ load[system.free_mask]) / effective
     damping_gain = damping / effective
     stiffness_gain = lam / effective
     c_upred = (0.5 - beta) * dt**2

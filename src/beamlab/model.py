@@ -257,19 +257,23 @@ class HarmonicPointLoad:
 LoadCase = Union[UdlLoad, PointLoad, MovingPointLoad, HarmonicPointLoad]
 
 
+#: Load types whose force does not change with time.
+STATIC_LOADS = (UdlLoad, PointLoad)
+
+
 def check_load_positions(loads, length: float) -> None:
-    """Raise ValidationError for any load position outside [0, length]."""
-    for load in loads:
-        if isinstance(load, PointLoad) and load.position > length:
-            raise ValidationError(
-                f"point load position {load.position} outside [0, {length}]"
-            )
-        if isinstance(load, HarmonicPointLoad) and load.position > length:
-            raise ValidationError(
-                f"harmonic load position {load.position} outside [0, {length}]"
-            )
-        if isinstance(load, MovingPointLoad) and load.x0 > length:
-            raise ValidationError(f"moving load x0 {load.x0} outside [0, {length}]")
+    """Raise ValidationError for any load placed beyond `length`.
+
+    The error names the field by its scenario path, `loads[i].position` or
+    `loads[i].x0`; the load types themselves reject negative positions.
+    """
+    for i, load in enumerate(loads):
+        for name in ("position", "x0"):
+            value = getattr(load, name, None)
+            if value is not None and value > length:
+                raise ValidationError(
+                    f"loads[{i}].{name} {value} is outside the span [0, {length}]"
+                )
 
 
 #: Fewest nodes a spatial grid accepts.
@@ -395,7 +399,9 @@ class TimeSeriesResult:
     `frames` holds one row per recorded time and one column per node (beam
     runs) or per degree of freedom (mass-spring runs); `columns` labels the
     frame columns, one string each; `probes` maps a column index to its
-    extracted history.
+    extracted history.  A scenario run keys `probes` by the grid node each
+    probe position snaps to, so probes that snap to one node share one
+    entry, while `probes.csv` keeps one column per listed probe.
     """
 
     times: np.ndarray

@@ -37,6 +37,7 @@ from .modal import ModeSolution, solve_modes
 from .model import (
     _END_KINDS,
     MIN_GRID_NODES,
+    STATIC_LOADS,
     BeamSpec,
     BoundarySpec,
     EndCondition,
@@ -56,11 +57,12 @@ from .statics import quasi_static_moving, quasi_static_sinusoidal, static_fd_sol
 
 SCHEMA_VERSION = "beamlab/1"
 SOLVERS = ("static", "quasi_static", "modal", "dynamic", "sweep", "nonlinear")
-_STATIC_LOADS = (UdlLoad, PointLoad)
 _DEFAULT_GRID_NODES = 201
 #: Largest array a run may hold, in bytes: the dense beam operator, the
-#: recorded frames or a sweep's midspan history.  A scenario estimated above
-#: it fails at parse instead of running out of memory mid-solve.
+#: recorded frames, a sweep's midspan history, or one double per time sample
+#: and dof of a dynamic run, which also bounds its step count.  A scenario
+#: estimated above it fails at parse instead of running for days or out of
+#: memory mid-solve.
 MAX_ARRAY_BYTES = 2**30
 #: n x n float64 arrays the dense beam path holds at once (curvature stencil,
 #: product, stiffness, reduced copy, effective matrix or its factor).
@@ -210,11 +212,16 @@ class Scenario:
             if not condition:
                 raise ValidationError(f"solver '{self.solver}' requires {what}")
 
+        if self.probes and self.solver in ("modal", "sweep"):
+            raise ValidationError(
+                f"'probes' given, but solver '{self.solver}' writes no frames "
+                "to probe; remove it"
+            )
         if self.solver == "static":
             need(self.beam is not None, "a beam block")
             need(self.bc is not None, "a bc block")
             need(len(self.loads) >= 1, "at least one load")
-            if any(not isinstance(load, _STATIC_LOADS) for load in self.loads):
+            if any(not isinstance(load, STATIC_LOADS) for load in self.loads):
                 raise ValidationError(
                     "solver 'static' accepts only udl and point loads"
                 )
@@ -307,15 +314,22 @@ class Scenario:
                 f"grid.nodes {n}: the dense beam operator",
                 "lower grid.nodes",
             )
-        if self.solver in ("quasi_static", "dynamic"):
+        if self.solver == "dynamic":
+            # every step is computed whatever the stride; this also bounds
+            # the frames, which hold at most one row per time sample
             columns = n if self.system is None else self.system.dofs
+            samples = self.tgrid.step_count + 1
+            limit(
+                8 * samples * columns,
+                f"time.dt {self.tgrid.dt}: {samples} time samples of {columns} dofs",
+                "raise time.dt or shorten the time span",
+            )
+        if self.solver == "quasi_static":
             records = self.tgrid.step_count // self.stride + 1
             limit(
-                8 * records * columns,
-                f"output.stride {self.stride}: {records} recorded frames of "
-                f"{columns} columns",
-                "raise output.stride"
-                + ("" if self.system is not None else " or lower grid.nodes"),
+                8 * records * n,
+                f"output.stride {self.stride}: {records} recorded frames of {n} columns",
+                "raise output.stride or lower grid.nodes",
             )
         if self.solver == "sweep":
             sweep = self.sweep
@@ -805,7 +819,6 @@ _PRESETS = {
             "settle_periods": 30,
             "measure_periods": 10,
         },
-        "probes": [5.0],
         "notes": [
             "Peak response frequencies of 1.02 Hz, 2.04 Hz and 4.09 Hz "
             "have been quoted for this setup elsewhere; they are "

@@ -3,14 +3,18 @@
 Closed forms for the textbook simply-supported and cantilever cases, a
 finite-difference solver for arbitrary end conditions, and quasi-static
 time histories where each frame is the static answer for the load's current
-position or magnitude.
+position or magnitude.  `nodal_force` turns any load case into nodal forces
+for the finite-difference and time-stepping solvers.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import (
+    STATIC_LOADS,
     BeamSpec,
     BoundarySpec,
     HarmonicPointLoad,
@@ -23,7 +27,6 @@ from .model import (
     TimeSeriesResult,
     UdlLoad,
     ValidationError,
-    check_load_positions,
 )
 
 
@@ -133,10 +136,12 @@ def beam_stiffness_matrix(beam: BeamSpec, bc: BoundarySpec, grid: SpatialGrid):
     return stiffness, free
 
 
-def point_load_vector(p: float, position: float, grid: SpatialGrid) -> np.ndarray:
-    """Nodal force vector (N) for a point load, split linearly between the
-    two bracketing nodes so the total stays exactly p."""
-    _check_span(position, grid.length, "point load position")
+def _split_point(p: float, position: float, grid: SpatialGrid) -> np.ndarray:
+    """Point load p (N) split linearly between the two bracketing nodes."""
+    if not 0.0 <= position <= grid.length:
+        raise ValidationError(
+            f"point load position {position} outside beam span [0, {grid.length}]"
+        )
     force = np.zeros(grid.node_count)
     dx = grid.spacing
     idx = min(int(position / dx), grid.node_count - 2)
@@ -146,27 +151,30 @@ def point_load_vector(p: float, position: float, grid: SpatialGrid) -> np.ndarra
     return force
 
 
-def udl_load_vector(q: float, grid: SpatialGrid) -> np.ndarray:
-    """Nodal force vector (N) for a uniform load: q times the tributary length."""
-    return q * trapezoid_weights(grid)
+def nodal_force(load, grid: SpatialGrid, t: float = 0.0) -> np.ndarray:
+    """Full-grid nodal force vector (N) of one load case at time `t` (s).
 
-
-def static_load_vector(loads, beam: BeamSpec, grid: SpatialGrid) -> np.ndarray:
-    """Sum of nodal force vectors for time-independent loads only."""
-    check_load_positions(loads, beam.length)
-    force = np.zeros(grid.node_count)
-    for load in loads:
-        if isinstance(load, UdlLoad):
-            force += udl_load_vector(load.q, grid)
-        elif isinstance(load, PointLoad):
-            force += point_load_vector(load.p, load.position, grid)
-        elif isinstance(load, (MovingPointLoad, HarmonicPointLoad)):
-            raise ValidationError(
-                f"time-dependent load {type(load).__name__} not allowed in a static solve"
-            )
-        else:
-            raise ValidationError(f"unknown load case {load!r}")
-    return force
+    This is the one place a load becomes nodal forces.  A udl gives q times
+    each node's tributary length.  A point force is split linearly between
+    the two nodes that bracket it, so the vector sums to its magnitude: p for
+    a point load, p0*sin(2*pi*f_hz*t) for a harmonic one, and p for a moving
+    load while x0 + speed*t lies on [0, L].  Before a moving load reaches the
+    span and after it leaves, its force is zero.
+    """
+    if isinstance(load, UdlLoad):
+        return load.q * trapezoid_weights(grid)
+    if isinstance(load, PointLoad):
+        return _split_point(load.p, load.position, grid)
+    if isinstance(load, HarmonicPointLoad):
+        force = _split_point(load.p0, load.position, grid)
+        force *= math.sin(2.0 * math.pi * load.f_hz * t)
+        return force
+    if isinstance(load, MovingPointLoad):
+        position = load.x0 + load.speed * t
+        if 0.0 <= position <= grid.length:
+            return _split_point(load.p, position, grid)
+        return np.zeros(grid.node_count)
+    raise ValidationError(f"unknown load case {load!r}")
 
 
 def static_fd_solve(
@@ -184,8 +192,14 @@ def static_fd_solve(
             f"end conditions {bc.left.kind}-{bc.right.kind} leave rigid-body "
             "modes unconstrained"
         )
+    force = np.zeros(grid.node_count)
+    for load in loads:
+        if not isinstance(load, STATIC_LOADS):
+            raise ValidationError(
+                f"time-dependent load {type(load).__name__} not allowed in a static solve"
+            )
+        force += nodal_force(load, grid)
     stiffness, free = beam_stiffness_matrix(beam, bc, grid)
-    force = static_load_vector(loads, beam, grid)
     reduced = stiffness[np.ix_(free, free)]
     try:
         solution = np.linalg.solve(reduced, force[free])

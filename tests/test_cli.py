@@ -164,6 +164,54 @@ def test_sweep_command_runs_small_case(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("solver", ["modal", "sweep"])
+def test_probes_on_frameless_runs_exit_2(tmp_path, capsys, solver):
+    data = json.loads(scenario_to_json(preset("exp5_1")))
+    data["solver"] = solver
+    data["probes"] = [5.0]
+    path = tmp_path / "probed.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "'probes'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_moving_load_before_time_zero(tmp_path):
+    # the load sits at x0 + speed*t: short of the span while t < 0, and on
+    # the pinned node 0 at t = 0, so no free node is pushed until t > 0
+    data = {
+        "schema": "beamlab/1",
+        "name": "early_start",
+        "solver": "dynamic",
+        "beam": {
+            "length": 10.0,
+            "width": 0.2,
+            "height": 0.4,
+            "elastic_modulus": 25e9,
+            "density": 2500.0,
+        },
+        "bc": {"left": "pinned", "right": "pinned"},
+        "loads": [{"type": "moving_point", "p": 20000.0, "speed": 25.0, "x0": 0.0}],
+        "grid": {"nodes": 21},
+        "time": {"start": -0.02, "end": 0.04, "dt": 0.001},
+        "integrator": {"rayleigh": {"zeta1": 0.02}},
+    }
+    path = tmp_path / "early.json"
+    path.write_text(json.dumps(data))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 0
+    rows = [
+        [float(cell) for cell in line.split(",")]
+        for line in (out_dir / "frames.csv").read_text().splitlines()[1:]
+    ]
+    assert len(rows) == 61
+    before = [row[1:] for row in rows if row[0] <= 0.0]
+    after = [row[1:] for row in rows if row[0] > 0.0]
+    assert len(before) == 21
+    assert all(value == 0.0 for row in before for value in row)
+    assert any(value != 0.0 for value in after[0])
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["run"])  # --out is required
@@ -186,7 +234,9 @@ def test_module_invocation_subprocess():
 # bit, so they hold for one build: numpy 2.4.6 and scipy 1.17.1 with OpenBLAS
 # on x86-64, one BLAS thread (the static solves of exp1 and exp3 change in the
 # last bits with the thread count).  A different BLAS or CPU may change them
-# legitimately; a code change that moves them changes results.
+# legitimately; a code change that moves them changes results.  The exp5_1
+# provenance was re-recorded when its preset dropped `probes`, which a sweep
+# does not take: `defaults_applied` now records `"probes": []`.
 RECORDED_DIGESTS = {
     "exp1/frames.csv": "007ed26609e31edd02cb93d335bc28dbcc6c417b4639de4d4859c9bf0650cc22",
     "exp1/probes.csv": "8b233cf526504a8ec945eba3cbd8e0960521ec6b7584fc3672299694d2bfef1a",
@@ -204,7 +254,7 @@ RECORDED_DIGESTS = {
     "exp4/loadcurve.csv": "6900a59f4100daa16440bb2f992063052e646fe6119af144adb8e8714fc95422",
     "exp4/probes.csv": "284494e6bd0358f56b5610098410923dea77498b79dc32b23c9d5f136f095661",
     "exp4/provenance.json": "29512aa401db439229b499972a2d2bb88e29a98878f8019b93025db005ba9553",
-    "exp5_1/provenance.json": "4091c26d15689ac141f30291785f06c77dc86329c6ca1ed8e9519bf8acb23709",
+    "exp5_1/provenance.json": "013375d8c65429c863dbcc9779dec43c7524070565014482fc7559f8afc9de30",
     "exp5_1/sweep.csv": "da540a09a39b4987b91f3987f04d08d67e927602983608dad0162002612259a7",
     "exp5_2/frames.csv": "1ca3302c8b342b0afc8c2441f70003eaa741bfdc29ef313b988962173453c668",
     "exp5_2/probes.csv": "c89980a9f932f22e14a31a7b5bd5b19d88e5ffab6614a14c0a502368235e70fd",

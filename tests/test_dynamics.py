@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamlab import (
     BoundarySpec,
@@ -31,13 +33,11 @@ from beamlab.dynamics import (
     frequency_sweep,
     initial_state,
     integrate,
-    moving_load_force,
     sdof_system,
     stiffness_damping_coeff,
-    system_energy,
 )
 from beamlab.modal import find_beta_roots, natural_frequencies
-from beamlab.statics import ss_point_deflection
+from beamlab.statics import nodal_force, ss_point_deflection
 
 PINNED = BoundarySpec.pinned_pinned()
 OMEGA_UNIT = 2.0 * math.pi  # rad/s for the unit-period oscillator
@@ -49,6 +49,11 @@ UNIT_OSC = dict(m=1.0, c=0.0, k=OMEGA_UNIT**2)
 def constant_force(vector):
     vec = np.asarray(vector, dtype=float)
     return lambda t: vec.copy()
+
+
+def system_energy(system: MdofSystem, u: np.ndarray, v: np.ndarray) -> float:
+    """Total mechanical energy, kinetic plus elastic."""
+    return 0.5 * float(v @ system.mass @ v + u @ system.stiffness @ u)
 
 
 def newmark_step(
@@ -278,6 +283,45 @@ class TestIntegrate:
         assert energy == pytest.approx(0.5 * 2.0 * 4.0 + 0.5 * 8.0 * 1.0)
 
 
+#: Newmark steps each energy example runs.
+ENERGY_STEPS = 200
+AMPLITUDE = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    dofs=st.sampled_from([1, 2]),
+    masses=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    springs=st.tuples(st.floats(0.1, 1e3), st.floats(0.1, 1e3)),
+    u0=st.tuples(AMPLITUDE, AMPLITUDE),
+    v0=st.tuples(AMPLITUDE, AMPLITUDE),
+    dt=st.floats(1e-3, 0.1),
+)
+def test_property_undamped_average_acceleration_conserves_energy(
+    dofs, masses, springs, u0, v0, dt
+):
+    # a spring chain from a wall: k0 to the first mass, k1 between the two
+    k0, k1 = springs
+    stiffness = np.array([[k0]]) if dofs == 1 else np.array([[k0 + k1, -k1], [-k1, k1]])
+    system = MdofSystem(
+        mass=np.diag(masses[:dofs]),
+        damping=np.zeros((dofs, dofs)),
+        stiffness=stiffness,
+        labels=("x", "y")[:dofs],
+    )
+    u0, v = np.array(u0[:dofs]), np.array(v0[:dofs])
+    energy0 = system_energy(system, u0, v)
+    if energy0 < 1e-6:
+        return  # too little motion for a relative bound
+    tgrid = TimeGrid(0.0, ENERGY_STEPS * dt, dt)
+    frames = integrate(system, constant_force(np.zeros(dofs)), u0, v, tgrid).frames
+    for u, u_next in zip(frames[:-1], frames[1:]):
+        # average acceleration is the trapezoid rule on u' = v
+        v = 2.0 * (u_next - u) / dt - v
+        energy = system_energy(system, u_next, v)
+        assert abs(energy - energy0) <= 1e-9 * energy0
+
+
 class TestDiscretizeBeam:
     def test_total_lumped_mass(self, ref_beam):
         bc = BoundarySpec(EndCondition.free(), EndCondition.free())
@@ -346,15 +390,17 @@ class TestDiscretizeBeam:
 
 
 class TestMovingLoadForce:
+    LOAD = MovingPointLoad(1e4, 1.0, 0.0)
+
     def test_entry_node_gets_full_load(self, ref_beam):
         grid = SpatialGrid.for_beam(ref_beam, 41)
-        force = moving_load_force(1e4, 1.0, 0.0, grid, 0.0)
+        force = nodal_force(self.LOAD, grid, 0.0)
         assert force[0] == 1e4
         assert np.count_nonzero(force) == 1
 
     def test_mid_cell_even_split(self, ref_beam):
         grid = SpatialGrid.for_beam(ref_beam, 41)  # spacing 0.25
-        force = moving_load_force(1e4, 1.0, 0.0, grid, 0.125)
+        force = nodal_force(self.LOAD, grid, 0.125)
         nonzero = force[force != 0.0]
         np.testing.assert_allclose(nonzero, [5e3, 5e3], rtol=1e-12)
 
@@ -362,12 +408,19 @@ class TestMovingLoadForce:
         grid = SpatialGrid.for_beam(ref_beam, 41)
         rng = np.random.default_rng(7)
         for t in rng.uniform(0.0, 10.0, size=1000):
-            force = moving_load_force(1e4, 1.0, 0.0, grid, float(t))
+            force = nodal_force(self.LOAD, grid, float(t))
             assert force.sum() == pytest.approx(1e4, rel=1e-12)
 
     def test_zero_after_exit(self, ref_beam):
         grid = SpatialGrid.for_beam(ref_beam, 41)
-        np.testing.assert_array_equal(moving_load_force(1e4, 1.0, 0.0, grid, 10.5), 0.0)
+        np.testing.assert_array_equal(nodal_force(self.LOAD, grid, 10.5), 0.0)
+
+    def test_zero_before_entry(self, ref_beam):
+        # negative times put the load short of x = 0, not on the span
+        grid = SpatialGrid.for_beam(ref_beam, 41)
+        np.testing.assert_array_equal(nodal_force(self.LOAD, grid, -0.5), 0.0)
+        late = MovingPointLoad(1e4, 1.0, 2.0)
+        assert nodal_force(late, grid, -0.5).sum() == pytest.approx(1e4, rel=1e-12)
 
 
 class TestBeamTimeResponse:

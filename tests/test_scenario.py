@@ -199,6 +199,34 @@ def test_probe_outside_span_rejected():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("solver", ["modal", "sweep"])
+def test_probes_rejected_where_no_frames_are_written(solver):
+    data = scenario_to_dict(preset("exp5_1"))
+    data["solver"] = solver
+    data["probes"] = [5.0]
+    with pytest.raises(ValidationError, match=rf"'probes' given, but solver '{solver}'"):
+        scenario_from_dict(data)
+    data["probes"] = []
+    assert scenario_from_dict(data).probes == ()
+
+
+@pytest.mark.parametrize(
+    "load, path",
+    [
+        ({"type": "point", "p": 1e4, "position": 12.0}, "loads[1].position"),
+        ({"type": "harmonic_point", "p0": 1e3, "f_hz": 2.0, "position": 12.0},
+         "loads[1].position"),
+        ({"type": "moving_point", "p": 1e4, "speed": 1.0, "x0": 12.0}, "loads[1].x0"),
+    ],
+    ids=["point", "harmonic_point", "moving_point"],
+)
+def test_load_beyond_span_names_its_path(load, path):
+    data = dynamic_beam_dict()  # a 10 m beam
+    data["loads"].append(load)
+    with pytest.raises(ValidationError, match=re.escape(f"{path} 12.0 is outside")):
+        scenario_from_dict(data)
+
+
 def test_to_dict_omits_absent_blocks():
     out = scenario_to_dict(preset("exp1"))
     assert "time" not in out and "material" not in out and "system" not in out
@@ -534,17 +562,11 @@ def test_dense_operator_size_bounded_at_parse(make):
 
 
 @pytest.mark.parametrize(
-    "make, time, stride, remedy",
-    [
-        (dynamic_beam_dict, {"end": 10.0, "dt": 1e-5}, 2, "raise output.stride or lower grid.nodes"),
-        (lambda: scenario_to_dict(preset("exp2_1")), {"end": 10.0, "dt": 1e-5}, 2,
-         "raise output.stride or lower grid.nodes"),
-        (lambda: scenario_to_dict(preset("exp5_2")), {"end": 10.0, "dt": 1e-7}, 100,
-         "raise output.stride"),
-    ],
-    ids=["dynamic_beam", "quasi_static", "system"],
+    "make, time, stride",
+    [(lambda: scenario_to_dict(preset("exp2_1")), {"end": 10.0, "dt": 1e-5}, 2)],
+    ids=["quasi_static"],
 )
-def test_frames_size_bounded_at_parse(make, time, stride, remedy):
+def test_frames_size_bounded_at_parse(make, time, stride):
     data = make()
     data["time"] = time
     data["output"] = {"stride": 1}
@@ -552,13 +574,39 @@ def test_frames_size_bounded_at_parse(make, time, stride, remedy):
         parse_dict(data)
     message = str(excinfo.value)
     assert message.startswith("output.stride 1: ")
-    assert message.endswith(f"MiB limit; {remedy}")
+    assert message.endswith("MiB limit; raise output.stride or lower grid.nodes")
     # an override (beamlab run --stride) is applied before the check
     overridden = parse_scenario(json.dumps(data), stride=stride)
     assert overridden.stride == stride
     assert "output.stride" not in overridden.defaults_applied
     data["output"] = {"stride": stride}
     assert parse_dict(data).stride == stride
+
+
+@pytest.mark.parametrize(
+    "make, time",
+    [
+        # 1e6 steps x 201 nodes and 1e8 steps x 2 dofs: about 1.5 GiB each
+        (dynamic_beam_dict, {"end": 10.0, "dt": 1e-5}),
+        (lambda: scenario_to_dict(preset("exp5_2")), {"end": 10.0, "dt": 1e-7}),
+        # 1e12 steps, of which a huge stride would record only two
+        (lambda: scenario_to_dict(preset("exp5_2")), {"end": 1e9, "dt": 1e-3}),
+    ],
+    ids=["dynamic_beam", "system", "system_1e12_steps"],
+)
+def test_dynamic_steps_bounded_at_parse(make, time):
+    # every step is computed whatever the stride, so no stride lifts the bound
+    data = make()
+    data["time"] = time
+    for stride in (1, 100, 10**12):
+        data["output"] = {"stride": stride}
+        with pytest.raises(ValidationError) as excinfo:
+            parse_dict(data)
+        message = str(excinfo.value)
+        assert message.startswith(f"time.dt {time['dt']}: ")
+        assert message.endswith("MiB limit; raise time.dt or shorten the time span")
+    data["time"] = {"end": 10.0, "dt": 1e-3}
+    assert parse_dict(data).tgrid.step_count == 10_000
 
 
 def test_sweep_history_size_bounded_at_parse():
@@ -588,7 +636,8 @@ NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6)
 FINITE = st.floats(min_value=-1e6, max_value=1e6)
 
 #: Leaves that stay valid for any value of their strategy, in every preset.
-#: Probes and Rayleigh damping are free only on beam runs.
+#: Rayleigh damping is free only on beam runs, and probes only on beam runs
+#: that write frames.
 FREE_LEAVES = {
     ("name",): st.text(min_size=1, max_size=12),
     ("beam", "width"): POSITIVE,
@@ -683,9 +732,10 @@ def mutated_presets(draw):
         if has(data, keys) and draw(st.booleans()):
             lookup(data, keys[:-1])[keys[-1]] = draw(values)
     if "beam" in data:
-        span = st.floats(min_value=0.0, max_value=data["beam"]["length"])
-        data["probes"] = draw(st.lists(span, max_size=3))
         data["integrator"]["rayleigh"]["zeta1"] = draw(st.floats(0.0, 1.0))
+        if data["solver"] not in ("modal", "sweep"):
+            span = st.floats(min_value=0.0, max_value=data["beam"]["length"])
+            data["probes"] = draw(st.lists(span, max_size=3))
     omitted = [keys for keys in OPTIONAL if has(data, keys) and draw(st.booleans())]
     expected = {}
     for keys in sorted(omitted, key=len, reverse=True):

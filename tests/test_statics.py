@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from beamlab import (
 from beamlab.statics import (
     beam_stiffness_matrix,
     cantilever_point_deflection,
+    nodal_force,
     quasi_static_moving,
     quasi_static_sinusoidal,
     ss_point_deflection,
@@ -95,6 +98,44 @@ class TestClosedForms:
             ss_point_deflection(3.0, P_REF, 10.5, ref_beam)
         with pytest.raises(ValidationError):
             cantilever_point_deflection(10.2, P_REF, 5.0, ref_beam)
+
+
+class TestNodalForce:
+    """Every load kind's nodal forces sum to its resultant."""
+
+    GRID = SpatialGrid(10.0, 41)
+
+    def resultant(self, load, t=0.0):
+        force = nodal_force(load, self.GRID, t)
+        assert force.shape == (41,)
+        return force.sum()
+
+    def test_udl_totals_q_times_length(self):
+        assert self.resultant(UdlLoad(Q_REF)) == pytest.approx(Q_REF * 10.0, rel=1e-12)
+
+    def test_point_totals_p(self):
+        assert self.resultant(PointLoad(P_REF, 3.3)) == pytest.approx(P_REF, rel=1e-12)
+
+    def test_harmonic_totals_p0_sin_omega_t(self):
+        load = HarmonicPointLoad(P_REF, 2.0, 7.1)
+        for t in (0.0, 0.03, 0.1, 0.4):
+            expected = P_REF * math.sin(2.0 * math.pi * 2.0 * t)
+            assert self.resultant(load, t) == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+    def test_moving_totals_p_on_span_and_zero_off_it(self):
+        load = MovingPointLoad(P_REF, 2.0, 1.0)
+        for t in (0.0, 1.3, 4.5):  # x = 1.0, 3.6, 10.0
+            assert self.resultant(load, t) == pytest.approx(P_REF, rel=1e-12)
+        for t in (-0.6, 4.6, 50.0):  # x = -0.2, 10.2, 101.0
+            assert self.resultant(load, t) == 0.0
+
+    def test_position_beyond_span_rejected(self):
+        with pytest.raises(ValidationError, match="position"):
+            nodal_force(PointLoad(P_REF, 12.0), self.GRID)
+
+    def test_unknown_load_rejected(self):
+        with pytest.raises(ValidationError, match="unknown load"):
+            nodal_force(object(), self.GRID)
 
 
 class TestStiffnessMatrix:
