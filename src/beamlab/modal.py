@@ -10,10 +10,10 @@ where the resulting 4x4 matrix is singular.  Roots b of that determinant give
 circular frequencies omega = b^2 * sqrt(EI / rho*A).
 
 The determinant is evaluated with rows scaled to unit max magnitude, which
-keeps it well conditioned out to many multiples of the fundamental root, and
-roots are located by a sign-change scan refined with bisection.  The scan
-takes its determinants in stacked chunks; the values are the same as one call
-per point.
+keeps it well conditioned out to many multiples of the fundamental root.
+Roots are located by a sign-change scan and refined with Brent's method.  The
+scan takes its determinants in stacked chunks; the values are the same as one
+call per point.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .model import (
     BeamSpec,
@@ -37,80 +38,85 @@ from .model import (
 #: Scan starts above this multiple of 1/L; rigid-body pseudo-roots of nearly
 #: unconstrained systems sit below it.
 BETA_MIN_SCALE = 0.1
-#: Default scan resolution: mode spacing is at least ~pi/L, so 0.05/L cannot
-#: step over adjacent roots.
+#: Scan resolution: mode spacing is at least ~pi/L, so 0.05/L cannot step
+#: over adjacent roots.
 SCAN_STEP_SCALE = 0.05
 ROOT_TOL_SCALE = 1e-10
 #: Scan points whose determinants are taken in one stacked call.
 SCAN_CHUNK = 128
 
+#: Row k: where the k-th derivative of the basis, over beta^k, takes its four
+#: entries from (sin, cos, -sin, -cos, exp(-bx), -exp(-bx), exp(b(x-L))).
+_DERIVATIVE_TERMS = np.array([[0, 1, 4, 6], [1, 2, 5, 6], [2, 3, 4, 6], [3, 0, 5, 6]])
+#: Basis rows that a rigid end condition sets to zero, indexed as in
+#: `shape_basis`: 0 value, 1 slope, 2 curvature, 3 third derivative.
+_END_ROWS = {"pinned": [0, 2], "clamped": [0, 1], "free": [2, 3]}
 
-def _basis_rows(beta: float, x: float, length: float):
-    """Value/slope/curvature/third-derivative rows of the shape basis at x.
 
-    Rows are tuples of Python floats: a 4x4 matrix built from them costs a
-    fraction of one built from small numpy arrays, with the same arithmetic.
+def _last_axis(*arrays) -> np.ndarray:
+    """Equal-shape arrays stacked along a new last axis."""
+    return np.concatenate([a[..., None] for a in arrays], axis=-1)
+
+
+def shape_basis(beta, x, length: float) -> np.ndarray:
+    """Value, slope, curvature and third-derivative rows of the shape basis.
+
+    `beta` and `x` broadcast together; the result has shape (..., 4, 4), by
+    derivative order and then basis function.
     """
-    s, c = math.sin(beta * x), math.cos(beta * x)
-    em, ep = math.exp(-beta * x), math.exp(beta * (x - length))
-    b2, b3 = beta**2, beta**3
-    value = (s, c, em, ep)
-    slope = (beta * c, beta * -s, beta * -em, beta * ep)
-    curvature = (b2 * -s, b2 * -c, b2 * em, b2 * ep)
-    third = (b3 * -c, b3 * s, b3 * -em, b3 * ep)
-    return value, slope, curvature, third
+    beta = np.asarray(beta, dtype=float)
+    bx = beta * x
+    s, c, em = np.sin(bx), np.cos(bx), np.exp(-bx)
+    terms = _last_axis(s, c, -s, -c, em, -em, np.exp(beta * (x - length)))
+    rows = terms.take(_DERIVATIVE_TERMS, axis=-1)
+    b2 = beta * beta
+    rows[..., 1:, :] *= _last_axis(beta, b2, b2 * beta)[..., :, None]
+    return rows
 
 
-def _end_rows(
-    end: EndCondition, beta: float, x: float, beam: BeamSpec, sign: float
-):
-    """Two boundary rows for one end.
+def _end_rows(end: EndCondition, rows: np.ndarray, beam: BeamSpec, sign: float):
+    """The two boundary rows of one end, from its (..., 4, 4) basis rows.
 
     `sign` is +1 at the left end and -1 at the right end: a deflected end
     spring pushes back, which lands on the third derivative with opposite
     orientation at the two ends (EI*phi''' = -k*phi at x=0, +k*phi at x=L).
     """
-    value, slope, curvature, third = _basis_rows(beta, x, beam.length)
-    if end.kind == "pinned":
-        return value, curvature
-    if end.kind == "clamped":
-        return value, slope
-    if end.kind == "free":
-        return curvature, third
+    if end.kind != "spring":
+        return rows.take(_END_ROWS[end.kind], axis=-2)
     ei = beam.section.flexural_rigidity
     k = sign * end.stiffness
-    return curvature, tuple(ei * t + k * v for t, v in zip(third, value))
+    shear = ei * rows[..., 3, :] + k * rows[..., 0, :]
+    return np.stack([rows[..., 2, :], shear], axis=-2)
 
 
-def _matrix_rows(beta: float, beam: BeamSpec, bc: BoundarySpec) -> tuple:
-    left = _end_rows(bc.left, beta, 0.0, beam, +1.0)
-    right = _end_rows(bc.right, beta, beam.length, beam, -1.0)
-    return (*left, *right)
+def _characteristic_matrices(
+    betas: np.ndarray, beam: BeamSpec, bc: BoundarySpec, scaled: bool = True
+) -> np.ndarray:
+    """(..., 4, 4) boundary matrices for an array of beta.
+
+    `scaled` divides each row by its largest magnitude; no row vanishes for
+    beta > 0, since cos(0) = exp(0) = 1 keeps an entry of every row nonzero.
+    """
+    length = beam.length
+    rows = shape_basis(betas[..., None], np.array([0.0, length]), length)
+    left = _end_rows(bc.left, rows[..., 0, :, :], beam, +1.0)
+    right = _end_rows(bc.right, rows[..., 1, :, :], beam, -1.0)
+    matrices = np.concatenate([left, right], axis=-2)
+    if scaled:
+        matrices = matrices / np.abs(matrices).max(axis=-1, keepdims=True)
+    return matrices
 
 
-def _scaled_rows(beta: float, beam: BeamSpec, bc: BoundarySpec) -> list:
-    """Characteristic rows each divided by its largest magnitude."""
-    scaled = []
-    for a, b, c, d in _matrix_rows(beta, beam, bc):
-        norm = max(abs(a), abs(b), abs(c), abs(d)) or 1.0
-        scaled.append([a / norm, b / norm, c / norm, d / norm])
-    return scaled
-
-
-def _check_beta(beta: float) -> None:
+def _matrix_at(beta: float, beam: BeamSpec, bc: BoundarySpec, scaled: bool) -> np.ndarray:
+    """One characteristic matrix, built exactly as a scan chunk builds it."""
     if beta <= 0.0:
         raise ValidationError(f"beta must be positive, got {beta}")
+    return _characteristic_matrices(np.array([beta]), beam, bc, scaled)[0]
 
 
 def characteristic_matrix(beta: float, beam: BeamSpec, bc: BoundarySpec) -> np.ndarray:
     """4x4 boundary-condition matrix applied to the shape coefficients."""
-    _check_beta(beta)
-    return np.array(_matrix_rows(beta, beam, bc))
-
-
-def _scaled_matrix(beta: float, beam: BeamSpec, bc: BoundarySpec) -> np.ndarray:
-    _check_beta(beta)
-    return np.array(_scaled_rows(beta, beam, bc))
+    return _matrix_at(beta, beam, bc, scaled=False)
 
 
 def characteristic_det(beta: float, beam: BeamSpec, bc: BoundarySpec) -> float:
@@ -119,7 +125,7 @@ def characteristic_det(beta: float, beam: BeamSpec, bc: BoundarySpec) -> float:
     Row scaling removes the beta^n growth of the derivative rows, so values at
     different beta are comparable and sign changes bracket the true roots.
     """
-    return float(np.linalg.det(_scaled_matrix(beta, beam, bc)))
+    return float(np.linalg.det(_matrix_at(beta, beam, bc, scaled=True)))
 
 
 def _scan(beta: float, step: float, beta_max: float, beam: BeamSpec, bc: BoundarySpec):
@@ -135,30 +141,22 @@ def _scan(beta: float, step: float, beta_max: float, beam: BeamSpec, bc: Boundar
         while len(chunk) < SCAN_CHUNK and beta < beta_max:
             beta = beta + step
             chunk.append(beta)
-        dets = np.linalg.det(np.array([_scaled_rows(b, beam, bc) for b in chunk]))
+        dets = np.linalg.det(_characteristic_matrices(np.array(chunk), beam, bc))
         yield from zip(chunk, dets.tolist())
 
 
-def find_beta_roots(
-    beam: BeamSpec,
-    bc: BoundarySpec,
-    n_roots: int,
-    scan_step: float | None = None,
-) -> np.ndarray:
+def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarray:
     """First `n_roots` positive roots of the characteristic determinant.
 
-    Scans upward from 0.1/L in steps of `scan_step` (default 0.05/L),
-    brackets sign changes and refines each by bisection until the bracket is
-    narrower than 1e-10/L.  Raises InsufficientRootsError if the scan window
-    beta*L <= 4*pi*n_roots + 10 runs out first.
+    Scans upward from 0.1/L in steps of 0.05/L, brackets sign changes and
+    refines each with Brent's method to within 1e-10/L.  Raises
+    InsufficientRootsError if the scan window beta*L <= 4*pi*n_roots + 10
+    runs out first.
     """
     if n_roots < 1:
         raise ValidationError(f"n_roots must be >= 1, got {n_roots}")
     length = beam.length
-    if scan_step is None:
-        scan_step = SCAN_STEP_SCALE / length
-    elif scan_step <= 0.0:
-        raise ValidationError(f"scan_step must be positive, got {scan_step}")
+    scan_step = SCAN_STEP_SCALE / length
     tol = ROOT_TOL_SCALE / length
     beta_max = (4.0 * math.pi * n_roots + 10.0) / length
 
@@ -169,19 +167,9 @@ def find_beta_roots(
         if det_next == 0.0:
             roots.append(beta_next)
         elif det_prev * det_next < 0.0:
-            lo, hi = beta_prev, beta_next
-            f_lo = det_prev
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                f_mid = characteristic_det(mid, beam, bc)
-                if f_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if f_lo * f_mid < 0.0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-            root = 0.5 * (lo + hi)
+            root = brentq(
+                characteristic_det, beta_prev, beta_next, args=(beam, bc), xtol=tol
+            )
             if not roots or root - roots[-1] > 0.5 * scan_step:
                 roots.append(root)
         if len(roots) == n_roots:
@@ -217,7 +205,7 @@ def natural_frequencies(betas, beam: BeamSpec) -> list[ModeFrequency]:
 
 
 def _null_coefficients(beta: float, beam: BeamSpec, bc: BoundarySpec) -> np.ndarray:
-    matrix = _scaled_matrix(beta, beam, bc)
+    matrix = _matrix_at(beta, beam, bc, scaled=True)
     _, singular, vh = np.linalg.svd(matrix)
     if singular[-1] > 1e-6 * singular[0]:
         raise ValidationError(
@@ -241,16 +229,7 @@ def mode_shape(
     sample equals +1.
     """
     coeffs = _null_coefficients(beta, beam, bc)
-    xs = grid.positions
-    basis = np.column_stack(
-        [
-            np.sin(beta * xs),
-            np.cos(beta * xs),
-            np.exp(-beta * xs),
-            np.exp(beta * (xs - beam.length)),
-        ]
-    )
-    shape = basis @ coeffs
+    shape = shape_basis(beta, grid.positions, beam.length)[:, 0, :] @ coeffs
     peak = np.argmax(np.abs(shape))
     if shape[peak] == 0.0:
         raise DegenerateModeError(f"null mode shape at beta={beta}")
@@ -272,17 +251,13 @@ class ModeSolution:
 def solve_modes(beam: BeamSpec, bc: BoundarySpec, n_modes: int) -> list[ModeSolution]:
     """Convenience wrapper: roots, frequencies and coefficients together."""
     betas = find_beta_roots(beam, bc, n_modes)
-    freqs = natural_frequencies(betas, beam)
-    modes = []
-    for beta, freq in zip(betas, freqs):
-        coeffs = _null_coefficients(float(beta), beam, bc)
-        modes.append(
-            ModeSolution(
-                beta=float(beta),
-                omega_rad_s=freq.omega_rad_s,
-                f_hz=freq.f_hz,
-                coefficients=tuple(float(c) for c in coeffs),
-                bc=bc,
-            )
+    return [
+        ModeSolution(
+            beta=float(beta),
+            omega_rad_s=freq.omega_rad_s,
+            f_hz=freq.f_hz,
+            coefficients=tuple(_null_coefficients(float(beta), beam, bc).tolist()),
+            bc=bc,
         )
-    return modes
+        for beta, freq in zip(betas, natural_frequencies(betas, beam))
+    ]

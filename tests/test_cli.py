@@ -176,6 +176,16 @@ def test_probes_on_frameless_runs_exit_2(tmp_path, capsys, solver):
     assert not (tmp_path / "out").exists()
 
 
+def test_constructor_error_names_its_block_exit_2(tmp_path, capsys):
+    data = json.loads(scenario_to_json(preset("exp1")))
+    data["beam"]["length"] = -1.0
+    path = tmp_path / "negative_length.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "'beam': length must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_moving_load_before_time_zero(tmp_path):
     # the load sits at x0 + speed*t: short of the span while t < 0, and on
     # the pinned node 0 at t = 0, so no free node is pushed until t > 0
@@ -236,7 +246,10 @@ def test_module_invocation_subprocess():
 # last bits with the thread count).  A different BLAS or CPU may change them
 # legitimately; a code change that moves them changes results.  The exp5_1
 # provenance was re-recorded when its preset dropped `probes`, which a sweep
-# does not take: `defaults_applied` now records `"probes": []`.
+# does not take: `defaults_applied` now records `"probes": []`.  The three
+# modal runs and the exp5_1 provenance (its `first_mode_hz_analytic`) were
+# re-recorded when root refinement moved from bisection to Brent's method:
+# the roots moved by at most 4e-11 relative, within the 1e-10/L tolerance.
 RECORDED_DIGESTS = {
     "exp1/frames.csv": "007ed26609e31edd02cb93d335bc28dbcc6c417b4639de4d4859c9bf0650cc22",
     "exp1/probes.csv": "8b233cf526504a8ec945eba3cbd8e0960521ec6b7584fc3672299694d2bfef1a",
@@ -254,14 +267,14 @@ RECORDED_DIGESTS = {
     "exp4/loadcurve.csv": "6900a59f4100daa16440bb2f992063052e646fe6119af144adb8e8714fc95422",
     "exp4/probes.csv": "284494e6bd0358f56b5610098410923dea77498b79dc32b23c9d5f136f095661",
     "exp4/provenance.json": "29512aa401db439229b499972a2d2bb88e29a98878f8019b93025db005ba9553",
-    "exp5_1/provenance.json": "013375d8c65429c863dbcc9779dec43c7524070565014482fc7559f8afc9de30",
+    "exp5_1/provenance.json": "7fc9faf7d2e8e1f2e0f9d0742ebdd2850417f5a52bd8871cad166fa86e87b38e",
     "exp5_1/sweep.csv": "da540a09a39b4987b91f3987f04d08d67e927602983608dad0162002612259a7",
     "exp5_2/frames.csv": "1ca3302c8b342b0afc8c2441f70003eaa741bfdc29ef313b988962173453c668",
     "exp5_2/probes.csv": "c89980a9f932f22e14a31a7b5bd5b19d88e5ffab6614a14c0a502368235e70fd",
     "exp5_2/provenance.json": "8f96a8c067ca4bcfa298e33bcc0e644884606de05887290df2f7d06dc102892e",
-    "modal exp3 3": "15a24371e9ec7f16b1a52af262367c24810ce8707ff4d4e83a90a4a3c42777a0",
-    "modal exp2_1 50": "36bc7603c3644e6f8b16661e395d3fc6d45af9c36bd0c79c1b09c4a53ad969fa",
-    "modal exp1 5": "391589495f71b3546eb8cffd36b93bf04e01bc3219989ebc73948da19cb062b0",
+    "modal exp3 3": "383392de8eb32b8093784bbdf700e5ce3e865e2a2e62e85ca72d8a00215bd2f2",
+    "modal exp2_1 50": "fff95e2d7b47d3028836db77547350619f0cd3873f101c48b851ded0d0c6ee18",
+    "modal exp1 5": "51c5fda666cbd79e1759cc24e33c11bc657553d7091a4cdd004b7fb6899c643c",
 }
 
 DIGEST_SCRIPT = """

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from beamlab import (
+    BeamSpec,
     BoundarySpec,
     EndCondition,
     SpatialGrid,
@@ -15,7 +17,6 @@ from beamlab.model import InsufficientRootsError
 from beamlab.modal import (
     BETA_MIN_SCALE,
     ROOT_TOL_SCALE,
-    SCAN_STEP_SCALE,
     ModeSolution,
     characteristic_det,
     characteristic_matrix,
@@ -43,17 +44,16 @@ def free_free_reference_roots():
     return [brentq(fn, 4.0, 5.5, xtol=1e-13), brentq(fn, 7.0, 8.5, xtol=1e-13)]
 
 
-def scalar_find_beta_roots(beam, bc, n_roots, scan_step=None):
+def scalar_find_beta_roots(beam, bc, n_roots):
     """Reference oracle: the one-determinant-at-a-time scan.
 
     `find_beta_roots` evaluates its scan in stacked chunks; this loop takes
     the same points in the same order, one `characteristic_det` call each,
-    so both must return the same roots bit for bit.
+    and refines each bracket with the same `brentq` call, so both must return
+    the same roots bit for bit.
     """
     length = beam.length
-    if scan_step is None:
-        scan_step = SCAN_STEP_SCALE / length
-    tol = ROOT_TOL_SCALE / length
+    scan_step = modal.SCAN_STEP_SCALE / length
     beta_max = (4.0 * math.pi * n_roots + 10.0) / length
 
     roots = []
@@ -65,19 +65,13 @@ def scalar_find_beta_roots(beam, bc, n_roots, scan_step=None):
         if det_next == 0.0:
             roots.append(beta_next)
         elif det_prev * det_next < 0.0:
-            lo, hi = beta_prev, beta_next
-            f_lo = det_prev
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                f_mid = characteristic_det(mid, beam, bc)
-                if f_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if f_lo * f_mid < 0.0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-            root = 0.5 * (lo + hi)
+            root = brentq(
+                characteristic_det,
+                beta_prev,
+                beta_next,
+                args=(beam, bc),
+                xtol=ROOT_TOL_SCALE / length,
+            )
             if not roots or root - roots[-1] > 0.5 * scan_step:
                 roots.append(root)
         beta_prev, det_prev = beta_next, det_next
@@ -175,11 +169,12 @@ class TestFindBetaRoots:
         chunked = find_beta_roots(beam, bc, n_roots)
         assert np.array_equal(chunked, scalar_find_beta_roots(beam, bc, n_roots))
 
-    def test_window_runs_out_inside_a_chunk(self, ref_beam):
+    def test_window_runs_out_inside_a_chunk(self, ref_beam, monkeypatch):
         # a scan step just over 2*pi/L samples sin(beta*L) at a slowly
         # drifting phase: a few sign changes, far fewer than the roots asked for
         length = ref_beam.length
-        step = (2.0 * math.pi + 0.1) / length
+        monkeypatch.setattr(modal, "SCAN_STEP_SCALE", 2.0 * math.pi + 0.1)
+        step = modal.SCAN_STEP_SCALE / length
         n_roots = 100
         beta_max = (4.0 * math.pi * n_roots + 10.0) / length
         beta, points = BETA_MIN_SCALE / length, 0
@@ -187,17 +182,48 @@ class TestFindBetaRoots:
             beta, points = beta + step, points + 1
         assert points > modal.SCAN_CHUNK and points % modal.SCAN_CHUNK != 0
         with pytest.raises(InsufficientRootsError) as scalar:
-            scalar_find_beta_roots(ref_beam, PINNED, n_roots, scan_step=step)
+            scalar_find_beta_roots(ref_beam, PINNED, n_roots)
         with pytest.raises(InsufficientRootsError) as chunked:
-            find_beta_roots(ref_beam, PINNED, n_roots, scan_step=step)
+            find_beta_roots(ref_beam, PINNED, n_roots)
         assert str(chunked.value) == str(scalar.value)
         assert "found 6 of 100 characteristic roots" in str(chunked.value)
 
     def test_bad_arguments(self, ref_beam):
         with pytest.raises(ValidationError):
             find_beta_roots(ref_beam, PINNED, 0)
-        with pytest.raises(ValidationError):
-            find_beta_roots(ref_beam, PINNED, 1, scan_step=-1.0)
+
+
+SPRING_SUPPORTS = {
+    "spring-spring": lambda k1, k2: (EndCondition.spring(k1), EndCondition.spring(k2)),
+    "pinned-spring": lambda k1, k2: (EndCondition.pinned(), EndCondition.spring(k2)),
+    "clamped-spring": lambda k1, k2: (EndCondition.clamped(), EndCondition.spring(k2)),
+}
+LOG_STIFFNESS = st.floats(min_value=-2.0, max_value=12.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    supports=st.sampled_from(sorted(SPRING_SUPPORTS)),
+    log_k1=LOG_STIFFNESS,
+    log_k2=LOG_STIFFNESS,
+    n_roots=st.integers(min_value=1, max_value=8),
+)
+def test_property_spring_supported_roots(supports, log_k1, log_k2, n_roots):
+    # spring stiffness log-uniform over 1e-2..1e12 N/m, from nearly free to
+    # nearly rigid ends
+    beam = BeamSpec(length=10.0, width=0.2, height=0.4, elastic_modulus=25e9, density=2500.0)
+    bc = BoundarySpec(*SPRING_SUPPORTS[supports](10.0**log_k1, 10.0**log_k2))
+    roots = find_beta_roots(beam, bc, n_roots)
+    assert len(roots) == n_roots
+    # strictly increasing, and never closer than half a scan step
+    assert np.all(np.diff(roots) > 0.5 * modal.SCAN_STEP_SCALE / beam.length)
+    modes = solve_modes(beam, bc, n_roots)
+    assert [mode.beta for mode in modes] == roots.tolist()
+    for mode in modes:
+        matrix = characteristic_matrix(mode.beta, beam, bc)
+        scaled = matrix / np.max(np.abs(matrix), axis=1, keepdims=True)
+        assert np.linalg.norm(mode.coefficients) == pytest.approx(1.0, rel=1e-12)
+        assert np.max(np.abs(scaled @ np.array(mode.coefficients))) < 1e-6
 
 
 class TestNaturalFrequencies:

@@ -17,6 +17,7 @@ from beamlab.model import (
     ValidationError,
 )
 from beamlab.scenario import (
+    MAX_ARRAY_BYTES,
     PRESET_NAMES,
     Scenario,
     SweepSpec,
@@ -614,6 +615,76 @@ def test_sweep_history_size_bounded_at_parse():
     data["sweep"]["f_count"] = 100_000
     with pytest.raises(ValidationError, match=r"^sweep\.f_count 100000: "):
         parse_dict(data)
+
+
+def test_nonlinear_arrays_bounded_at_parse():
+    # about 10 arrays of n doubles: 13.4 million nodes fill 1 GiB; parsed only,
+    # never run
+    limit = MAX_ARRAY_BYTES // (8 * 10)
+    data = scenario_to_dict(preset("exp4"))
+    for nodes in (limit + 1, 2_000_000_000):
+        data["grid"] = {"nodes": nodes}
+        with pytest.raises(
+            ValidationError, match=rf"^grid\.nodes {nodes}: .* MiB limit; lower grid\.nodes$"
+        ):
+            parse_dict(data)
+    data["grid"] = {"nodes": limit}
+    assert parse_dict(data).grid_nodes == limit
+
+
+# One out-of-range field per case: the constructor's message, led by the
+# label of the block that holds the field.
+@pytest.mark.parametrize(
+    "name, keys, value, label",
+    [
+        ("exp1", ("beam", "length"), -1.0, "'beam': length must be positive"),
+        ("exp1", ("beam", "width"), 0.0, "'beam': width"),
+        ("exp1", ("beam", "height"), -0.4, "'beam': height"),
+        ("exp1", ("beam", "elastic_modulus"), 0.0, "'beam': elastic_modulus"),
+        ("exp1", ("beam", "density"), -1.0, "'beam': density"),
+        ("exp1", ("loads", 0, "q"), float("inf"), "'loads[0]': udl q must be finite"),
+        ("exp3", ("loads", 0, "p"), float("nan"), "'loads[0]': point load p"),
+        ("exp2_1", ("loads", 0, "p"), float("inf"), "'loads[0]': moving load p"),
+        ("exp2_2", ("loads", 0, "f_hz"), 0.0, "'loads[0]': harmonic load f_hz"),
+        ("exp2_2", ("time", "dt"), -0.01, "'time': time dt"),
+        ("exp2_2", ("time", "end"), -1.0, "'time': time end"),
+        ("exp5_1", ("integrator", "gamma"), 0.4, "'integrator': gamma"),
+        ("exp5_1", ("integrator", "beta"), -0.1, "'integrator': beta_nm"),
+        (
+            "exp5_1",
+            ("integrator", "rayleigh", "zeta1"),
+            -0.1,
+            "integrator.rayleigh.zeta1 must be nonnegative",
+        ),
+        ("exp4", ("material", "E"), -1.0, "'material': elastic_modulus"),
+        ("exp4", ("material", "alpha"), -1.0, "'material': alpha"),
+        ("exp4", ("material", "n"), 0.5, "'material': n must exceed 1"),
+        ("exp5_1", ("sweep", "f_min"), 0.0, "'sweep': sweep needs 0 < f_min"),
+        ("exp5_1", ("sweep", "settle_periods"), 0, "'sweep': sweep periods"),
+        ("exp4", ("load_sweep", "p_min"), -1.0, "'load_sweep': load sweep needs"),
+        ("exp5_2", ("system", "mass"), 0.0, "'system': system mass"),
+        ("exp5_2", ("system", "damping"), -1.0, "'system': system damping"),
+        ("exp5_2", ("system", "dofs"), 3, "'system': system dofs"),
+        ("exp5_2", ("system", "force", "f_hz"), 0.0, "'system.force': drive frequency"),
+        ("exp5_2", ("system", "force", "axis"), "z", "'system.force': drive axis"),
+        ("exp1", ("modal_only", "bearing_k"), -1.0, "modal_only.bearing_k must be"),
+        (
+            "exp1",
+            ("bc",),
+            {"left": "spring", "right": "pinned", "k": -1.0},
+            "'bc': spring stiffness must be positive",
+        ),
+    ],
+)
+def test_constructor_errors_name_their_block(name, keys, value, label):
+    data = scenario_to_dict(preset(name))
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(data)
+    assert str(excinfo.value).startswith(label)
 
 
 def test_run_scenario_rejects_unvalidated_loads(ref_beam):
