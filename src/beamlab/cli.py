@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .model import SolverError, ValidationError
-from .output import write_result
+from .output import write_modes, write_result
 from .scenario import (
     PRESET_NAMES,
     Scenario,
@@ -60,13 +60,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_modal(args) -> int:
     s = _scenario_from_args(args.scenario, args.preset)
-    modes = modal_results(s, args.modes)
-    print("mode_index,beta,omega_rad_s,f_hz")
-    for i, mode in enumerate(modes, start=1):
-        print(
-            f"{i},{float(mode.beta)!r},{float(mode.omega_rad_s)!r},"
-            f"{float(mode.f_hz)!r}"
-        )
+    write_modes(sys.stdout, modal_results(s, args.modes))
     return 0
 
 

@@ -14,14 +14,13 @@ Beams are reduced to mass-spring chains by lumping rho*A over nodal tributary
 lengths and reusing the static bending stiffness; damping, when requested, is
 Rayleigh stiffness-proportional fitted to a first-mode damping ratio.
 
-Resonance sweeps take a shortcut.  With stiffness-proportional damping over a
-diagonal lumped mass, the mass-normalized eigenvectors Phi of (K, M) diagonalize
-M, C and K together (classical damping), and the Newmark update is linear, so it
-commutes with u = Phi q: integrating the modal coordinates q one scalar mode at
-a time gives the same displacements as the coupled update, up to rounding.
-`frequency_sweep` discretizes and eigensolves once, then advances every
-(frequency, mode) pair as one array per step.  Other runs keep the direct
-factorized path.
+Classically damped systems under a harmonic load take a shortcut: when the
+mass-normalized eigenvectors Phi of (K, M) diagonalize M, C and K together,
+the linear Newmark update commutes with u = Phi q, so one scalar recurrence
+per mode gives the coupled update's displacements up to rounding.  Resonance
+sweeps (stiffness-proportional damping over a lumped mass) and mass-spring
+runs (diagonal M, C and K) share that recurrence, `modal_harmonic_response`;
+beam time responses keep the direct factorized path.
 """
 
 from __future__ import annotations
@@ -263,18 +262,6 @@ def sdof_system(m: float, c: float, k: float) -> MdofSystem:
     )
 
 
-def bridge_2d_system(m: float, c: float, k: float) -> MdofSystem:
-    """Two uncoupled axes with identical mass, damping and stiffness."""
-    if m <= 0.0:
-        raise ValidationError(f"mass must be positive, got {m}")
-    if c < 0.0 or k < 0.0:
-        raise ValidationError("damping and stiffness must be nonnegative")
-    eye = np.eye(2)
-    return MdofSystem(
-        mass=m * eye, damping=c * eye, stiffness=k * eye, labels=("x", "y")
-    )
-
-
 #: Fewest grid nodes a discretized beam accepts.
 MIN_BEAM_NODES = 7
 
@@ -366,6 +353,57 @@ def beam_time_response(
     return TimeSeriesResult(dof_result.times, frames, grid.labels)
 
 
+def modal_harmonic_response(
+    lam,
+    damping,
+    gain: np.ndarray,
+    omega,
+    dt,
+    steps: int,
+    readout: np.ndarray,
+    cfg: IntegratorConfig = IntegratorConfig(),
+    start: float = 0.0,
+    stride: int = 1,
+) -> np.ndarray:
+    """Newmark histories of unit-mass modes driven at a batch of frequencies.
+
+    Mode i obeys q'' + damping_i*q' + lam_i*q = gain_i*sin(omega*t) from rest
+    at `start` (lam and damping broadcast against the modes of `gain`); every
+    forcing frequency has its own dt and runs `steps` steps.
+    Returns q @ readout at every `stride`-th step from step 0, with shape
+    (steps // stride + 1, frequencies) + readout.shape[1:].
+    """
+    # the step coefficients are spelled out to full (frequency x mode) rows,
+    # as same-shape products beat broadcasts here
+    step = np.asarray(dt, dtype=float)[:, None]
+    omega = np.asarray(omega, dtype=float)[:, None]
+    dt = step * np.ones(np.shape(gain)[-1])
+    gamma, beta = cfg.gamma, cfg.beta_nm
+    effective = 1.0 + gamma * dt * damping + beta * dt**2 * lam
+    force_gain = gain / effective
+    damping_gain = damping / effective
+    stiffness_gain = lam / effective
+    c_upred = (0.5 - beta) * dt**2
+    c_vpred = (1.0 - gamma) * dt
+    c_u = beta * dt**2
+    c_v = gamma * dt
+
+    q = np.zeros(dt.shape)
+    v = np.zeros_like(q)
+    a = gain * np.sin(omega * start)  # at rest, the load alone accelerates
+    history = np.zeros((steps // stride + 1, *(q @ readout).shape))
+    for i in range(1, steps + 1):
+        u_pred = q + dt * v + c_upred * a
+        v_pred = v + c_vpred * a
+        force = force_gain * np.sin(omega * (start + i * step))
+        a = force - damping_gain * v_pred - stiffness_gain * u_pred
+        q = u_pred + c_u * a
+        v = v_pred + c_v * a
+        if i % stride == 0:
+            history[i // stride] = q @ readout
+    return history
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     f_hz: float
@@ -395,17 +433,16 @@ def frequency_sweep(
 
     Each frequency integrates settle+measure periods at SWEEP_STEPS_PER_PERIOD
     steps per forcing period; the reported amplitude is the max absolute
-    midspan displacement over the measure window.  If that window
-    still grows past the settle window the run has no steady state and a
-    NonConvergenceError names the first such frequency in input order.
+    midspan displacement over the measure window, which starts at step
+    settle_periods*SWEEP_STEPS_PER_PERIOD.  If that window still grows past
+    the settle window the run has no steady state and a NonConvergenceError
+    names the first such frequency in input order.
 
     The beam is discretized and eigensolved once.  Rayleigh damping is
     stiffness-proportional, so each mode i obeys the scalar equation
-    q'' + b*lam_i*q' + lam_i*q = Gamma_i*sin(2*pi*f*t), with Gamma = Phi^T p.
-    One Newmark recurrence advances every (frequency, mode) pair as a
-    (frequency x mode) array, each frequency with its own dt and the same
-    step count, and keeps only the midspan displacement Phi[mid] @ q at each
-    step.
+    q'' + b*lam_i*q' + lam_i*q = Gamma_i*sin(2*pi*f*t), with Gamma = Phi^T p,
+    and `modal_harmonic_response` advances all frequencies at once, reading
+    out only the midspan displacement Phi[mid] @ q.
     """
     freqs = [float(f) for f in freqs]
     if any(f <= 0.0 for f in freqs):
@@ -417,12 +454,6 @@ def frequency_sweep(
     if not freqs:
         return []
     load = nodal_force(PointLoad(p0, xload), grid)
-    periods = settle_periods + measure_periods
-    tgrids = [
-        TimeGrid(0.0, periods / f_hz, 1.0 / (SWEEP_STEPS_PER_PERIOD * f_hz))
-        for f_hz in freqs
-    ]
-
     system = discretize_beam(beam, bc, n_nodes)
     lam, phi = scipy.linalg.eigh(system.stiffness, system.mass)
     if zeta1 > 0.0:
@@ -436,50 +467,25 @@ def frequency_sweep(
         stiffness_coeff = 0.0
     shapes = np.zeros((grid.node_count, lam.size))  # constrained rows stay 0
     shapes[system.free_mask] = phi
-    mid_row = shapes[mid_node]
 
-    # one row per frequency, one column per mode; the step coefficients are
-    # spelled out to full rows, as same-shape products beat broadcasts here
-    step = np.array([g.dt for g in tgrids])[:, None]
-    omega = 2.0 * math.pi * np.array(freqs)[:, None]
-    dt = step * np.ones(lam.size)
-    gamma, beta = cfg.gamma, cfg.beta_nm
-    damping = stiffness_coeff * lam
-    effective = 1.0 + gamma * dt * damping + beta * dt**2 * lam
-    gain = (phi.T @ load[system.free_mask]) / effective
-    damping_gain = damping / effective
-    stiffness_gain = lam / effective
-    c_upred = (0.5 - beta) * dt**2
-    c_vpred = (1.0 - gamma) * dt
-    c_u = beta * dt**2
-    c_v = gamma * dt
-
-    steps = periods * SWEEP_STEPS_PER_PERIOD
-    q = np.zeros((len(freqs), lam.size))
-    v = np.zeros_like(q)
-    a = np.zeros_like(q)
-    midspan = np.zeros((steps + 1, len(freqs)))
-    for i in range(1, steps + 1):
-        u_pred = q + dt * v + c_upred * a
-        v_pred = v + c_vpred * a
-        force = gain * np.sin(omega * (i * step))
-        a = force - damping_gain * v_pred - stiffness_gain * u_pred
-        q = u_pred + c_u * a
-        v = v_pred + c_v * a
-        midspan[i] = q @ mid_row
-
-    points = []
-    for column, (f_hz, tgrid) in enumerate(zip(freqs, tgrids)):
-        mid = midspan[:, column]
-        boundary = settle_periods / f_hz
-        settle = np.abs(mid[tgrid.times < boundary])
-        measure = np.abs(mid[tgrid.times >= boundary])
-        amplitude = float(measure.max())
-        settle_peak = float(settle.max())
+    hz = np.array(freqs)
+    settle_steps = settle_periods * SWEEP_STEPS_PER_PERIOD
+    midspan = modal_harmonic_response(
+        lam,
+        stiffness_coeff * lam,
+        phi.T @ load[system.free_mask],
+        2.0 * math.pi * hz,
+        1.0 / (SWEEP_STEPS_PER_PERIOD * hz),
+        settle_steps + measure_periods * SWEEP_STEPS_PER_PERIOD,
+        shapes[mid_node],
+        cfg,
+    )
+    settle_peaks = np.abs(midspan[:settle_steps]).max(axis=0).tolist()
+    amplitudes = np.abs(midspan[settle_steps:]).max(axis=0).tolist()
+    for f_hz, amplitude, settle_peak in zip(freqs, amplitudes, settle_peaks):
         if settle_peak > 0.0 and amplitude > GROWTH_LIMIT * settle_peak:
             raise NonConvergenceError(
                 f"no steady state at f_hz={f_hz}: amplitude grew from "
                 f"{settle_peak:.3e} to {amplitude:.3e}"
             )
-        points.append(SweepPoint(f_hz=f_hz, amplitude_m=amplitude))
-    return points
+    return [SweepPoint(f_hz=f, amplitude_m=a) for f, a in zip(freqs, amplitudes)]

@@ -216,7 +216,11 @@ def _null_coefficients(beta: float, beam: BeamSpec, bc: BoundarySpec) -> np.ndar
         raise DegenerateModeError(
             f"degenerate root at beta={beta}: two singular values vanish together"
         )
-    return vh[-1]
+    # the first coefficient of at least half the largest magnitude is positive:
+    # the largest alone can flip, as clamped or free ends give near-equal pairs
+    null = vh[-1]
+    magnitude = np.abs(null)
+    return null if null[np.argmax(magnitude >= 0.5 * magnitude.max())] > 0 else -null
 
 
 def mode_shape(

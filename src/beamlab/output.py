@@ -32,6 +32,13 @@ def _write_csv(path: Path, header, lines) -> None:
             fh.write(line + "\n")
 
 
+def write_modes(fh, modes) -> None:
+    """The modes table: a header, then index, beta, omega and frequency per mode."""
+    fh.write("mode_index,beta,omega_rad_s,f_hz\n")
+    for i, m in enumerate(modes, start=1):
+        fh.write(_line([i, float(m.beta), float(m.omega_rad_s), float(m.f_hz)]) + "\n")
+
+
 def _frame_files(out: Path, times, frames, columns, nodes) -> list[Path]:
     """frames.csv with every column, probes.csv with the columns at `nodes`.
 
@@ -77,14 +84,8 @@ def write_result(rs: ResultSet, out_dir) -> list[Path]:
 
     if rs.modes:
         path = out / "modes.csv"
-        _write_csv(
-            path,
-            ["mode_index", "beta", "omega_rad_s", "f_hz"],
-            (
-                _line([i, float(m.beta), float(m.omega_rad_s), float(m.f_hz)])
-                for i, m in enumerate(rs.modes, start=1)
-            ),
-        )
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_modes(fh, rs.modes)
         written.append(path)
 
     if rs.sweep_points:

@@ -23,10 +23,8 @@ from .dynamics import (
     SWEEP_STEPS_PER_PERIOD,
     IntegratorConfig,
     beam_time_response,
-    bridge_2d_system,
     frequency_sweep,
-    integrate,
-    sdof_system,
+    modal_harmonic_response,
 )
 from .material import (
     RambergOsgood,
@@ -1004,43 +1002,39 @@ def _run_modal(s: Scenario, mode_count: int) -> ResultSet:
 
 def _run_dynamic(s: Scenario) -> ResultSet:
     if s.system is not None:
-        spec = s.system
-        if spec.dofs == 1:
-            system = sdof_system(spec.mass, spec.damping, spec.stiffness)
-        else:
-            system = bridge_2d_system(spec.mass, spec.damping, spec.stiffness)
-        axis_index = 0 if spec.dofs == 1 else system.labels.index(spec.force.axis)
-        direction = np.zeros(system.size)
-        direction[axis_index] = spec.force.amplitude
-        omega = 2.0 * np.pi * spec.force.f_hz
-
-        def schedule(t: float) -> np.ndarray:
-            return direction * np.sin(omega * t)
-
-        zeros = np.zeros(system.size)
-        result = integrate(
-            system, schedule, zeros, zeros, s.tgrid, s.integrator, stride=s.stride
+        # diagonal M, C and K: every axis is already a unit-mass mode
+        spec, tgrid = s.system, s.tgrid
+        gain = np.zeros(spec.dofs)  # a one-DOF system is driven along x
+        gain[("x", "y").index(spec.force.axis)] = spec.force.amplitude / spec.mass
+        history = modal_harmonic_response(
+            spec.stiffness / spec.mass,
+            spec.damping / spec.mass,
+            gain,
+            [2.0 * np.pi * spec.force.f_hz],
+            [tgrid.dt],
+            tgrid.step_count,
+            np.eye(spec.dofs),
+            s.integrator,
+            start=tgrid.start,
+            stride=s.stride,
         )
-        extras = {
-            "system_dofs": spec.dofs,
-            "drive_axis": spec.force.axis,
-            "stride": s.stride,
-        }
-        return ResultSet(
-            scenario=s, provenance=_provenance(s, extras), time_series=result
+        columns = ("u",) if spec.dofs == 1 else ("x", "y")
+        result = TimeSeriesResult(tgrid.sample_times(s.stride), history[:, 0], columns)
+        extras = {"system_dofs": spec.dofs, "drive_axis": spec.force.axis}
+    else:
+        result = beam_time_response(
+            s.beam,
+            s.bc,
+            s.grid_nodes,
+            list(s.loads),
+            s.tgrid,
+            s.integrator,
+            zeta1=s.zeta1,
+            stride=s.stride,
         )
-    result = beam_time_response(
-        s.beam,
-        s.bc,
-        s.grid_nodes,
-        list(s.loads),
-        s.tgrid,
-        s.integrator,
-        zeta1=s.zeta1,
-        stride=s.stride,
-    )
-    result = _attach_probes(s, result)
-    extras = {"grid_nodes": s.grid_nodes, "zeta1": s.zeta1, "stride": s.stride}
+        result = _attach_probes(s, result)
+        extras = {"grid_nodes": s.grid_nodes, "zeta1": s.zeta1}
+    extras["stride"] = s.stride
     return ResultSet(scenario=s, provenance=_provenance(s, extras), time_series=result)
 
 

@@ -27,16 +27,17 @@ from beamlab.dynamics import (
     IntegratorConfig,
     MdofSystem,
     beam_time_response,
-    bridge_2d_system,
     discretize_beam,
     eigenfrequencies,
     frequency_sweep,
     initial_state,
     integrate,
+    modal_harmonic_response,
     sdof_system,
     stiffness_damping_coeff,
 )
 from beamlab.modal import find_beta_roots, natural_frequencies
+from beamlab.scenario import run_scenario, scenario_from_dict
 from beamlab.statics import nodal_force, ss_point_deflection
 
 PINNED = BoundarySpec.pinned_pinned()
@@ -115,11 +116,6 @@ class TestSystemBuilders:
     def test_sdof_rejects_bad_mass(self):
         with pytest.raises(ValidationError, match="mass"):
             sdof_system(0.0, 0.0, 1.0)
-
-    def test_bridge_labels_and_decoupling_structure(self):
-        system = bridge_2d_system(3.0, 0.5, 12.0)
-        assert system.labels == ("x", "y")
-        assert system.stiffness[0, 1] == 0.0
 
     def test_mdof_requires_symmetry(self):
         with pytest.raises(ValidationError, match="stiffness"):
@@ -229,7 +225,8 @@ class TestIntegrate:
 
     def test_two_dof_blocks_decouple(self):
         sdof = sdof_system(1.0, 0.3, 25.0)
-        bridge = bridge_2d_system(1.0, 0.3, 25.0)
+        eye = np.eye(2)
+        bridge = MdofSystem(eye, 0.3 * eye, 25.0 * eye, ("x", "y"))
         tgrid = TimeGrid(0.0, 5.0, 1e-3)
         force_x = lambda t: np.array([math.sin(3.0 * t), 0.0])
         force_1 = lambda t: np.array([math.sin(3.0 * t)])
@@ -320,6 +317,70 @@ def test_property_undamped_average_acceleration_conserves_energy(
         v = 2.0 * (u_next - u) / dt - v
         energy = system_energy(system, u_next, v)
         assert abs(energy - energy0) <= 1e-9 * energy0
+
+
+def system_run_and_coupled_oracle(dofs, damping, axis, time, gamma, beta, stride):
+    """A `system` scenario run, and `integrate` on the same diagonal system."""
+    m, k, amplitude, f_hz = 2.0, 50.0, 3.0, 1.3
+    s = scenario_from_dict(
+        {
+            "schema": "beamlab/1",
+            "name": "mass_spring",
+            "solver": "dynamic",
+            "system": {
+                "mass": m,
+                "damping": damping,
+                "stiffness": k,
+                "dofs": dofs,
+                "force": {"amplitude": amplitude, "f_hz": f_hz, "axis": axis},
+            },
+            "time": time,
+            "integrator": {"gamma": gamma, "beta": beta},
+            "output": {"stride": stride},
+        }
+    )
+    eye = np.eye(dofs)
+    system = MdofSystem(m * eye, damping * eye, k * eye, ("x", "y")[:dofs])
+    drive = amplitude * eye[("x", "y").index(axis)]
+    omega = 2.0 * math.pi * f_hz
+    zeros = np.zeros(dofs)
+    coupled = integrate(
+        system, lambda t: drive * np.sin(omega * t), zeros, zeros, s.tgrid,
+        s.integrator, stride=stride,
+    )
+    return run_scenario(s).time_series, coupled
+
+
+class TestModalHarmonicResponse:
+    @pytest.mark.parametrize(
+        "dofs, damping, axis, time, gamma, beta, stride",
+        [
+            (1, 0.0, "x", {"end": 5.0, "dt": 1e-3}, 0.5, 0.25, 1),
+            (1, 0.4, "x", {"start": 0.35, "end": 3.35, "dt": 2e-3}, 0.5, 0.25, 3),
+            (2, 0.4, "y", {"end": 4.0, "dt": 1e-3}, 0.6, 0.3025, 7),
+            (2, 0.0, "x", {"start": -0.5, "end": 2.5, "dt": 5e-3}, 0.55, 0.3, 1),
+        ],
+        ids=["undamped", "late_start_stride", "two_dof_gamma_beta_stride", "early_start"],
+    )
+    def test_system_runs_match_integrate(self, dofs, damping, axis, time, gamma, beta, stride):
+        modal, coupled = system_run_and_coupled_oracle(
+            dofs, damping, axis, time, gamma, beta, stride
+        )
+        assert modal.columns == (("u",) if dofs == 1 else ("x", "y"))
+        np.testing.assert_array_equal(modal.times, coupled.times)
+        peak = np.max(np.abs(coupled.frames))
+        np.testing.assert_allclose(modal.frames, coupled.frames, rtol=0, atol=1e-12 * peak)
+
+    def test_batch_columns_match_single_frequency_runs(self):
+        lam, damping, gain = np.array([4.0, 90.0]), np.array([0.1, 0.9]), np.array([1.0, 0.5])
+        omega, dt = [3.0, 11.0], [2e-3, 5e-4]
+        readout = np.array([1.0, -2.0])
+        batch = modal_harmonic_response(lam, damping, gain, omega, dt, 500, readout)
+        assert batch.shape == (501, 2)
+        for column, (w, step) in enumerate(zip(omega, dt)):
+            single = modal_harmonic_response(lam, damping, gain, [w], [step], 500, readout)
+            peak = np.max(np.abs(single))
+            np.testing.assert_allclose(batch[:, column], single[:, 0], rtol=0, atol=1e-14 * peak)
 
 
 class TestDiscretizeBeam:
@@ -516,6 +577,21 @@ class TestFrequencySweep:
         assert [p.f_hz for p in points] == freqs
         got = np.array([p.amplitude_m for p in points])
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
+
+    def test_measure_window_starts_at_the_settle_step(self, ref_beam):
+        # exp5_1's beam and load just below the third mode: the decaying
+        # transient peaks at the measure window's first sample, step 3000,
+        # whose time rounds to just below 30 periods
+        f_hz = 45.40112091589573
+        settle = 30 * SWEEP_STEPS_PER_PERIOD
+        tgrid = TimeGrid(0.0, 40 / f_hz, 1.0 / (SWEEP_STEPS_PER_PERIOD * f_hz))
+        assert tgrid.times[settle] < 30 / f_hz
+        load = HarmonicPointLoad(1e3, f_hz, 5.0)
+        coupled = beam_time_response(ref_beam, PINNED, 41, [load], tgrid, zeta1=0.02)
+        midspan = np.abs(coupled.frames[settle:, 20])
+        assert np.argmax(midspan) == 0
+        (point,) = frequency_sweep(ref_beam, PINNED, 41, 1e3, 5.0, [f_hz])
+        assert point.amplitude_m == pytest.approx(midspan.max(), rel=1e-8)
 
     def test_nonconvergence_names_first_failing_frequency(self, ref_beam):
         system = discretize_beam(ref_beam, PINNED, 21)

@@ -330,3 +330,12 @@ class TestSolveModes:
                 mode.beta**2 * ref_beam.section.wave_coefficient, rel=1e-12
             )
             assert len(mode.coefficients) == 4
+
+    @pytest.mark.parametrize("bc", [CLAMPED_FREE, FREE_FREE], ids=["clamped_free", "free_free"])
+    def test_coefficient_sign_survives_last_bit_changes(self, ref_beam, bc):
+        # two coefficients of these modes are near-equal and opposite, so
+        # the SVD's arbitrary sign used to flip when beta moved by 1e-11
+        for mode in solve_modes(ref_beam, bc, 50):
+            for scale in (1.0 - 1e-11, 1.0 + 1e-12, 1.0 + 1e-11):
+                moved = modal._null_coefficients(mode.beta * scale, ref_beam, bc)
+                np.testing.assert_allclose(moved, mode.coefficients, rtol=0, atol=1e-6)
