@@ -36,16 +36,6 @@ def _scenario_from_args(path, preset_name, stride=None) -> Scenario:
     return parse_scenario(text, stride=stride)
 
 
-def _load_file_scenario(path, expected_solver: str) -> Scenario:
-    s = _scenario_from_args(path, None)
-    if s.solver != expected_solver:
-        raise ValidationError(
-            f"scenario '{s.name}' has solver '{s.solver}'; this command "
-            f"runs solver '{expected_solver}'"
-        )
-    return s
-
-
 def _execute(s: Scenario, out_dir) -> int:
     rs = run_scenario(s)
     for written in write_result(rs, out_dir):
@@ -64,12 +54,14 @@ def _cmd_modal(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    return _execute(_load_file_scenario(args.scenario, "sweep"), args.out)
-
-
-def _cmd_static(args) -> int:
-    return _execute(_load_file_scenario(args.scenario, "static"), args.out)
+def _cmd_solver_file(args) -> int:
+    s = _scenario_from_args(args.scenario, None)
+    if s.solver != args.solver:
+        raise ValidationError(
+            f"scenario '{s.name}' has solver '{s.solver}'; this command "
+            f"runs solver '{args.solver}'"
+        )
+    return _execute(s, args.out)
 
 
 def _cmd_presets(args) -> int:
@@ -101,15 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
     modal_p.add_argument("--modes", type=int, default=3, help="number of modes")
     modal_p.set_defaults(func=_cmd_modal)
 
-    sweep_p = sub.add_parser("sweep", help="run a frequency-sweep scenario file")
-    sweep_p.add_argument("scenario", help="path to a scenario JSON file")
-    sweep_p.add_argument("--out", required=True, help="output directory")
-    sweep_p.set_defaults(func=_cmd_sweep)
-
-    static_p = sub.add_parser("static", help="run a static scenario file")
-    static_p.add_argument("scenario", help="path to a scenario JSON file")
-    static_p.add_argument("--out", required=True, help="output directory")
-    static_p.set_defaults(func=_cmd_static)
+    for solver, noun in (("sweep", "a frequency-sweep"), ("static", "a static")):
+        file_p = sub.add_parser(solver, help=f"run {noun} scenario file")
+        file_p.add_argument("scenario", help="path to a scenario JSON file")
+        file_p.add_argument("--out", required=True, help="output directory")
+        file_p.set_defaults(func=_cmd_solver_file, solver=solver)
 
     presets_p = sub.add_parser("presets", help="list built-in scenario names")
     presets_p.set_defaults(func=_cmd_presets)

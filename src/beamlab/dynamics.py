@@ -131,48 +131,13 @@ class MdofSystem:
         return bool(np.any(self.damping))
 
 
-@dataclass(frozen=True)
-class DynamicState:
-    """Displacement, velocity, acceleration and the time they belong to."""
-
-    displacement: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        u = np.array(self.displacement, dtype=float)
-        v = np.array(self.velocity, dtype=float)
-        a = np.array(self.acceleration, dtype=float)
-        if not (u.shape == v.shape == a.shape) or u.ndim != 1:
-            raise ValidationError("state vectors must share one dimension")
-        if not all(np.all(np.isfinite(x)) for x in (u, v, a)):
-            raise ValidationError("state contains non-finite values")
-        for x in (u, v, a):
-            x.setflags(write=False)
-        object.__setattr__(self, "displacement", u)
-        object.__setattr__(self, "velocity", v)
-        object.__setattr__(self, "acceleration", a)
-
-
-def initial_state(
-    system: MdofSystem, u0, v0, force0: np.ndarray, t0: float = 0.0
-) -> DynamicState:
-    """Consistent starting state: solves M a0 = F(0) - C v0 - K u0."""
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    rhs = force0 - system.damping @ v0 - system.stiffness @ u0
-    a0 = np.linalg.solve(system.mass, rhs)
-    return DynamicState(u0, v0, a0, t0)
-
-
-def _check_force(force: np.ndarray, n: int, t: float) -> np.ndarray:
-    force = np.asarray(force, dtype=float)
-    if force.shape != (n,):
-        raise ValidationError(f"force at t={t} has shape {force.shape}, expected ({n},)")
-    if not np.all(np.isfinite(force)):
-        raise ValidationError(f"force at t={t} is not finite")
-    return force
+def _check_vector(name: str, values, n: int) -> np.ndarray:
+    vector = np.asarray(values, dtype=float)
+    if vector.shape != (n,):
+        raise ValidationError(f"{name} has shape {vector.shape}, expected ({n},)")
+    if not np.all(np.isfinite(vector)):
+        raise ValidationError(f"{name} is not finite")
+    return vector
 
 
 def integrate(
@@ -202,13 +167,10 @@ def integrate(
     mass, damping, stiffness = system.mass, system.damping, system.stiffness
     damped = system.is_damped
 
-    force0 = _check_force(force_schedule(tgrid.start), n, tgrid.start)
-    state = initial_state(system, u0, v0, force0, tgrid.start)
-    u, v, a = (
-        state.displacement.copy(),
-        state.velocity.copy(),
-        state.acceleration.copy(),
-    )
+    u, v = _check_vector("u0", u0, n), _check_vector("v0", v0, n)
+    force0 = _check_vector(f"force at t={tgrid.start}", force_schedule(tgrid.start), n)
+    # consistent start: M a0 = F(t0) - C v0 - K u0
+    a = np.linalg.solve(mass, force0 - damping @ v - stiffness @ u)
 
     effective = mass + gamma * dt * damping + beta * dt**2 * stiffness
     try:
@@ -230,7 +192,7 @@ def integrate(
     c_v = gamma * dt
     for i in range(1, steps + 1):
         t = tgrid.start + i * dt
-        force = _check_force(force_schedule(t), n, t)
+        force = _check_vector(f"force at t={t}", force_schedule(t), n)
         u_pred = u + dt * v + c_upred * a
         v_pred = v + c_vpred * a
         rhs = force - stiffness @ u_pred

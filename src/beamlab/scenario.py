@@ -9,8 +9,10 @@ in the output provenance block.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Mapping, NamedTuple
@@ -62,9 +64,11 @@ _DEFAULT_GRID_NODES = 201
 #: estimated above it fails at parse instead of running for days or out of
 #: memory mid-solve.
 MAX_ARRAY_BYTES = 2**30
-#: n x n float64 arrays the dense beam path holds at once (curvature stencil,
-#: product, stiffness, reduced copy, effective matrix or its factor).
-_OPERATOR_COPIES = 5
+#: n x n float64 arrays each dense beam path holds at once, measured with
+#: tracemalloc and rounded up with one copy to spare: a static solve peaks at
+#: 3.0-3.7, a dynamic run or sweep at 9.8-10.0 while `MdofSystem` copies and
+#: checks its matrices.
+_OPERATOR_COPIES = {"static": 4, "dynamic": 11, "sweep": 11}
 #: n-length float64 arrays `nonlinear_cantilever_deflection` holds at once
 #: (9.1 measured with tracemalloc at a million nodes).
 _NONLINEAR_COPIES = 10
@@ -304,7 +308,7 @@ class Scenario:
         def limit(nbytes: int, what: str, remedy: str) -> None:
             if nbytes > MAX_ARRAY_BYTES:
                 raise ValidationError(
-                    f"{what} would take about {nbytes / _MIB:.0f} MiB, above the "
+                    f"{what} would take about {(nbytes + _MIB // 2) // _MIB} MiB, above the "
                     f"{MAX_ARRAY_BYTES / _MIB:.0f} MiB limit; {remedy}"
                 )
 
@@ -313,7 +317,7 @@ class Scenario:
             self.solver == "dynamic" and self.system is None
         ):
             limit(
-                8 * _OPERATOR_COPIES * n * n,
+                8 * _OPERATOR_COPIES[self.solver] * n * n,
                 f"grid.nodes {n}: the dense beam operator",
                 "lower grid.nodes",
             )
@@ -403,15 +407,16 @@ class _Scalar:
     convert: Callable
 
     def parse(self, raw, label: str, defaults: dict):
-        if isinstance(raw, bool) or not isinstance(raw, self.types):
-            raise ValidationError(f"'{label}' must be {self.noun}")
-        return self.convert(raw)
+        if not isinstance(raw, bool) and isinstance(raw, self.types):
+            with contextlib.suppress(OverflowError):
+                return self.convert(raw)
+        raise ValidationError(f"'{label}' must be {self.noun}")
 
     def dump(self, value):
         return value
 
 
-_NUMBER = _Scalar((int, float), "a number", float)
+_NUMBER = _Scalar((int, float), "a finite number", float)
 _INTEGER = _Scalar((int,), "an integer", int)
 _STRING = _Scalar((str,), "a string", str)
 
@@ -686,6 +691,18 @@ _SCENARIO = _Block(
 )
 
 
+def _check_finite(data, label: str = "") -> None:
+    """Reject the first NaN or infinity in a decoded JSON tree, naming its path."""
+    if isinstance(data, float) and not math.isfinite(data):
+        raise ValidationError(f"'{label}' must be a finite number, got {data}")
+    if isinstance(data, dict):
+        for key, value in data.items():
+            _check_finite(value, f"{label}.{key}" if label else key)
+    elif isinstance(data, list):
+        for i, value in enumerate(data):
+            _check_finite(value, f"{label}[{i}]")
+
+
 def scenario_from_dict(data, *, stride: int | None = None) -> Scenario:
     """Validate a decoded JSON object into a Scenario (strict keys).
 
@@ -704,9 +721,19 @@ def scenario_from_dict(data, *, stride: int | None = None) -> Scenario:
             f"unsupported schema '{schema}' (this build reads '{SCHEMA_VERSION}')"
         )
     kwargs = _SCENARIO.take(f, defaults)
+    _check_finite(data)  # after the block constructors' own range checks
     gamma, beta_nm = kwargs.pop("integrator.gamma"), kwargs.pop("integrator.beta_nm")
     integrator = _build(IntegratorConfig, "integrator", gamma=gamma, beta_nm=beta_nm)
     return Scenario(integrator=integrator, defaults_applied=defaults, **kwargs)
+
+
+def _unique_keys(pairs: list) -> dict:
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = ", ".join(sorted({key for key in keys if keys.count(key) > 1}))
+        raise ValidationError(f"scenario repeats key(s) in one JSON object: {repeated}")
+    return data
 
 
 def parse_scenario(text, *, stride: int | None = None) -> Scenario:
@@ -714,7 +741,7 @@ def parse_scenario(text, *, stride: int | None = None) -> Scenario:
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"scenario is not valid JSON: {exc.msg} at line {exc.lineno} "

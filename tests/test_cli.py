@@ -133,13 +133,20 @@ def test_static_command(tmp_path):
 def test_static_command_rejects_other_solver(tmp_path, capsys):
     path = write_scenario(tmp_path, "exp2_1")
     assert main(["static", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "solver 'quasi_static'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: scenario 'exp2_1' has solver 'quasi_static'; this command runs "
+        "solver 'static'\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_command_rejects_other_solver(tmp_path, capsys):
     path = write_scenario(tmp_path, "exp1")
     assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "solver 'static'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: scenario 'exp1' has solver 'static'; this command runs solver 'sweep'\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_command_runs_small_case(tmp_path):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,14 +24,12 @@ from beamlab import (
 )
 from beamlab.dynamics import (
     SWEEP_STEPS_PER_PERIOD,
-    DynamicState,
     IntegratorConfig,
     MdofSystem,
     beam_time_response,
     discretize_beam,
     eigenfrequencies,
     frequency_sweep,
-    initial_state,
     integrate,
     modal_harmonic_response,
     sdof_system,
@@ -57,13 +56,29 @@ def system_energy(system: MdofSystem, u: np.ndarray, v: np.ndarray) -> float:
     return 0.5 * float(v @ system.mass @ v + u @ system.stiffness @ u)
 
 
+class OracleState(NamedTuple):
+    """Displacement, velocity, acceleration and the time they belong to."""
+
+    displacement: np.ndarray
+    velocity: np.ndarray
+    acceleration: np.ndarray
+    time: float
+
+
+def oracle_start(system: MdofSystem, u0, v0, force0, t0: float = 0.0) -> OracleState:
+    """Consistent starting state: solves M a0 = F(t0) - C v0 - K u0."""
+    u0, v0 = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
+    a0 = np.linalg.solve(system.mass, force0 - system.damping @ v0 - system.stiffness @ u0)
+    return OracleState(u0, v0, a0, t0)
+
+
 def newmark_step(
     system: MdofSystem,
-    state: DynamicState,
+    state: OracleState,
     force_next: np.ndarray,
     dt: float,
     cfg: IntegratorConfig = IntegratorConfig(),
-) -> DynamicState:
+) -> OracleState:
     """Reference oracle: one implicit Newmark step of size dt.
 
     Written for clarity, not speed: it refactorizes the effective matrix on
@@ -81,7 +96,7 @@ def newmark_step(
     a_next = scipy.linalg.lu_solve(scipy.linalg.lu_factor(effective), rhs)
     u_next = u_pred + cfg.beta_nm * dt**2 * a_next
     v_next = v_pred + cfg.gamma * dt * a_next
-    return DynamicState(u_next, v_next, a_next, state.time + dt)
+    return OracleState(u_next, v_next, a_next, state.time + dt)
 
 
 def reference_sweep(
@@ -139,7 +154,7 @@ class TestSystemBuilders:
 class TestNewmarkStep:
     def test_zero_everything_stays_zero(self):
         system = sdof_system(**UNIT_OSC)
-        state = DynamicState(np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
+        state = OracleState(np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
         for _ in range(10):
             state = newmark_step(system, state, np.zeros(1), 0.01)
         assert state.displacement[0] == 0.0
@@ -147,7 +162,7 @@ class TestNewmarkStep:
 
     def test_nonfinite_force_rejected(self):
         system = sdof_system(**UNIT_OSC)
-        state = DynamicState(np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
+        state = OracleState(np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
         with pytest.raises(ValidationError, match="t="):
             newmark_step(system, state, np.array([np.nan]), 0.01)
 
@@ -155,17 +170,30 @@ class TestNewmarkStep:
         system = discretize_beam(ref_beam, PINNED, 21)
         system = replace(system, damping=1e-3 * system.stiffness)
         shape = np.linspace(0.0, 1e3, system.size)
-        schedule = lambda t: math.sin(20.0 * t) * shape
-        tgrid = TimeGrid(0.0, 0.2, 1e-3)
+        schedule = lambda t: (1.0 + math.sin(20.0 * t)) * shape
+        x = np.linspace(0.0, math.pi, system.size)
         zeros = np.zeros(system.size)
-        result = integrate(system, schedule, zeros, zeros, tgrid)
-        state = initial_state(system, zeros, zeros, schedule(0.0))
-        frames = [state.displacement]
-        for t in tgrid.times[1:]:
-            state = newmark_step(system, state, schedule(t), tgrid.dt)
-            frames.append(state.displacement)
-        scale = np.max(np.abs(frames))
-        np.testing.assert_allclose(result.frames, frames, rtol=0, atol=1e-10 * scale)
+        starts = [
+            (0.0, zeros, zeros),
+            (0.05, 1e-4 * np.sin(x), -2e-3 * np.sin(2.0 * x)),
+        ]
+        for start, u0, v0 in starts:
+            tgrid = TimeGrid(start, start + 0.2, 1e-3)
+            result = integrate(system, schedule, u0, v0, tgrid)
+            state = oracle_start(system, u0, v0, schedule(start), start)
+            residual = (
+                system.mass @ state.acceleration
+                + system.damping @ state.velocity
+                + system.stiffness @ state.displacement
+                - schedule(start)
+            )
+            assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(schedule(start)))
+            frames = [state.displacement]
+            for t in tgrid.times[1:]:
+                state = newmark_step(system, state, schedule(t), tgrid.dt)
+                frames.append(state.displacement)
+            scale = np.max(np.abs(frames))
+            np.testing.assert_allclose(result.frames, frames, rtol=0, atol=1e-10 * scale)
 
     def test_gamma_beta_validation(self):
         with pytest.raises(ValidationError, match="gamma"):
@@ -263,16 +291,22 @@ class TestIntegrate:
         assert strided.times.size == 11
         np.testing.assert_allclose(strided.frames, full.frames[::10], rtol=0, atol=1e-15)
 
-    def test_initial_state_consistency(self):
-        system = sdof_system(2.0, 0.4, 50.0)
-        state = initial_state(system, [0.1], [0.2], np.array([3.0]))
-        residual = (
-            system.mass @ state.acceleration
-            + system.damping @ state.velocity
-            + system.stiffness @ state.displacement
-            - np.array([3.0])
-        )
-        assert abs(residual[0]) < 1e-12
+    @pytest.mark.parametrize(
+        "u0, v0, message",
+        [
+            ([0.0, 0.0], [0.0], r"u0 has shape \(2,\), expected \(1,\)"),
+            ([0.0], [], r"v0 has shape \(0,\), expected \(1,\)"),
+            ([[0.0]], [0.0], r"u0 has shape \(1, 1\)"),
+            ([math.nan], [0.0], "u0 is not finite"),
+            ([0.0], [math.inf], "v0 is not finite"),
+        ],
+        ids=["long_u0", "short_v0", "matrix_u0", "nan_u0", "inf_v0"],
+    )
+    def test_start_vectors_checked(self, u0, v0, message):
+        system = sdof_system(**UNIT_OSC)
+        tgrid = TimeGrid(0.0, 1.0, 0.25)
+        with pytest.raises(ValidationError, match=message):
+            integrate(system, constant_force([0.0]), u0, v0, tgrid)
 
     def test_energy_helper(self):
         system = sdof_system(2.0, 0.0, 8.0)

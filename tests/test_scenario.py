@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +124,52 @@ def test_unknown_solver_lists_choices():
 def test_malformed_json_reports_position():
     with pytest.raises(ValidationError, match="line 1"):
         parse_scenario(b"{not json")
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_non_finite_numbers_rejected_at_parse(name):
+    # json reads NaN, Infinity, -Infinity and overflowed literals as floats
+    data = scenario_to_dict(preset(name))
+    numbers = [
+        keys
+        for keys, value in nodes(data)
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    ]
+    assert numbers
+    for keys in numbers:
+        for literal in ("NaN", "Infinity", "-Infinity", "1e400", "-1e400"):
+            mutated = json.loads(json.dumps(data))
+            lookup(mutated, keys[:-1])[keys[-1]] = "@@"
+            text = json.dumps(mutated).replace('"@@"', literal)
+            with pytest.raises(ValidationError) as info:
+                parse_scenario(text)
+            message = str(info.value)
+            # named by its dotted path, or by its block's own range check
+            assert f"'{dotted(keys)}'" in message or message.startswith(
+                f"'{dotted(keys[:-1])}': "
+            ), (keys, literal, message)
+
+
+def test_integers_beyond_float_range_rejected_at_parse():
+    data = minimal_static_dict()
+    data["beam"]["length"] = 10**400
+    with pytest.raises(ValidationError, match=r"^'beam\.length' must be a finite number$"):
+        scenario_from_dict(data)
+    data = minimal_static_dict()
+    data["grid"] = {"nodes": 10**400}
+    with pytest.raises(ValidationError, match=r"^grid\.nodes 10+: .* MiB limit"):
+        scenario_from_dict(data)
+
+
+def test_repeated_keys_rejected_at_parse():
+    text = json.dumps(minimal_static_dict())
+    assert parse_scenario(text).loads == (UdlLoad(q=5000.0),)
+    repeated_q = text.replace('"q": 5000.0', '"q": 5000.0, "q": -1.0')
+    with pytest.raises(ValidationError, match=r"repeats key\(s\) in one JSON object: q$"):
+        parse_scenario(repeated_q)
+    two_grids = '{"grid": {"nodes": 51}, "grid": {"nodes": 61}, ' + text[1:]
+    with pytest.raises(ValidationError, match=r": grid$"):
+        parse_scenario(two_grids)
 
 
 def test_spring_bc_requires_k():
@@ -547,19 +595,69 @@ def parse_dict(data):
     return parse_scenario(json.dumps(data))
 
 
-@pytest.mark.parametrize(
-    "make",
-    [minimal_static_dict, dynamic_beam_dict, lambda: scenario_to_dict(preset("exp5_1"))],
+def small_sweep_dict():
+    data = scenario_to_dict(preset("exp5_1"))
+    data["sweep"].update(f_min=5.0, f_max=5.0, f_count=1)
+    return data
+
+
+def short_dynamic_beam_dict():
+    data = dynamic_beam_dict()
+    data["time"] = {"end": 0.05, "dt": 0.01}
+    return data
+
+
+# (scenario, n x n doubles its dense path holds at once): 4 n^2 doubles fill
+# 1 GiB at 5792 nodes, 11 n^2 doubles at 3493
+DENSE_PATHS = pytest.mark.parametrize(
+    "make, copies",
+    [(minimal_static_dict, 4), (dynamic_beam_dict, 11), (small_sweep_dict, 11)],
     ids=["static", "dynamic_beam", "sweep"],
 )
-def test_dense_operator_size_bounded_at_parse(make):
-    # about 5 n^2 doubles: 6000 nodes is 1.4 GB, 4000 nodes 0.6 GB
+
+
+@DENSE_PATHS
+def test_dense_operator_size_bounded_at_parse(make, copies):
+    limit = math.isqrt(MAX_ARRAY_BYTES // (8 * copies))
     data = make()
-    data["grid"] = {"nodes": 6000}
-    with pytest.raises(ValidationError, match=r"^grid\.nodes 6000: .* MiB limit; lower grid\.nodes$"):
-        parse_dict(data)
-    data["grid"] = {"nodes": 4000}
-    assert parse_dict(data).grid_nodes == 4000
+    for nodes in (limit + 1, 6000):
+        data["grid"] = {"nodes": nodes}
+        with pytest.raises(
+            ValidationError, match=rf"^grid\.nodes {nodes}: .* MiB limit; lower grid\.nodes$"
+        ):
+            parse_dict(data)
+    data["grid"] = {"nodes": limit - 3}
+    assert parse_dict(data).grid_nodes == limit - 3
+
+
+def assumed_copies(data) -> float:
+    """n x n doubles the parse-time limit assumes, read from its message."""
+    nodes = 6000
+    with pytest.raises(ValidationError) as info:
+        parse_dict({**data, "grid": {"nodes": nodes}})
+    mib = int(re.search(r"about (\d+) MiB", str(info.value)).group(1))
+    return (mib + 0.5) * 2**20 / (8 * nodes**2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [minimal_static_dict, short_dynamic_beam_dict, small_sweep_dict],
+    ids=["static", "dynamic_beam", "sweep"],
+)
+def test_dense_operator_peak_within_parse_bound(make):
+    # the traced peak of a whole run at 101 nodes, where the operator copies
+    # dominate, must stay under what the parse-time limit assumes
+    nodes = 101
+    data = make()
+    data["grid"] = {"nodes": nodes}
+    s = scenario_from_dict(data)
+    tracemalloc.start()
+    try:
+        run_scenario(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * nodes**2) <= assumed_copies(data)
 
 
 @pytest.mark.parametrize(
