@@ -79,9 +79,13 @@ class IntegratorConfig:
 
 
 def _symmetric(name: str, matrix: np.ndarray) -> None:
-    scale = np.max(np.abs(matrix)) or 1.0
-    if not np.allclose(matrix, matrix.T, rtol=0, atol=1e-10 * scale):
-        raise ValidationError(f"{name} matrix must be symmetric")
+    """Require allclose(matrix, matrix.T) to 1e-10 of the largest |entry|."""
+    atol = 1e-10 * (max(matrix.max(), -matrix.min()) or 1.0)
+    rows = max(1, 2**16 // matrix.shape[0])  # keeps temporaries to ~64k entries
+    for start in range(0, matrix.shape[0], rows):
+        block = slice(start, start + rows)
+        if not np.allclose(matrix[block], matrix[:, block].T, rtol=0, atol=atol):
+            raise ValidationError(f"{name} matrix must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,7 @@ class MdofSystem:
 
     For beam systems the matrices cover the free (non-Dirichlet) nodes only;
     `grid` and `free_mask` let results be scattered back onto the full grid.
+    A float64 matrix is kept as given, not copied, and made read-only.
     """
 
     mass: np.ndarray
@@ -101,25 +106,21 @@ class MdofSystem:
     rank_warning: str | None = None
 
     def __post_init__(self):
-        mass = np.array(self.mass, dtype=float)
-        damping = np.array(self.damping, dtype=float)
-        stiffness = np.array(self.stiffness, dtype=float)
-        n = mass.shape[0]
-        for name, matrix in (("mass", mass), ("damping", damping), ("stiffness", stiffness)):
+        n = np.shape(self.mass)[0]
+        for name in ("mass", "damping", "stiffness"):
+            matrix = np.asarray(getattr(self, name), dtype=float)
             if matrix.shape != (n, n):
                 raise ValidationError(f"{name} matrix must be {n}x{n}, got {matrix.shape}")
             _symmetric(name, matrix)
+            object.__setattr__(self, name, matrix)
         try:
-            np.linalg.cholesky(mass)
+            np.linalg.cholesky(self.mass)
         except np.linalg.LinAlgError as exc:
             raise ValidationError("mass matrix must be positive definite") from exc
         if len(self.labels) != n:
             raise ValidationError(f"expected {n} dof labels, got {len(self.labels)}")
-        for matrix in (mass, damping, stiffness):
+        for matrix in (self.mass, self.damping, self.stiffness):
             matrix.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "damping", damping)
-        object.__setattr__(self, "stiffness", stiffness)
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
@@ -239,10 +240,8 @@ def discretize_beam(beam: BeamSpec, bc: BoundarySpec, n_nodes: int) -> MdofSyste
     if n_nodes < MIN_BEAM_NODES:
         raise ValidationError(f"n_nodes must be >= {MIN_BEAM_NODES}, got {n_nodes}")
     grid = SpatialGrid.for_beam(beam, n_nodes)
-    stiffness_full, free = beam_stiffness_matrix(beam, bc, grid)
-    masses_full = beam.section.mass_per_length * trapezoid_weights(grid)
-    stiffness = stiffness_full[np.ix_(free, free)]
-    mass = np.diag(masses_full[free])
+    stiffness, free = beam_stiffness_matrix(beam, bc, grid)
+    mass = np.diag(beam.section.mass_per_length * trapezoid_weights(grid)[free])
     warning = None
     if bc.constraint_count < 2:
         warning = (
@@ -290,7 +289,7 @@ def beam_time_response(
     if zeta1 > 0.0:
         omega1 = float(eigenfrequencies(system, 1)[0])
         coeff = stiffness_damping_coeff(zeta1, omega1)
-        system = replace(system, damping=coeff * np.asarray(system.stiffness))
+        system = replace(system, damping=coeff * system.stiffness)
     grid, free = system.grid, system.free_mask
     fixed = np.zeros(grid.node_count)
     varying = []
@@ -427,8 +426,8 @@ def frequency_sweep(
         )
     else:
         stiffness_coeff = 0.0
-    shapes = np.zeros((grid.node_count, lam.size))  # constrained rows stay 0
-    shapes[system.free_mask] = phi
+    # midspan is interior, so free: its phi row counts the free nodes before it
+    midspan_row = phi[np.count_nonzero(system.free_mask[:mid_node])]
 
     hz = np.array(freqs)
     settle_steps = settle_periods * SWEEP_STEPS_PER_PERIOD
@@ -439,7 +438,7 @@ def frequency_sweep(
         2.0 * math.pi * hz,
         1.0 / (SWEEP_STEPS_PER_PERIOD * hz),
         settle_steps + measure_periods * SWEEP_STEPS_PER_PERIOD,
-        shapes[mid_node],
+        midspan_row,
         cfg,
     )
     settle_peaks = np.abs(midspan[:settle_steps]).max(axis=0).tolist()

@@ -90,11 +90,11 @@ def _end_rows(end: EndCondition, rows: np.ndarray, beam: BeamSpec, sign: float):
 
 
 def _characteristic_matrices(
-    betas: np.ndarray, beam: BeamSpec, bc: BoundarySpec, scaled: bool = True
+    betas: np.ndarray, beam: BeamSpec, bc: BoundarySpec
 ) -> np.ndarray:
-    """(..., 4, 4) boundary matrices for an array of beta.
+    """(..., 4, 4) row-scaled boundary matrices for an array of beta.
 
-    `scaled` divides each row by its largest magnitude; no row vanishes for
+    Each row is divided by its largest magnitude; no row vanishes for
     beta > 0, since cos(0) = exp(0) = 1 keeps an entry of every row nonzero.
     """
     length = beam.length
@@ -102,21 +102,17 @@ def _characteristic_matrices(
     left = _end_rows(bc.left, rows[..., 0, :, :], beam, +1.0)
     right = _end_rows(bc.right, rows[..., 1, :, :], beam, -1.0)
     matrices = np.concatenate([left, right], axis=-2)
-    if scaled:
-        matrices = matrices / np.abs(matrices).max(axis=-1, keepdims=True)
-    return matrices
-
-
-def _matrix_at(beta: float, beam: BeamSpec, bc: BoundarySpec, scaled: bool) -> np.ndarray:
-    """One characteristic matrix, built exactly as a scan chunk builds it."""
-    if beta <= 0.0:
-        raise ValidationError(f"beta must be positive, got {beta}")
-    return _characteristic_matrices(np.array([beta]), beam, bc, scaled)[0]
+    return matrices / np.abs(matrices).max(axis=-1, keepdims=True)
 
 
 def characteristic_matrix(beta: float, beam: BeamSpec, bc: BoundarySpec) -> np.ndarray:
-    """4x4 boundary-condition matrix applied to the shape coefficients."""
-    return _matrix_at(beta, beam, bc, scaled=False)
+    """4x4 boundary-condition matrix applied to the shape coefficients.
+
+    Rows are scaled to unit max magnitude, exactly as a scan chunk builds them.
+    """
+    if beta <= 0.0:
+        raise ValidationError(f"beta must be positive, got {beta}")
+    return _characteristic_matrices(np.array([beta]), beam, bc)[0]
 
 
 def characteristic_det(beta: float, beam: BeamSpec, bc: BoundarySpec) -> float:
@@ -125,7 +121,7 @@ def characteristic_det(beta: float, beam: BeamSpec, bc: BoundarySpec) -> float:
     Row scaling removes the beta^n growth of the derivative rows, so values at
     different beta are comparable and sign changes bracket the true roots.
     """
-    return float(np.linalg.det(_matrix_at(beta, beam, bc, scaled=True)))
+    return float(np.linalg.det(characteristic_matrix(beta, beam, bc)))
 
 
 def _scan(beta: float, step: float, beta_max: float, beam: BeamSpec, bc: BoundarySpec):
@@ -205,7 +201,7 @@ def natural_frequencies(betas, beam: BeamSpec) -> list[ModeFrequency]:
 
 
 def _null_coefficients(beta: float, beam: BeamSpec, bc: BoundarySpec) -> np.ndarray:
-    matrix = _matrix_at(beta, beam, bc, scaled=True)
+    matrix = characteristic_matrix(beta, beam, bc)
     _, singular, vh = np.linalg.svd(matrix)
     if singular[-1] > 1e-6 * singular[0]:
         raise ValidationError(

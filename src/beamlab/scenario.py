@@ -65,14 +65,22 @@ _DEFAULT_GRID_NODES = 201
 #: memory mid-solve.
 MAX_ARRAY_BYTES = 2**30
 #: n x n float64 arrays each dense beam path holds at once, measured with
-#: tracemalloc and rounded up with one copy to spare: a static solve peaks at
-#: 3.0-3.7, a dynamic run or sweep at 9.8-10.0 while `MdofSystem` copies and
-#: checks its matrices.
-_OPERATOR_COPIES = {"static": 4, "dynamic": 11, "sweep": 11}
+#: tracemalloc at 101-1201 nodes and rounded up with one copy to spare: a
+#: static solve peaks at 3.0, a dynamic run at 5.0-5.9 and a sweep at 7.0.
+_OPERATOR_COPIES = {"static": 4, "dynamic": 7, "sweep": 8}
 #: n-length float64 arrays `nonlinear_cantilever_deflection` holds at once
 #: (9.1 measured with tracemalloc at a million nodes).
 _NONLINEAR_COPIES = 10
 _MIB = 2**20
+#: (block, Scenario attribute, the solvers that read it) for the blocks only
+#: some solvers read; any other solver refuses them.
+_SOLVER_BLOCKS = (
+    ("time", "tgrid", ("quasi_static", "dynamic")),
+    ("material", "material", ("nonlinear",)),
+    ("sweep", "sweep", ("sweep",)),
+    ("load_sweep", "load_sweep", ("nonlinear",)),
+    ("system", "system", ("dynamic",)),
+)
 
 
 @dataclass(frozen=True)
@@ -224,6 +232,12 @@ class Scenario:
                 f"'probes' given, but solver '{self.solver}' writes no frames "
                 "to probe; remove it"
             )
+        for block, attr, readers in _SOLVER_BLOCKS:
+            if getattr(self, attr) is not None and self.solver not in readers:
+                raise ValidationError(
+                    f"'{block}' given, but solver '{self.solver}' never reads it; "
+                    "remove it"
+                )
         if self.solver == "static":
             need(self.beam is not None, "a beam block")
             need(self.bc is not None, "a bc block")
@@ -1017,14 +1031,12 @@ def modal_results(s: Scenario, mode_count: int = 3) -> list[ModeSolution]:
     return solve_modes(s.beam, modal_bc(s), mode_count)
 
 
-def _run_modal(s: Scenario, mode_count: int) -> ResultSet:
-    modes = modal_results(s, mode_count)
-    extras: dict = {"mode_count": mode_count}
+def _run_modal(s: Scenario) -> ResultSet:
+    modes = modal_results(s)
+    extras: dict = {"mode_count": len(modes)}
     if s.modal_bearing_k is not None:
         extras["bearing_k_applied"] = s.modal_bearing_k
-    return ResultSet(
-        scenario=s, provenance=_provenance(s, extras), modes=tuple(modes)
-    )
+    return ResultSet(scenario=s, provenance=_provenance(s, extras), modes=modes)
 
 
 def _run_dynamic(s: Scenario) -> ResultSet:
@@ -1118,9 +1130,7 @@ def _run_nonlinear(s: Scenario) -> ResultSet:
     )
 
 
-def run_scenario(
-    s: Scenario, *, sweep_workers: int = 1, mode_count: int = 3
-) -> ResultSet:
+def run_scenario(s: Scenario, *, sweep_workers: int = 1) -> ResultSet:
     """Dispatch a validated scenario to its solver.
 
     Deterministic: no clocks, no randomness.  `sweep_workers` is accepted for
@@ -1133,7 +1143,7 @@ def run_scenario(
     runners = {
         "static": lambda: _run_static(s),
         "quasi_static": lambda: _run_quasi_static(s),
-        "modal": lambda: _run_modal(s, mode_count),
+        "modal": lambda: _run_modal(s),
         "dynamic": lambda: _run_dynamic(s),
         "sweep": lambda: _run_sweep(s),
         "nonlinear": lambda: _run_nonlinear(s),

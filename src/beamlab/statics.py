@@ -93,7 +93,7 @@ def trapezoid_weights(grid: SpatialGrid) -> np.ndarray:
 
 
 def beam_stiffness_matrix(beam: BeamSpec, bc: BoundarySpec, grid: SpatialGrid):
-    """Assemble the bending stiffness matrix on the full grid.
+    """Assemble the bending stiffness matrix over the free nodes.
 
     Row-weighted fourth-difference operator in the symmetric form
     K = EI * C^T diag(w) C (+ spring stiffness on end diagonals), where C holds
@@ -103,7 +103,8 @@ def beam_stiffness_matrix(beam: BeamSpec, bc: BoundarySpec, grid: SpatialGrid):
     classic ghost-node fourth-difference row scaled by its tributary length, so
     a unit entry of the returned force vector is one newton.
 
-    Returns (K, free) where `free` masks the non-Dirichlet nodes.
+    Returns (K, free) where `free` masks the non-Dirichlet nodes; K covers
+    the free nodes only, in grid order.
     """
     n = grid.node_count
     dx = grid.spacing
@@ -112,27 +113,21 @@ def beam_stiffness_matrix(beam: BeamSpec, bc: BoundarySpec, grid: SpatialGrid):
     curv = np.zeros((n, n))
     inv_dx2 = 1.0 / dx**2
     for i in range(1, n - 1):
-        curv[i, i - 1] = inv_dx2
-        curv[i, i] = -2.0 * inv_dx2
-        curv[i, i + 1] = inv_dx2
-    if bc.left.kind == "clamped":
-        # zero slope: ghost w[-1] = w[1], so w''(0) ~ 2(w1 - w0)/dx^2
-        curv[0, 0] = -2.0 * inv_dx2
-        curv[0, 1] = 2.0 * inv_dx2
-    if bc.right.kind == "clamped":
-        curv[n - 1, n - 1] = -2.0 * inv_dx2
-        curv[n - 1, n - 2] = 2.0 * inv_dx2
+        curv[i, i - 1 : i + 2] = (inv_dx2, -2.0 * inv_dx2, inv_dx2)
+    free = np.ones(n, dtype=bool)
+    ends = ((bc.left, 0, 1), (bc.right, -1, -2))  # (end, node, its neighbour)
+    for end, node, inner in ends:
+        free[node] = not end.holds_deflection
+        if end.kind == "clamped":
+            # zero slope: ghost w[-1] = w[1], so w''(0) ~ 2(w1 - w0)/dx^2
+            curv[node, [node, inner]] = (-2.0 * inv_dx2, 2.0 * inv_dx2)
+    curv = curv[:, free]  # a Dirichlet node's zero deflection adds nothing
 
     weights = trapezoid_weights(grid)
     stiffness = ei * (curv.T * weights) @ curv
-    if bc.left.kind == "spring":
-        stiffness[0, 0] += bc.left.stiffness
-    if bc.right.kind == "spring":
-        stiffness[-1, -1] += bc.right.stiffness
-
-    free = np.ones(n, dtype=bool)
-    free[0] = not bc.left.holds_deflection
-    free[-1] = not bc.right.holds_deflection
+    for end, node, _ in ends:
+        if end.kind == "spring":  # a free node, so first or last in K too
+            stiffness[node, node] += end.stiffness
     return stiffness, free
 
 
@@ -200,9 +195,8 @@ def static_fd_solve(
             )
         force += nodal_force(load, grid)
     stiffness, free = beam_stiffness_matrix(beam, bc, grid)
-    reduced = stiffness[np.ix_(free, free)]
     try:
-        solution = np.linalg.solve(reduced, force[free])
+        solution = np.linalg.solve(stiffness, force[free])
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(f"static system is singular: {exc}") from exc
     deflection = np.zeros(grid.node_count)

@@ -183,6 +183,16 @@ def test_probes_on_frameless_runs_exit_2(tmp_path, capsys, solver):
     assert not (tmp_path / "out").exists()
 
 
+def test_block_the_solver_never_reads_exit_2(tmp_path, capsys):
+    data = json.loads(scenario_to_json(preset("exp1")))
+    data["time"] = {"end": 1.0, "dt": 0.01}
+    path = tmp_path / "timed_static.json"
+    path.write_text(json.dumps(data))
+    assert main(["static", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "'time' given, but solver 'static' never reads it" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_constructor_error_names_its_block_exit_2(tmp_path, capsys):
     data = json.loads(scenario_to_json(preset("exp1")))
     data["beam"]["length"] = -1.0

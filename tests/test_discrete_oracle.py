@@ -131,7 +131,8 @@ def relative_error(actual, exact) -> float:
 def test_stiffness_is_exactly_ei_dx_d2_squared(ref_beam, nodes):
     grid = SpatialGrid.for_beam(ref_beam, nodes)
     stiffness, free = beam_stiffness_matrix(ref_beam, PINNED, grid)
-    assert np.array_equal(stiffness[np.ix_(free, free)], exact_stiffness(ref_beam, grid))
+    assert free.sum() == nodes - 2
+    assert np.array_equal(stiffness, exact_stiffness(ref_beam, grid))
 
 
 def test_mass_is_rho_a_dx(ref_beam):

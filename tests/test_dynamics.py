@@ -150,6 +150,38 @@ class TestSystemBuilders:
                 labels=("a", "b"),
             )
 
+    def test_mdof_keeps_float_matrices_and_makes_them_read_only(self):
+        mass, damping, stiffness = np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)
+        system = MdofSystem(mass, damping, stiffness, labels=("a", "b", "c"))
+        assert system.mass is mass
+        assert system.damping is damping
+        assert system.stiffness is stiffness
+        assert not any(m.flags.writeable for m in (mass, damping, stiffness))
+        converted = MdofSystem([[2]], [[0]], [[3]], labels=("u",))
+        assert converted.mass.dtype == np.float64
+        assert not converted.mass.flags.writeable
+
+    # a NaN entry makes the tolerance NaN too, which numpy warns about
+    @pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
+    @pytest.mark.parametrize("n", [7, 300, 1201])
+    def test_mdof_symmetry_rule_holds_in_every_row_block(self, n):
+        # asymmetry up to 1e-10 of the largest |entry| passes, wherever it
+        # sits; 300 and 1201 dofs span several of the check's row blocks
+        base = np.random.default_rng(n).standard_normal((n, n))
+        stiffness = base + base.T
+        atol = 1e-10 * np.abs(stiffness).max()
+        labels = tuple(map(str, range(n)))
+        for i, j in ((0, n - 1), (n - 1, n - 2), (n // 2, n - 2)):
+            for offset in (0.5 * atol, 2.0 * atol, np.nan):
+                perturbed = stiffness.copy()
+                perturbed[i, j] += offset
+                args = (np.eye(n), np.zeros((n, n)), perturbed, labels)
+                if offset < atol:
+                    MdofSystem(*args)
+                    continue
+                with pytest.raises(ValidationError, match="stiffness matrix must be symmetric"):
+                    MdofSystem(*args)
+
 
 class TestNewmarkStep:
     def test_zero_everything_stays_zero(self):

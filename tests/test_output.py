@@ -99,11 +99,11 @@ def test_modes_csv(tmp_path):
         beam=preset("exp1").beam,
         bc=BoundarySpec.pinned_pinned(),
     )
-    rs = run_scenario(s, mode_count=2)
+    rs = run_scenario(s)
     write_result(rs, tmp_path)
     rows = read_rows(tmp_path / "modes.csv")
     assert rows[0] == ["mode_index", "beta", "omega_rad_s", "f_hz"]
-    assert [r[0] for r in rows[1:]] == ["1", "2"]
+    assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
     assert float(rows[1][3]) == rs.modes[0].f_hz
 
 

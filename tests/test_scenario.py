@@ -252,11 +252,35 @@ def test_probe_outside_span_rejected():
 def test_probes_rejected_where_no_frames_are_written(solver):
     data = scenario_to_dict(preset("exp5_1"))
     data["solver"] = solver
+    if solver != "sweep":
+        del data["sweep"]  # only a sweep reads it
     data["probes"] = [5.0]
     with pytest.raises(ValidationError, match=rf"'probes' given, but solver '{solver}'"):
         scenario_from_dict(data)
     data["probes"] = []
     assert scenario_from_dict(data).probes == ()
+
+
+@pytest.mark.parametrize(
+    "name, block, value",
+    [
+        ("exp1", "time", {"end": 1.0, "dt": 0.01}),
+        ("exp4", "time", {"end": 1.0, "dt": 0.01}),
+        ("exp3", "material", {"E": 25.0e9, "alpha": 5.0e6, "n": 3.0}),
+        ("exp5_2", "sweep", {"f_min": 1.0, "f_max": 2.0, "f_count": 2}),
+        ("exp2_1", "load_sweep", {"p_min": 1.0e4, "p_max": 1.0e5, "count": 2}),
+        ("exp5_1", "system", scenario_to_dict(preset("exp5_2"))["system"]),
+    ],
+    ids=["time-static", "time-nonlinear", "material", "sweep", "load_sweep", "system"],
+)
+def test_blocks_the_solver_never_reads_rejected(name, block, value):
+    data = scenario_to_dict(preset(name))
+    data[block] = value
+    message = f"'{block}' given, but solver '{data['solver']}' never reads it; remove it"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(data)
+    del data[block]
+    assert scenario_from_dict(data) == preset(name)
 
 
 @pytest.mark.parametrize(
@@ -442,7 +466,7 @@ def test_modal_solver_run(ref_beam):
     data = minimal_static_dict()
     data["solver"] = "modal"
     del data["loads"]
-    rs = run_scenario(scenario_from_dict(data), mode_count=3)
+    rs = run_scenario(scenario_from_dict(data))
     freqs = [m.f_hz for m in rs.modes]
     assert len(freqs) == 3
     assert freqs[0] == pytest.approx(5.7358, abs=1e-3)
@@ -458,7 +482,7 @@ def test_exp1_modal_bearing_override():
         beam=s.beam,
         bc=BoundarySpec.pinned_pinned(),
     )
-    pinned = run_scenario(rigid, mode_count=1).modes
+    pinned = modal_results(rigid, 1)
     # soft bearings add near-rigid bounce/pitch modes far below the pinned
     # fundamental
     assert soft[0].f_hz < pinned[0].f_hz
@@ -608,10 +632,10 @@ def short_dynamic_beam_dict():
 
 
 # (scenario, n x n doubles its dense path holds at once): 4 n^2 doubles fill
-# 1 GiB at 5792 nodes, 11 n^2 doubles at 3493
+# 1 GiB at 5792 nodes, 7 n^2 doubles at 4378 and 8 n^2 doubles at 4096
 DENSE_PATHS = pytest.mark.parametrize(
     "make, copies",
-    [(minimal_static_dict, 4), (dynamic_beam_dict, 11), (small_sweep_dict, 11)],
+    [(minimal_static_dict, 4), (dynamic_beam_dict, 7), (small_sweep_dict, 8)],
     ids=["static", "dynamic_beam", "sweep"],
 )
 

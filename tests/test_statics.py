@@ -26,6 +26,7 @@ from beamlab.statics import (
     ss_point_deflection,
     ss_udl_deflection,
     static_fd_solve,
+    trapezoid_weights,
 )
 
 Q_REF = 5000.0     # N/m
@@ -136,6 +137,44 @@ class TestNodalForce:
     def test_unknown_load_rejected(self):
         with pytest.raises(ValidationError, match="unknown load"):
             nodal_force(object(), self.GRID)
+
+
+END_KINDS = {
+    "pinned": EndCondition.pinned(),
+    "clamped": EndCondition.clamped(),
+    "free": EndCondition.free(),
+    "spring": EndCondition.spring(1e6),
+}
+
+
+def full_grid_stiffness(beam, bc, grid) -> np.ndarray:
+    """EI*(C^T*w)@C over every node, C the full-grid curvature stencils."""
+    n, inv_dx2 = grid.node_count, 1.0 / grid.spacing**2
+    curv = np.zeros((n, n))
+    for i in range(1, n - 1):
+        curv[i, i - 1 : i + 2] = (inv_dx2, -2.0 * inv_dx2, inv_dx2)
+    for end, node, inner in ((bc.left, 0, 1), (bc.right, n - 1, n - 2)):
+        if end.kind == "clamped":  # ghost-node reflection of zero slope
+            curv[node, node], curv[node, inner] = -2.0 * inv_dx2, 2.0 * inv_dx2
+    weights = trapezoid_weights(grid)
+    stiffness = beam.section.flexural_rigidity * (curv.T * weights) @ curv
+    for end, node in ((bc.left, 0), (bc.right, n - 1)):
+        if end.kind == "spring":
+            stiffness[node, node] += end.stiffness
+    return stiffness
+
+
+@pytest.mark.parametrize("nodes", [41, 201])
+@pytest.mark.parametrize("right", END_KINDS)
+@pytest.mark.parametrize("left", END_KINDS)
+def test_free_node_operator_is_the_sliced_full_grid_product(ref_beam, left, right, nodes):
+    bc = BoundarySpec(END_KINDS[left], END_KINDS[right])
+    grid = SpatialGrid.for_beam(ref_beam, nodes)
+    stiffness, free = beam_stiffness_matrix(ref_beam, bc, grid)
+    held = ("pinned", "clamped")
+    assert free.tolist() == [left not in held] + [True] * (nodes - 2) + [right not in held]
+    full = full_grid_stiffness(ref_beam, bc, grid)
+    assert np.array_equal(stiffness, full[np.ix_(free, free)])
 
 
 class TestStiffnessMatrix:
