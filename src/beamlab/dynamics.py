@@ -79,8 +79,12 @@ class IntegratorConfig:
 
 
 def _symmetric(name: str, matrix: np.ndarray) -> None:
-    """Require allclose(matrix, matrix.T) to 1e-10 of the largest |entry|."""
-    atol = 1e-10 * (max(matrix.max(), -matrix.min()) or 1.0)
+    """Require finite entries and allclose(matrix, matrix.T) to 1e-10 of the
+    largest |entry|."""
+    peak = max(matrix.max(), -matrix.min())  # NaN or inf if any entry is
+    if not math.isfinite(peak):
+        raise ValidationError(f"{name} matrix is not finite")
+    atol = 1e-10 * (peak or 1.0)
     rows = max(1, 2**16 // matrix.shape[0])  # keeps temporaries to ~64k entries
     for start in range(0, matrix.shape[0], rows):
         block = slice(start, start + rows)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import BeamSpec, SpatialGrid, StaticProfile, ValidationError
 from .statics import cantilever_point_deflection
@@ -58,37 +57,6 @@ def tangent_modulus(mat: RambergOsgood, strain):
     mag = np.abs(np.asarray(strain, dtype=float))
     tangent = mat.elastic_modulus * (1.0 + mat.alpha * mat.n * mag ** (mat.n - 1.0))
     return tangent if isinstance(strain, np.ndarray) else float(tangent)
-
-
-def strain_from_stress(mat: RambergOsgood, sigma: float) -> float:
-    """Invert the hardening law by bracketing on [0, sigma/E].
-
-    stress() is strictly increasing, so the root is unique; round-trips to
-    better than 1e-10 relative.
-    """
-    if sigma == 0.0:
-        return 0.0
-    sign = 1.0 if sigma > 0.0 else -1.0
-    target = abs(sigma)
-    upper = target / mat.elastic_modulus
-    if mat.alpha == 0.0:
-        return sign * upper
-    eps = brentq(
-        lambda e: stress(mat, e) - target,
-        0.0,
-        upper,
-        xtol=1e-24,
-        rtol=4.0 * np.finfo(float).eps,
-    )
-    return sign * float(eps)
-
-
-def compliance_strain(mat: RambergOsgood, sigma):
-    """Strain of the stress-explicit branch: sigma/E + alpha*(sigma/E)^n."""
-    s = np.asarray(sigma, dtype=float)
-    ratio = np.abs(s) / mat.elastic_modulus
-    eps = np.sign(s) * (ratio + mat.alpha * ratio**mat.n)
-    return eps if isinstance(sigma, np.ndarray) else float(eps)
 
 
 def secant_modulus(mat: RambergOsgood, sigma):

@@ -13,7 +13,7 @@ import contextlib
 import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 from typing import Callable, Mapping, NamedTuple
 
@@ -64,13 +64,6 @@ _DEFAULT_GRID_NODES = 201
 #: estimated above it fails at parse instead of running for days or out of
 #: memory mid-solve.
 MAX_ARRAY_BYTES = 2**30
-#: n x n float64 arrays each dense beam path holds at once, measured with
-#: tracemalloc at 101-1201 nodes and rounded up with one copy to spare: a
-#: static solve peaks at 3.0, a dynamic run at 5.0-5.9 and a sweep at 7.0.
-_OPERATOR_COPIES = {"static": 4, "dynamic": 7, "sweep": 8}
-#: n-length float64 arrays `nonlinear_cantilever_deflection` holds at once
-#: (9.1 measured with tracemalloc at a million nodes).
-_NONLINEAR_COPIES = 10
 _MIB = 2**20
 #: (block, Scenario attribute, the solvers that read it) for the blocks only
 #: some solvers read; any other solver refuses them.
@@ -219,14 +212,50 @@ class Scenario:
                     raise ValidationError(
                         f"probe position {pos} outside [0, {self.beam.length}]"
                     )
-        self._check_solver_inputs()
-        self._check_array_sizes()
+        self._check_solver()
 
-    def _check_solver_inputs(self):
+    def _check_solver(self):
+        """Check the solver's blocks, loads and ends, then its grid minimum,
+        then that its largest array fits in MAX_ARRAY_BYTES."""
+
         def need(condition: bool, what: str):
             if not condition:
                 raise ValidationError(f"solver '{self.solver}' requires {what}")
 
+        def limit(nbytes: int, what: str, remedy: str) -> None:
+            if nbytes > MAX_ARRAY_BYTES:
+                raise ValidationError(
+                    f"{what} would take about {(nbytes + _MIB // 2) // _MIB} MiB, above the "
+                    f"{MAX_ARRAY_BYTES / _MIB:.0f} MiB limit; {remedy}"
+                )
+
+        def beam_grid_minimum() -> None:
+            if n < MIN_BEAM_NODES:
+                raise ValidationError(
+                    f"grid.nodes must be >= {MIN_BEAM_NODES} for solver "
+                    f"'{self.solver}', got {n}"
+                )
+
+        def dense_operator(copies: int) -> None:
+            """`copies`: the n x n float64 arrays the run holds at once, its
+            tracemalloc peak at 101-1201 nodes rounded up with one to spare."""
+            limit(
+                8 * copies * n * n,
+                f"grid.nodes {n}: the dense beam operator",
+                "lower grid.nodes",
+            )
+
+        def time_samples(columns: int) -> None:
+            # every step is computed whatever the stride; this also bounds
+            # the frames, which hold at most one row per time sample
+            samples = self.tgrid.step_count + 1
+            limit(
+                8 * samples * columns,
+                f"time.dt {self.tgrid.dt}: {samples} time samples of {columns} dofs",
+                "raise time.dt or shorten the time span",
+            )
+
+        n = self.grid_nodes
         if self.probes and self.solver in ("modal", "sweep"):
             raise ValidationError(
                 f"'probes' given, but solver '{self.solver}' writes no frames "
@@ -246,6 +275,7 @@ class Scenario:
                 raise ValidationError(
                     "solver 'static' accepts only udl and point loads"
                 )
+            dense_operator(4)  # peak 3.0
         elif self.solver == "quasi_static":
             need(self.beam is not None, "a beam block")
             need(self.tgrid is not None, "a time block")
@@ -259,34 +289,44 @@ class Scenario:
                 self.bc is not None and self.bc == BoundarySpec.pinned_pinned(),
                 "bc {left: pinned, right: pinned}",
             )
+            records = self.tgrid.step_count // self.stride + 1
+            limit(
+                8 * records * n,
+                f"output.stride {self.stride}: {records} recorded frames of {n} columns",
+                "raise output.stride or lower grid.nodes",
+            )
         elif self.solver == "modal":
             need(self.beam is not None, "a beam block")
             need(
                 self.bc is not None or self.modal_bearing_k is not None,
                 "a bc block or modal_only.bearing_k",
             )
+        elif self.solver == "dynamic" and self.system is not None:
+            need(self.tgrid is not None, "a time block")
+            if self.beam is not None or self.bc is not None or self.loads:
+                raise ValidationError(
+                    "solver 'dynamic' takes either a system block or "
+                    "beam/bc/loads, not both"
+                )
+            if self.probes:
+                raise ValidationError(
+                    "probe positions are in meters along a beam; "
+                    "system runs report every DOF instead"
+                )
+            if self.zeta1 != 0.0:
+                raise ValidationError(
+                    "rayleigh damping applies to beam runs; "
+                    "set system.damping instead"
+                )
+            time_samples(self.system.dofs)
         elif self.solver == "dynamic":
             need(self.tgrid is not None, "a time block")
-            if self.system is not None:
-                if self.beam is not None or self.loads:
-                    raise ValidationError(
-                        "solver 'dynamic' takes either a system block or "
-                        "beam/bc/loads, not both"
-                    )
-                if self.probes:
-                    raise ValidationError(
-                        "probe positions are in meters along a beam; "
-                        "system runs report every DOF instead"
-                    )
-                if self.zeta1 != 0.0:
-                    raise ValidationError(
-                        "rayleigh damping applies to beam runs; "
-                        "set system.damping instead"
-                    )
-            else:
-                need(self.beam is not None, "a beam block or a system block")
-                need(self.bc is not None, "a bc block")
-                need(len(self.loads) >= 1, "at least one load")
+            need(self.beam is not None, "a beam block or a system block")
+            need(self.bc is not None, "a bc block")
+            need(len(self.loads) >= 1, "at least one load")
+            beam_grid_minimum()
+            dense_operator(7)  # peaks 5.0-5.9
+            time_samples(n)
         elif self.solver == "sweep":
             need(self.beam is not None, "a beam block")
             need(self.bc is not None, "a bc block")
@@ -295,7 +335,17 @@ class Scenario:
                 len(self.loads) == 1 and isinstance(self.loads[0], HarmonicPointLoad),
                 "exactly one harmonic_point load",
             )
-        elif self.solver == "nonlinear":
+            beam_grid_minimum()
+            dense_operator(8)  # peak 7.0
+            sweep = self.sweep
+            periods = sweep.settle_periods + sweep.measure_periods
+            samples = periods * SWEEP_STEPS_PER_PERIOD + 1
+            limit(
+                8 * samples * sweep.f_count,
+                f"sweep.f_count {sweep.f_count}: midspan histories of {samples} steps",
+                "lower sweep.f_count or the settle and measure periods",
+            )
+        else:  # nonlinear
             need(self.beam is not None, "a beam block")
             need(self.material is not None, "a material block")
             need(
@@ -307,65 +357,12 @@ class Scenario:
                 and self.bc == BoundarySpec.clamped_free(),
                 "bc {left: clamped, right: free} (cantilever)",
             )
-        discretized = self.solver == "sweep" or (
-            self.solver == "dynamic" and self.system is None
-        )
-        if discretized and self.grid_nodes < MIN_BEAM_NODES:
-            raise ValidationError(
-                f"grid.nodes must be >= {MIN_BEAM_NODES} for solver "
-                f"'{self.solver}', got {self.grid_nodes}"
-            )
-
-    def _check_array_sizes(self):
-        """Reject runs whose largest array would exceed MAX_ARRAY_BYTES."""
-
-        def limit(nbytes: int, what: str, remedy: str) -> None:
-            if nbytes > MAX_ARRAY_BYTES:
-                raise ValidationError(
-                    f"{what} would take about {(nbytes + _MIB // 2) // _MIB} MiB, above the "
-                    f"{MAX_ARRAY_BYTES / _MIB:.0f} MiB limit; {remedy}"
-                )
-
-        n = self.grid_nodes
-        if self.solver in ("static", "sweep") or (
-            self.solver == "dynamic" and self.system is None
-        ):
+            # 10 n-length float64 arrays held at once (9.1 measured with
+            # tracemalloc at a million nodes)
             limit(
-                8 * _OPERATOR_COPIES[self.solver] * n * n,
-                f"grid.nodes {n}: the dense beam operator",
-                "lower grid.nodes",
-            )
-        if self.solver == "nonlinear":
-            limit(
-                8 * _NONLINEAR_COPIES * n,
+                8 * 10 * n,
                 f"grid.nodes {n}: the nonlinear cantilever's nodal arrays",
                 "lower grid.nodes",
-            )
-        if self.solver == "dynamic":
-            # every step is computed whatever the stride; this also bounds
-            # the frames, which hold at most one row per time sample
-            columns = n if self.system is None else self.system.dofs
-            samples = self.tgrid.step_count + 1
-            limit(
-                8 * samples * columns,
-                f"time.dt {self.tgrid.dt}: {samples} time samples of {columns} dofs",
-                "raise time.dt or shorten the time span",
-            )
-        if self.solver == "quasi_static":
-            records = self.tgrid.step_count // self.stride + 1
-            limit(
-                8 * records * n,
-                f"output.stride {self.stride}: {records} recorded frames of {n} columns",
-                "raise output.stride or lower grid.nodes",
-            )
-        if self.solver == "sweep":
-            sweep = self.sweep
-            periods = sweep.settle_periods + sweep.measure_periods
-            samples = periods * SWEEP_STEPS_PER_PERIOD + 1
-            limit(
-                8 * samples * sweep.f_count,
-                f"sweep.f_count {sweep.f_count}: midspan histories of {samples} steps",
-                "lower sweep.f_count or the settle and measure periods",
             )
 
 
@@ -952,20 +949,6 @@ class ResultSet:
                 raise ValidationError("load curve contains non-finite values")
 
 
-def _provenance(s: Scenario, extras: dict | None = None) -> dict:
-    block: dict = {
-        "tool": "beamlab",
-        "version": __version__,
-        "scenario": s.name,
-        "solver": s.solver,
-        "defaults_applied": dict(s.defaults_applied),
-        "notes": list(s.notes),
-    }
-    if extras:
-        block.update(extras)
-    return block
-
-
 def probe_nodes(s: Scenario) -> list[int]:
     """Grid node of each entry of `s.probes`, in order, repeats kept."""
     if not s.probes:
@@ -981,16 +964,12 @@ def _attach_probes(s: Scenario, result: TimeSeriesResult) -> TimeSeriesResult:
     return replace(result, probes=mapping)
 
 
-def _run_static(s: Scenario) -> ResultSet:
+def _run_static(s: Scenario) -> tuple[dict, dict]:
     profile = static_fd_solve(s.beam, s.bc, list(s.loads), s.grid_nodes)
-    return ResultSet(
-        scenario=s,
-        provenance=_provenance(s, {"grid_nodes": s.grid_nodes}),
-        static_profile=profile,
-    )
+    return {"static_profile": profile}, {"grid_nodes": s.grid_nodes}
 
 
-def _run_quasi_static(s: Scenario) -> ResultSet:
+def _run_quasi_static(s: Scenario) -> tuple[dict, dict]:
     load = s.loads[0]
     if isinstance(load, MovingPointLoad):
         result = quasi_static_moving(
@@ -1001,11 +980,7 @@ def _run_quasi_static(s: Scenario) -> ResultSet:
             s.beam, load.p0, load.f_hz, load.position, s.tgrid, s.grid_nodes, s.stride
         )
     result = _attach_probes(s, result)
-    return ResultSet(
-        scenario=s,
-        provenance=_provenance(s, {"grid_nodes": s.grid_nodes, "stride": s.stride}),
-        time_series=result,
-    )
+    return {"time_series": result}, {"grid_nodes": s.grid_nodes, "stride": s.stride}
 
 
 def modal_bc(s: Scenario) -> BoundarySpec:
@@ -1031,53 +1006,54 @@ def modal_results(s: Scenario, mode_count: int = 3) -> list[ModeSolution]:
     return solve_modes(s.beam, modal_bc(s), mode_count)
 
 
-def _run_modal(s: Scenario) -> ResultSet:
+def _run_modal(s: Scenario) -> tuple[dict, dict]:
     modes = modal_results(s)
     extras: dict = {"mode_count": len(modes)}
     if s.modal_bearing_k is not None:
         extras["bearing_k_applied"] = s.modal_bearing_k
-    return ResultSet(scenario=s, provenance=_provenance(s, extras), modes=modes)
+    return {"modes": modes}, extras
 
 
-def _run_dynamic(s: Scenario) -> ResultSet:
-    if s.system is not None:
-        # diagonal M, C and K: every axis is already a unit-mass mode
-        spec, tgrid = s.system, s.tgrid
-        gain = np.zeros(spec.dofs)  # a one-DOF system is driven along x
-        gain[("x", "y").index(spec.force.axis)] = spec.force.amplitude / spec.mass
-        history = modal_harmonic_response(
-            spec.stiffness / spec.mass,
-            spec.damping / spec.mass,
-            gain,
-            [2.0 * np.pi * spec.force.f_hz],
-            [tgrid.dt],
-            tgrid.step_count,
-            np.eye(spec.dofs),
-            s.integrator,
-            start=tgrid.start,
-            stride=s.stride,
-        )
-        columns = ("u",) if spec.dofs == 1 else ("x", "y")
-        result = TimeSeriesResult(tgrid.sample_times(s.stride), history[:, 0], columns)
-        extras = {"system_dofs": spec.dofs, "drive_axis": spec.force.axis}
-    else:
-        result = beam_time_response(
-            s.beam,
-            s.bc,
-            s.grid_nodes,
-            list(s.loads),
-            s.tgrid,
-            s.integrator,
-            zeta1=s.zeta1,
-            stride=s.stride,
-        )
-        result = _attach_probes(s, result)
-        extras = {"grid_nodes": s.grid_nodes, "zeta1": s.zeta1}
-    extras["stride"] = s.stride
-    return ResultSet(scenario=s, provenance=_provenance(s, extras), time_series=result)
+def _run_system(s: Scenario) -> tuple[dict, dict]:
+    # diagonal M, C and K: every axis is already a unit-mass mode
+    spec, tgrid = s.system, s.tgrid
+    gain = np.zeros(spec.dofs)  # a one-DOF system is driven along x
+    gain[("x", "y").index(spec.force.axis)] = spec.force.amplitude / spec.mass
+    history = modal_harmonic_response(
+        spec.stiffness / spec.mass,
+        spec.damping / spec.mass,
+        gain,
+        [2.0 * np.pi * spec.force.f_hz],
+        [tgrid.dt],
+        tgrid.step_count,
+        np.eye(spec.dofs),
+        s.integrator,
+        start=tgrid.start,
+        stride=s.stride,
+    )
+    columns = ("u",) if spec.dofs == 1 else ("x", "y")
+    result = TimeSeriesResult(tgrid.sample_times(s.stride), history[:, 0], columns)
+    extras = {"system_dofs": spec.dofs, "drive_axis": spec.force.axis, "stride": s.stride}
+    return {"time_series": result}, extras
 
 
-def _run_sweep(s: Scenario) -> ResultSet:
+def _run_dynamic(s: Scenario) -> tuple[dict, dict]:
+    result = beam_time_response(
+        s.beam,
+        s.bc,
+        s.grid_nodes,
+        list(s.loads),
+        s.tgrid,
+        s.integrator,
+        zeta1=s.zeta1,
+        stride=s.stride,
+    )
+    result = _attach_probes(s, result)
+    extras = {"grid_nodes": s.grid_nodes, "zeta1": s.zeta1, "stride": s.stride}
+    return {"time_series": result}, extras
+
+
+def _run_sweep(s: Scenario) -> tuple[dict, dict]:
     load = s.loads[0]
     points = frequency_sweep(
         s.beam,
@@ -1098,12 +1074,10 @@ def _run_sweep(s: Scenario) -> ResultSet:
         "first_mode_hz_analytic": first_mode_hz,
         "nominal_load_f_hz": load.f_hz,
     }
-    return ResultSet(
-        scenario=s, provenance=_provenance(s, extras), sweep_points=tuple(points)
-    )
+    return {"sweep_points": points}, extras
 
 
-def _run_nonlinear(s: Scenario) -> ResultSet:
+def _run_nonlinear(s: Scenario) -> tuple[dict, dict]:
     load = s.loads[0]
     p_values = (
         s.load_sweep.values() if s.load_sweep is not None else np.array([load.p])
@@ -1114,24 +1088,23 @@ def _run_nonlinear(s: Scenario) -> ResultSet:
     profile = nonlinear_cantilever_deflection(
         load.p, load.position, s.beam, s.material, n_nodes=s.grid_nodes
     )
-    extras = {
-        "grid_nodes": s.grid_nodes,
-        "material": {
-            "elastic_modulus": s.material.elastic_modulus,
-            "alpha": s.material.alpha,
-            "n": s.material.n,
-        },
-    }
-    return ResultSet(
-        scenario=s,
-        provenance=_provenance(s, extras),
-        static_profile=profile,
-        load_curve=tuple(curve),
-    )
+    extras = {"grid_nodes": s.grid_nodes, "material": asdict(s.material)}
+    return {"static_profile": profile, "load_curve": curve}, extras
+
+
+#: The runner of each solver but a `system` dynamic run's, which is _run_system.
+_RUNNERS = {
+    "static": _run_static,
+    "quasi_static": _run_quasi_static,
+    "modal": _run_modal,
+    "dynamic": _run_dynamic,
+    "sweep": _run_sweep,
+    "nonlinear": _run_nonlinear,
+}
 
 
 def run_scenario(s: Scenario, *, sweep_workers: int = 1) -> ResultSet:
-    """Dispatch a validated scenario to its solver.
+    """Run a validated scenario's solver and gather its outputs and provenance.
 
     Deterministic: no clocks, no randomness.  `sweep_workers` is accepted for
     compatibility and has no effect: a sweep runs all its frequencies as one
@@ -1140,15 +1113,18 @@ def run_scenario(s: Scenario, *, sweep_workers: int = 1) -> ResultSet:
     """
     if sweep_workers < 1:
         raise ValidationError(f"sweep_workers must be >= 1, got {sweep_workers}")
-    runners = {
-        "static": lambda: _run_static(s),
-        "quasi_static": lambda: _run_quasi_static(s),
-        "modal": lambda: _run_modal(s),
-        "dynamic": lambda: _run_dynamic(s),
-        "sweep": lambda: _run_sweep(s),
-        "nonlinear": lambda: _run_nonlinear(s),
-    }
+    runner = _run_system if s.system is not None else _RUNNERS[s.solver]
     try:
-        return runners[s.solver]()
+        outputs, extras = runner(s)
     except SolverError as exc:
         raise type(exc)(f"scenario '{s.name}': {exc}") from exc
+    provenance = {
+        "tool": "beamlab",
+        "version": __version__,
+        "scenario": s.name,
+        "solver": s.solver,
+        "defaults_applied": dict(s.defaults_applied),
+        "notes": list(s.notes),
+        **extras,
+    }
+    return ResultSet(scenario=s, provenance=provenance, **outputs)

@@ -161,8 +161,7 @@ class TestSystemBuilders:
         assert converted.mass.dtype == np.float64
         assert not converted.mass.flags.writeable
 
-    # a NaN entry makes the tolerance NaN too, which numpy warns about
-    @pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [7, 300, 1201])
     def test_mdof_symmetry_rule_holds_in_every_row_block(self, n):
         # asymmetry up to 1e-10 of the largest |entry| passes, wherever it
@@ -172,14 +171,15 @@ class TestSystemBuilders:
         atol = 1e-10 * np.abs(stiffness).max()
         labels = tuple(map(str, range(n)))
         for i, j in ((0, n - 1), (n - 1, n - 2), (n // 2, n - 2)):
-            for offset in (0.5 * atol, 2.0 * atol, np.nan):
+            for offset in (0.5 * atol, 2.0 * atol, np.nan, np.inf):
                 perturbed = stiffness.copy()
                 perturbed[i, j] += offset
                 args = (np.eye(n), np.zeros((n, n)), perturbed, labels)
                 if offset < atol:
                     MdofSystem(*args)
                     continue
-                with pytest.raises(ValidationError, match="stiffness matrix must be symmetric"):
+                message = "must be symmetric" if np.isfinite(offset) else "is not finite"
+                with pytest.raises(ValidationError, match=f"stiffness matrix {message}"):
                     MdofSystem(*args)
 
 

@@ -4,11 +4,9 @@ import pytest
 from beamlab.material import (
     LoadCurvePoint,
     RambergOsgood,
-    compliance_strain,
     linear_vs_nonlinear_curve,
     nonlinear_cantilever_deflection,
     secant_modulus,
-    strain_from_stress,
     stress,
     tangent_modulus,
 )
@@ -56,21 +54,6 @@ def test_tangent_matches_central_difference(mat):
 def test_tangent_never_below_elastic(mat):
     eps = np.linspace(-4e-3, 4e-3, 101)
     assert np.all(tangent_modulus(mat, eps) >= mat.elastic_modulus)
-
-
-def test_strain_stress_round_trip(mat):
-    for sigma in (1e5, 1e7, 1.5e8, -2e8):
-        eps = strain_from_stress(mat, sigma)
-        assert stress(mat, eps) == pytest.approx(sigma, rel=1e-10)
-
-
-def test_strain_from_zero_stress(mat):
-    assert strain_from_stress(mat, 0.0) == 0.0
-
-
-def test_compliance_strain_exceeds_linear(mat):
-    sigma = np.linspace(1e6, 2e8, 25)
-    assert np.all(compliance_strain(mat, sigma) > sigma / mat.elastic_modulus)
 
 
 def test_secant_modulus_at_zero_is_elastic(mat):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import beamlab.scenario
 from beamlab.dynamics import MIN_BEAM_NODES
 from beamlab.model import (
     MIN_GRID_NODES,
@@ -390,10 +391,11 @@ def test_dynamic_system_excludes_beam_inputs():
     assert s.system.force.axis == "x"
     assert s.defaults_applied["system.force.axis"] == "x"
 
-    bad = dict(data)
-    bad["beam"] = minimal_static_dict()["beam"]
-    with pytest.raises(ValidationError, match="not both"):
-        scenario_from_dict(bad)
+    for key in ("beam", "bc", "loads"):
+        bad = dict(data)
+        bad[key] = minimal_static_dict()[key]
+        with pytest.raises(ValidationError, match="not both"):
+            scenario_from_dict(bad)
 
     bad = dict(data)
     bad["probes"] = [0.0]
@@ -631,6 +633,190 @@ def short_dynamic_beam_dict():
     return data
 
 
+_DROP = object()
+
+
+def edited(base, **edits):
+    """Scenario dict `base`, or preset `base` as a dict, each edit setting a
+    top-level key or, given _DROP, removing it."""
+    data = scenario_to_dict(preset(base)) if isinstance(base, str) else base
+    for key, value in edits.items():
+        if value is _DROP:
+            data.pop(key, None)
+        else:
+            data[key] = value
+    return data
+
+
+_BEAM = scenario_to_dict(preset("exp1"))["beam"]
+_PINNED = {"left": "pinned", "right": "pinned"}
+_CANTILEVER = {"left": "clamped", "right": "free"}
+_UDL = {"type": "udl", "q": 5000.0}
+_POINT = {"type": "point", "p": 1.0e4, "position": 5.0}
+_MOVING = {"type": "moving_point", "p": 1.0e4, "speed": 1.0, "x0": 0.0}
+_SHORT = {"end": 0.05, "dt": 0.01}
+
+
+def modal_dict(**edits):
+    return edited("exp1", **{"solver": "modal", "probes": [], **edits})
+
+
+# One case per solver rule: the scenario that breaks it and the whole message.
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (edited("exp1", beam=_DROP), "solver 'static' requires a beam block"),
+        (edited("exp1", bc=_DROP), "solver 'static' requires a bc block"),
+        (edited("exp1", loads=_DROP), "solver 'static' requires at least one load"),
+        (
+            edited("exp1", loads=[_MOVING]),
+            "solver 'static' accepts only udl and point loads",
+        ),
+        (
+            edited("exp1", grid={"nodes": 6000}),
+            "grid.nodes 6000: the dense beam operator would take about 1099 MiB, "
+            "above the 1024 MiB limit; lower grid.nodes",
+        ),
+        (edited("exp2_1", beam=_DROP), "solver 'quasi_static' requires a beam block"),
+        (edited("exp2_1", time=_DROP), "solver 'quasi_static' requires a time block"),
+        (
+            edited("exp2_1", loads=[_MOVING, _MOVING]),
+            "solver 'quasi_static' requires exactly one moving_point or "
+            "harmonic_point load",
+        ),
+        (
+            edited("exp2_1", loads=[_UDL]),
+            "solver 'quasi_static' requires exactly one moving_point or "
+            "harmonic_point load",
+        ),
+        (
+            edited("exp2_1", bc=_DROP),
+            "solver 'quasi_static' requires bc {left: pinned, right: pinned}",
+        ),
+        (
+            edited("exp2_1", bc=_CANTILEVER),
+            "solver 'quasi_static' requires bc {left: pinned, right: pinned}",
+        ),
+        (
+            edited("exp2_1", time={"start": 0.0, "end": 10.0, "dt": 1e-5}),
+            "output.stride 1: 1000001 recorded frames of 201 columns would take "
+            "about 1534 MiB, above the 1024 MiB limit; "
+            "raise output.stride or lower grid.nodes",
+        ),
+        (modal_dict(beam=_DROP), "solver 'modal' requires a beam block"),
+        (
+            modal_dict(bc=_DROP, modal_only=_DROP),
+            "solver 'modal' requires a bc block or modal_only.bearing_k",
+        ),
+        (
+            modal_dict(probes=[5.0]),
+            "'probes' given, but solver 'modal' writes no frames to probe; remove it",
+        ),
+        # probes are refused before a block the solver never reads
+        (
+            modal_dict(probes=[5.0], time=_SHORT),
+            "'probes' given, but solver 'modal' writes no frames to probe; remove it",
+        ),
+        (edited("exp5_2", time=_DROP), "solver 'dynamic' requires a time block"),
+        (
+            edited("exp5_2", beam=_BEAM),
+            "solver 'dynamic' takes either a system block or beam/bc/loads, not both",
+        ),
+        (
+            edited("exp5_2", loads=[_UDL]),
+            "solver 'dynamic' takes either a system block or beam/bc/loads, not both",
+        ),
+        (
+            edited("exp5_2", probes=[0.0]),
+            "probe positions are in meters along a beam; "
+            "system runs report every DOF instead",
+        ),
+        (
+            edited("exp5_2", integrator={"rayleigh": {"zeta1": 0.05}}),
+            "rayleigh damping applies to beam runs; set system.damping instead",
+        ),
+        (
+            edited("exp5_2", time={"start": 0.0, "end": 10.0, "dt": 1e-7}),
+            "time.dt 1e-07: 100000001 time samples of 2 dofs would take about "
+            "1526 MiB, above the 1024 MiB limit; "
+            "raise time.dt or shorten the time span",
+        ),
+        (edited(dynamic_beam_dict(), time=_DROP), "solver 'dynamic' requires a time block"),
+        (
+            edited(dynamic_beam_dict(), beam=_DROP),
+            "solver 'dynamic' requires a beam block or a system block",
+        ),
+        (edited(dynamic_beam_dict(), bc=_DROP), "solver 'dynamic' requires a bc block"),
+        (edited(dynamic_beam_dict(), loads=_DROP), "solver 'dynamic' requires at least one load"),
+        (
+            edited(dynamic_beam_dict(), grid={"nodes": 6}),
+            "grid.nodes must be >= 7 for solver 'dynamic', got 6",
+        ),
+        (
+            edited(dynamic_beam_dict(), grid={"nodes": 6000}),
+            "grid.nodes 6000: the dense beam operator would take about 1923 MiB, "
+            "above the 1024 MiB limit; lower grid.nodes",
+        ),
+        (
+            edited(dynamic_beam_dict(), time={"start": 0.0, "end": 10.0, "dt": 1e-5}),
+            "time.dt 1e-05: 1000001 time samples of 201 dofs would take about "
+            "1534 MiB, above the 1024 MiB limit; "
+            "raise time.dt or shorten the time span",
+        ),
+        (edited("exp5_1", beam=_DROP), "solver 'sweep' requires a beam block"),
+        (edited("exp5_1", bc=_DROP), "solver 'sweep' requires a bc block"),
+        (edited("exp5_1", sweep=_DROP), "solver 'sweep' requires a sweep block"),
+        (
+            edited("exp5_1", loads=[_POINT]),
+            "solver 'sweep' requires exactly one harmonic_point load",
+        ),
+        (
+            edited("exp5_1", probes=[5.0]),
+            "'probes' given, but solver 'sweep' writes no frames to probe; remove it",
+        ),
+        (
+            edited("exp5_1", grid={"nodes": 6}),
+            "grid.nodes must be >= 7 for solver 'sweep', got 6",
+        ),
+        (
+            edited("exp5_1", grid={"nodes": 6000}),
+            "grid.nodes 6000: the dense beam operator would take about 2197 MiB, "
+            "above the 1024 MiB limit; lower grid.nodes",
+        ),
+        (
+            edited(
+                "exp5_1",
+                sweep={"f_min": 1.0, "f_max": 2.0, "f_count": 100_000},
+            ),
+            "sweep.f_count 100000: midspan histories of 4001 steps would take "
+            "about 3053 MiB, above the 1024 MiB limit; "
+            "lower sweep.f_count or the settle and measure periods",
+        ),
+        (edited("exp4", beam=_DROP), "solver 'nonlinear' requires a beam block"),
+        (
+            edited("exp4", material=_DROP),
+            "solver 'nonlinear' requires a material block",
+        ),
+        (
+            edited("exp4", loads=[_POINT, _POINT]),
+            "solver 'nonlinear' requires exactly one point load",
+        ),
+        (
+            edited("exp4", bc=_PINNED),
+            "solver 'nonlinear' requires bc {left: clamped, right: free} (cantilever)",
+        ),
+        (
+            edited("exp4", grid={"nodes": 2_000_000_000}),
+            "grid.nodes 2000000000: the nonlinear cantilever's nodal arrays would "
+            "take about 152588 MiB, above the 1024 MiB limit; lower grid.nodes",
+        ),
+    ],
+)
+def test_solver_rule_messages(data, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(data)
+
+
 # (scenario, n x n doubles its dense path holds at once): 4 n^2 doubles fill
 # 1 GiB at 5792 nodes, 7 n^2 doubles at 4378 and 8 n^2 doubles at 4096
 DENSE_PATHS = pytest.mark.parametrize(
@@ -807,6 +993,37 @@ def test_constructor_errors_name_their_block(name, keys, value, label):
     with pytest.raises(ValidationError) as excinfo:
         scenario_from_dict(data)
     assert str(excinfo.value).startswith(label)
+
+
+# Each solver function a run calls through beamlab.scenario, with a scenario
+# that calls it.  Wrappers set on that module must be seen at call time, as
+# the benchmark's spans patch the same names.
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("static_fd_solve", edited("exp1")),
+        ("quasi_static_moving", edited("exp2_1", time=_SHORT)),
+        ("quasi_static_sinusoidal", edited("exp2_2", time=_SHORT)),
+        ("beam_time_response", short_dynamic_beam_dict()),
+        ("frequency_sweep", small_sweep_dict()),
+        ("solve_modes", modal_dict()),
+        ("solve_modes", small_sweep_dict()),
+        ("linear_vs_nonlinear_curve", edited("exp4")),
+        ("nonlinear_cantilever_deflection", edited("exp4")),
+        ("modal_harmonic_response", edited("exp5_2", time=_SHORT)),
+    ],
+)
+def test_runs_call_solvers_through_module_globals(monkeypatch, name, data):
+    original = getattr(beamlab.scenario, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(beamlab.scenario, name, wrapper)
+    run_scenario(scenario_from_dict(data))
+    assert calls
 
 
 def test_run_scenario_rejects_unvalidated_loads(ref_beam):
