@@ -365,10 +365,12 @@ class TimeGrid:
         return self.start + self.dt * np.arange(0, self.step_count + 1, stride)
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+def _readonly(values) -> np.ndarray:
+    """`values` as a read-only float64 array; a float64 array is kept as
+    given, not copied."""
+    array = np.asarray(values, dtype=float)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -379,7 +381,7 @@ class StaticProfile:
     deflection: np.ndarray  # m, one entry per node
 
     def __post_init__(self):
-        arr = _readonly(np.asarray(self.deflection, dtype=float))
+        arr = _readonly(self.deflection)
         if arr.shape != (self.grid.node_count,):
             raise ValidationError(
                 f"deflection has shape {arr.shape}, expected ({self.grid.node_count},)"
@@ -410,8 +412,8 @@ class TimeSeriesResult:
     probes: Mapping[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        times = _readonly(np.asarray(self.times, dtype=float))
-        frames = _readonly(np.asarray(self.frames, dtype=float))
+        times = _readonly(self.times)
+        frames = _readonly(self.frames)
         if frames.ndim != 2 or frames.shape[0] != times.size:
             raise ValidationError(
                 f"frames shape {frames.shape} does not match {times.size} sample times"
@@ -424,7 +426,7 @@ class TimeSeriesResult:
                 f"columns must be {frames.shape[1]} strings, one per frame column, "
                 f"got {len(columns)} labels"
             )
-        probes = {int(k): _readonly(np.asarray(v, dtype=float)) for k, v in self.probes.items()}
+        probes = {int(k): _readonly(v) for k, v in self.probes.items()}
         for idx, series in probes.items():
             if series.shape != (times.size,):
                 raise ValidationError(f"probe {idx} history length mismatch")

@@ -23,6 +23,7 @@ from beamlab import (
     ValidationError,
 )
 from beamlab.dynamics import (
+    BLOCK_BUDGET,
     SWEEP_STEPS_PER_PERIOD,
     IntegratorConfig,
     MdofSystem,
@@ -149,6 +150,28 @@ class TestSystemBuilders:
                 stiffness=np.eye(2),
                 labels=("a", "b"),
             )
+
+    @pytest.mark.parametrize(
+        "mass, definite",
+        [
+            (np.diag([2.0, 0.5, 1e-300]), True),
+            (np.diag([2.0, -0.5, 1.0]), False),
+            ([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]], True),
+            ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], False),
+            ([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], False),
+        ],
+        ids=["diagonal", "negative_diagonal", "full", "indefinite", "singular"],
+    )
+    def test_mdof_mass_positive_definite_diagonal_or_full(self, mass, definite):
+        # a diagonal mass is checked by its entries, a full one by Cholesky
+        def build():
+            return MdofSystem(mass, np.zeros((3, 3)), np.eye(3), labels=("a", "b", "c"))
+
+        if definite:
+            build()
+        else:
+            with pytest.raises(ValidationError, match="^mass matrix must be positive definite$"):
+                build()
 
     def test_mdof_keeps_float_matrices_and_makes_them_read_only(self):
         mass, damping, stiffness = np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)
@@ -447,6 +470,88 @@ class TestModalHarmonicResponse:
             single = modal_harmonic_response(lam, damping, gain, [w], [step], 500, readout)
             peak = np.max(np.abs(single))
             np.testing.assert_allclose(batch[:, column], single[:, 0], rtol=0, atol=1e-14 * peak)
+
+
+def per_step_modal_history(lam, damping, gain, omega, dt, steps, readout, cfg, start, stride):
+    """The plain per-step recurrence behind `modal_harmonic_response`, which
+    must match it bit for bit whenever it runs one block."""
+    step = np.asarray(dt, dtype=float)[:, None]
+    omega = np.asarray(omega, dtype=float)[:, None]
+    dt = step * np.ones(np.shape(gain)[-1])
+    gamma, beta = cfg.gamma, cfg.beta_nm
+    effective = 1.0 + gamma * dt * damping + beta * dt**2 * lam
+    force_gain = gain / effective
+    damping_gain = damping / effective
+    stiffness_gain = lam / effective
+    c_upred = (0.5 - beta) * dt**2
+    c_vpred = (1.0 - gamma) * dt
+    c_u = beta * dt**2
+    c_v = gamma * dt
+
+    q = np.zeros(dt.shape)
+    v = np.zeros_like(q)
+    a = gain * np.sin(omega * start)
+    history = np.zeros((steps // stride + 1, *(q @ readout).shape))
+    for i in range(1, steps + 1):
+        u_pred = q + dt * v + c_upred * a
+        v_pred = v + c_vpred * a
+        force = force_gain * np.sin(omega * (start + i * step))
+        a = force - damping_gain * v_pred - stiffness_gain * u_pred
+        q = u_pred + c_u * a
+        v = v_pred + c_v * a
+        if i % stride == 0:
+            history[i // stride] = q @ readout
+    return history
+
+
+@st.composite
+def modal_runs(draw):
+    """Inputs of `modal_harmonic_response`; a wide run has about enough
+    channels to fill BLOCK_BUDGET, so it lands on either side of the rule."""
+    steps = draw(
+        st.one_of(
+            st.sampled_from([2, 3, 5, 7, 11, 97, 101, 211, 257]),  # primes
+            st.sampled_from([1, 4, 9, 16, 25, 100, 144, 256]),  # squares
+            st.integers(1, 300),
+        )
+    )
+    freqs = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        modes = -(-BLOCK_BUDGET // (freqs * math.isqrt(steps))) + draw(st.integers(-1, 0))
+    else:
+        modes = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.uniform(0.5, 2e3, modes)
+    gamma = draw(st.floats(0.5, 0.7))
+    cfg = IntegratorConfig(gamma, draw(st.floats(gamma / 2, 0.4)))
+    readout = rng.normal(size=(modes, draw(st.integers(1, 3))) if draw(st.booleans()) else modes)
+    return dict(
+        lam=lam,
+        damping=rng.uniform(0.0, 0.2, modes) * np.sqrt(lam),
+        gain=rng.normal(size=modes),
+        omega=rng.uniform(0.5, 60.0, freqs),
+        dt=rng.uniform(1e-4, 2e-2, freqs),
+        steps=steps,
+        readout=readout,
+        cfg=cfg,
+        start=draw(st.sampled_from([0.0, 0.35, -1.25])),
+        stride=draw(st.integers(1, 7)),
+    )
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(run=modal_runs())
+def test_property_modal_response_matches_per_step_loop(run):
+    expected = per_step_modal_history(**run)
+    got = modal_harmonic_response(**run)
+    assert got.shape == expected.shape
+    channels = run["lam"].size * run["omega"].size
+    rows = math.isqrt(run["steps"])
+    if rows < 2 or rows * channels >= BLOCK_BUDGET:  # one block: the same arithmetic
+        np.testing.assert_array_equal(got, expected)
+    else:
+        peak = np.max(np.abs(expected))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * peak)
 
 
 class TestDiscretizeBeam:

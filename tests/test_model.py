@@ -183,6 +183,29 @@ class TestResults:
         with pytest.raises(ValueError):
             prof.deflection[0] = 1.0
 
+    def test_results_keep_float_arrays_and_convert_others(self, ref_beam):
+        # a float64 array is kept as given and made read-only, not copied
+        grid = SpatialGrid.for_beam(ref_beam, 11)
+        deflection = np.zeros(11)
+        times, frames, probe = np.arange(3.0), np.ones((3, 2)), np.ones(3)
+        profile = StaticProfile(grid, deflection)
+        series = TimeSeriesResult(times, frames, ("x", "y"), probes={0: probe})
+        assert profile.deflection is deflection
+        assert series.times is times and series.frames is frames
+        assert series.probes[0] is probe
+        for array in (deflection, times, frames, probe):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
+        # other dtypes and lists are converted to new float64 arrays
+        counts = np.arange(3)
+        series = TimeSeriesResult(counts, [[1, 2]] * 3, ("x", "y"), probes={1: counts})
+        assert series.times.dtype == series.frames.dtype == series.probes[1].dtype == float
+        assert series.times is not counts and counts.flags.writeable
+        assert not series.frames.flags.writeable and not series.probes[1].flags.writeable
+        profile = StaticProfile(grid, list(range(11)))
+        assert profile.deflection.dtype == float and not profile.deflection.flags.writeable
+
     def test_time_series_row_count_invariant(self):
         with pytest.raises(ValidationError, match="frames"):
             TimeSeriesResult(np.arange(5.0), np.zeros((4, 3)), ("a", "b", "c"))

@@ -870,6 +870,32 @@ def test_dense_operator_peak_within_parse_bound(make):
     assert peak / (8 * nodes**2) <= assumed_copies(data)
 
 
+#: Traced peak of exp5_2 at 100 000 steps over the bytes of its recorded
+#: frames, per stride, as measured for the per-step recurrence whose results
+#: copied their arrays: 2.05 and 2.43 with blocks and uncopied arrays.
+SYSTEM_RUN_PEAK_RATIOS = {1: 3.13, 10: 3.14}
+
+
+@pytest.mark.parametrize("stride", sorted(SYSTEM_RUN_PEAK_RATIOS))
+def test_system_run_peak_bounded_by_recorded_samples(stride):
+    # the recurrence writes only the strided samples, so a longer stride
+    # must shrink the peak with the frames
+    data = scenario_to_dict(preset("exp5_2"))
+    data["time"] = {"start": 0.0, "end": 100.0, "dt": 1e-3}
+    data["output"] = {"stride": stride}
+    s = scenario_from_dict(data)
+    samples = s.tgrid.step_count // stride + 1
+    assert s.tgrid.step_count == 100_000
+    tracemalloc.start()
+    try:
+        frames = run_scenario(s).time_series.frames
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frames.shape == (samples, s.system.dofs)
+    assert peak / (8 * samples * s.system.dofs) <= SYSTEM_RUN_PEAK_RATIOS[stride]
+
+
 @pytest.mark.parametrize(
     "make, time, stride",
     [(lambda: scenario_to_dict(preset("exp2_1")), {"end": 10.0, "dt": 1e-5}, 2)],
