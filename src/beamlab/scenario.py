@@ -2,9 +2,10 @@
 
 A scenario is a JSON object (schema tag "beamlab/1") that pins every input a
 run needs: geometry, end conditions, loads, grids, integrator settings and
-solver choice.  Parsing is strict: unknown keys are rejected with their dotted
-path, and every default the parser fills in is recorded so it can be reported
-in the output provenance block.
+solver choice.  Parsing is strict: unknown keys and the blocks a run never
+reads (see _KINDS) are rejected with their dotted path, and every default the
+parser fills in is recorded so it can be reported in the output provenance
+block.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import contextlib
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
+from types import SimpleNamespace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -65,15 +67,48 @@ _DEFAULT_GRID_NODES = 201
 #: memory mid-solve.
 MAX_ARRAY_BYTES = 2**30
 _MIB = 2**20
-#: (block, Scenario attribute, the solvers that read it) for the blocks only
-#: some solvers read; any other solver refuses them.
-_SOLVER_BLOCKS = (
-    ("time", "tgrid", ("quasi_static", "dynamic")),
-    ("material", "material", ("nonlinear",)),
-    ("sweep", "sweep", ("sweep",)),
-    ("load_sweep", "load_sweep", ("nonlinear",)),
-    ("system", "system", ("dynamic",)),
-)
+#: The top-level blocks each kind of run reads besides name, solver and notes:
+#: (the blocks it cannot run without, the blocks it may be given).  Any other
+#: block is refused.  A dynamic run with a system block is its own kind,
+#: "system".  Every beam kind reads modal_only: `beamlab modal` reads any
+#: scenario with a beam.
+_KINDS = {
+    "static": ("beam bc loads", "grid modal_only probes"),
+    "quasi_static": ("beam bc loads time", "grid modal_only probes output"),
+    "modal": ("beam", "bc modal_only"),
+    "system": ("system time", "integrator output"),
+    "dynamic": ("beam bc loads time", "grid integrator modal_only probes output"),
+    "sweep": ("beam bc loads sweep", "grid integrator modal_only"),
+    "nonlinear": ("beam bc loads material", "grid load_sweep modal_only probes"),
+}
+_READS = {
+    kind: {"name", "solver", "notes", *needs.split(), *more.split()}
+    for kind, (needs, more) in _KINDS.items()
+}
+#: The ends the quasi-static closed form and the nonlinear cantilever hold for.
+_FIXED_ENDS = {
+    "quasi_static": (BoundarySpec.pinned_pinned(), "bc {left: pinned, right: pinned}"),
+    "nonlinear": (BoundarySpec.clamped_free(), "bc {left: clamped, right: free} (cantilever)"),
+}
+#: The provenance entry of each attribute, on the runs that read all its
+#: blocks: rayleigh damping applies to beam runs only.
+_RECORDED = {"grid_nodes": {"grid"}, "zeta1": {"beam", "integrator"}, "stride": {"output"}}
+
+
+def _kind(solver: str, given) -> str:
+    """The row of _KINDS a run of `solver` with the blocks `given` falls
+    under.  Refuses the first given block, in schema order, it never reads."""
+    if solver not in SOLVERS:
+        raise ValidationError(
+            f"solver must be one of {', '.join(SOLVERS)}; got '{solver}'"
+        )
+    kind = "system" if solver == "dynamic" and "system" in given else solver
+    for entry in _SCENARIO.fields:
+        if entry.key in given and entry.key not in _READS[kind]:
+            raise ValidationError(
+                f"'{entry.key}' given, but solver '{solver}' never reads it; remove it"
+            )
+    return kind
 
 
 @dataclass(frozen=True)
@@ -189,14 +224,6 @@ class Scenario:
         object.__setattr__(self, "defaults_applied", dict(self.defaults_applied))
         if not self.name:
             raise ValidationError("scenario name must be non-empty")
-        if self.solver not in SOLVERS:
-            raise ValidationError(
-                f"solver must be one of {', '.join(SOLVERS)}; got '{self.solver}'"
-            )
-        if self.grid_nodes < MIN_GRID_NODES:
-            raise ValidationError(
-                f"grid.nodes must be >= {MIN_GRID_NODES}, got {self.grid_nodes}"
-            )
         if self.stride < 1:
             raise ValidationError(f"output.stride must be >= 1, got {self.stride}")
         if self.zeta1 < 0.0:
@@ -214,9 +241,14 @@ class Scenario:
                     )
         self._check_solver()
 
+    @property
+    def kind(self) -> str:
+        """Its row of _KINDS: the solver, or "system" for a system run."""
+        return _kind(self.solver, () if self.system is None else ("system",))
+
     def _check_solver(self):
-        """Check the solver's blocks, loads and ends, then its grid minimum,
-        then that its largest array fits in MAX_ARRAY_BYTES."""
+        """Check the blocks its kind reads and needs, its ends, its grid, then
+        its loads; each array it holds must fit in MAX_ARRAY_BYTES."""
 
         def need(condition: bool, what: str):
             if not condition:
@@ -229,22 +261,6 @@ class Scenario:
                     f"{MAX_ARRAY_BYTES / _MIB:.0f} MiB limit; {remedy}"
                 )
 
-        def beam_grid_minimum() -> None:
-            if n < MIN_BEAM_NODES:
-                raise ValidationError(
-                    f"grid.nodes must be >= {MIN_BEAM_NODES} for solver "
-                    f"'{self.solver}', got {n}"
-                )
-
-        def dense_operator(copies: int) -> None:
-            """`copies`: the n x n float64 arrays the run holds at once, its
-            tracemalloc peak at 101-1201 nodes rounded up with one to spare."""
-            limit(
-                8 * copies * n * n,
-                f"grid.nodes {n}: the dense beam operator",
-                "lower grid.nodes",
-            )
-
         def time_samples(columns: int) -> None:
             # every step is computed whatever the stride; this also bounds
             # the frames, which hold at most one row per time sample
@@ -255,39 +271,40 @@ class Scenario:
                 "raise time.dt or shorten the time span",
             )
 
+        # a block is given when it serializes unlike a blank one
+        dumped = _SCENARIO.dump(self).items()
+        given = {key for key, value in dumped if value != _BLANK.get(key)}
+        kind = _kind(self.solver, given)
+        if kind in _FIXED_ENDS:
+            need(self.bc == _FIXED_ENDS[kind][0], _FIXED_ENDS[kind][1])
+        for block in _KINDS[kind][0].split():
+            what = "at least one load" if block == "loads" else f"a {block} block"
+            if kind == "dynamic" and block == "beam":
+                what += " or a system block"  # a dynamic run without one is a beam run
+            need(block in given, what)
         n = self.grid_nodes
-        if self.probes and self.solver in ("modal", "sweep"):
+        least = MIN_BEAM_NODES if kind in ("dynamic", "sweep") else MIN_GRID_NODES
+        if n < least:
             raise ValidationError(
-                f"'probes' given, but solver '{self.solver}' writes no frames "
-                "to probe; remove it"
+                f"grid.nodes must be >= {least} for solver '{self.solver}', got {n}"
             )
-        for block, attr, readers in _SOLVER_BLOCKS:
-            if getattr(self, attr) is not None and self.solver not in readers:
-                raise ValidationError(
-                    f"'{block}' given, but solver '{self.solver}' never reads it; "
-                    "remove it"
-                )
-        if self.solver == "static":
-            need(self.beam is not None, "a beam block")
-            need(self.bc is not None, "a bc block")
-            need(len(self.loads) >= 1, "at least one load")
+        # the n x n float64 arrays of the dense beam operator a run holds at once:
+        # its tracemalloc peak at 101-1201 nodes (static 3.0, dynamic 5.0-5.9,
+        # sweep 7.0) rounded up with one to spare; the other kinds hold none
+        copies = {"static": 4, "dynamic": 7, "sweep": 8}.get(kind, 0)
+        limit(
+            8 * copies * n * n, f"grid.nodes {n}: the dense beam operator", "lower grid.nodes"
+        )
+        if kind == "static":
             if any(not isinstance(load, STATIC_LOADS) for load in self.loads):
                 raise ValidationError(
                     "solver 'static' accepts only udl and point loads"
                 )
-            dense_operator(4)  # peak 3.0
-        elif self.solver == "quasi_static":
-            need(self.beam is not None, "a beam block")
-            need(self.tgrid is not None, "a time block")
+        elif kind == "quasi_static":
             need(
                 len(self.loads) == 1
                 and isinstance(self.loads[0], (MovingPointLoad, HarmonicPointLoad)),
                 "exactly one moving_point or harmonic_point load",
-            )
-            # closed-form influence solution only exists for simple supports
-            need(
-                self.bc is not None and self.bc == BoundarySpec.pinned_pinned(),
-                "bc {left: pinned, right: pinned}",
             )
             records = self.tgrid.step_count // self.stride + 1
             limit(
@@ -295,48 +312,22 @@ class Scenario:
                 f"output.stride {self.stride}: {records} recorded frames of {n} columns",
                 "raise output.stride or lower grid.nodes",
             )
-        elif self.solver == "modal":
-            need(self.beam is not None, "a beam block")
-            need(
-                self.bc is not None or self.modal_bearing_k is not None,
-                "a bc block or modal_only.bearing_k",
-            )
-        elif self.solver == "dynamic" and self.system is not None:
-            need(self.tgrid is not None, "a time block")
-            if self.beam is not None or self.bc is not None or self.loads:
-                raise ValidationError(
-                    "solver 'dynamic' takes either a system block or "
-                    "beam/bc/loads, not both"
-                )
-            if self.probes:
-                raise ValidationError(
-                    "probe positions are in meters along a beam; "
-                    "system runs report every DOF instead"
-                )
+        elif kind == "modal":
+            need(given & {"bc", "modal_only"}, "a bc block or modal_only.bearing_k")
+        elif kind == "system":
             if self.zeta1 != 0.0:
                 raise ValidationError(
                     "rayleigh damping applies to beam runs; "
                     "set system.damping instead"
                 )
             time_samples(self.system.dofs)
-        elif self.solver == "dynamic":
-            need(self.tgrid is not None, "a time block")
-            need(self.beam is not None, "a beam block or a system block")
-            need(self.bc is not None, "a bc block")
-            need(len(self.loads) >= 1, "at least one load")
-            beam_grid_minimum()
-            dense_operator(7)  # peaks 5.0-5.9
+        elif kind == "dynamic":
             time_samples(n)
-        elif self.solver == "sweep":
-            need(self.beam is not None, "a beam block")
-            need(self.bc is not None, "a bc block")
-            need(self.sweep is not None, "a sweep block")
+        elif kind == "sweep":
             need(
                 len(self.loads) == 1 and isinstance(self.loads[0], HarmonicPointLoad),
                 "exactly one harmonic_point load",
             )
-            beam_grid_minimum()
-            dense_operator(8)  # peak 7.0
             sweep = self.sweep
             periods = sweep.settle_periods + sweep.measure_periods
             samples = periods * SWEEP_STEPS_PER_PERIOD + 1
@@ -346,17 +337,13 @@ class Scenario:
                 "lower sweep.f_count or the settle and measure periods",
             )
         else:  # nonlinear
-            need(self.beam is not None, "a beam block")
-            need(self.material is not None, "a material block")
             need(
                 len(self.loads) == 1 and isinstance(self.loads[0], PointLoad),
                 "exactly one point load",
             )
-            need(
-                self.bc is not None
-                and self.bc == BoundarySpec.clamped_free(),
-                "bc {left: clamped, right: free} (cantilever)",
-            )
+            p, position = self.loads[0].p, self.loads[0].position
+            need(p >= 0.0, f"loads[0].p >= 0, got {p}")
+            need(position > 0.0, f"loads[0].position > 0, got {position}")
             # 10 n-length float64 arrays held at once (9.1 measured with
             # tracemalloc at a million nodes)
             limit(
@@ -382,10 +369,11 @@ class _Fields:
     def label(self, key: str) -> str:
         return f"{self._path}.{key}" if self._path else key
 
-    def require(self, key: str):
+    def require(self, key: str, keep: bool = False):
+        """A required key's value; `keep` leaves it for the block that takes it."""
         if key not in self._data:
             raise ValidationError(f"missing required field '{self.label(key)}'")
-        return self._data.pop(key)
+        return self._data[key] if keep else self._data.pop(key)
 
     def optional(self, key: str):
         return self._data.pop(key, _MISSING)
@@ -700,6 +688,14 @@ _SCENARIO = _Block(
     _F("output", _Block(None, _F("stride", _INTEGER, 1)), {}),
     _F("notes", _List(_STRING, " of strings"), None),
 )
+#: The field table of each kind of run: the _SCENARIO entries it reads.
+_SCHEMAS = {
+    kind: _Block(None, *(e for e in _SCENARIO.fields if e.key in reads))
+    for kind, reads in _READS.items()
+}
+
+#: The serialized blocks of a Scenario left at every default.
+_BLANK = _SCENARIO.dump(SimpleNamespace(**{f.name: f.default for f in fields(Scenario)}))
 
 
 def _check_finite(data, label: str = "") -> None:
@@ -717,13 +713,11 @@ def _check_finite(data, label: str = "") -> None:
 def scenario_from_dict(data, *, stride: int | None = None) -> Scenario:
     """Validate a decoded JSON object into a Scenario (strict keys).
 
-    `stride`, when given, replaces `output.stride` before validation, so the
-    size limits see the stride the run will use.
+    Only the blocks the run's kind reads (see _KINDS) are parsed; any other
+    is refused.  `stride`, when given, replaces `output.stride` before
+    validation, so the size limits see the stride the run will use; a run
+    that records no time series refuses it.
     """
-    if stride is not None and isinstance(data, dict):
-        output = data.get("output", {})
-        if isinstance(output, dict):
-            data = {**data, "output": {**output, "stride": stride}}
     defaults: dict[str, object] = {}
     f = _Fields(data, "")
     schema = _STRING.parse(f.require("schema"), "schema", defaults)
@@ -731,11 +725,21 @@ def scenario_from_dict(data, *, stride: int | None = None) -> Scenario:
         raise ValidationError(
             f"unsupported schema '{schema}' (this build reads '{SCHEMA_VERSION}')"
         )
-    kwargs = _SCENARIO.take(f, defaults)
+    solver = _STRING.parse(f.require("solver", keep=True), "solver", defaults)
+    kind = _kind(solver, data)
+    kwargs = _SCHEMAS[kind].take(f, defaults)
     _check_finite(data)  # after the block constructors' own range checks
-    gamma, beta_nm = kwargs.pop("integrator.gamma"), kwargs.pop("integrator.beta_nm")
-    integrator = _build(IntegratorConfig, "integrator", gamma=gamma, beta_nm=beta_nm)
-    return Scenario(integrator=integrator, defaults_applied=defaults, **kwargs)
+    if "integrator.gamma" in kwargs:
+        gamma, beta_nm = kwargs.pop("integrator.gamma"), kwargs.pop("integrator.beta_nm")
+        kwargs["integrator"] = _build(IntegratorConfig, "integrator", gamma, beta_nm)
+    if stride is not None:
+        if "output" not in _READS[kind]:
+            raise ValidationError(
+                f"stride {stride} given, but solver '{solver}' records no time series"
+            )
+        kwargs["stride"] = stride
+        defaults.pop("output.stride", None)
+    return Scenario(defaults_applied=defaults, **kwargs)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -762,8 +766,8 @@ def parse_scenario(text, *, stride: int | None = None) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Inverse of scenario_from_dict; resolved values, no defaults omitted."""
-    return {"schema": SCHEMA_VERSION, **_SCENARIO.dump(s)}
+    """Inverse of scenario_from_dict: the blocks its kind reads, no default left out."""
+    return {"schema": SCHEMA_VERSION, **_SCHEMAS[s.kind].dump(s)}
 
 
 def scenario_to_json(s: Scenario) -> str:
@@ -966,7 +970,7 @@ def _attach_probes(s: Scenario, result: TimeSeriesResult) -> TimeSeriesResult:
 
 def _run_static(s: Scenario) -> tuple[dict, dict]:
     profile = static_fd_solve(s.beam, s.bc, list(s.loads), s.grid_nodes)
-    return {"static_profile": profile}, {"grid_nodes": s.grid_nodes}
+    return {"static_profile": profile}, {}
 
 
 def _run_quasi_static(s: Scenario) -> tuple[dict, dict]:
@@ -980,7 +984,7 @@ def _run_quasi_static(s: Scenario) -> tuple[dict, dict]:
             s.beam, load.p0, load.f_hz, load.position, s.tgrid, s.grid_nodes, s.stride
         )
     result = _attach_probes(s, result)
-    return {"time_series": result}, {"grid_nodes": s.grid_nodes, "stride": s.stride}
+    return {"time_series": result}, {}
 
 
 def modal_bc(s: Scenario) -> BoundarySpec:
@@ -992,8 +996,6 @@ def modal_bc(s: Scenario) -> BoundarySpec:
     if s.modal_bearing_k is not None:
         end = EndCondition.spring(s.modal_bearing_k)
         return BoundarySpec(end, end)
-    if s.bc is None:
-        raise ValidationError("modal analysis requires a bc block or modal_only")
     return s.bc
 
 
@@ -1033,7 +1035,7 @@ def _run_system(s: Scenario) -> tuple[dict, dict]:
     )
     columns = ("u",) if spec.dofs == 1 else ("x", "y")
     result = TimeSeriesResult(tgrid.sample_times(s.stride), history[:, 0], columns)
-    extras = {"system_dofs": spec.dofs, "drive_axis": spec.force.axis, "stride": s.stride}
+    extras = {"system_dofs": spec.dofs, "drive_axis": spec.force.axis}
     return {"time_series": result}, extras
 
 
@@ -1049,8 +1051,7 @@ def _run_dynamic(s: Scenario) -> tuple[dict, dict]:
         stride=s.stride,
     )
     result = _attach_probes(s, result)
-    extras = {"grid_nodes": s.grid_nodes, "zeta1": s.zeta1, "stride": s.stride}
-    return {"time_series": result}, extras
+    return {"time_series": result}, {}
 
 
 def _run_sweep(s: Scenario) -> tuple[dict, dict]:
@@ -1068,12 +1069,7 @@ def _run_sweep(s: Scenario) -> tuple[dict, dict]:
         zeta1=s.zeta1,
     )
     first_mode_hz = solve_modes(s.beam, s.bc, 1)[0].f_hz
-    extras = {
-        "grid_nodes": s.grid_nodes,
-        "zeta1": s.zeta1,
-        "first_mode_hz_analytic": first_mode_hz,
-        "nominal_load_f_hz": load.f_hz,
-    }
+    extras = {"first_mode_hz_analytic": first_mode_hz, "nominal_load_f_hz": load.f_hz}
     return {"sweep_points": points}, extras
 
 
@@ -1088,15 +1084,16 @@ def _run_nonlinear(s: Scenario) -> tuple[dict, dict]:
     profile = nonlinear_cantilever_deflection(
         load.p, load.position, s.beam, s.material, n_nodes=s.grid_nodes
     )
-    extras = {"grid_nodes": s.grid_nodes, "material": asdict(s.material)}
+    extras = {"material": asdict(s.material)}
     return {"static_profile": profile, "load_curve": curve}, extras
 
 
-#: The runner of each solver but a `system` dynamic run's, which is _run_system.
+#: The runner of each kind of run (see _KINDS).
 _RUNNERS = {
     "static": _run_static,
     "quasi_static": _run_quasi_static,
     "modal": _run_modal,
+    "system": _run_system,
     "dynamic": _run_dynamic,
     "sweep": _run_sweep,
     "nonlinear": _run_nonlinear,
@@ -1113,11 +1110,11 @@ def run_scenario(s: Scenario, *, sweep_workers: int = 1) -> ResultSet:
     """
     if sweep_workers < 1:
         raise ValidationError(f"sweep_workers must be >= 1, got {sweep_workers}")
-    runner = _run_system if s.system is not None else _RUNNERS[s.solver]
     try:
-        outputs, extras = runner(s)
+        outputs, extras = _RUNNERS[s.kind](s)
     except SolverError as exc:
         raise type(exc)(f"scenario '{s.name}': {exc}") from exc
+    reads = _READS[s.kind]
     provenance = {
         "tool": "beamlab",
         "version": __version__,
@@ -1125,6 +1122,7 @@ def run_scenario(s: Scenario, *, sweep_workers: int = 1) -> ResultSet:
         "solver": s.solver,
         "defaults_applied": dict(s.defaults_applied),
         "notes": list(s.notes),
+        **{attr: getattr(s, attr) for attr, blocks in _RECORDED.items() if reads >= blocks},
         **extras,
     }
     return ResultSet(scenario=s, provenance=provenance, **outputs)

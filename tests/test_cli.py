@@ -54,6 +54,27 @@ def test_run_stride_override_in_provenance(tmp_path):
     assert block["stride"] == 10
 
 
+@pytest.mark.parametrize("name", ["exp1", "exp3", "exp4", "exp5_1"])
+def test_stride_on_runs_without_time_series_exit_2(tmp_path, capsys, name):
+    # static, nonlinear and sweep runs record no time series to stride
+    out_dir = tmp_path / "out"
+    assert main(["run", "--preset", name, "--out", str(out_dir), "--stride", "10"]) == 2
+    solver = preset(name).solver
+    assert f"stride 10 given, but solver '{solver}' records no time series" in (
+        capsys.readouterr().err
+    )
+    assert not out_dir.exists()
+
+
+def test_system_run_with_grid_exit_2(tmp_path, capsys):
+    data = json.loads(scenario_to_json(preset("exp5_2")))
+    data["grid"] = {"nodes": 201}
+    path = tmp_path / "gridded.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "'grid' given, but solver 'dynamic' never reads it" in capsys.readouterr().err
+
+
 def test_too_few_grid_nodes_exit_2(tmp_path, capsys):
     data = json.loads(scenario_to_json(preset("exp1")))
     data["grid"] = {"nodes": 3}
@@ -175,6 +196,9 @@ def test_sweep_command_runs_small_case(tmp_path):
 def test_probes_on_frameless_runs_exit_2(tmp_path, capsys, solver):
     data = json.loads(scenario_to_json(preset("exp5_1")))
     data["solver"] = solver
+    if solver == "modal":
+        for block in ("loads", "grid", "integrator", "sweep"):
+            del data[block]  # a modal run reads none of them
     data["probes"] = [5.0]
     path = tmp_path / "probed.json"
     path.write_text(json.dumps(data))
@@ -273,28 +297,32 @@ def test_module_invocation_subprocess():
 # They were re-recorded again when the recurrence came to step about
 # sqrt(steps) blocks of the time axis at once: 9803 of 10001 x cells moved,
 # by at most 7.9e-15 of the peak; the y column stayed exactly 0.0.
+# Every provenance was re-recorded when `defaults_applied` came to list only
+# the fields of the blocks the run reads: exp1, exp3, exp4 and exp5_1 record
+# none, exp2_1 and exp2_2 only `output.stride`, and exp5_2 no `grid.nodes` or
+# `probes`; every other provenance entry is unchanged.
 RECORDED_DIGESTS = {
     "exp1/frames.csv": "007ed26609e31edd02cb93d335bc28dbcc6c417b4639de4d4859c9bf0650cc22",
     "exp1/probes.csv": "8b233cf526504a8ec945eba3cbd8e0960521ec6b7584fc3672299694d2bfef1a",
-    "exp1/provenance.json": "7b9b1f10f71eaafe326598232804fae87b1168ffcb4f1b3c639302c5cf715c89",
+    "exp1/provenance.json": "2a39fe57e13add82215f8af07afb0c0e86af03ee548a810209906cb7d71ab73c",
     "exp2_1/frames.csv": "957c56a3bba75e4a0ea6d668bdc5bdd75083ff93e0efec4e642af5e35ce52745",
     "exp2_1/probes.csv": "f0fbddf933c55957ab015d5aa35704f0d0f5a3bdcca77313acb07ecfea22bf5c",
-    "exp2_1/provenance.json": "8ad998e534744d97f0c6ae61a93536e46771b191b1b489e7544b65d22fa69e79",
+    "exp2_1/provenance.json": "8111ada48142710537d3783967b46d2a50bb9c7545cff995b6bdf1f06b3d0c44",
     "exp2_2/frames.csv": "e77ab3c9ec10878ca5522be5ed956fbb7b2b1c3b8edefcc2d50c359a4750844b",
     "exp2_2/probes.csv": "b9ccd1ab82765d43f6bef4d7c62ea407934eb4f827d2035ffd46e18b324d2fbc",
-    "exp2_2/provenance.json": "a5334ab9b56d7daa766076b04796245c29abfd98608fed0989ebcd343f853350",
+    "exp2_2/provenance.json": "e264fc32481b2ff9dcb31ec5113357d9433a958bcece018303789c6ac4e036dd",
     "exp3/frames.csv": "4bf61a5148303d2a32792f3844a874bbf30681384be3231969d43b304816625d",
     "exp3/probes.csv": "6056f232e39c83560876759558a56b7a80cf4c3cdf6af55f996ffbe4e53edcaa",
-    "exp3/provenance.json": "2c392aa099109ba3e5525f19a3c349fb62f2a6e93bf87f37bee1191b20e40b30",
+    "exp3/provenance.json": "19f02abab38b2858ee49e2e05bf33bc6b1779b5f8156beb97f55c29bb421d3a9",
     "exp4/frames.csv": "2c445a3b9f4baf3ae25618d6d8a0a0c14001d39a96c2829ac7a576d870e1d565",
     "exp4/loadcurve.csv": "6900a59f4100daa16440bb2f992063052e646fe6119af144adb8e8714fc95422",
     "exp4/probes.csv": "284494e6bd0358f56b5610098410923dea77498b79dc32b23c9d5f136f095661",
-    "exp4/provenance.json": "29512aa401db439229b499972a2d2bb88e29a98878f8019b93025db005ba9553",
-    "exp5_1/provenance.json": "7fc9faf7d2e8e1f2e0f9d0742ebdd2850417f5a52bd8871cad166fa86e87b38e",
+    "exp4/provenance.json": "465aa1075b72991606aedcdbaf23b0a30079b2c8c5a3a7d4aa3d9c72e37736c0",
+    "exp5_1/provenance.json": "bddd80f2efd520e0513aec1098d8dc604fe05c7e808cbab04161ce025becbf34",
     "exp5_1/sweep.csv": "da540a09a39b4987b91f3987f04d08d67e927602983608dad0162002612259a7",
     "exp5_2/frames.csv": "3c79d91b2c26d306c49327382efa353b1e21e62e5c4b69915e26c67c4d009f9c",
     "exp5_2/probes.csv": "c89980a9f932f22e14a31a7b5bd5b19d88e5ffab6614a14c0a502368235e70fd",
-    "exp5_2/provenance.json": "8f96a8c067ca4bcfa298e33bcc0e644884606de05887290df2f7d06dc102892e",
+    "exp5_2/provenance.json": "b37ba33e77c86f57b0a7c1297c6a6c16bcd15f4da3fa9b294e82564654d8c42d",
     "modal exp3 3": "383392de8eb32b8093784bbdf700e5ce3e865e2a2e62e85ca72d8a00215bd2f2",
     "modal exp2_1 50": "fff95e2d7b47d3028836db77547350619f0cd3873f101c48b851ded0d0c6ee18",
     "modal exp1 5": "51c5fda666cbd79e1759cc24e33c11bc657553d7091a4cdd004b7fb6899c643c",

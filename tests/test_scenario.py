@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,14 +210,19 @@ def test_grid_nodes_must_be_integer():
 
 
 def test_defaults_recorded():
+    # only the blocks the run reads: a static run reads no integrator or output
     s = scenario_from_dict(minimal_static_dict())
-    applied = s.defaults_applied
-    assert applied["grid.nodes"] == 201
-    assert applied["output.stride"] == 1
-    assert applied["probes"] == []
-    assert applied["integrator.gamma"] == 0.5
-    assert applied["integrator.beta"] == 0.25
-    assert applied["integrator.rayleigh.zeta1"] == 0.0
+    assert s.defaults_applied == {"grid.nodes": 201, "probes": []}
+    s = scenario_from_dict(dynamic_beam_dict())
+    assert s.defaults_applied == {
+        "grid.nodes": 201,
+        "time.start": 0.0,
+        "integrator.gamma": 0.5,
+        "integrator.beta": 0.25,
+        "integrator.rayleigh.zeta1": 0.0,
+        "probes": [],
+        "output.stride": 1,
+    }
 
 
 def test_moving_load_x0_default_recorded():
@@ -235,7 +241,6 @@ def test_defaults_do_not_break_equality():
     explicit = minimal_static_dict()
     explicit["grid"] = {"nodes": 201}
     explicit["probes"] = []
-    explicit["output"] = {"stride": 1}
     a = scenario_from_dict(minimal_static_dict())
     b = scenario_from_dict(explicit)
     assert a == b
@@ -254,28 +259,88 @@ def test_probes_rejected_where_no_frames_are_written(solver):
     data = scenario_to_dict(preset("exp5_1"))
     data["solver"] = solver
     if solver != "sweep":
-        del data["sweep"]  # only a sweep reads it
-    data["probes"] = [5.0]
-    with pytest.raises(ValidationError, match=rf"'probes' given, but solver '{solver}'"):
-        scenario_from_dict(data)
-    data["probes"] = []
+        for block in ("loads", "grid", "integrator", "sweep"):
+            del data[block]  # a modal run reads none of them
+    for probes in ([5.0], []):  # an empty list is a block given all the same
+        data["probes"] = probes
+        message = f"'probes' given, but solver '{solver}' never reads it; remove it"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(data)
+    del data["probes"]
     assert scenario_from_dict(data).probes == ()
+
+
+#: The top-level blocks each kind of run reads besides name, solver and
+#: notes; a dynamic run with a system block is the kind "system".  A copy of
+#: the table in beamlab.scenario, kept here so a change to it shows.
+READS = {
+    "static": {"beam", "bc", "loads", "grid", "modal_only", "probes"},
+    "quasi_static": {"beam", "bc", "loads", "grid", "time", "modal_only", "probes", "output"},
+    "modal": {"beam", "bc", "modal_only"},
+    "system": {"system", "time", "integrator", "output"},
+    "dynamic": {
+        "beam", "bc", "loads", "grid", "time", "integrator", "modal_only", "probes", "output"
+    },
+    "sweep": {"beam", "bc", "loads", "grid", "integrator", "sweep", "modal_only"},
+    "nonlinear": {"beam", "bc", "loads", "grid", "material", "load_sweep", "modal_only", "probes"},
+}
+
+#: A valid value of every top-level block but name, solver and notes.
+BLOCK_VALUES = {
+    "beam": scenario_to_dict(preset("exp1"))["beam"],
+    "bc": {"left": "pinned", "right": "pinned"},
+    "loads": [{"type": "udl", "q": 5000.0}],
+    "grid": {"nodes": 41},
+    "time": {"end": 1.0, "dt": 0.01},
+    "integrator": {"gamma": 0.5, "beta": 0.25, "rayleigh": {"zeta1": 0.02}},
+    "material": {"E": 25.0e9, "alpha": 5.0e6, "n": 3.0},
+    "sweep": {"f_min": 1.0, "f_max": 2.0, "f_count": 2},
+    "load_sweep": {"p_min": 1.0e4, "p_max": 1.0e5, "count": 2},
+    "system": scenario_to_dict(preset("exp5_2"))["system"],
+    "modal_only": {"bearing_k": 1000.0},
+    "probes": [5.0],
+    "output": {"stride": 1},
+}
+
+
+def kind_of(data) -> str:
+    return "system" if "system" in data else data["solver"]
+
+
+# The first six cases name the blocks they add; the rest cover every other
+# pair of preset and block, both those the run reads and those it refuses.
+_NAMED_BLOCK_CASES = [
+    ("exp1", "time", {"end": 1.0, "dt": 0.01}),
+    ("exp4", "time", {"end": 1.0, "dt": 0.01}),
+    ("exp3", "material", {"E": 25.0e9, "alpha": 5.0e6, "n": 3.0}),
+    ("exp5_2", "sweep", {"f_min": 1.0, "f_max": 2.0, "f_count": 2}),
+    ("exp2_1", "load_sweep", {"p_min": 1.0e4, "p_max": 1.0e5, "count": 2}),
+    ("exp5_1", "system", scenario_to_dict(preset("exp5_2"))["system"]),
+]
+_OTHER_BLOCK_CASES = [
+    (name, block, BLOCK_VALUES[block])
+    for name in PRESET_NAMES
+    for block in BLOCK_VALUES
+    if (name, block) not in {case[:2] for case in _NAMED_BLOCK_CASES}
+]
 
 
 @pytest.mark.parametrize(
     "name, block, value",
-    [
-        ("exp1", "time", {"end": 1.0, "dt": 0.01}),
-        ("exp4", "time", {"end": 1.0, "dt": 0.01}),
-        ("exp3", "material", {"E": 25.0e9, "alpha": 5.0e6, "n": 3.0}),
-        ("exp5_2", "sweep", {"f_min": 1.0, "f_max": 2.0, "f_count": 2}),
-        ("exp2_1", "load_sweep", {"p_min": 1.0e4, "p_max": 1.0e5, "count": 2}),
-        ("exp5_1", "system", scenario_to_dict(preset("exp5_2"))["system"]),
-    ],
-    ids=["time-static", "time-nonlinear", "material", "sweep", "load_sweep", "system"],
+    _NAMED_BLOCK_CASES + _OTHER_BLOCK_CASES,
+    ids=["time-static", "time-nonlinear", "material", "sweep", "load_sweep", "system"]
+    + [f"{name}-{block}" for name, block, _ in _OTHER_BLOCK_CASES],
 )
 def test_blocks_the_solver_never_reads_rejected(name, block, value):
     data = scenario_to_dict(preset(name))
+    if block in READS[kind_of(data)]:
+        # a block the run reads parses and comes back as it was given; the
+        # preset's own value where it has one, as the other values may not fit
+        data[block] = data.get(block, value)
+        s = scenario_from_dict(data)
+        assert scenario_to_dict(s)[block] == data[block]
+        assert parse_scenario(scenario_to_json(s)) == s
+        return
     data[block] = value
     message = f"'{block}' given, but solver '{data['solver']}' never reads it; remove it"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -391,16 +456,11 @@ def test_dynamic_system_excludes_beam_inputs():
     assert s.system.force.axis == "x"
     assert s.defaults_applied["system.force.axis"] == "x"
 
-    for key in ("beam", "bc", "loads"):
-        bad = dict(data)
-        bad[key] = minimal_static_dict()[key]
-        with pytest.raises(ValidationError, match="not both"):
-            scenario_from_dict(bad)
-
-    bad = dict(data)
-    bad["probes"] = [0.0]
-    with pytest.raises(ValidationError, match="DOF"):
-        scenario_from_dict(bad)
+    beam_inputs = {key: minimal_static_dict()[key] for key in ("beam", "bc", "loads")}
+    for key, value in {**beam_inputs, "probes": [0.0], "grid": {}}.items():
+        message = f"'{key}' given, but solver 'dynamic' never reads it; remove it"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict({**data, key: value})
 
     bad = dict(data)
     bad["integrator"] = {"rayleigh": {"zeta1": 0.05}}
@@ -434,7 +494,7 @@ def test_exp1_static_midspan(ref_beam):
     expected = ss_udl_deflection(5.0, 5000.0, ref_beam)
     assert rs.static_profile.at(5.0) == pytest.approx(expected, rel=1e-3)
     assert rs.provenance["scenario"] == "exp1"
-    assert rs.provenance["defaults_applied"]["output.stride"] == 1
+    assert rs.provenance["defaults_applied"] == {}
 
 
 def test_exp3_tip_matches_cantilever(ref_beam):
@@ -586,8 +646,10 @@ def test_sweep_workers_must_be_positive():
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_too_few_grid_nodes_rejected_at_parse(name):
     data = scenario_to_dict(preset(name))
+    # a system run reads no grid, so refuses any
+    message = r"grid\.nodes must be >= " if "grid" in data else r"^'grid' given"
     data["grid"] = {"nodes": MIN_GRID_NODES - 1}
-    with pytest.raises(ValidationError, match=r"grid\.nodes must be >= "):
+    with pytest.raises(ValidationError, match=message):
         scenario_from_dict(data)
 
 
@@ -611,10 +673,16 @@ def test_discretized_runs_need_more_grid_nodes(make):
     assert scenario_from_dict(data).grid_nodes == MIN_BEAM_NODES
 
 
-def test_system_runs_keep_the_grid_minimum():
+def test_system_runs_refuse_any_grid():
     data = scenario_to_dict(preset("exp5_2"))
-    data["grid"] = {"nodes": MIN_GRID_NODES}
-    assert scenario_from_dict(data).grid_nodes == MIN_GRID_NODES
+    message = "'grid' given, but solver 'dynamic' never reads it; remove it"
+    for nodes in (3, MIN_GRID_NODES, 50, 201):
+        data["grid"] = {"nodes": nodes}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(data)
+    # built in Python, a grid off the default is refused the same way
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        replace(preset("exp5_2"), grid_nodes=50)
 
 
 def parse_dict(data):
@@ -658,7 +726,9 @@ _SHORT = {"end": 0.05, "dt": 0.01}
 
 
 def modal_dict(**edits):
-    return edited("exp1", **{"solver": "modal", "probes": [], **edits})
+    """exp1 as a modal run: it reads beam, bc and modal_only only."""
+    drop = {"loads": _DROP, "grid": _DROP, "probes": _DROP}
+    return edited("exp1", **{"solver": "modal", **drop, **edits})
 
 
 # One case per solver rule: the scenario that breaks it and the whole message.
@@ -710,26 +780,25 @@ def modal_dict(**edits):
         ),
         (
             modal_dict(probes=[5.0]),
-            "'probes' given, but solver 'modal' writes no frames to probe; remove it",
+            "'probes' given, but solver 'modal' never reads it; remove it",
         ),
-        # probes are refused before a block the solver never reads
+        # the first block in schema order the run never reads is named
         (
             modal_dict(probes=[5.0], time=_SHORT),
-            "'probes' given, but solver 'modal' writes no frames to probe; remove it",
+            "'time' given, but solver 'modal' never reads it; remove it",
         ),
         (edited("exp5_2", time=_DROP), "solver 'dynamic' requires a time block"),
         (
             edited("exp5_2", beam=_BEAM),
-            "solver 'dynamic' takes either a system block or beam/bc/loads, not both",
+            "'beam' given, but solver 'dynamic' never reads it; remove it",
         ),
         (
             edited("exp5_2", loads=[_UDL]),
-            "solver 'dynamic' takes either a system block or beam/bc/loads, not both",
+            "'loads' given, but solver 'dynamic' never reads it; remove it",
         ),
         (
             edited("exp5_2", probes=[0.0]),
-            "probe positions are in meters along a beam; "
-            "system runs report every DOF instead",
+            "'probes' given, but solver 'dynamic' never reads it; remove it",
         ),
         (
             edited("exp5_2", integrator={"rayleigh": {"zeta1": 0.05}}),
@@ -772,7 +841,7 @@ def modal_dict(**edits):
         ),
         (
             edited("exp5_1", probes=[5.0]),
-            "'probes' given, but solver 'sweep' writes no frames to probe; remove it",
+            "'probes' given, but solver 'sweep' never reads it; remove it",
         ),
         (
             edited("exp5_1", grid={"nodes": 6}),
@@ -809,6 +878,14 @@ def modal_dict(**edits):
             edited("exp4", grid={"nodes": 2_000_000_000}),
             "grid.nodes 2000000000: the nonlinear cantilever's nodal arrays would "
             "take about 152588 MiB, above the 1024 MiB limit; lower grid.nodes",
+        ),
+        (
+            edited("exp4", loads=[{**_POINT, "p": -1.0}]),
+            "solver 'nonlinear' requires loads[0].p >= 0, got -1.0",
+        ),
+        (
+            edited("exp4", loads=[{**_POINT, "position": 0.0}]),
+            "solver 'nonlinear' requires loads[0].position > 0, got 0.0",
         ),
     ],
 )
@@ -1072,8 +1149,8 @@ NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6)
 FINITE = st.floats(min_value=-1e6, max_value=1e6)
 
 #: Leaves that stay valid for any value of their strategy, in every preset.
-#: Rayleigh damping is free only on beam runs, and probes only on beam runs
-#: that write frames.
+#: Rayleigh damping is free only on beam runs, and probes on the runs that
+#: read them.  A point load stays nonnegative, as a nonlinear run needs.
 FREE_LEAVES = {
     ("name",): st.text(min_size=1, max_size=12),
     ("beam", "width"): POSITIVE,
@@ -1081,7 +1158,7 @@ FREE_LEAVES = {
     ("beam", "elastic_modulus"): POSITIVE,
     ("beam", "density"): POSITIVE,
     ("loads", 0, "q"): FINITE,
-    ("loads", 0, "p"): FINITE,
+    ("loads", 0, "p"): NONNEGATIVE,
     ("loads", 0, "p0"): FINITE,
     ("loads", 0, "speed"): NONNEGATIVE,
     ("loads", 0, "f_hz"): POSITIVE,
@@ -1167,11 +1244,11 @@ def mutated_presets(draw):
     for keys, values in FREE_LEAVES.items():
         if has(data, keys) and draw(st.booleans()):
             lookup(data, keys[:-1])[keys[-1]] = draw(values)
-    if "beam" in data:
+    if "beam" in data and "integrator" in data:
         data["integrator"]["rayleigh"]["zeta1"] = draw(st.floats(0.0, 1.0))
-        if data["solver"] not in ("modal", "sweep"):
-            span = st.floats(min_value=0.0, max_value=data["beam"]["length"])
-            data["probes"] = draw(st.lists(span, max_size=3))
+    if "probes" in data:
+        span = st.floats(min_value=0.0, max_value=data["beam"]["length"])
+        data["probes"] = draw(st.lists(span, max_size=3))
     omitted = [keys for keys in OPTIONAL if has(data, keys) and draw(st.booleans())]
     expected = {}
     for keys in sorted(omitted, key=len, reverse=True):
@@ -1212,6 +1289,16 @@ def test_property_unknown_key_names_its_path(case, draw):
     message = f"unknown field(s): {dotted(keys + (name,))}"
     with pytest.raises(ValidationError, match=re.escape(message)):
         scenario_from_dict(data)
+
+
+@PROPERTY_SETTINGS
+@given(mutated_presets())
+def test_property_only_blocks_the_run_reads_are_recorded_and_written(case):
+    data, _ = case
+    s = scenario_from_dict(data)
+    reads = READS[kind_of(data)] | {"name", "solver", "notes"}
+    assert {re.split(r"[.\[]", key)[0] for key in s.defaults_applied} <= reads
+    assert set(scenario_to_dict(s)) - {"schema"} <= reads
 
 
 WRONG_TYPE = {
