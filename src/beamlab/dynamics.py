@@ -20,11 +20,13 @@ the linear Newmark update commutes with u = Phi q, so one scalar recurrence
 per mode gives the coupled update's displacements up to rounding.  Resonance
 sweeps (stiffness-proportional damping over a lumped mass) and mass-spring
 runs (diagonal M, C and K) share that recurrence, `modal_harmonic_response`;
-beam time responses keep the direct factorized path.  When the channels
-(frequencies x modes) are few, the recurrence steps about sqrt(steps) blocks
-of the time axis at once and stitches them together by linearity, so it
-pays numpy's per-call cost about 2*sqrt(steps) times rather than once per
-step; with many channels it is the plain step loop.
+beam time responses keep the direct factorized path.  The recurrence steps
+one block of about sqrt(steps) steps, on rows driven by cos and sin of the
+phase within a block and rows started from unit q, v and a; every block's
+drive is the same sinusoid shifted in phase, so linearity stitches all of
+them from those rows, and numpy's per-call cost is paid about 2*sqrt(steps)
+times rather than once per step.  The rows of a group of frequencies stay
+within a fixed byte budget.
 """
 
 from __future__ import annotations
@@ -334,24 +336,38 @@ def beam_time_response(
     return TimeSeriesResult(dof_result.times, frames, grid.labels)
 
 
-#: `modal_harmonic_response` steps blocks only while isqrt(steps) times its
-#: frequency-mode channels stays under this many entries, which keeps each
-#: block-row array near 32 KiB.  On a 2-vCPU x86-64 host the blocks took
-#: 0.1-0.4 of the plain loop's time under it and stopped paying at about 800
-#: channels, from 600 to 40 000 steps.
-BLOCK_BUDGET = 4096
+#: Bytes `modal_harmonic_response` may hold at once beyond the history it
+#: returns.  It steps the forcing frequencies in groups whose rows fit this,
+#: one frequency at the least.
+RECURRENCE_BYTES = 640 * 1024
+#: Steps whose drive values `modal_harmonic_response` tabulates at once.
+DRIVE_TICKS = 256
+#: Blocks whose samples `modal_harmonic_response` weights in one matmul.
+STITCH_BLOCKS = 16
 
 
-def _blocking(steps: int, channels: int, stride: int) -> tuple[int, int]:
+def _blocking(steps: int, stride: int) -> tuple[int, int]:
     """Block count and block length, a whole number of strides, that cut
     the time axis of `modal_harmonic_response`; one block spans every step."""
     blocks = math.isqrt(steps)
-    if blocks < 2 or blocks * channels >= BLOCK_BUDGET:
+    if blocks < 2:
         return 1, steps
     size = -(-steps // blocks)
     size = -(-size // stride) * stride
     blocks = -(-steps // size)
     return (blocks, size) if blocks > 1 else (1, steps)
+
+
+def _frequency_bytes(modes: int, outputs: int, blocks: int, size: int, stride: int) -> int:
+    """Upper bound on the bytes one frequency takes in `_step_block` and
+    `_stitch_blocks` when there is more than one block."""
+    columns = 2 + 3 * modes
+    # coefficient, state, temporary and end-state rows, then the drive table
+    stepping = 18 * 5 * modes + min(size, DRIVE_TICKS) * 13
+    # end states and the carry's temporaries, the weights, then the phases
+    stitching = 21 * modes + min(blocks, STITCH_BLOCKS) * columns + 8 * blocks
+    basis = size // stride * outputs * columns
+    return 8 * (basis + max(stepping, stitching))
 
 
 def modal_harmonic_response(
@@ -369,63 +385,91 @@ def modal_harmonic_response(
     """Newmark histories of unit-mass modes driven at a batch of frequencies.
 
     Mode i obeys q'' + damping_i*q' + lam_i*q = gain_i*sin(omega*t) from rest
-    at `start` (lam and damping broadcast against the modes of `gain`); every
+    at `start` (lam and damping broadcast against the per-mode `gain`); every
     forcing frequency has its own dt and runs `steps` steps.
     Returns q @ readout at every `stride`-th step from step 0, with shape
     (steps // stride + 1, frequencies) + readout.shape[1:].
 
-    The time axis is cut into about sqrt(steps) blocks, each a whole number
-    of strides long, stacked as extra rows of the (frequency x mode) arrays
-    and stepped together: block 0 from the true start, the others from
-    rest.  Three undriven rows start from unit q, v and a, so they give
-    every channel's homogeneous response under the same arithmetic.  The
-    update is linear, so a block's true state is its own plus those
-    responses weighted by its true start state; a loop over the blocks adds
-    them to the recorded samples and carries each block's end state to the
-    next.  Blocks are used only while isqrt(steps) * channels stays under
-    BLOCK_BUDGET; otherwise one block runs the plain step loop.
+    The time axis is cut into about sqrt(steps) blocks of `size` steps, each
+    a whole number of strides, and only one block is stepped.  Block k's
+    drive is sin(phi_k + theta_j) = sin(phi_k)*cos(theta_j) +
+    cos(phi_k)*sin(theta_j), with phi_k = omega*(start + k*size*dt) and
+    theta_j = omega*j*dt, so five rows per (frequency x mode) channel cover
+    every block: a cos(theta) and a sin(theta) row from rest, and three
+    undriven rows from unit q, v and a.  The update is linear, so block k is
+    sin(phi_k) times the cos row plus cos(phi_k) times the sin row plus the
+    unit rows weighted by its start state.  A loop over the blocks carries
+    those start states from the rows' end states, and batched matmuls,
+    STITCH_BLOCKS blocks at a time, weight the rows' recorded samples into
+    every block's.  The phases are taken in long double, as the rounding of
+    phi_k is shared by every step of block k.  Frequencies are stepped in
+    groups whose rows fit RECURRENCE_BYTES.  A run of one block (under 4
+    steps, or a stride past half the run) is stepped from its true start,
+    every frequency at once, with the per-step loop's rounding.
     """
-    # the step coefficients are spelled out to full (frequency x mode) rows,
-    # as same-shape products beat broadcasts here
-    step = np.asarray(dt, dtype=float)[:, None]
     omega = np.asarray(omega, dtype=float)[:, None]
-    dt = step * np.ones(np.shape(gain)[-1])
+    step = np.asarray(dt, dtype=float)[:, None]
+    blocks, size = _blocking(steps, stride)
+    history = np.zeros((omega.size, blocks * (size // stride) + 1, *np.shape(readout)[1:]))
+    if blocks == 1:
+        _step_block(lam, damping, gain, omega, step, readout, cfg, start, size, stride, history)
+        return np.moveaxis(history, 0, 1)
+    per_frequency = _frequency_bytes(
+        np.shape(gain)[-1], math.prod(np.shape(readout)[1:]), blocks, size, stride
+    )
+    group = max(1, RECURRENCE_BYTES // per_frequency)
+    for first in range(0, omega.size, group):
+        rows = slice(first, first + group)
+        ends, basis = _step_block(
+            lam, damping, gain, omega[rows], step[rows], readout, cfg, start, size, stride
+        )
+        _stitch_blocks(gain, omega[rows], step[rows], start, size, ends, basis, history[rows])
+        del ends, basis  # freed before the next group's are made
+    return np.moveaxis(history, 0, 1)[: steps // stride + 1]
+
+
+def _step_block(lam, damping, gain, omega, step, readout, cfg, start, size, stride, history=None):
+    """Step one block for the (frequency, 1) columns `omega` and `step`.
+
+    Given `history` (frequency, sample, ...), step the true drive from the
+    true start and write its samples there.  Otherwise step the five rows
+    that `modal_harmonic_response` describes and return their end states,
+    shaped (frequency, row, q|v|a x mode), and the basis: per frequency, the
+    cos and sin rows' samples read out, then the unit rows' q times the
+    readout, shaped (frequency, column, sample, output).
+    """
+    freqs, modes = omega.size, np.shape(gain)[-1]
+    dt = step * np.ones(modes)
     gamma, beta = cfg.gamma, cfg.beta_nm
     effective = 1.0 + gamma * dt * damping + beta * dt**2 * lam
-    force_gain = gain / effective
-    damping_gain = damping / effective
-    stiffness_gain = lam / effective
-    c_upred = (0.5 - beta) * dt**2
-    c_vpred = (1.0 - gamma) * dt
-    c_u = beta * dt**2
-    c_v = gamma * dt
-    start_a = gain * np.sin(omega * start)  # at rest, the load alone accelerates
-
-    freqs, modes = dt.shape
-    blocks, size = _blocking(steps, dt.size, stride)
-    units = 3 if blocks > 1 else 0
-    # rows: one (frequency x mode) copy per block, then the unit q, v, a rows
-    dt, c_upred, c_vpred, c_u, c_v, damping_gain, stiffness_gain, omega, step = (
-        np.tile(x, (blocks + units, 1))
-        for x in (dt, c_upred, c_vpred, c_u, c_v, damping_gain, stiffness_gain, omega, step)
+    rows = 1 if history is not None else 5
+    # the step coefficients are spelled out to full (frequency, row, mode)
+    # arrays, as same-shape products beat broadcasts here
+    dt, c_upred, c_vpred, c_u, c_v, damping_gain, stiffness_gain, force_gain = (
+        np.repeat(x[:, None], rows, axis=1)
+        for x in (
+            dt,
+            (0.5 - beta) * dt**2,
+            (1.0 - gamma) * dt,
+            beta * dt**2,
+            gamma * dt,
+            damping / effective,
+            lam / effective,
+            gain / effective,
+        )
     )
-    force_gain = np.concatenate(
-        (np.tile(force_gain, (blocks, 1)), np.zeros((units * freqs, modes)))
-    )
-    # the global step before each row's first; a python 0 for one block
-    offset = np.repeat(np.arange(blocks + units) * size, freqs)[:, None] if units else 0
-    q, v, a = np.zeros((3, *dt.shape))
-    a[:freqs] = start_a
-    for state, row in zip((q, v, a), range(blocks, blocks + units)):
-        state[row * freqs : (row + 1) * freqs] = 1.0  # unit q, v or a
+    q, v, a = np.zeros((3, freqs, rows, modes))
+    if history is not None:
+        a[:, 0] = gain * np.sin(omega * start)  # at rest, the load alone accelerates
+    else:
+        q[:, 2] = v[:, 3] = a[:, 4] = 1.0
+        outputs = np.reshape(readout, (modes, -1))
+        unit_outputs = np.tile(outputs, (3, 1))
+        basis = np.empty((freqs, 2 + 3 * modes, size // stride, outputs.shape[1]))
 
-    per_block = size // stride
-    driven = slice(0, blocks * freqs)
-    history = np.zeros((blocks * per_block + 1, freqs, *np.shape(readout)[1:]))
-    by_block = history[1:].reshape(blocks, per_block, *history.shape[1:])
-    sample_shape = (blocks, *history.shape[1:])
-    unit_q = np.empty((per_block, units, freqs, modes))
     for j in range(1, size + 1):
+        if (j - 1) % DRIVE_TICKS == 0:
+            drive = _drive(omega, step, start, j, min(size, j + DRIVE_TICKS - 1), rows)
         # in place, with the rounding of u_pred = q + dt*v + c_upred*a,
         # v_pred = v + c_vpred*a, a = force - damping_gain*v_pred
         # - stiffness_gain*u_pred, q = u_pred + c_u*a and v = v_pred + c_v*a
@@ -434,7 +478,7 @@ def modal_harmonic_response(
         u_pred += c_upred * a
         v_pred = c_vpred * a
         v_pred += v
-        a = force_gain * np.sin(omega * (start + (offset + j) * step))
+        a = force_gain * drive[(j - 1) % DRIVE_TICKS]
         a -= damping_gain * v_pred
         a -= stiffness_gain * u_pred
         q = c_u * a
@@ -442,20 +486,66 @@ def modal_harmonic_response(
         v = c_v * a
         v += v_pred
         if j % stride == 0:
-            by_block[:, j // stride - 1] = (q[driven] @ readout).reshape(sample_shape)
-            if units:
-                unit_q[j // stride - 1] = q[driven.stop :].reshape(unit_q.shape[1:])
+            sample = j // stride
+            if history is not None:
+                history[:, sample] = q[:, 0] @ readout
+            else:
+                basis[:, :2, sample - 1] = q[:, :2] @ outputs
+                np.multiply(
+                    q[:, 2:].reshape(freqs, -1, 1), unit_outputs, out=basis[:, 2:, sample - 1]
+                )
+    if history is None:
+        return np.stack((q, v, a), axis=2).reshape(freqs, rows, -1), basis
 
-    # block k starts from block k-1's true end state: add the unit responses
-    # weighted by it, then carry its end state on
-    ends = np.stack((q, v, a))
-    block_ends = ends[:, driven].reshape(3, blocks, freqs, modes)
-    unit_ends = ends[:, driven.stop :].reshape(3, units, freqs, modes)
-    carried = block_ends[:, 0]
-    for k in range(1, blocks):
-        by_block[k] += (unit_q * carried).sum(axis=1) @ readout
-        carried = block_ends[:, k] + (unit_ends * carried).sum(axis=1)
-    return history[: steps // stride + 1]
+
+def _drive(omega, step, start, first: int, last: int, rows: int) -> np.ndarray:
+    """Each row's drive over steps first..last, shaped (step, frequency, row, 1):
+    for one row the true sine, rounded as the per-step loop rounds it; for
+    five, cos and sin of omega*j*dt, then zeros."""
+    ticks = np.arange(first, last + 1)[:, None, None]
+    drive = np.zeros((ticks.size, omega.size, rows, 1))
+    if rows == 1:
+        drive[:, :, 0] = np.sin(omega * (start + ticks * step))
+    else:
+        theta = omega.astype(np.longdouble) * (ticks * step.astype(np.longdouble))
+        drive[:, :, 0] = np.cos(theta)
+        drive[:, :, 1] = np.sin(theta)
+    return drive
+
+
+def _stitch_blocks(gain, omega, step, start, size, ends, basis, history):
+    """Fill every block's samples into `history` from the end states and
+    basis of `_step_block`, STITCH_BLOCKS blocks per matmul."""
+    freqs, blocks = omega.size, (history.shape[1] - 1) // basis.shape[2]
+    phase = omega.astype(np.longdouble) * (
+        start + np.arange(blocks) * size * step.astype(np.longdouble)
+    )
+    # row k + 1: sin(phi_k) and cos(phi_k); row 0, before block 0, is zero
+    phases = np.zeros((freqs, blocks + 1, 2))
+    phases[:, 1:, 0] = np.sin(phase)
+    phases[:, 1:, 1] = np.cos(phase)
+    # block k's weights: its phase row, then its start q, v and a
+    weights = np.empty((freqs, min(blocks, STITCH_BLOCKS), basis.shape[1]))
+    unit_ends = ends[:, 2:].reshape(freqs, 3, 3, -1)
+    samples = basis.reshape(freqs, basis.shape[1], -1)
+    out = history[:, 1:].reshape(freqs, blocks, -1)
+    for first in range(0, blocks, STITCH_BLOCKS):
+        chunk = weights[:, : min(STITCH_BLOCKS, blocks - first)]
+        count = chunk.shape[1]
+        chunk[:, :, :2] = phases[:, first + 1 : first + count + 1]
+        # block k starts where block k - 1 ends: the cos and sin rows' ends
+        # weighted by block k - 1's phase, then the unit rows' ends weighted
+        # by block k - 1's start
+        np.matmul(phases[:, first : first + count], ends[:, :2], out=chunk[:, :, 2:])
+        starts = chunk[:, :, 2:].reshape(freqs, count, 3, -1)
+        for i in range(count):
+            if first + i == 0:  # at rest, the load alone accelerates
+                starts[:, 0, 2] = gain * chunk[:, :1, 0]
+            else:
+                before = starts[:, i - 1] if i else previous
+                starts[:, i] += np.einsum("fusm,fum->fsm", unit_ends, before)
+        previous = starts[:, -1].copy()
+        np.matmul(chunk, samples, out=out[:, first : first + count])
 
 
 @dataclass(frozen=True)
@@ -520,22 +610,27 @@ def frequency_sweep(
     else:
         stiffness_coeff = 0.0
     # midspan is interior, so free: its phi row counts the free nodes before it
-    midspan_row = phi[np.count_nonzero(system.free_mask[:mid_node])]
+    midspan_row = phi[np.count_nonzero(system.free_mask[:mid_node])].copy()
+    gain = phi.T @ load[system.free_mask]
+    del system, phi  # no dense matrix stays beside the recurrence's rows
 
     hz = np.array(freqs)
     settle_steps = settle_periods * SWEEP_STEPS_PER_PERIOD
     midspan = modal_harmonic_response(
         lam,
         stiffness_coeff * lam,
-        phi.T @ load[system.free_mask],
+        gain,
         2.0 * math.pi * hz,
         1.0 / (SWEEP_STEPS_PER_PERIOD * hz),
         settle_steps + measure_periods * SWEEP_STEPS_PER_PERIOD,
         midspan_row,
         cfg,
     )
-    settle_peaks = np.abs(midspan[:settle_steps]).max(axis=0).tolist()
-    amplitudes = np.abs(midspan[settle_steps:]).max(axis=0).tolist()
+    # max |x| per column without an |x| temporary the size of the window
+    settle_peaks, amplitudes = (
+        np.maximum(window.max(axis=0), -window.min(axis=0)).tolist()
+        for window in (midspan[:settle_steps], midspan[settle_steps:])
+    )
     for f_hz, amplitude, settle_peak in zip(freqs, amplitudes, settle_peaks):
         if settle_peak > 0.0 and amplitude > GROWTH_LIMIT * settle_peak:
             raise NonConvergenceError(

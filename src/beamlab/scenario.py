@@ -360,8 +360,8 @@ class _Fields:
     """One JSON object being consumed; leftover keys are an error."""
 
     def __init__(self, data, path: str):
-        label = path or "scenario"
         if not isinstance(data, dict):
+            label = f"'{path}'" if path else "scenario"
             raise ValidationError(f"{label} must be a JSON object")
         self._data = dict(data)
         self._path = path

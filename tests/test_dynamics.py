@@ -23,7 +23,7 @@ from beamlab import (
     ValidationError,
 )
 from beamlab.dynamics import (
-    BLOCK_BUDGET,
+    RECURRENCE_BYTES,
     SWEEP_STEPS_PER_PERIOD,
     IntegratorConfig,
     MdofSystem,
@@ -36,6 +36,7 @@ from beamlab.dynamics import (
     sdof_system,
     stiffness_damping_coeff,
 )
+from beamlab.dynamics import _blocking, _frequency_bytes
 from beamlab.modal import find_beta_roots, natural_frequencies
 from beamlab.scenario import run_scenario, scenario_from_dict
 from beamlab.statics import nodal_force, ss_point_deflection
@@ -472,13 +473,31 @@ class TestModalHarmonicResponse:
             np.testing.assert_allclose(batch[:, column], single[:, 0], rtol=0, atol=1e-14 * peak)
 
 
-def per_step_modal_history(lam, damping, gain, omega, dt, steps, readout, cfg, start, stride):
-    """The plain per-step recurrence behind `modal_harmonic_response`, which
-    must match it bit for bit whenever it runs one block."""
-    step = np.asarray(dt, dtype=float)[:, None]
-    omega = np.asarray(omega, dtype=float)[:, None]
-    dt = step * np.ones(np.shape(gain)[-1])
-    gamma, beta = cfg.gamma, cfg.beta_nm
+def per_step_modal_history(
+    lam,
+    damping,
+    gain,
+    omega,
+    dt,
+    steps,
+    readout,
+    cfg,
+    start,
+    stride,
+    dtype=float,
+    magnitude=False,
+):
+    """The plain per-step recurrence behind `modal_harmonic_response`, in
+    `dtype`: in float64 a one-block run must match it bit for bit, and in
+    long double it is the exact reference for blocked runs.  With
+    `magnitude`, each sample is |q| @ |readout|, the scale of its rounding."""
+    lam, damping, gain, readout = (
+        np.asarray(x, dtype=dtype) for x in (lam, damping, gain, readout)
+    )
+    step = np.asarray(dt, dtype=dtype)[:, None]
+    omega = np.asarray(omega, dtype=dtype)[:, None]
+    dt = step * np.ones(np.shape(gain)[-1], dtype=dtype)
+    gamma, beta = dtype(cfg.gamma), dtype(cfg.beta_nm)
     effective = 1.0 + gamma * dt * damping + beta * dt**2 * lam
     force_gain = gain / effective
     damping_gain = damping / effective
@@ -488,10 +507,10 @@ def per_step_modal_history(lam, damping, gain, omega, dt, steps, readout, cfg, s
     c_u = beta * dt**2
     c_v = gamma * dt
 
-    q = np.zeros(dt.shape)
+    q = np.zeros(dt.shape, dtype=dtype)
     v = np.zeros_like(q)
     a = gain * np.sin(omega * start)
-    history = np.zeros((steps // stride + 1, *(q @ readout).shape))
+    history = np.zeros((steps // stride + 1, *(q @ readout).shape), dtype=dtype)
     for i in range(1, steps + 1):
         u_pred = q + dt * v + c_upred * a
         v_pred = v + c_vpred * a
@@ -500,14 +519,32 @@ def per_step_modal_history(lam, damping, gain, omega, dt, steps, readout, cfg, s
         q = u_pred + c_u * a
         v = v_pred + c_v * a
         if i % stride == 0:
-            history[i // stride] = q @ readout
+            history[i // stride] = np.abs(q) @ np.abs(readout) if magnitude else q @ readout
     return history
+
+
+def fewest_modes_over_budget(freqs, steps, stride, outputs):
+    """Fewest modes at which `freqs` frequencies no longer fit one group of
+    RECURRENCE_BYTES (for one frequency: the floor takes over)."""
+    blocks, size = _blocking(steps, stride)
+
+    def over(modes):
+        return freqs * _frequency_bytes(modes, outputs, blocks, size, stride) > RECURRENCE_BYTES
+
+    low, high = 1, 2
+    while not over(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if over(middle) else (middle, high)
+    return high
 
 
 @st.composite
 def modal_runs(draw):
-    """Inputs of `modal_harmonic_response`; a wide run has about enough
-    channels to fill BLOCK_BUDGET, so it lands on either side of the rule."""
+    """Inputs of `modal_harmonic_response`; a wide run has about as many modes
+    as fit its frequencies in one group, so it lands on either side of the
+    frequency-group budget."""
     steps = draw(
         st.one_of(
             st.sampled_from([2, 3, 5, 7, 11, 97, 101, 211, 257]),  # primes
@@ -516,15 +553,17 @@ def modal_runs(draw):
         )
     )
     freqs = draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 7))
+    outputs = draw(st.integers(1, 3)) if draw(st.booleans()) else None
     if draw(st.booleans()):
-        modes = -(-BLOCK_BUDGET // (freqs * math.isqrt(steps))) + draw(st.integers(-1, 0))
+        modes = fewest_modes_over_budget(freqs, steps, stride, outputs or 1)
+        modes += draw(st.integers(-1, 0))
     else:
         modes = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lam = rng.uniform(0.5, 2e3, modes)
     gamma = draw(st.floats(0.5, 0.7))
     cfg = IntegratorConfig(gamma, draw(st.floats(gamma / 2, 0.4)))
-    readout = rng.normal(size=(modes, draw(st.integers(1, 3))) if draw(st.booleans()) else modes)
     return dict(
         lam=lam,
         damping=rng.uniform(0.0, 0.2, modes) * np.sqrt(lam),
@@ -532,26 +571,28 @@ def modal_runs(draw):
         omega=rng.uniform(0.5, 60.0, freqs),
         dt=rng.uniform(1e-4, 2e-2, freqs),
         steps=steps,
-        readout=readout,
+        readout=rng.normal(size=modes if outputs is None else (modes, outputs)),
         cfg=cfg,
         start=draw(st.sampled_from([0.0, 0.35, -1.25])),
-        stride=draw(st.integers(1, 7)),
+        stride=stride,
     )
 
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(run=modal_runs())
 def test_property_modal_response_matches_per_step_loop(run):
-    expected = per_step_modal_history(**run)
     got = modal_harmonic_response(**run)
-    assert got.shape == expected.shape
-    channels = run["lam"].size * run["omega"].size
-    rows = math.isqrt(run["steps"])
-    if rows < 2 or rows * channels >= BLOCK_BUDGET:  # one block: the same arithmetic
-        np.testing.assert_array_equal(got, expected)
+    if _blocking(run["steps"], run["stride"])[0] == 1:  # one block: the same arithmetic
+        np.testing.assert_array_equal(got, per_step_modal_history(**run))
     else:
-        peak = np.max(np.abs(expected))
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * peak)
+        # against the exact recurrence, at 2e-14 of the peak of sum |q_i*readout_i|
+        # over every step: the float64 loop itself, rounding its sine argument
+        # once per step, strays up to 8.1e-14 of that peak
+        exact = per_step_modal_history(**run, dtype=np.longdouble)
+        scale = per_step_modal_history(**{**run, "stride": 1}, dtype=np.longdouble, magnitude=True)
+        assert got.shape == exact.shape
+        atol = 2e-14 * float(np.max(scale))
+        np.testing.assert_allclose(got, exact.astype(float), rtol=0, atol=atol)
 
 
 class TestDiscretizeBeam:

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import beamlab.scenario
-from beamlab.dynamics import MIN_BEAM_NODES
+from beamlab.dynamics import (
+    MIN_BEAM_NODES,
+    RECURRENCE_BYTES,
+    SWEEP_STEPS_PER_PERIOD,
+    _blocking,
+)
 from beamlab.model import (
     MIN_GRID_NODES,
     BoundarySpec,
@@ -193,6 +198,28 @@ def test_unknown_load_type_reports_path():
     data["loads"] = [{"type": "thermal"}]
     with pytest.raises(ValidationError, match=r"loads\[0\]\.type"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "base, keys, value, message",
+    [
+        ("exp5_2", ("system",), None, "'system' must be a JSON object"),
+        ("exp1", ("beam",), 3, "'beam' must be a JSON object"),
+        ("exp5_2", ("system", "force"), [], "'system.force' must be a JSON object"),
+        ("exp1", ("loads", 0), 3, "'loads[0]' must be a JSON object"),
+    ],
+    ids=["system_null", "beam_number", "nested_block", "load_entry"],
+)
+def test_block_that_is_not_an_object_names_its_quoted_path(base, keys, value, message):
+    data = scenario_to_dict(preset(base))
+    lookup(data, keys[:-1])[keys[-1]] = value
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(data)
+
+
+def test_scenario_that_is_not_an_object_rejected():
+    with pytest.raises(ValidationError, match=r"^scenario must be a JSON object$"):
+        scenario_from_dict([minimal_static_dict()])
 
 
 def test_boolean_is_not_a_number():
@@ -735,124 +762,223 @@ def modal_dict(**edits):
 @pytest.mark.parametrize(
     "data, message",
     [
-        (edited("exp1", beam=_DROP), "solver 'static' requires a beam block"),
-        (edited("exp1", bc=_DROP), "solver 'static' requires a bc block"),
-        (edited("exp1", loads=_DROP), "solver 'static' requires at least one load"),
-        (
+        pytest.param(
+            edited("exp1", beam=_DROP),
+            "solver 'static' requires a beam block",
+            id="data0-solver 'static' requires a beam block",
+        ),
+        pytest.param(
+            edited("exp1", bc=_DROP),
+            "solver 'static' requires a bc block",
+            id="data1-solver 'static' requires a bc block",
+        ),
+        pytest.param(
+            edited("exp1", loads=_DROP),
+            "solver 'static' requires at least one load",
+            id="data2-solver 'static' requires at least one load",
+        ),
+        pytest.param(
             edited("exp1", loads=[_MOVING]),
             "solver 'static' accepts only udl and point loads",
+            id="data3-solver 'static' accepts only udl and point loads",
         ),
-        (
+        pytest.param(
             edited("exp1", grid={"nodes": 6000}),
             "grid.nodes 6000: the dense beam operator would take about 1099 MiB, "
             "above the 1024 MiB limit; lower grid.nodes",
+            id=(
+                "data4-grid.nodes 6000: the dense beam operator would take about 1099 MiB, above "
+                "the 1024 MiB limit; lower grid.nodes"
+            ),
         ),
-        (edited("exp2_1", beam=_DROP), "solver 'quasi_static' requires a beam block"),
-        (edited("exp2_1", time=_DROP), "solver 'quasi_static' requires a time block"),
-        (
+        pytest.param(
+            edited("exp2_1", beam=_DROP),
+            "solver 'quasi_static' requires a beam block",
+            id="data5-solver 'quasi_static' requires a beam block",
+        ),
+        pytest.param(
+            edited("exp2_1", time=_DROP),
+            "solver 'quasi_static' requires a time block",
+            id="data6-solver 'quasi_static' requires a time block",
+        ),
+        pytest.param(
             edited("exp2_1", loads=[_MOVING, _MOVING]),
             "solver 'quasi_static' requires exactly one moving_point or "
             "harmonic_point load",
+            id=(
+                "data7-solver 'quasi_static' requires exactly one moving_point or harmonic_point "
+                "load"
+            ),
         ),
-        (
+        pytest.param(
             edited("exp2_1", loads=[_UDL]),
             "solver 'quasi_static' requires exactly one moving_point or "
             "harmonic_point load",
+            id=(
+                "data8-solver 'quasi_static' requires exactly one moving_point or harmonic_point "
+                "load"
+            ),
         ),
-        (
+        pytest.param(
             edited("exp2_1", bc=_DROP),
             "solver 'quasi_static' requires bc {left: pinned, right: pinned}",
+            id="data9-solver 'quasi_static' requires bc {left: pinned, right: pinned}",
         ),
-        (
+        pytest.param(
             edited("exp2_1", bc=_CANTILEVER),
             "solver 'quasi_static' requires bc {left: pinned, right: pinned}",
+            id="data10-solver 'quasi_static' requires bc {left: pinned, right: pinned}",
         ),
-        (
+        pytest.param(
             edited("exp2_1", time={"start": 0.0, "end": 10.0, "dt": 1e-5}),
             "output.stride 1: 1000001 recorded frames of 201 columns would take "
             "about 1534 MiB, above the 1024 MiB limit; "
             "raise output.stride or lower grid.nodes",
+            id=(
+                "data11-output.stride 1: 1000001 recorded frames of 201 columns would take about "
+                "1534 MiB, above the 1024 MiB limit; raise output.stride or lower grid.nodes"
+            ),
         ),
-        (modal_dict(beam=_DROP), "solver 'modal' requires a beam block"),
-        (
+        pytest.param(
+            modal_dict(beam=_DROP),
+            "solver 'modal' requires a beam block",
+            id="data12-solver 'modal' requires a beam block",
+        ),
+        pytest.param(
             modal_dict(bc=_DROP, modal_only=_DROP),
             "solver 'modal' requires a bc block or modal_only.bearing_k",
+            id="data13-solver 'modal' requires a bc block or modal_only.bearing_k",
         ),
-        (
+        pytest.param(
             modal_dict(probes=[5.0]),
             "'probes' given, but solver 'modal' never reads it; remove it",
+            id="data14-'probes' given, but solver 'modal' never reads it; remove it",
         ),
         # the first block in schema order the run never reads is named
-        (
+        pytest.param(
             modal_dict(probes=[5.0], time=_SHORT),
             "'time' given, but solver 'modal' never reads it; remove it",
+            id="data15-'time' given, but solver 'modal' never reads it; remove it",
         ),
-        (edited("exp5_2", time=_DROP), "solver 'dynamic' requires a time block"),
-        (
+        pytest.param(
+            edited("exp5_2", time=_DROP),
+            "solver 'dynamic' requires a time block",
+            id="data16-solver 'dynamic' requires a time block",
+        ),
+        pytest.param(
             edited("exp5_2", beam=_BEAM),
             "'beam' given, but solver 'dynamic' never reads it; remove it",
+            id="data17-'beam' given, but solver 'dynamic' never reads it; remove it",
         ),
-        (
+        pytest.param(
             edited("exp5_2", loads=[_UDL]),
             "'loads' given, but solver 'dynamic' never reads it; remove it",
+            id="data18-'loads' given, but solver 'dynamic' never reads it; remove it",
         ),
-        (
+        pytest.param(
             edited("exp5_2", probes=[0.0]),
             "'probes' given, but solver 'dynamic' never reads it; remove it",
+            id="data19-'probes' given, but solver 'dynamic' never reads it; remove it",
         ),
-        (
+        pytest.param(
             edited("exp5_2", integrator={"rayleigh": {"zeta1": 0.05}}),
             "rayleigh damping applies to beam runs; set system.damping instead",
+            id="data20-rayleigh damping applies to beam runs; set system.damping instead",
         ),
-        (
+        pytest.param(
             edited("exp5_2", time={"start": 0.0, "end": 10.0, "dt": 1e-7}),
             "time.dt 1e-07: 100000001 time samples of 2 dofs would take about "
             "1526 MiB, above the 1024 MiB limit; "
             "raise time.dt or shorten the time span",
+            id=(
+                "data21-time.dt 1e-07: 100000001 time samples of 2 dofs would take about 1526 "
+                "MiB, above the 1024 MiB limit; raise time.dt or shorten the time span"
+            ),
         ),
-        (edited(dynamic_beam_dict(), time=_DROP), "solver 'dynamic' requires a time block"),
-        (
+        pytest.param(
+            edited(dynamic_beam_dict(), time=_DROP),
+            "solver 'dynamic' requires a time block",
+            id="data22-solver 'dynamic' requires a time block",
+        ),
+        pytest.param(
             edited(dynamic_beam_dict(), beam=_DROP),
             "solver 'dynamic' requires a beam block or a system block",
+            id="data23-solver 'dynamic' requires a beam block or a system block",
         ),
-        (edited(dynamic_beam_dict(), bc=_DROP), "solver 'dynamic' requires a bc block"),
-        (edited(dynamic_beam_dict(), loads=_DROP), "solver 'dynamic' requires at least one load"),
-        (
+        pytest.param(
+            edited(dynamic_beam_dict(), bc=_DROP),
+            "solver 'dynamic' requires a bc block",
+            id="data24-solver 'dynamic' requires a bc block",
+        ),
+        pytest.param(
+            edited(dynamic_beam_dict(), loads=_DROP),
+            "solver 'dynamic' requires at least one load",
+            id="data25-solver 'dynamic' requires at least one load",
+        ),
+        pytest.param(
             edited(dynamic_beam_dict(), grid={"nodes": 6}),
             "grid.nodes must be >= 7 for solver 'dynamic', got 6",
+            id="data26-grid.nodes must be >= 7 for solver 'dynamic', got 6",
         ),
-        (
+        pytest.param(
             edited(dynamic_beam_dict(), grid={"nodes": 6000}),
             "grid.nodes 6000: the dense beam operator would take about 1923 MiB, "
             "above the 1024 MiB limit; lower grid.nodes",
+            id=(
+                "data27-grid.nodes 6000: the dense beam operator would take about 1923 MiB, "
+                "above the 1024 MiB limit; lower grid.nodes"
+            ),
         ),
-        (
+        pytest.param(
             edited(dynamic_beam_dict(), time={"start": 0.0, "end": 10.0, "dt": 1e-5}),
             "time.dt 1e-05: 1000001 time samples of 201 dofs would take about "
             "1534 MiB, above the 1024 MiB limit; "
             "raise time.dt or shorten the time span",
+            id=(
+                "data28-time.dt 1e-05: 1000001 time samples of 201 dofs would take about 1534 "
+                "MiB, above the 1024 MiB limit; raise time.dt or shorten the time span"
+            ),
         ),
-        (edited("exp5_1", beam=_DROP), "solver 'sweep' requires a beam block"),
-        (edited("exp5_1", bc=_DROP), "solver 'sweep' requires a bc block"),
-        (edited("exp5_1", sweep=_DROP), "solver 'sweep' requires a sweep block"),
-        (
+        pytest.param(
+            edited("exp5_1", beam=_DROP),
+            "solver 'sweep' requires a beam block",
+            id="data29-solver 'sweep' requires a beam block",
+        ),
+        pytest.param(
+            edited("exp5_1", bc=_DROP),
+            "solver 'sweep' requires a bc block",
+            id="data30-solver 'sweep' requires a bc block",
+        ),
+        pytest.param(
+            edited("exp5_1", sweep=_DROP),
+            "solver 'sweep' requires a sweep block",
+            id="data31-solver 'sweep' requires a sweep block",
+        ),
+        pytest.param(
             edited("exp5_1", loads=[_POINT]),
             "solver 'sweep' requires exactly one harmonic_point load",
+            id="data32-solver 'sweep' requires exactly one harmonic_point load",
         ),
-        (
+        pytest.param(
             edited("exp5_1", probes=[5.0]),
             "'probes' given, but solver 'sweep' never reads it; remove it",
+            id="data33-'probes' given, but solver 'sweep' never reads it; remove it",
         ),
-        (
+        pytest.param(
             edited("exp5_1", grid={"nodes": 6}),
             "grid.nodes must be >= 7 for solver 'sweep', got 6",
+            id="data34-grid.nodes must be >= 7 for solver 'sweep', got 6",
         ),
-        (
+        pytest.param(
             edited("exp5_1", grid={"nodes": 6000}),
             "grid.nodes 6000: the dense beam operator would take about 2197 MiB, "
             "above the 1024 MiB limit; lower grid.nodes",
+            id=(
+                "data35-grid.nodes 6000: the dense beam operator would take about 2197 MiB, "
+                "above the 1024 MiB limit; lower grid.nodes"
+            ),
         ),
-        (
+        pytest.param(
             edited(
                 "exp5_1",
                 sweep={"f_min": 1.0, "f_max": 2.0, "f_count": 100_000},
@@ -860,32 +986,50 @@ def modal_dict(**edits):
             "sweep.f_count 100000: midspan histories of 4001 steps would take "
             "about 3053 MiB, above the 1024 MiB limit; "
             "lower sweep.f_count or the settle and measure periods",
+            id=(
+                "data36-sweep.f_count 100000: midspan histories of 4001 steps would take about "
+                "3053 MiB, above the 1024 MiB limit; lower sweep.f_count or the settle and "
+                "measure periods"
+            ),
         ),
-        (edited("exp4", beam=_DROP), "solver 'nonlinear' requires a beam block"),
-        (
+        pytest.param(
+            edited("exp4", beam=_DROP),
+            "solver 'nonlinear' requires a beam block",
+            id="data37-solver 'nonlinear' requires a beam block",
+        ),
+        pytest.param(
             edited("exp4", material=_DROP),
             "solver 'nonlinear' requires a material block",
+            id="data38-solver 'nonlinear' requires a material block",
         ),
-        (
+        pytest.param(
             edited("exp4", loads=[_POINT, _POINT]),
             "solver 'nonlinear' requires exactly one point load",
+            id="data39-solver 'nonlinear' requires exactly one point load",
         ),
-        (
+        pytest.param(
             edited("exp4", bc=_PINNED),
             "solver 'nonlinear' requires bc {left: clamped, right: free} (cantilever)",
+            id="data40-solver 'nonlinear' requires bc {left: clamped, right: free} (cantilever)",
         ),
-        (
+        pytest.param(
             edited("exp4", grid={"nodes": 2_000_000_000}),
             "grid.nodes 2000000000: the nonlinear cantilever's nodal arrays would "
             "take about 152588 MiB, above the 1024 MiB limit; lower grid.nodes",
+            id=(
+                "data41-grid.nodes 2000000000: the nonlinear cantilever's nodal arrays would "
+                "take about 152588 MiB, above the 1024 MiB limit; lower grid.nodes"
+            ),
         ),
-        (
+        pytest.param(
             edited("exp4", loads=[{**_POINT, "p": -1.0}]),
             "solver 'nonlinear' requires loads[0].p >= 0, got -1.0",
+            id="data42-solver 'nonlinear' requires loads[0].p >= 0, got -1.0",
         ),
-        (
+        pytest.param(
             edited("exp4", loads=[{**_POINT, "position": 0.0}]),
             "solver 'nonlinear' requires loads[0].position > 0, got 0.0",
+            id="data43-solver 'nonlinear' requires loads[0].position > 0, got 0.0",
         ),
     ],
 )
@@ -971,6 +1115,32 @@ def test_system_run_peak_bounded_by_recorded_samples(stride):
         tracemalloc.stop()
     assert frames.shape == (samples, s.system.dofs)
     assert peak / (8 * samples * s.system.dofs) <= SYSTEM_RUN_PEAK_RATIOS[stride]
+
+
+#: Traced peak of `run_scenario` on exp5_1 while `frequency_sweep` took |x|
+#: of whole windows and its recurrence held every frequency's rows at once.
+SWEEP_PEAK_BEFORE = 1.66 * 2**20
+
+
+def traced_peak(s: Scenario) -> int:
+    tracemalloc.start()
+    try:
+        run_scenario(s)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_peak_within_history_and_recurrence_budget():
+    assert traced_peak(preset("exp5_1")) <= SWEEP_PEAK_BEFORE
+    # many frequencies: the recurrence steps them in groups within its budget
+    data = scenario_to_dict(preset("exp5_1"))
+    data["sweep"]["f_count"] = 300
+    s = scenario_from_dict(data)
+    steps = (s.sweep.settle_periods + s.sweep.measure_periods) * SWEEP_STEPS_PER_PERIOD
+    blocks, size = _blocking(steps, 1)
+    history_bytes = 8 * s.sweep.f_count * (blocks * size + 1)
+    assert traced_peak(s) <= history_bytes + RECURRENCE_BYTES
 
 
 @pytest.mark.parametrize(
