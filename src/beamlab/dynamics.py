@@ -27,6 +27,9 @@ drive is the same sinusoid shifted in phase, so linearity stitches all of
 them from those rows, and numpy's per-call cost is paid about 2*sqrt(steps)
 times rather than once per step.  The rows of a group of frequencies stay
 within a fixed byte budget.
+
+Only `integrate`, `eigenfrequencies` and `frequency_sweep` call scipy, and
+each imports `scipy.linalg` itself, so mass-spring runs never load scipy.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from dataclasses import dataclass, replace
 from itertools import compress
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     STATIC_LOADS,
@@ -178,6 +180,8 @@ def integrate(
     factorized once.  Systems flagged rank-deficient are rejected unless they
     carry damping.
     """
+    import scipy.linalg
+
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
     if system.rank_warning and not system.is_damped:
@@ -282,6 +286,8 @@ def discretize_beam(beam: BeamSpec, bc: BoundarySpec, n_nodes: int) -> MdofSyste
 
 def eigenfrequencies(system: MdofSystem, count: int) -> np.ndarray:
     """Lowest `count` undamped circular frequencies of (K, M), ascending."""
+    import scipy.linalg
+
     if count < 1 or count > system.size:
         raise ValidationError(f"count must be in [1, {system.size}], got {count}")
     values = scipy.linalg.eigh(
@@ -588,6 +594,8 @@ def frequency_sweep(
     and `modal_harmonic_response` advances all frequencies at once, reading
     out only the midspan displacement Phi[mid] @ q.
     """
+    import scipy.linalg
+
     freqs = [float(f) for f in freqs]
     if any(f <= 0.0 for f in freqs):
         raise ValidationError("sweep frequencies must be positive")

@@ -13,16 +13,17 @@ The determinant is evaluated with rows scaled to unit max magnitude, which
 keeps it well conditioned out to many multiples of the fundamental root.
 Roots are located by a sign-change scan and refined with Brent's method.  The
 scan takes its determinants in stacked chunks; the values are the same as one
-call per point.
+call per point.  The refinement, `brent_root`, is a port of scipy's brentq.c
+that returns the same roots bit for bit, so this module needs no scipy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     BeamSpec,
@@ -30,6 +31,7 @@ from .model import (
     DegenerateModeError,
     EndCondition,
     InsufficientRootsError,
+    NonConvergenceError,
     SpatialGrid,
     StaticProfile,
     ValidationError,
@@ -44,6 +46,10 @@ SCAN_STEP_SCALE = 0.05
 ROOT_TOL_SCALE = 1e-10
 #: Scan points whose determinants are taken in one stacked call.
 SCAN_CHUNK = 128
+#: Brent iterations per root before refinement gives up, as in scipy's brentq.
+BRENT_MAXITER = 100
+#: Brent's relative tolerance on the root, 4 machine epsilons as in brentq.
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
 
 #: Row k: where the k-th derivative of the basis, over beta^k, takes its four
 #: entries from (sin, cos, -sin, -cos, exp(-bx), -exp(-bx), exp(b(x-L))).
@@ -141,13 +147,60 @@ def _scan(beta: float, step: float, beta_max: float, beam: BeamSpec, bc: Boundar
         yield from zip(chunk, dets.tolist())
 
 
+def brent_root(f, xa: float, xb: float, xtol: float, args=()) -> float | None:
+    """Root of f(x, *args) in [xa, xb], to within xtol + BRENT_RTOL*|x|.
+
+    A port of scipy's brentq.c (Brent 1973, *Algorithms for Minimization
+    without Derivatives*, ch. 4): the same steps in the same float order, so
+    the same root bit for bit.  f must change sign over the bracket.  Returns
+    None if BRENT_MAXITER iterations do not converge.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre, *args), f(xcur, *args)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValidationError(f"f does not change sign over [{xa}, {xb}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur, *args)
+    return None
+
+
 def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarray:
     """First `n_roots` positive roots of the characteristic determinant.
 
     Scans upward from 0.1/L in steps of 0.05/L, brackets sign changes and
-    refines each with Brent's method to within 1e-10/L.  Raises
+    refines each with `brent_root` to within 1e-10/L.  Raises
     InsufficientRootsError if the scan window beta*L <= 4*pi*n_roots + 10
-    runs out first.
+    runs out first, and NonConvergenceError if a refinement does not
+    converge in BRENT_MAXITER iterations.
     """
     if n_roots < 1:
         raise ValidationError(f"n_roots must be >= 1, got {n_roots}")
@@ -163,9 +216,13 @@ def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarra
         if det_next == 0.0:
             roots.append(beta_next)
         elif det_prev * det_next < 0.0:
-            root = brentq(
-                characteristic_det, beta_prev, beta_next, args=(beam, bc), xtol=tol
-            )
+            root = brent_root(characteristic_det, beta_prev, beta_next, tol, (beam, bc))
+            if root is None:
+                raise NonConvergenceError(
+                    f"root refinement for beta*L in [{beta_prev * length:.6g}, "
+                    f"{beta_next * length:.6g}] with {bc.left.kind}-{bc.right.kind} "
+                    f"ends did not converge in BRENT_MAXITER={BRENT_MAXITER} iterations"
+                )
             if not roots or root - roots[-1] > 0.5 * scan_step:
                 roots.append(root)
         if len(roots) == n_roots:

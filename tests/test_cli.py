@@ -1,10 +1,13 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from beamlab import modal
 from beamlab.cli import main
 from beamlab.scenario import preset, scenario_to_json
 
@@ -125,6 +128,15 @@ def test_solver_error_exit_3(tmp_path, capsys):
     path.write_text(text)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "rigid" in capsys.readouterr().err
+
+
+def test_root_refinement_cap_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(modal, "BRENT_MAXITER", 1)
+    assert main(["modal", "--preset", "exp3", "--modes", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "error: root refinement for beta*L in [1.85, 1.9] with clamped-free ends "
+        "did not converge in BRENT_MAXITER=1 iterations\n"
+    )
 
 
 def test_modal_command_output(capsys):
@@ -432,3 +444,103 @@ print(json.dumps({
 def test_beam_dynamic_outputs_match_recorded_digests(tmp_path):
     digests = run_digests(BEAM_DYNAMIC_SCRIPT, tmp_path, json.dumps(BEAM_DYNAMIC))
     assert digests == BEAM_DYNAMIC_DIGESTS
+
+
+# Which commands load scipy.  Each check runs in a fresh interpreter: this
+# process has scipy loaded by the tests that import it.
+SCIPY_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+import beamlab
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+after_import = loaded()
+from beamlab.cli import main
+for command in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(command.replace("OUT", sys.argv[1]).split()) == 0, command
+print(json.dumps({"import": after_import, "commands": loaded()}))
+"""
+
+#: Every preset but the exp5_1 sweep, and two modal runs: none calls scipy.
+SCIPY_FREE_COMMANDS = [
+    f"run --preset {name} --out OUT/{name}"
+    for name in ("exp1", "exp2_1", "exp2_2", "exp3", "exp4", "exp5_2")
+] + ["modal --preset exp3 --modes 3", "modal --preset exp2_1 --modes 50"]
+
+
+def test_import_loads_no_scipy(tmp_path):
+    assert run_digests(SCIPY_MODULES_SCRIPT, tmp_path) == {"import": [], "commands": []}
+
+
+def test_commands_without_linalg_load_no_scipy(tmp_path):
+    loaded = run_digests(SCIPY_MODULES_SCRIPT, tmp_path, *SCIPY_FREE_COMMANDS)
+    assert loaded == {"import": [], "commands": []}
+
+
+def test_sweep_loads_scipy_linalg_only(tmp_path):
+    loaded = run_digests(SCIPY_MODULES_SCRIPT, tmp_path, "run --preset exp5_1 --out OUT/exp5_1")
+    assert loaded["import"] == []
+    assert "scipy.linalg" in loaded["commands"]
+    assert not [m for m in loaded["commands"] if m.startswith(("scipy.optimize", "scipy.signal"))]
+
+
+#: Submodules that cost far more to import than any command spends in them:
+#: scipy.signal alone takes about 1.2 s cold.
+BANNED_SCIPY = ("scipy.optimize", "scipy.signal")
+
+
+def scipy_import_faults(source: str, filename: str) -> list[str]:
+    """Module-level scipy imports, and imports of BANNED_SCIPY at any level."""
+    tree = ast.parse(source, filename)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    in_function = {
+        id(node)
+        for scope in ast.walk(tree)
+        if isinstance(scope, functions)
+        for node in ast.walk(scope)
+    }
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.partition(".")[0] != "scipy":
+                continue
+            where = f"{filename}:{node.lineno}"
+            if id(node) not in in_function:
+                faults.append(f"{where} imports {name} at module level")
+            if any(name == banned or name.startswith(banned + ".") for banned in BANNED_SCIPY):
+                faults.append(f"{where} imports {name}")
+    return faults
+
+
+def test_scipy_imports_lint_flags_each_fault():
+    source = (
+        "import scipy.linalg\n"
+        "def f():\n"
+        "    import scipy.linalg\n"
+        "    from scipy import signal\n"
+        "class C:\n"
+        "    from scipy.optimize import brentq\n"
+    )
+    assert sorted(scipy_import_faults(source, "m.py")) == [
+        "m.py:1 imports scipy.linalg at module level",
+        "m.py:4 imports scipy.signal",
+        "m.py:6 imports scipy.optimize.brentq",
+        "m.py:6 imports scipy.optimize.brentq at module level",
+    ]
+
+
+def test_package_imports_scipy_only_inside_functions():
+    package = Path(__file__).resolve().parent.parent / "src" / "beamlab"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    faults = [
+        fault
+        for path in sources
+        for fault in scipy_import_faults(path.read_text(), path.name)
+    ]
+    assert faults == []

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from beamlab import (
@@ -13,11 +13,12 @@ from beamlab import (
     ValidationError,
 )
 from beamlab import modal
-from beamlab.model import InsufficientRootsError
+from beamlab.model import InsufficientRootsError, NonConvergenceError
 from beamlab.modal import (
     BETA_MIN_SCALE,
     ROOT_TOL_SCALE,
     ModeSolution,
+    brent_root,
     characteristic_det,
     characteristic_matrix,
     find_beta_roots,
@@ -192,6 +193,15 @@ class TestFindBetaRoots:
         with pytest.raises(ValidationError):
             find_beta_roots(ref_beam, PINNED, 0)
 
+    def test_refinement_cap_raises_nonconvergence(self, ref_beam, monkeypatch):
+        monkeypatch.setattr(modal, "BRENT_MAXITER", 1)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            find_beta_roots(ref_beam, PINNED, 1)
+        assert str(excinfo.value) == (
+            "root refinement for beta*L in [3.1, 3.15] with pinned-pinned ends "
+            "did not converge in BRENT_MAXITER=1 iterations"
+        )
+
 
 SPRING_SUPPORTS = {
     "spring-spring": lambda k1, k2: (EndCondition.spring(k1), EndCondition.spring(k2)),
@@ -224,6 +234,76 @@ def test_property_spring_supported_roots(supports, log_k1, log_k2, n_roots):
         scaled = matrix / np.max(np.abs(matrix), axis=1, keepdims=True)
         assert np.linalg.norm(mode.coefficients) == pytest.approx(1.0, rel=1e-12)
         assert np.max(np.abs(scaled @ np.array(mode.coefficients))) < 1e-6
+
+
+def brentq_or_none(f, a, b, xtol, args=()):
+    """scipy's brentq, with None where it gives up after its 100 iterations."""
+    try:
+        return brentq(f, a, b, args=args, xtol=xtol)
+    except RuntimeError:
+        return None
+
+
+def changes_sign(fa, fb):
+    return fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)
+
+
+END_KINDS = ("pinned", "clamped", "free", "spring")
+#: log-uniform over 1e-14..1e-3
+XTOL = st.floats(min_value=-14.0, max_value=-3.0).map(lambda e: 10.0**e)
+
+
+def end_condition(kind, log_k):
+    return EndCondition.spring(10.0**log_k) if kind == "spring" else EndCondition(kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    left=st.sampled_from(END_KINDS),
+    right=st.sampled_from(END_KINDS),
+    log_k1=LOG_STIFFNESS,
+    log_k2=LOG_STIFFNESS,
+    lo=st.floats(min_value=0.1, max_value=60.0),
+    width=st.floats(min_value=0.01, max_value=4.0),
+    xtol=XTOL,
+)
+def test_property_brent_root_matches_brentq_on_characteristic_det(
+    left, right, log_k1, log_k2, lo, width, xtol
+):
+    # brackets of beta*L over 0.1..64, tight or spanning a root spacing
+    beam = BeamSpec(length=10.0, width=0.2, height=0.4, elastic_modulus=25e9, density=2500.0)
+    bc = BoundarySpec(end_condition(left, log_k1), end_condition(right, log_k2))
+    a, b = lo / beam.length, (lo + width) / beam.length
+    assume(changes_sign(characteristic_det(a, beam, bc), characteristic_det(b, beam, bc)))
+    expected = brentq_or_none(characteristic_det, a, b, xtol, (beam, bc))
+    assert brent_root(characteristic_det, a, b, xtol, (beam, bc)) == expected
+
+
+CLOSED_FORMS = {
+    # clamped-free and free-free frequency equations, and pinned-pinned's
+    "cos cosh + 1": lambda z: math.cos(z) * math.cosh(z) + 1.0,
+    "cos cosh - 1": lambda z: math.cos(z) * math.cosh(z) - 1.0,
+    "sin sinh": lambda z: math.sin(z) * math.sinh(z),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CLOSED_FORMS)),
+    a=st.floats(min_value=0.0, max_value=40.0),
+    b=st.floats(min_value=0.0, max_value=40.0),
+    xtol=XTOL,
+)
+def test_property_brent_root_matches_brentq_on_closed_forms(name, a, b, xtol):
+    # either end first, as brentq takes them
+    fn = CLOSED_FORMS[name]
+    assume(changes_sign(fn(a), fn(b)))
+    assert brent_root(fn, a, b, xtol) == brentq_or_none(fn, a, b, xtol)
+
+
+def test_brent_root_refuses_a_bracket_without_sign_change():
+    with pytest.raises(ValidationError, match="does not change sign"):
+        brent_root(CLOSED_FORMS["cos cosh + 1"], 2.0, 3.0, 1e-12)
 
 
 class TestNaturalFrequencies:
