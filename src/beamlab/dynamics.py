@@ -12,7 +12,8 @@ damping.  The effective matrix is factorized once per run.
 
 Beams are reduced to mass-spring chains by lumping rho*A over nodal tributary
 lengths and reusing the static bending stiffness; damping, when requested, is
-Rayleigh stiffness-proportional fitted to a first-mode damping ratio.
+Rayleigh stiffness-proportional fitted to a first-mode damping ratio, so beam
+runs refuse ends that leave a rigid-body mode, which it cannot damp.
 
 Classically damped systems under a harmonic load take a shortcut: when the
 mass-normalized eigenvectors Phi of (K, M) diagonalize M, C and K together,
@@ -20,13 +21,13 @@ the linear Newmark update commutes with u = Phi q, so one scalar recurrence
 per mode gives the coupled update's displacements up to rounding.  Resonance
 sweeps (stiffness-proportional damping over a lumped mass) and mass-spring
 runs (diagonal M, C and K) share that recurrence, `modal_harmonic_response`;
-beam time responses keep the direct factorized path.  The recurrence steps
-one block of about sqrt(steps) steps, on rows driven by cos and sin of the
-phase within a block and rows started from unit q, v and a; every block's
-drive is the same sinusoid shifted in phase, so linearity stitches all of
-them from those rows, and numpy's per-call cost is paid about 2*sqrt(steps)
-times rather than once per step.  The rows of a group of frequencies stay
-within a fixed byte budget.
+beam time responses keep the direct factorized path.  Every run of the
+recurrence, at any length and stride, steps one block of about sqrt(steps)
+steps, on rows driven by cos and sin of the phase within a block and rows
+started from unit q, v and a; every block's drive is the same sinusoid
+shifted in phase, so linearity stitches all of them from those rows, and
+numpy's per-call cost is paid about 2*sqrt(steps) times rather than once per
+step.  The rows of a group of frequencies stay within a fixed byte budget.
 
 Only `integrate`, `eigenfrequencies` and `frequency_sweep` call scipy, and
 each imports `scipy.linalg` itself, so mass-spring runs never load scipy.
@@ -309,11 +310,15 @@ def beam_time_response(
     """Integrate a discretized beam from rest and report full-grid frames.
 
     zeta1 > 0 adds stiffness-proportional Rayleigh damping fitted to the
-    discrete first mode.  Udl and point loads are turned into nodal forces
-    once; harmonic and moving loads are added at every step.
+    discrete first mode.  Ends that leave a rigid-body mode are refused
+    whatever zeta1: that damping would leave the mode undamped.  Udl and
+    point loads are turned into nodal forces once; harmonic and moving loads
+    are added at every step.
     """
     check_load_positions(loads, beam.length)
     system = discretize_beam(beam, bc, n_nodes)
+    if system.rank_warning:  # stiffness-proportional damping cannot damp rigid modes
+        raise RankDeficiencyError(f"cannot integrate rank-deficient system: {system.rank_warning}")
     if zeta1 > 0.0:
         omega1 = float(eigenfrequencies(system, 1)[0])
         coeff = stiffness_damping_coeff(zeta1, omega1)
@@ -354,19 +359,17 @@ STITCH_BLOCKS = 16
 
 def _blocking(steps: int, stride: int) -> tuple[int, int]:
     """Block count and block length, a whole number of strides, that cut
-    the time axis of `modal_harmonic_response`; one block spans every step."""
-    blocks = math.isqrt(steps)
-    if blocks < 2:
-        return 1, steps
-    size = -(-steps // blocks)
+    the steps of `modal_harmonic_response` up to its last recorded sample
+    into about sqrt(steps) blocks: none when it records only its start."""
+    last = steps - steps % stride
+    size = -(-last // max(1, math.isqrt(last)))
     size = -(-size // stride) * stride
-    blocks = -(-steps // size)
-    return (blocks, size) if blocks > 1 else (1, steps)
+    return -(-last // max(1, size)), size
 
 
 def _frequency_bytes(modes: int, outputs: int, blocks: int, size: int, stride: int) -> int:
     """Upper bound on the bytes one frequency takes in `_step_block` and
-    `_stitch_blocks` when there is more than one block."""
+    `_stitch_blocks`."""
     columns = 2 + 3 * modes
     # coefficient, state, temporary and end-state rows, then the drive table
     stepping = 18 * 5 * modes + min(size, DRIVE_TICKS) * 13
@@ -396,63 +399,57 @@ def modal_harmonic_response(
     Returns q @ readout at every `stride`-th step from step 0, with shape
     (steps // stride + 1, frequencies) + readout.shape[1:].
 
-    The time axis is cut into about sqrt(steps) blocks of `size` steps, each
-    a whole number of strides, and only one block is stepped.  Block k's
-    drive is sin(phi_k + theta_j) = sin(phi_k)*cos(theta_j) +
-    cos(phi_k)*sin(theta_j), with phi_k = omega*(start + k*size*dt) and
-    theta_j = omega*j*dt, so five rows per (frequency x mode) channel cover
-    every block: a cos(theta) and a sin(theta) row from rest, and three
-    undriven rows from unit q, v and a.  The update is linear, so block k is
-    sin(phi_k) times the cos row plus cos(phi_k) times the sin row plus the
-    unit rows weighted by its start state.  A loop over the blocks carries
-    those start states from the rows' end states, and batched matmuls,
-    STITCH_BLOCKS blocks at a time, weight the rows' recorded samples into
-    every block's.  The phases are taken in long double, as the rounding of
-    phi_k is shared by every step of block k.  Frequencies are stepped in
-    groups whose rows fit RECURRENCE_BYTES.  A run of one block (under 4
-    steps, or a stride past half the run) is stepped from its true start,
-    every frequency at once, with the per-step loop's rounding.
+    The steps up to the last recorded sample are cut into about sqrt(steps)
+    blocks of `size` steps, each a whole number of strides, and only one
+    block is stepped.  Block k's drive is sin(phi_k + theta_j) =
+    sin(phi_k)*cos(theta_j) + cos(phi_k)*sin(theta_j), with
+    phi_k = omega*(start + k*size*dt) and theta_j = omega*j*dt, so five rows
+    per (frequency x mode) channel cover every block: a cos(theta) and a
+    sin(theta) row from rest, and three undriven rows from unit q, v and a.
+    The update is linear, so block k is sin(phi_k) times the cos row plus
+    cos(phi_k) times the sin row plus the unit rows weighted by its start
+    state.  A loop over the blocks carries those start states from the rows'
+    end states, and batched matmuls, STITCH_BLOCKS blocks at a time, weight
+    the rows' recorded samples into every block's.  The phases are taken in
+    long double, as the rounding of phi_k is shared by every step of block
+    k.  Frequencies are stepped in groups whose rows fit RECURRENCE_BYTES.
+    A run whose stride exceeds its steps steps nothing: one row, at rest.
     """
     omega = np.asarray(omega, dtype=float)[:, None]
     step = np.asarray(dt, dtype=float)[:, None]
     blocks, size = _blocking(steps, stride)
     history = np.zeros((omega.size, blocks * (size // stride) + 1, *np.shape(readout)[1:]))
-    if blocks == 1:
-        _step_block(lam, damping, gain, omega, step, readout, cfg, start, size, stride, history)
-        return np.moveaxis(history, 0, 1)
-    per_frequency = _frequency_bytes(
-        np.shape(gain)[-1], math.prod(np.shape(readout)[1:]), blocks, size, stride
-    )
-    group = max(1, RECURRENCE_BYTES // per_frequency)
+    modes, outputs = np.shape(gain)[-1], math.prod(np.shape(readout)[1:])
+    group = max(1, RECURRENCE_BYTES // _frequency_bytes(modes, outputs, blocks, size, stride))
     for first in range(0, omega.size, group):
         rows = slice(first, first + group)
         ends, basis = _step_block(
-            lam, damping, gain, omega[rows], step[rows], readout, cfg, start, size, stride
+            lam, damping, gain, omega[rows], step[rows], readout, cfg, size, stride
         )
-        _stitch_blocks(gain, omega[rows], step[rows], start, size, ends, basis, history[rows])
+        _stitch_blocks(
+            gain, omega[rows], step[rows], start, blocks, size, ends, basis, history[rows]
+        )
         del ends, basis  # freed before the next group's are made
     return np.moveaxis(history, 0, 1)[: steps // stride + 1]
 
 
-def _step_block(lam, damping, gain, omega, step, readout, cfg, start, size, stride, history=None):
-    """Step one block for the (frequency, 1) columns `omega` and `step`.
+def _step_block(lam, damping, gain, omega, step, readout, cfg, size, stride):
+    """Step the five rows that `modal_harmonic_response` describes through
+    one block for the (frequency, 1) columns `omega` and `step`.
 
-    Given `history` (frequency, sample, ...), step the true drive from the
-    true start and write its samples there.  Otherwise step the five rows
-    that `modal_harmonic_response` describes and return their end states,
-    shaped (frequency, row, q|v|a x mode), and the basis: per frequency, the
-    cos and sin rows' samples read out, then the unit rows' q times the
-    readout, shaped (frequency, column, sample, output).
+    Returns the rows' end states, shaped (frequency, row, q|v|a x mode), and
+    the basis: per frequency, the cos and sin rows' samples read out, then
+    the unit rows' q times the readout, shaped (frequency, column, sample,
+    output).
     """
     freqs, modes = omega.size, np.shape(gain)[-1]
     dt = step * np.ones(modes)
     gamma, beta = cfg.gamma, cfg.beta_nm
     effective = 1.0 + gamma * dt * damping + beta * dt**2 * lam
-    rows = 1 if history is not None else 5
     # the step coefficients are spelled out to full (frequency, row, mode)
     # arrays, as same-shape products beat broadcasts here
     dt, c_upred, c_vpred, c_u, c_v, damping_gain, stiffness_gain, force_gain = (
-        np.repeat(x[:, None], rows, axis=1)
+        np.repeat(x[:, None], 5, axis=1)
         for x in (
             dt,
             (0.5 - beta) * dt**2,
@@ -464,18 +461,19 @@ def _step_block(lam, damping, gain, omega, step, readout, cfg, start, size, stri
             gain / effective,
         )
     )
-    q, v, a = np.zeros((3, freqs, rows, modes))
-    if history is not None:
-        a[:, 0] = gain * np.sin(omega * start)  # at rest, the load alone accelerates
-    else:
-        q[:, 2] = v[:, 3] = a[:, 4] = 1.0
-        outputs = np.reshape(readout, (modes, -1))
-        unit_outputs = np.tile(outputs, (3, 1))
-        basis = np.empty((freqs, 2 + 3 * modes, size // stride, outputs.shape[1]))
-
+    q, v, a = np.zeros((3, freqs, 5, modes))
+    q[:, 2] = v[:, 3] = a[:, 4] = 1.0
+    outputs = np.reshape(readout, (modes, -1))
+    unit_outputs = np.tile(outputs, (3, 1))
+    basis = np.empty((freqs, 2 + 3 * modes, size // stride, outputs.shape[1]))
+    # the drive, DRIVE_TICKS steps at a time: cos and sin of omega*j*dt, then zeros
+    drive = np.zeros((min(size, DRIVE_TICKS), freqs, 5, 1))
     for j in range(1, size + 1):
         if (j - 1) % DRIVE_TICKS == 0:
-            drive = _drive(omega, step, start, j, min(size, j + DRIVE_TICKS - 1), rows)
+            ticks = np.arange(j, j + len(drive))[:, None, None]
+            theta = omega.astype(np.longdouble) * (ticks * step.astype(np.longdouble))
+            drive[:, :, 0] = np.cos(theta)
+            drive[:, :, 1] = np.sin(theta)
         # in place, with the rounding of u_pred = q + dt*v + c_upred*a,
         # v_pred = v + c_vpred*a, a = force - damping_gain*v_pred
         # - stiffness_gain*u_pred, q = u_pred + c_u*a and v = v_pred + c_v*a
@@ -492,37 +490,16 @@ def _step_block(lam, damping, gain, omega, step, readout, cfg, start, size, stri
         v = c_v * a
         v += v_pred
         if j % stride == 0:
-            sample = j // stride
-            if history is not None:
-                history[:, sample] = q[:, 0] @ readout
-            else:
-                basis[:, :2, sample - 1] = q[:, :2] @ outputs
-                np.multiply(
-                    q[:, 2:].reshape(freqs, -1, 1), unit_outputs, out=basis[:, 2:, sample - 1]
-                )
-    if history is None:
-        return np.stack((q, v, a), axis=2).reshape(freqs, rows, -1), basis
+            sample = j // stride - 1
+            basis[:, :2, sample] = q[:, :2] @ outputs
+            np.multiply(q[:, 2:].reshape(freqs, -1, 1), unit_outputs, out=basis[:, 2:, sample])
+    return np.stack((q, v, a), axis=2).reshape(freqs, 5, -1), basis
 
 
-def _drive(omega, step, start, first: int, last: int, rows: int) -> np.ndarray:
-    """Each row's drive over steps first..last, shaped (step, frequency, row, 1):
-    for one row the true sine, rounded as the per-step loop rounds it; for
-    five, cos and sin of omega*j*dt, then zeros."""
-    ticks = np.arange(first, last + 1)[:, None, None]
-    drive = np.zeros((ticks.size, omega.size, rows, 1))
-    if rows == 1:
-        drive[:, :, 0] = np.sin(omega * (start + ticks * step))
-    else:
-        theta = omega.astype(np.longdouble) * (ticks * step.astype(np.longdouble))
-        drive[:, :, 0] = np.cos(theta)
-        drive[:, :, 1] = np.sin(theta)
-    return drive
-
-
-def _stitch_blocks(gain, omega, step, start, size, ends, basis, history):
-    """Fill every block's samples into `history` from the end states and
-    basis of `_step_block`, STITCH_BLOCKS blocks per matmul."""
-    freqs, blocks = omega.size, (history.shape[1] - 1) // basis.shape[2]
+def _stitch_blocks(gain, omega, step, start, blocks, size, ends, basis, history):
+    """Fill the samples of `blocks` blocks into `history` from the end states
+    and basis of `_step_block`, STITCH_BLOCKS blocks per matmul."""
+    freqs = omega.size
     phase = omega.astype(np.longdouble) * (
         start + np.arange(blocks) * size * step.astype(np.longdouble)
     )
@@ -534,7 +511,7 @@ def _stitch_blocks(gain, omega, step, start, size, ends, basis, history):
     weights = np.empty((freqs, min(blocks, STITCH_BLOCKS), basis.shape[1]))
     unit_ends = ends[:, 2:].reshape(freqs, 3, 3, -1)
     samples = basis.reshape(freqs, basis.shape[1], -1)
-    out = history[:, 1:].reshape(freqs, blocks, -1)
+    out = history[:, 1:].reshape(freqs, blocks, samples.shape[2])
     for first in range(0, blocks, STITCH_BLOCKS):
         chunk = weights[:, : min(STITCH_BLOCKS, blocks - first)]
         count = chunk.shape[1]
@@ -607,16 +584,10 @@ def frequency_sweep(
         return []
     load = nodal_force(PointLoad(p0, xload), grid)
     system = discretize_beam(beam, bc, n_nodes)
+    if system.rank_warning:  # stiffness-proportional damping cannot damp rigid modes
+        raise RankDeficiencyError(f"cannot integrate rank-deficient system: {system.rank_warning}")
     lam, phi = scipy.linalg.eigh(system.stiffness, system.mass)
-    if zeta1 > 0.0:
-        omega1 = math.sqrt(max(float(lam[0]), 0.0))
-        stiffness_coeff = stiffness_damping_coeff(zeta1, omega1)
-    elif system.rank_warning:
-        raise RankDeficiencyError(
-            f"cannot integrate undamped rank-deficient system: {system.rank_warning}"
-        )
-    else:
-        stiffness_coeff = 0.0
+    stiffness_coeff = stiffness_damping_coeff(zeta1, math.sqrt(max(float(lam[0]), 0.0)))
     # midspan is interior, so free: its phi row counts the free nodes before it
     midspan_row = phi[np.count_nonzero(system.free_mask[:mid_node])].copy()
     gain = phi.T @ load[system.free_mask]

@@ -150,6 +150,15 @@ class LoadSweepSpec:
             )
         if self.count < 1 or (self.count == 1 and self.p_min != self.p_max):
             raise ValidationError("load sweep count must cover [p_min, p_max]")
+        # np.linspace ascends strictly once its step tops 2 ulps of p_max;
+        # asking 4 covers that step's own rounding, and comparing the span
+        # in ulps with the int count never overflows
+        span = (self.p_max - self.p_min) / (4 * math.ulp(self.p_max))
+        if self.count > 1 and span <= self.count - 1:
+            raise ValidationError(
+                f"load sweep values must be strictly ascending: {self.count} points over "
+                f"[{self.p_min}, {self.p_max}] are not 4 ulps of p_max apart"
+            )
 
     def values(self) -> np.ndarray:
         return np.linspace(self.p_min, self.p_max, self.count)
@@ -351,6 +360,16 @@ class Scenario:
                 f"grid.nodes {n}: the nonlinear cantilever's nodal arrays",
                 "lower grid.nodes",
             )
+            if self.load_sweep is not None:
+                # 256 bytes per point of the load curve: its load, its point
+                # and their list slots, 193-204 measured with tracemalloc as
+                # the slope between 200 and 8000 points, rounded up
+                count = self.load_sweep.count
+                limit(
+                    256 * count,
+                    f"load_sweep.count {count}: the load curve's points",
+                    "lower load_sweep.count",
+                )
 
 
 _MISSING = object()

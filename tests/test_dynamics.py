@@ -488,8 +488,7 @@ def per_step_modal_history(
     magnitude=False,
 ):
     """The plain per-step recurrence behind `modal_harmonic_response`, in
-    `dtype`: in float64 a one-block run must match it bit for bit, and in
-    long double it is the exact reference for blocked runs.  With
+    `dtype`: in long double it is the exact reference for every run.  With
     `magnitude`, each sample is |q| @ |readout|, the scale of its rounding."""
     lam, damping, gain, readout = (
         np.asarray(x, dtype=dtype) for x in (lam, damping, gain, readout)
@@ -582,17 +581,33 @@ def modal_runs(draw):
 @given(run=modal_runs())
 def test_property_modal_response_matches_per_step_loop(run):
     got = modal_harmonic_response(**run)
-    if _blocking(run["steps"], run["stride"])[0] == 1:  # one block: the same arithmetic
-        np.testing.assert_array_equal(got, per_step_modal_history(**run))
-    else:
-        # against the exact recurrence, at 2e-14 of the peak of sum |q_i*readout_i|
-        # over every step: the float64 loop itself, rounding its sine argument
-        # once per step, strays up to 8.1e-14 of that peak
-        exact = per_step_modal_history(**run, dtype=np.longdouble)
-        scale = per_step_modal_history(**{**run, "stride": 1}, dtype=np.longdouble, magnitude=True)
-        assert got.shape == exact.shape
-        atol = 2e-14 * float(np.max(scale))
-        np.testing.assert_allclose(got, exact.astype(float), rtol=0, atol=atol)
+    # against the exact recurrence, at 2e-14 of the peak of sum |q_i*readout_i|
+    # over every step: the float64 loop itself, rounding its sine argument
+    # once per step, strays up to 8.1e-14 of that peak
+    exact = per_step_modal_history(**run, dtype=np.longdouble)
+    scale = per_step_modal_history(**{**run, "stride": 1}, dtype=np.longdouble, magnitude=True)
+    assert got.shape == exact.shape
+    atol = 2e-14 * float(np.max(scale))
+    np.testing.assert_allclose(got, exact.astype(float), rtol=0, atol=atol)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), steps=st.integers(1, 10**6))
+def test_property_blocking_covers_the_recorded_steps(data, steps):
+    stride = data.draw(st.integers(1, steps + 5))
+    blocks, size = _blocking(steps, stride)
+    assert size % stride == 0
+    # the blocks reach the last recorded step, and none lies wholly past it
+    last = steps // stride * stride
+    assert blocks * size >= last > (blocks - 1) * size or blocks == last == 0
+    assert blocks <= math.isqrt(steps) + 1
+
+
+def test_stride_past_the_run_steps_nothing():
+    lam, damping, gain = np.array([4.0, 90.0]), np.array([0.1, 0.9]), np.array([1.0, 0.5])
+    assert _blocking(3, 10**9)[0] == 0
+    got = modal_harmonic_response(lam, damping, gain, [3.0], [2e-3], 3, gain, stride=10**9)
+    np.testing.assert_array_equal(got, np.zeros((1, 1)))
 
 
 class TestDiscretizeBeam:
@@ -696,7 +711,44 @@ class TestMovingLoadForce:
         assert nodal_force(late, grid, -0.5).sum() == pytest.approx(1e4, rel=1e-12)
 
 
+#: Ends that leave a rigid-body mode, with and without damping: the first
+#: discrete frequency of pinned-free ends is round-off (1.3e-5 rad/s at 21
+#: nodes, 1.4e-3 at 101), so no damping can be fitted to it.
+RIGID_BODY_ENDS = pytest.mark.parametrize(
+    "ends, nodes, zeta1",
+    [
+        pytest.param(ends, nodes, zeta1, id=f"{ends}-{nodes}-zeta{zeta1}")
+        for ends in ("free-free", "pinned-free")
+        for nodes in (21, 101)
+        for zeta1 in (0.0, 0.02)
+    ],
+)
+
+
+def refuses_rigid_body_ends(monkeypatch, ends):
+    """Fail any eigensolve, and expect the refusal that names `ends`."""
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the rigid-body refusal")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigensolve)
+    return pytest.raises(RankDeficiencyError, match=f"end conditions {ends} leave rigid-body")
+
+
+def ends_spec(ends: str) -> BoundarySpec:
+    left, right = ends.split("-")
+    return BoundarySpec(getattr(EndCondition, left)(), getattr(EndCondition, right)())
+
+
 class TestBeamTimeResponse:
+    @RIGID_BODY_ENDS
+    def test_rigid_body_ends_rejected(self, ref_beam, monkeypatch, ends, nodes, zeta1):
+        tgrid = TimeGrid(0.0, 0.01, 1e-3)
+        with refuses_rigid_body_ends(monkeypatch, ends):
+            beam_time_response(
+                ref_beam, ends_spec(ends), nodes, [PointLoad(1e3, 5.0)], tgrid, zeta1=zeta1
+            )
+
     def test_constant_point_load_settles_to_static(self, ref_beam):
         # damped beam under a suddenly applied midspan load relaxes to the
         # static influence solution
@@ -820,12 +872,12 @@ class TestFrequencySweep:
                 settle_periods=30, measure_periods=10, zeta1=0.0,
             )
 
-    def test_undamped_free_free_rejected(self, ref_beam):
-        free_free = BoundarySpec(EndCondition.free(), EndCondition.free())
-        with pytest.raises(RankDeficiencyError, match="rigid-body"):
+    @RIGID_BODY_ENDS
+    def test_rigid_body_ends_rejected(self, ref_beam, monkeypatch, ends, nodes, zeta1):
+        with refuses_rigid_body_ends(monkeypatch, ends):
             frequency_sweep(
-                ref_beam, free_free, 21, 1e3, 5.0, [2.0],
-                settle_periods=4, measure_periods=2, zeta1=0.0,
+                ref_beam, ends_spec(ends), nodes, 1e3, 5.0, [2.0],
+                settle_periods=4, measure_periods=2, zeta1=zeta1,
             )
 
     def test_rejects_bad_frequencies(self, ref_beam):

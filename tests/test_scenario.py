@@ -28,6 +28,7 @@ from beamlab.model import (
 from beamlab.scenario import (
     MAX_ARRAY_BYTES,
     PRESET_NAMES,
+    LoadSweepSpec,
     Scenario,
     SweepSpec,
     parse_scenario,
@@ -1031,6 +1032,18 @@ def modal_dict(**edits):
             "solver 'nonlinear' requires loads[0].position > 0, got 0.0",
             id="data43-solver 'nonlinear' requires loads[0].position > 0, got 0.0",
         ),
+        pytest.param(
+            edited("exp4", load_sweep={"p_min": 1.0e4, "p_max": 1.0e4, "count": 3}),
+            "'load_sweep': load sweep values must be strictly ascending: 3 points over "
+            "[10000.0, 10000.0] are not 4 ulps of p_max apart",
+            id="data44-load_sweep values not strictly ascending",
+        ),
+        pytest.param(
+            edited("exp4", load_sweep={"p_min": 1.0e4, "p_max": 1.0e6, "count": 10**12}),
+            "load_sweep.count 1000000000000: the load curve's points would take about "
+            "244140625 MiB, above the 1024 MiB limit; lower load_sweep.count",
+            id="data45-load_sweep.count above the array limit",
+        ),
     ],
 )
 def test_solver_rule_messages(data, message):
@@ -1131,6 +1144,17 @@ def traced_peak(s: Scenario) -> int:
         tracemalloc.stop()
 
 
+def test_system_run_peak_bounded_at_a_stride_of_its_step_count():
+    # one block spans every step, so its drive must be tabulated in chunks
+    # of a fixed step count: a table over the whole block takes 1.6 MB here
+    data = scenario_to_dict(preset("exp5_2"))
+    data["time"] = {"start": 0.0, "end": 20.0, "dt": 1e-3}
+    data["output"] = {"stride": 20_000}
+    s = scenario_from_dict(data)
+    assert s.tgrid.step_count == 20_000
+    assert traced_peak(s) < 2**18
+
+
 def test_sweep_peak_within_history_and_recurrence_budget():
     assert traced_peak(preset("exp5_1")) <= SWEEP_PEAK_BEFORE
     # many frequencies: the recurrence steps them in groups within its budget
@@ -1211,6 +1235,52 @@ def test_nonlinear_arrays_bounded_at_parse():
             parse_dict(data)
     data["grid"] = {"nodes": limit}
     assert parse_dict(data).grid_nodes == limit
+
+
+def test_load_curve_bounded_at_parse():
+    # 256 bytes per point: 4.2 million points fill 1 GiB; parsed only, never run
+    limit = MAX_ARRAY_BYTES // 256
+    data = scenario_to_dict(preset("exp4"))
+    assert parse_dict(data).load_sweep.count == 25
+    data["load_sweep"]["count"] = limit + 1
+    with pytest.raises(
+        ValidationError,
+        match=rf"^load_sweep\.count {limit + 1}: .* MiB limit; lower load_sweep\.count$",
+    ):
+        parse_dict(data)
+    data["load_sweep"]["count"] = limit
+    assert parse_dict(data).load_sweep.count == limit
+
+
+def test_load_curve_peak_within_parse_bound():
+    # the traced peak grows by no more per point than the 256 bytes the
+    # parse-time limit assumes
+    data = scenario_to_dict(preset("exp4"))
+    data["grid"] = {"nodes": 21}
+    peaks = []
+    for count in (200, 1200):
+        data["load_sweep"]["count"] = count
+        peaks.append(traced_peak(scenario_from_dict(data)))
+    assert (peaks[1] - peaks[0]) / 1000 <= 256
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    p_min=st.floats(1e-3, 1e9),
+    ulps=st.one_of(st.integers(0, 400), st.integers(0, 2**40)),
+    count=st.integers(1, 80),
+)
+def test_property_accepted_load_sweep_ascends(p_min, ulps, count):
+    # spans of a few ulps per point straddle the refusal; whatever passes
+    # must never trip the run's own ascending check
+    p_max = p_min + ulps * math.ulp(p_min)
+    try:
+        spec = LoadSweepSpec(p_min, p_max, count)
+    except ValidationError:
+        return
+    values = spec.values()
+    assert values.size == count
+    assert np.all(values[1:] > values[:-1])
 
 
 # One out-of-range field per case: the constructor's message, led by the
