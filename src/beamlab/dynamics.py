@@ -27,7 +27,9 @@ steps, on rows driven by cos and sin of the phase within a block and rows
 started from unit q, v and a; every block's drive is the same sinusoid
 shifted in phase, so linearity stitches all of them from those rows, and
 numpy's per-call cost is paid about 2*sqrt(steps) times rather than once per
-step.  The rows of a group of frequencies stay within a fixed byte budget.
+step.  The rows of a group of frequencies stay within a fixed byte budget,
+and the samples come out a chunk of blocks at a time: `system` runs copy them
+into their history, while sweeps fold them into two peaks per frequency.
 
 Only `integrate`, `eigenfrequencies` and `frequency_sweep` call scipy, and
 each imports `scipy.linalg` itself, so mass-spring runs never load scipy.
@@ -347,10 +349,10 @@ def beam_time_response(
     return TimeSeriesResult(dof_result.times, frames, grid.labels)
 
 
-#: Bytes `modal_harmonic_response` may hold at once beyond the history it
-#: returns.  It steps the forcing frequencies in groups whose rows fit this,
-#: one frequency at the least.
-RECURRENCE_BYTES = 640 * 1024
+#: Bytes `modal_harmonic_response` may hold at once beyond the samples its
+#: caller keeps.  It steps the forcing frequencies in groups whose rows and
+#: one chunk of samples fit this, one frequency at the least.
+RECURRENCE_BYTES = 1536 * 1024
 #: Steps whose drive values `modal_harmonic_response` tabulates at once.
 DRIVE_TICKS = 256
 #: Blocks whose samples `modal_harmonic_response` weights in one matmul.
@@ -369,14 +371,16 @@ def _blocking(steps: int, stride: int) -> tuple[int, int]:
 
 def _frequency_bytes(modes: int, outputs: int, blocks: int, size: int, stride: int) -> int:
     """Upper bound on the bytes one frequency takes in `_step_block` and
-    `_stitch_blocks`."""
+    `_modal_chunks`."""
     columns = 2 + 3 * modes
     # coefficient, state, temporary and end-state rows, then the drive table
     stepping = 18 * 5 * modes + min(size, DRIVE_TICKS) * 13
-    # end states and the carry's temporaries, the weights, then the phases
+    # end states and the carry's temporaries, a chunk's weights, then the phases
     stitching = 21 * modes + min(blocks, STITCH_BLOCKS) * columns + 8 * blocks
     basis = size // stride * outputs * columns
-    return 8 * (basis + max(stepping, stitching))
+    # a chunk's samples, in a buffer that every group reuses
+    samples = min(blocks, STITCH_BLOCKS) * (size // stride) * outputs
+    return 8 * (basis + samples + max(stepping, stitching))
 
 
 def modal_harmonic_response(
@@ -412,25 +416,80 @@ def modal_harmonic_response(
     end states, and batched matmuls, STITCH_BLOCKS blocks at a time, weight
     the rows' recorded samples into every block's.  The phases are taken in
     long double, as the rounding of phi_k is shared by every step of block
-    k.  Frequencies are stepped in groups whose rows fit RECURRENCE_BYTES.
-    A run whose stride exceeds its steps steps nothing: one row, at rest.
+    k.  Frequencies are stepped in groups whose rows and one chunk of
+    samples fit RECURRENCE_BYTES; `_modal_chunks` yields the chunks, and
+    this copies them into the history.  A run whose stride exceeds its
+    steps steps nothing: one row, at rest.
+    """
+    history = np.zeros((np.size(omega), steps // stride + 1, *np.shape(readout)[1:]))
+    chunks = _modal_chunks(lam, damping, gain, omega, dt, steps, readout, cfg, start, stride)
+    for rows, first, samples in chunks:
+        kept = samples[:, : history.shape[1] - first]  # the last block may run past
+        history[rows, first : first + kept.shape[1]] = kept
+    return np.moveaxis(history, 0, 1)
+
+
+def _modal_chunks(lam, damping, gain, omega, dt, steps, readout, cfg, start, stride):
+    """The samples of `modal_harmonic_response` after sample 0, chunk by chunk.
+
+    Takes that function's arguments and yields (frequency rows, first
+    sample, samples) per STITCH_BLOCKS blocks of each frequency group, the
+    samples shaped (frequency, sample) + readout.shape[1:].  They are a view
+    into a buffer the next chunk overwrites, and the last chunk may run past
+    sample steps // stride, the last one recorded.
     """
     omega = np.asarray(omega, dtype=float)[:, None]
     step = np.asarray(dt, dtype=float)[:, None]
     blocks, size = _blocking(steps, stride)
-    history = np.zeros((omega.size, blocks * (size // stride) + 1, *np.shape(readout)[1:]))
+    if not blocks:  # the run records only its start
+        return
+    samples_per_block = size // stride
     modes, outputs = np.shape(gain)[-1], math.prod(np.shape(readout)[1:])
     group = max(1, RECURRENCE_BYTES // _frequency_bytes(modes, outputs, blocks, size, stride))
-    for first in range(0, omega.size, group):
-        rows = slice(first, first + group)
+    # every chunk's samples: the caller may hold the last while the next group steps
+    chunk_shape = (min(group, omega.size), min(blocks, STITCH_BLOCKS))
+    out = np.empty((*chunk_shape, samples_per_block * outputs))
+    for first_row in range(0, omega.size, group):
+        rows = slice(first_row, first_row + group)
+        freqs = omega[rows].size
         ends, basis = _step_block(
             lam, damping, gain, omega[rows], step[rows], readout, cfg, size, stride
         )
-        _stitch_blocks(
-            gain, omega[rows], step[rows], start, blocks, size, ends, basis, history[rows]
+        # block k's weights: its phase row, then its start q, v and a
+        weights = np.empty((freqs, out.shape[1], basis.shape[1]))
+        phase = omega[rows].astype(np.longdouble) * (
+            start + np.arange(blocks) * size * step[rows].astype(np.longdouble)
         )
-        del ends, basis  # freed before the next group's are made
-    return np.moveaxis(history, 0, 1)[: steps // stride + 1]
+        # row k + 1: sin(phi_k) and cos(phi_k); row 0, before block 0, is zero
+        phases = np.zeros((freqs, blocks + 1, 2))
+        phases[:, 1:, 0] = np.sin(phase)
+        phases[:, 1:, 1] = np.cos(phase)
+        unit_ends = ends[:, 2:].reshape(freqs, 3, 3, -1)
+        basis = basis.reshape(freqs, basis.shape[1], -1)
+        for first in range(0, blocks, STITCH_BLOCKS):
+            count = min(STITCH_BLOCKS, blocks - first)
+            chunk = weights[:, :count]
+            chunk[:, :, :2] = phases[:, first + 1 : first + count + 1]
+            # block k starts where block k - 1 ends: the cos and sin rows' ends
+            # weighted by block k - 1's phase, then the unit rows' ends weighted
+            # by block k - 1's start
+            np.matmul(phases[:, first : first + count], ends[:, :2], out=chunk[:, :, 2:])
+            starts = chunk[:, :, 2:].reshape(freqs, count, 3, -1)
+            for i in range(count):
+                if first + i == 0:  # at rest, the load alone accelerates
+                    starts[:, 0, 2] = gain * chunk[:, :1, 0]
+                else:  # from the start of block k - 1, in this chunk or the last
+                    before = starts[:, i - 1] if i else previous
+                    starts[:, i] += np.einsum("fusm,fum->fsm", unit_ends, before)
+                    del before
+            previous = starts[:, -1].copy()
+            samples = out[:freqs, :count]
+            np.matmul(chunk, basis, out=samples)
+            yield rows, 1 + first * samples_per_block, samples.reshape(
+                freqs, count * samples_per_block, *np.shape(readout)[1:]
+            )
+        # freed before the next group's are made
+        del ends, unit_ends, basis, phase, phases, weights, chunk, starts
 
 
 def _step_block(lam, damping, gain, omega, step, readout, cfg, size, stride):
@@ -496,39 +555,24 @@ def _step_block(lam, damping, gain, omega, step, readout, cfg, size, stride):
     return np.stack((q, v, a), axis=2).reshape(freqs, 5, -1), basis
 
 
-def _stitch_blocks(gain, omega, step, start, blocks, size, ends, basis, history):
-    """Fill the samples of `blocks` blocks into `history` from the end states
-    and basis of `_step_block`, STITCH_BLOCKS blocks per matmul."""
-    freqs = omega.size
-    phase = omega.astype(np.longdouble) * (
-        start + np.arange(blocks) * size * step.astype(np.longdouble)
-    )
-    # row k + 1: sin(phi_k) and cos(phi_k); row 0, before block 0, is zero
-    phases = np.zeros((freqs, blocks + 1, 2))
-    phases[:, 1:, 0] = np.sin(phase)
-    phases[:, 1:, 1] = np.cos(phase)
-    # block k's weights: its phase row, then its start q, v and a
-    weights = np.empty((freqs, min(blocks, STITCH_BLOCKS), basis.shape[1]))
-    unit_ends = ends[:, 2:].reshape(freqs, 3, 3, -1)
-    samples = basis.reshape(freqs, basis.shape[1], -1)
-    out = history[:, 1:].reshape(freqs, blocks, samples.shape[2])
-    for first in range(0, blocks, STITCH_BLOCKS):
-        chunk = weights[:, : min(STITCH_BLOCKS, blocks - first)]
-        count = chunk.shape[1]
-        chunk[:, :, :2] = phases[:, first + 1 : first + count + 1]
-        # block k starts where block k - 1 ends: the cos and sin rows' ends
-        # weighted by block k - 1's phase, then the unit rows' ends weighted
-        # by block k - 1's start
-        np.matmul(phases[:, first : first + count], ends[:, :2], out=chunk[:, :, 2:])
-        starts = chunk[:, :, 2:].reshape(freqs, count, 3, -1)
-        for i in range(count):
-            if first + i == 0:  # at rest, the load alone accelerates
-                starts[:, 0, 2] = gain * chunk[:, :1, 0]
-            else:
-                before = starts[:, i - 1] if i else previous
-                starts[:, i] += np.einsum("fusm,fum->fsm", unit_ends, before)
-        previous = starts[:, -1].copy()
-        np.matmul(chunk, samples, out=out[:, first : first + count])
+def _window_peaks(chunks, freqs: int, edges) -> list[list[float]]:
+    """max |x| per frequency over each window of samples edges[w] up to
+    edges[w + 1], edges ascending, folded over the `_modal_chunks` chunks of
+    a run with one output per frequency; a chunk that straddles an edge is
+    split there.  The fold needs no |x| temporary, and max is exact, so each
+    peak is the whole window's.
+    """
+    windows = list(zip(edges[:-1], edges[1:]))
+    peaks = np.full((len(windows), freqs), -np.inf)
+    if edges[0] == 0:  # sample 0, at rest, is not yielded
+        peaks[0] = 0.0
+    for rows, first, samples in chunks:
+        for peak, (low, high) in zip(peaks, windows):
+            window = samples[:, max(low - first, 0) : max(high - first, 0)]
+            if window.size:
+                chunk_peak = np.maximum(window.max(axis=1), -window.min(axis=1))
+                peak[rows] = np.maximum(peak[rows], chunk_peak)
+    return peaks.tolist()
 
 
 @dataclass(frozen=True)
@@ -568,8 +612,10 @@ def frequency_sweep(
     The beam is discretized and eigensolved once.  Rayleigh damping is
     stiffness-proportional, so each mode i obeys the scalar equation
     q'' + b*lam_i*q' + lam_i*q = Gamma_i*sin(2*pi*f*t), with Gamma = Phi^T p,
-    and `modal_harmonic_response` advances all frequencies at once, reading
-    out only the midspan displacement Phi[mid] @ q.
+    and the recurrence of `modal_harmonic_response` advances all frequencies
+    at once, reading out only the midspan displacement Phi[mid] @ q.  No
+    midspan history is held: `_window_peaks` folds each chunk of samples
+    into the two windows' peaks as the recurrence yields it.
     """
     import scipy.linalg
 
@@ -595,21 +641,12 @@ def frequency_sweep(
 
     hz = np.array(freqs)
     settle_steps = settle_periods * SWEEP_STEPS_PER_PERIOD
-    midspan = modal_harmonic_response(
-        lam,
-        stiffness_coeff * lam,
-        gain,
-        2.0 * math.pi * hz,
-        1.0 / (SWEEP_STEPS_PER_PERIOD * hz),
-        settle_steps + measure_periods * SWEEP_STEPS_PER_PERIOD,
-        midspan_row,
-        cfg,
+    steps = settle_steps + measure_periods * SWEEP_STEPS_PER_PERIOD
+    omega, step = 2.0 * math.pi * hz, 1.0 / (SWEEP_STEPS_PER_PERIOD * hz)
+    chunks = _modal_chunks(
+        lam, stiffness_coeff * lam, gain, omega, step, steps, midspan_row, cfg, 0.0, 1
     )
-    # max |x| per column without an |x| temporary the size of the window
-    settle_peaks, amplitudes = (
-        np.maximum(window.max(axis=0), -window.min(axis=0)).tolist()
-        for window in (midspan[:settle_steps], midspan[settle_steps:])
-    )
+    settle_peaks, amplitudes = _window_peaks(chunks, hz.size, (0, settle_steps, steps + 1))
     for f_hz, amplitude, settle_peak in zip(freqs, amplitudes, settle_peaks):
         if settle_peak > 0.0 and amplitude > GROWTH_LIMIT * settle_peak:
             raise NonConvergenceError(

@@ -32,8 +32,6 @@ from .model import (
     EndCondition,
     InsufficientRootsError,
     NonConvergenceError,
-    SpatialGrid,
-    StaticProfile,
     ValidationError,
 )
 
@@ -274,24 +272,6 @@ def _null_coefficients(beta: float, beam: BeamSpec, bc: BoundarySpec) -> np.ndar
     null = vh[-1]
     magnitude = np.abs(null)
     return null if null[np.argmax(magnitude >= 0.5 * magnitude.max())] > 0 else -null
-
-
-def mode_shape(
-    beta: float, beam: BeamSpec, bc: BoundarySpec, grid: SpatialGrid
-) -> StaticProfile:
-    """Mode shape at a verified root, sampled on `grid`.
-
-    Coefficients come from the null vector of the characteristic matrix
-    (smallest singular value); the shape is scaled so its largest-magnitude
-    sample equals +1.
-    """
-    coeffs = _null_coefficients(beta, beam, bc)
-    shape = shape_basis(beta, grid.positions, beam.length)[:, 0, :] @ coeffs
-    peak = np.argmax(np.abs(shape))
-    if shape[peak] == 0.0:
-        raise DegenerateModeError(f"null mode shape at beta={beta}")
-    shape = shape / shape[peak]
-    return StaticProfile(grid, shape)
 
 
 @dataclass(frozen=True)

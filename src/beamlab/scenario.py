@@ -340,6 +340,8 @@ class Scenario:
             sweep = self.sweep
             periods = sweep.settle_periods + sweep.measure_periods
             samples = periods * SWEEP_STEPS_PER_PERIOD + 1
+            # the run folds these histories into peaks and holds none, but
+            # the limit stays, so what is refused at parse does not change
             limit(
                 8 * samples * sweep.f_count,
                 f"sweep.f_count {sweep.f_count}: midspan histories of {samples} steps",

@@ -1,11 +1,13 @@
+import inspect
 import math
 from dataclasses import replace
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from beamlab import (
@@ -22,7 +24,9 @@ from beamlab import (
     UdlLoad,
     ValidationError,
 )
+from beamlab import dynamics
 from beamlab.dynamics import (
+    GROWTH_LIMIT,
     RECURRENCE_BYTES,
     SWEEP_STEPS_PER_PERIOD,
     IntegratorConfig,
@@ -36,7 +40,7 @@ from beamlab.dynamics import (
     sdof_system,
     stiffness_damping_coeff,
 )
-from beamlab.dynamics import _blocking, _frequency_bytes
+from beamlab.dynamics import _blocking, _frequency_bytes, _modal_chunks, _window_peaks
 from beamlab.modal import find_beta_roots, natural_frequencies
 from beamlab.scenario import run_scenario, scenario_from_dict
 from beamlab.statics import nodal_force, ss_point_deflection
@@ -608,6 +612,119 @@ def test_stride_past_the_run_steps_nothing():
     assert _blocking(3, 10**9)[0] == 0
     got = modal_harmonic_response(lam, damping, gain, [3.0], [2e-3], 3, gain, stride=10**9)
     np.testing.assert_array_equal(got, np.zeros((1, 1)))
+
+
+@st.composite
+def grouped_modal_runs(draw):
+    """A `modal_runs()` run at 2 to 6 frequencies and up to 2500 steps, and
+    a group size below the frequency count: the run steps its frequencies in
+    several groups, each over several chunks, once RECURRENCE_BYTES is
+    `group_budget`.  Its strides and lengths fall off the block boundaries."""
+    run = draw(modal_runs())
+    freqs = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    run.update(
+        omega=rng.uniform(0.5, 60.0, freqs),
+        dt=rng.uniform(1e-4, 2e-2, freqs),
+        steps=draw(st.integers(1, 2500)),
+    )
+    return run, draw(st.integers(1, freqs - 1))
+
+
+def group_budget(run, group: int) -> int:
+    """The RECURRENCE_BYTES at which `run` steps `group` frequencies at once."""
+    blocks, size = _blocking(run["steps"], run["stride"])
+    modes, outputs = np.shape(run["gain"])[-1], math.prod(np.shape(run["readout"])[1:])
+    return group * _frequency_bytes(modes, outputs, blocks, size, run["stride"])
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(grouped=grouped_modal_runs())
+def test_property_chunks_rebuild_the_history(grouped):
+    run, group = grouped
+    with mock.patch.object(dynamics, "RECURRENCE_BYTES", group_budget(run, group)):
+        history = np.moveaxis(modal_harmonic_response(**run), 0, 1)
+        chunks = [(rows, first, samples.copy()) for rows, first, samples in _modal_chunks(**run)]
+    # each group's chunks follow on from sample 0 and reach the last record
+    parts = {}
+    for rows, first, samples in chunks:
+        assert rows.start % group == 0 and rows.stop == rows.start + group
+        part = parts.setdefault(rows.start, [np.zeros_like(samples[:, :1])])
+        assert first == sum(p.shape[1] for p in part)
+        part.append(samples)
+    freqs, recorded = history.shape[:2]
+    assert list(parts) == (list(range(0, freqs, group)) if recorded > 1 else [])
+    if parts:
+        rebuilt = np.concatenate([np.concatenate(part, axis=1) for part in parts.values()])
+        assert rebuilt.shape[1] >= recorded
+        assert np.array_equal(rebuilt[:, :recorded], history)
+    # grouping is exact per frequency: one frequency at a time gives the same bits
+    with mock.patch.object(dynamics, "RECURRENCE_BYTES", group_budget(run, 1)):
+        alone = modal_harmonic_response(**run)
+    assert np.array_equal(np.moveaxis(alone, 0, 1), history)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(grouped=grouped_modal_runs(), data=st.data())
+def test_property_window_peaks_are_the_whole_windows(grouped, data):
+    run, group = grouped
+    run["readout"] = np.reshape(run["readout"], (len(run["readout"]), -1))[:, 0]
+    recorded = run["steps"] // run["stride"] + 1
+    cuts = st.lists(st.integers(0, recorded), min_size=2, max_size=5, unique=True)
+    edges = sorted(data.draw(cuts))
+    with mock.patch.object(dynamics, "RECURRENCE_BYTES", group_budget(run, group)):
+        history = modal_harmonic_response(**run)
+        peaks = _window_peaks(_modal_chunks(**run), len(run["omega"]), edges)
+    windows = (history[low:high] for low, high in zip(edges[:-1], edges[1:]))
+    whole = [np.maximum(window.max(axis=0), -window.min(axis=0)) for window in windows]
+    assert np.array_equal(peaks, whole)
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # ref_beam is frozen
+)
+@given(
+    nodes=st.integers(9, 25),
+    ends=st.sampled_from(["pinned", "clamped_free"]),
+    hz=st.lists(st.floats(0.5, 30.0), min_size=2, max_size=6),
+    settle_periods=st.integers(1, 8),
+    measure_periods=st.integers(1, 4),
+    data=st.data(),
+)
+def test_property_sweep_amplitudes_are_the_whole_window_peaks(
+    ref_beam, nodes, ends, hz, settle_periods, measure_periods, data
+):
+    group = data.draw(st.integers(1, len(hz) - 1))
+    # the recurrence's inputs as the sweep gives them, to rerun as a history
+    runs = []
+
+    def recorded_chunks(*args):
+        runs.append(dict(zip(inspect.signature(modal_harmonic_response).parameters, args)))
+        with mock.patch.object(dynamics, "RECURRENCE_BYTES", group_budget(runs[0], group)):
+            yield from _modal_chunks(*args)
+
+    bc = PINNED if ends == "pinned" else BoundarySpec.clamped_free()
+    kwargs = dict(settle_periods=settle_periods, measure_periods=measure_periods, zeta1=0.05)
+    with mock.patch.object(dynamics, "_modal_chunks", recorded_chunks):
+        try:
+            points = frequency_sweep(ref_beam, bc, nodes, 1e3, 3.0, hz, **kwargs)
+        except NonConvergenceError as exc:
+            points = exc
+    history = modal_harmonic_response(**runs[0])
+    settle = settle_periods * SWEEP_STEPS_PER_PERIOD
+    settle_peaks, amplitudes = (
+        np.maximum(window.max(axis=0), -window.min(axis=0))
+        for window in (history[:settle], history[settle:])
+    )
+    grown = (settle_peaks > 0.0) & (amplitudes > GROWTH_LIMIT * settle_peaks)
+    if grown.any():
+        assert isinstance(points, NonConvergenceError)
+        assert f"f_hz={hz[np.argmax(grown)]}:" in str(points)
+    else:
+        assert np.array_equal([p.amplitude_m for p in points], amplitudes)
 
 
 class TestDiscretizeBeam:

@@ -13,7 +13,12 @@ from beamlab import (
     ValidationError,
 )
 from beamlab import modal
-from beamlab.model import InsufficientRootsError, NonConvergenceError
+from beamlab.model import (
+    DegenerateModeError,
+    InsufficientRootsError,
+    NonConvergenceError,
+    StaticProfile,
+)
 from beamlab.modal import (
     BETA_MIN_SCALE,
     ROOT_TOL_SCALE,
@@ -22,8 +27,8 @@ from beamlab.modal import (
     characteristic_det,
     characteristic_matrix,
     find_beta_roots,
-    mode_shape,
     natural_frequencies,
+    shape_basis,
     solve_modes,
 )
 from beamlab.scenario import modal_bc, preset
@@ -326,6 +331,21 @@ class TestNaturalFrequencies:
     def test_descending_betas_rejected(self, ref_beam):
         with pytest.raises(ValidationError, match="ascending"):
             natural_frequencies([0.6, 0.3], ref_beam)
+
+
+def mode_shape(beta: float, beam: BeamSpec, bc: BoundarySpec, grid: SpatialGrid) -> StaticProfile:
+    """Mode shape at a verified root, sampled on `grid`.
+
+    Coefficients come from the null vector of the characteristic matrix
+    (smallest singular value); the shape is scaled so its largest-magnitude
+    sample equals +1.
+    """
+    coeffs = modal._null_coefficients(beta, beam, bc)
+    shape = shape_basis(beta, grid.positions, beam.length)[:, 0, :] @ coeffs
+    peak = np.argmax(np.abs(shape))
+    if shape[peak] == 0.0:
+        raise DegenerateModeError(f"null mode shape at beta={beta}")
+    return StaticProfile(grid, shape / shape[peak])
 
 
 class TestModeShape:
