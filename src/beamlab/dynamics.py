@@ -31,8 +31,11 @@ step.  The rows of a group of frequencies stay within a fixed byte budget,
 and the samples come out a chunk of blocks at a time: `system` runs copy them
 into their history, while sweeps fold them into two peaks per frequency.
 
-Only `integrate`, `eigenfrequencies` and `frequency_sweep` call scipy, and
-each imports `scipy.linalg` itself, so mass-spring runs never load scipy.
+Only `integrate` and `eigenfrequencies` call scipy, and each imports
+`scipy.linalg` itself, so mass-spring runs and sweeps never load scipy: a
+sweep takes its modes from numpy's SVD of the stiffness factor B, whose
+squared singular values are the eigenvalues of (K, M) without the squared
+condition number of K.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .model import (
     ValidationError,
     check_load_positions,
 )
-from .statics import beam_stiffness_matrix, nodal_force, trapezoid_weights
+from .statics import beam_factor, beam_stiffness_matrix, nodal_force, trapezoid_weights
 
 
 def stiffness_damping_coeff(zeta1: float, omega1: float) -> float:
@@ -258,6 +261,23 @@ def sdof_system(m: float, c: float, k: float) -> MdofSystem:
 MIN_BEAM_NODES = 7
 
 
+def _check_beam_nodes(n_nodes: int) -> None:
+    if n_nodes < MIN_BEAM_NODES:
+        raise ValidationError(f"n_nodes must be >= {MIN_BEAM_NODES}, got {n_nodes}")
+
+
+def _lumped_mass(beam: BeamSpec, grid: SpatialGrid, free: np.ndarray) -> np.ndarray:
+    """rho*A over each free node's tributary length: the lumped mass diagonal."""
+    return beam.section.mass_per_length * trapezoid_weights(grid)[free]
+
+
+def _rigid_body_warning(bc: BoundarySpec) -> str | None:
+    """Why the ends leave a rigid-body mode free, or None if they do not."""
+    if bc.constraint_count < 2:
+        return f"end conditions {bc.left.kind}-{bc.right.kind} leave rigid-body modes free"
+    return None
+
+
 def discretize_beam(beam: BeamSpec, bc: BoundarySpec, n_nodes: int) -> MdofSystem:
     """Undamped lumped-mass finite-difference beam model over the free nodes.
 
@@ -266,16 +286,11 @@ def discretize_beam(beam: BeamSpec, bc: BoundarySpec, n_nodes: int) -> MdofSyste
     Under-constrained support sets are allowed (for eigen comparisons) but
     tagged with a rank warning that `integrate` honors.
     """
-    if n_nodes < MIN_BEAM_NODES:
-        raise ValidationError(f"n_nodes must be >= {MIN_BEAM_NODES}, got {n_nodes}")
+    _check_beam_nodes(n_nodes)
     grid = SpatialGrid.for_beam(beam, n_nodes)
     stiffness, free = beam_stiffness_matrix(beam, bc, grid)
-    mass = np.diag(beam.section.mass_per_length * trapezoid_weights(grid)[free])
-    warning = None
-    if bc.constraint_count < 2:
-        warning = (
-            f"end conditions {bc.left.kind}-{bc.right.kind} leave rigid-body modes free"
-        )
+    mass = np.diag(_lumped_mass(beam, grid, free))
+    warning = _rigid_body_warning(bc)
     return MdofSystem(
         mass=mass,
         damping=np.zeros_like(mass),
@@ -381,6 +396,13 @@ def _frequency_bytes(modes: int, outputs: int, blocks: int, size: int, stride: i
     # a chunk's samples, in a buffer that every group reuses
     samples = min(blocks, STITCH_BLOCKS) * (size // stride) * outputs
     return 8 * (basis + samples + max(stepping, stitching))
+
+
+def sweep_frequency_bytes(modes: int, steps: int) -> int:
+    """Bytes the recurrence of a sweep of `modes` modes over `steps` steps
+    holds for one frequency: it steps one at the least, whatever the budget."""
+    blocks, size = _blocking(steps, 1)
+    return _frequency_bytes(modes, 1, blocks, size, 1)
 
 
 def modal_harmonic_response(
@@ -609,16 +631,15 @@ def frequency_sweep(
     the settle window the run has no steady state and a NonConvergenceError
     names the first such frequency in input order.
 
-    The beam is discretized and eigensolved once.  Rayleigh damping is
-    stiffness-proportional, so each mode i obeys the scalar equation
+    The modes come once from the SVD of B*M^(-1/2), with B the factor of K
+    from `beam_factor` and M the lumped mass, on one path for every pair of
+    ends.  Rayleigh damping is stiffness-proportional, so each mode i obeys
     q'' + b*lam_i*q' + lam_i*q = Gamma_i*sin(2*pi*f*t), with Gamma = Phi^T p,
     and the recurrence of `modal_harmonic_response` advances all frequencies
     at once, reading out only the midspan displacement Phi[mid] @ q.  No
     midspan history is held: `_window_peaks` folds each chunk of samples
     into the two windows' peaks as the recurrence yields it.
     """
-    import scipy.linalg
-
     freqs = [float(f) for f in freqs]
     if any(f <= 0.0 for f in freqs):
         raise ValidationError("sweep frequencies must be positive")
@@ -629,15 +650,26 @@ def frequency_sweep(
     if not freqs:
         return []
     load = nodal_force(PointLoad(p0, xload), grid)
-    system = discretize_beam(beam, bc, n_nodes)
-    if system.rank_warning:  # stiffness-proportional damping cannot damp rigid modes
-        raise RankDeficiencyError(f"cannot integrate rank-deficient system: {system.rank_warning}")
-    lam, phi = scipy.linalg.eigh(system.stiffness, system.mass)
-    stiffness_coeff = stiffness_damping_coeff(zeta1, math.sqrt(max(float(lam[0]), 0.0)))
-    # midspan is interior, so free: its phi row counts the free nodes before it
-    midspan_row = phi[np.count_nonzero(system.free_mask[:mid_node])].copy()
-    gain = phi.T @ load[system.free_mask]
-    del system, phi  # no dense matrix stays beside the recurrence's rows
+    _check_beam_nodes(n_nodes)
+    warning = _rigid_body_warning(bc)
+    if warning:  # stiffness-proportional damping cannot damp rigid modes
+        raise RankDeficiencyError(f"cannot integrate rank-deficient system: {warning}")
+    # B^T B = K, so with B scaled to B M^(-1/2) in place, its squared singular
+    # values are the eigenvalues of (K, M) and its right singular vectors
+    # times M^(-1/2) the mass-normalized modes; svd gives them descending
+    factor, free = beam_factor(beam, bc, grid)
+    root_mass = np.sqrt(_lumped_mass(beam, grid, free))
+    factor /= root_mass
+    sigma, modes = np.linalg.svd(factor, full_matrices=False)[1:]
+    del factor
+    lam = sigma[::-1] ** 2
+    modes = modes[::-1]  # row i: mode i over the free nodes
+    modes /= root_mass
+    stiffness_coeff = stiffness_damping_coeff(zeta1, math.sqrt(lam[0]))
+    # midspan is interior, so free: its column counts the free nodes before it
+    midspan_row = modes[:, np.count_nonzero(free[:mid_node])].copy()
+    gain = modes @ load[free]
+    del modes  # no dense matrix stays beside the recurrence's rows
 
     hz = np.array(freqs)
     settle_steps = settle_periods * SWEEP_STEPS_PER_PERIOD

@@ -29,6 +29,7 @@ from .dynamics import (
     beam_time_response,
     frequency_sweep,
     modal_harmonic_response,
+    sweep_frequency_bytes,
 )
 from .material import (
     RambergOsgood,
@@ -297,10 +298,14 @@ class Scenario:
             raise ValidationError(
                 f"grid.nodes must be >= {least} for solver '{self.solver}', got {n}"
             )
-        # the n x n float64 arrays of the dense beam operator a run holds at once:
-        # its tracemalloc peak at 101-1201 nodes (static 3.0, dynamic 5.0-5.9,
-        # sweep 7.0) rounded up with one to spare; the other kinds hold none
-        copies = {"static": 4, "dynamic": 7, "sweep": 8}.get(kind, 0)
+        # the n x n float64 arrays of the dense beam operator a run holds at
+        # once, rounded up with one to spare: its tracemalloc peak at 101-1201
+        # nodes (static 3.0, dynamic 5.0-5.9, sweep 3.0), plus, for a sweep, 6.0
+        # that numpy's SVD mallocs where tracemalloc cannot see them: dgesdd's
+        # copies of B, U and V^T, and its workspace, 3.0 by LAPACK's workspace
+        # query (9.3 in all by the growth of ru_maxrss at 801-1601 nodes).  The
+        # other kinds hold none
+        copies = {"static": 4, "dynamic": 7, "sweep": 10}.get(kind, 0)
         limit(
             8 * copies * n * n, f"grid.nodes {n}: the dense beam operator", "lower grid.nodes"
         )
@@ -338,14 +343,22 @@ class Scenario:
                 "exactly one harmonic_point load",
             )
             sweep = self.sweep
-            periods = sweep.settle_periods + sweep.measure_periods
-            samples = periods * SWEEP_STEPS_PER_PERIOD + 1
-            # the run folds these histories into peaks and holds none, but
-            # the limit stays, so what is refused at parse does not change
+            # 128 bytes per frequency point: its frequency, its window peaks
+            # and its result point, 76-77 measured with tracemalloc as the
+            # slope between 200 and 3000 points, rounded up
             limit(
-                8 * samples * sweep.f_count,
-                f"sweep.f_count {sweep.f_count}: midspan histories of {samples} steps",
-                "lower sweep.f_count or the settle and measure periods",
+                128 * sweep.f_count,
+                f"sweep.f_count {sweep.f_count}: the sweep's points",
+                "lower sweep.f_count",
+            )
+            # the recurrence steps its frequencies in groups within a fixed
+            # budget, but one frequency's rows grow with sqrt(steps) and modes
+            steps = (sweep.settle_periods + sweep.measure_periods) * SWEEP_STEPS_PER_PERIOD
+            limit(
+                sweep_frequency_bytes(n, steps),
+                f"sweep.settle_periods {sweep.settle_periods} + sweep.measure_periods "
+                f"{sweep.measure_periods}: one frequency's recurrence over {steps} steps",
+                "lower the settle and measure periods or grid.nodes",
             )
         else:  # nonlinear
             need(

@@ -92,43 +92,77 @@ def trapezoid_weights(grid: SpatialGrid) -> np.ndarray:
     return weights
 
 
+def _ends(bc: BoundarySpec):
+    """(end, its node, that node's neighbour) for the left and right ends."""
+    return ((bc.left, 0, 1), (bc.right, -1, -2))
+
+
+def _curvature_stencils(bc: BoundarySpec, grid: SpatialGrid):
+    """Nodal curvature stencils C over the free nodes, and the free-node mask.
+
+    Row i of C gives w''(x_i) from the free deflections.  Moment-free ends
+    (pinned/free/spring) carry a zero row; a clamped end uses the ghost-node
+    reflection of the zero-slope condition.
+    """
+    n = grid.node_count
+    curv = np.zeros((n, n))
+    inv_dx2 = 1.0 / grid.spacing**2
+    for i in range(1, n - 1):
+        curv[i, i - 1 : i + 2] = (inv_dx2, -2.0 * inv_dx2, inv_dx2)
+    free = np.ones(n, dtype=bool)
+    for end, node, inner in _ends(bc):
+        free[node] = not end.holds_deflection
+        if end.kind == "clamped":
+            # zero slope: ghost w[-1] = w[1], so w''(0) ~ 2(w1 - w0)/dx^2
+            curv[node, [node, inner]] = (-2.0 * inv_dx2, 2.0 * inv_dx2)
+    return curv[:, free], free  # a Dirichlet node's zero deflection adds nothing
+
+
 def beam_stiffness_matrix(beam: BeamSpec, bc: BoundarySpec, grid: SpatialGrid):
     """Assemble the bending stiffness matrix over the free nodes.
 
     Row-weighted fourth-difference operator in the symmetric form
     K = EI * C^T diag(w) C (+ spring stiffness on end diagonals), where C holds
-    the nodal curvature stencils and w the trapezoid weights.  Moment-free ends
-    (pinned/free/spring) carry a zero curvature row; a clamped end uses the
-    ghost-node reflection of the zero-slope condition.  Each row equals the
-    classic ghost-node fourth-difference row scaled by its tributary length, so
-    a unit entry of the returned force vector is one newton.
+    the nodal curvature stencils of `_curvature_stencils` and w the trapezoid
+    weights.  Each row equals the classic ghost-node fourth-difference row
+    scaled by its tributary length, so a unit entry of the returned force
+    vector is one newton.
 
     Returns (K, free) where `free` masks the non-Dirichlet nodes; K covers
     the free nodes only, in grid order.
     """
-    n = grid.node_count
-    dx = grid.spacing
-    ei = beam.section.flexural_rigidity
-
-    curv = np.zeros((n, n))
-    inv_dx2 = 1.0 / dx**2
-    for i in range(1, n - 1):
-        curv[i, i - 1 : i + 2] = (inv_dx2, -2.0 * inv_dx2, inv_dx2)
-    free = np.ones(n, dtype=bool)
-    ends = ((bc.left, 0, 1), (bc.right, -1, -2))  # (end, node, its neighbour)
-    for end, node, inner in ends:
-        free[node] = not end.holds_deflection
-        if end.kind == "clamped":
-            # zero slope: ghost w[-1] = w[1], so w''(0) ~ 2(w1 - w0)/dx^2
-            curv[node, [node, inner]] = (-2.0 * inv_dx2, 2.0 * inv_dx2)
-    curv = curv[:, free]  # a Dirichlet node's zero deflection adds nothing
-
+    curv, free = _curvature_stencils(bc, grid)
     weights = trapezoid_weights(grid)
-    stiffness = ei * (curv.T * weights) @ curv
-    for end, node, _ in ends:
+    stiffness = beam.section.flexural_rigidity * (curv.T * weights) @ curv
+    for end, node, _ in _ends(bc):
         if end.kind == "spring":  # a free node, so first or last in K too
             stiffness[node, node] += end.stiffness
     return stiffness, free
+
+
+def beam_factor(beam: BeamSpec, bc: BoundarySpec, grid: SpatialGrid):
+    """The factor B of the stiffness matrix: B^T B = K over the free nodes.
+
+    Row i is sqrt(EI * w_i) * C_i, with C the curvature stencils that
+    `beam_stiffness_matrix` assembles and w the trapezoid weights; the zero
+    rows of moment-free ends are dropped, and each spring end adds a row
+    holding sqrt(k) at its node.  B's condition number is the square root
+    of K's, so eigenvalues taken as B's squared singular values keep digits
+    that an eigensolve of K loses.  B has at least as many rows as columns
+    whenever the ends constrain both rigid-body modes.
+
+    Returns (B, free) with `free` as `beam_stiffness_matrix` gives it.
+    """
+    curv, free = _curvature_stencils(bc, grid)
+    kept = np.any(curv, axis=1)
+    scale = np.sqrt(beam.section.flexural_rigidity * trapezoid_weights(grid)[kept])
+    springs = [(node, end.stiffness) for end, node, _ in _ends(bc) if end.kind == "spring"]
+    factor = np.zeros((scale.size + len(springs), curv.shape[1]))
+    np.multiply(scale[:, None], curv[kept], out=factor[: scale.size])
+    # a spring's node is free, so first or last among B's columns too
+    for row, (node, stiffness) in enumerate(springs, scale.size):
+        factor[row, node] = math.sqrt(stiffness)
+    return factor, free
 
 
 def _split_point(p: float, position: float, grid: SpatialGrid) -> np.ndarray:

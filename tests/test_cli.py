@@ -315,7 +315,10 @@ def test_module_invocation_subprocess():
 # `probes`; every other provenance entry is unchanged.  exp5_1/sweep.csv and
 # exp5_2/frames.csv were re-recorded when the modal recurrence came to step
 # one block of phase-shifted rows: the amplitudes moved by at most 1.31e-13
-# relative and the frames by at most 9.5e-16 of their peak.
+# relative and the frames by at most 9.5e-16 of their peak.  exp5_1/sweep.csv
+# was re-recorded when sweeps came to take their modes from the SVD of the
+# stiffness factor rather than a dense eigh of (K, M): the amplitudes moved by
+# at most 7.1e-11 relative, and they no longer change with the thread count.
 RECORDED_DIGESTS = {
     "exp1/frames.csv": "007ed26609e31edd02cb93d335bc28dbcc6c417b4639de4d4859c9bf0650cc22",
     "exp1/probes.csv": "8b233cf526504a8ec945eba3cbd8e0960521ec6b7584fc3672299694d2bfef1a",
@@ -334,7 +337,7 @@ RECORDED_DIGESTS = {
     "exp4/probes.csv": "284494e6bd0358f56b5610098410923dea77498b79dc32b23c9d5f136f095661",
     "exp4/provenance.json": "465aa1075b72991606aedcdbaf23b0a30079b2c8c5a3a7d4aa3d9c72e37736c0",
     "exp5_1/provenance.json": "bddd80f2efd520e0513aec1098d8dc604fe05c7e808cbab04161ce025becbf34",
-    "exp5_1/sweep.csv": "97850d53bf2fb88ad1946346f835589e07ce402a6ceed2a7cd4d89a36d9a162a",
+    "exp5_1/sweep.csv": "2f56076b1c97479cb1477ab41433d3042a13dc45627060d34c31bf5b927d8462",
     "exp5_2/frames.csv": "3a92acbd8bcde9efd71437df9bb979b376a829738d9ccf0fd31912fc852f352f",
     "exp5_2/probes.csv": "c89980a9f932f22e14a31a7b5bd5b19d88e5ffab6614a14c0a502368235e70fd",
     "exp5_2/provenance.json": "b37ba33e77c86f57b0a7c1297c6a6c16bcd15f4da3fa9b294e82564654d8c42d",
@@ -460,11 +463,16 @@ for command in sys.argv[2:]:
 print(json.dumps({"import": after_import, "commands": loaded()}))
 """
 
-#: Every preset but the exp5_1 sweep, and two modal runs: none calls scipy.
+#: Every preset, exp5_1 as the `sweep FILE` command, and two modal runs: none
+#: calls scipy.
 SCIPY_FREE_COMMANDS = [
     f"run --preset {name} --out OUT/{name}"
     for name in ("exp1", "exp2_1", "exp2_2", "exp3", "exp4", "exp5_2")
-] + ["modal --preset exp3 --modes 3", "modal --preset exp2_1 --modes 50"]
+] + [
+    "sweep OUT/exp5_1.json --out OUT/exp5_1",
+    "modal --preset exp3 --modes 3",
+    "modal --preset exp2_1 --modes 50",
+]
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -472,15 +480,19 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_commands_without_linalg_load_no_scipy(tmp_path):
+    write_scenario(tmp_path, "exp5_1")
     loaded = run_digests(SCIPY_MODULES_SCRIPT, tmp_path, *SCIPY_FREE_COMMANDS)
     assert loaded == {"import": [], "commands": []}
 
 
-def test_sweep_loads_scipy_linalg_only(tmp_path):
-    loaded = run_digests(SCIPY_MODULES_SCRIPT, tmp_path, "run --preset exp5_1 --out OUT/exp5_1")
+def test_beam_dynamic_loads_scipy_linalg_only(tmp_path):
+    # its Newmark LU factor and, being damped, its first eigenvalue
+    (tmp_path / "beam_dynamic.json").write_text(json.dumps(BEAM_DYNAMIC))
+    command = "run OUT/beam_dynamic.json --out OUT/beam_dynamic"
+    loaded = run_digests(SCIPY_MODULES_SCRIPT, tmp_path, command)
     assert loaded["import"] == []
     assert "scipy.linalg" in loaded["commands"]
-    assert not [m for m in loaded["commands"] if m.startswith(("scipy.optimize", "scipy.signal"))]
+    assert not [m for m in loaded["commands"] if m.startswith(BANNED_SCIPY)]
 
 
 #: Submodules that cost far more to import than any command spends in them:

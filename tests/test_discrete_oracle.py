@@ -31,7 +31,7 @@ from beamlab.dynamics import (
     stiffness_damping_coeff,
 )
 from beamlab.scenario import preset, run_scenario
-from beamlab.statics import beam_stiffness_matrix, nodal_force, static_fd_solve
+from beamlab.statics import beam_factor, beam_stiffness_matrix, nodal_force, static_fd_solve
 
 PINNED = BoundarySpec.pinned_pinned()
 UDL = UdlLoad(5000.0)
@@ -203,6 +203,29 @@ def test_eigh_against_exact(ref_beam, nodes):
     assert float(np.max(np.abs(values - exact) / exact)) < TOLERANCES[nodes][1]
 
 
+def sweep_eigenvalues(beam, grid) -> np.ndarray:
+    """Ascending eigenvalues of (K, M) as `frequency_sweep` takes them: the
+    squared singular values of B*M^(-1/2), B from `beam_factor`."""
+    factor, _ = beam_factor(beam, PINNED, grid)
+    mass = beam.section.mass_per_length * grid.spacing  # at every free node
+    return np.linalg.svd(factor / math.sqrt(mass), full_matrices=False)[1][::-1] ** 2
+
+
+# Relative error tolerances of `sweep_eigenvalues` per node count.  Measured at
+# one / two BLAS threads: 41 nodes 2.34e-14 / 2.34e-14, 201 nodes 3.15e-13 /
+# 3.15e-13, 801 nodes 1.01e-11 / 3.02e-12; a dense eigh of (K, M) gives 2.0e-12,
+# 2.6e-8 and 1.9e-7 (TOLERANCES above).
+FACTOR_TOLERANCES = {41: 2.4e-14, 201: 3.2e-13, 801: 1.1e-11}
+
+
+@pytest.mark.parametrize("nodes", sorted(FACTOR_TOLERANCES))
+def test_factor_singular_values_against_exact(ref_beam, nodes):
+    grid = SpatialGrid.for_beam(ref_beam, nodes)
+    values = sweep_eigenvalues(ref_beam, grid)
+    exact = exact_eigenvalues(ref_beam, grid)
+    assert float(np.max(np.abs(values - exact) / exact)) < FACTOR_TOLERANCES[nodes]
+
+
 @pytest.mark.parametrize("nodes", sorted(TOLERANCES))
 def test_fundamental_against_exact(ref_beam, nodes):
     system = discretize_beam(ref_beam, PINNED, nodes)
@@ -218,15 +241,15 @@ HISTORY = TimeGrid(0.0, 0.2, 1e-3)
 HISTORY_STRIDE = 10
 # Relative error tolerances per node count: undamped and damped
 # `beam_time_response` frames (coupled LU steps), and `frequency_sweep`
-# amplitudes (modal recurrence over the modes of a dense eigh).  Measured at
-# one / two BLAS threads:
-#   41 nodes:  2.72e-12 / 2.72e-12, 1.60e-12 / 1.60e-12, 5.03e-11 / 5.03e-11
-#   201 nodes: 8.71e-9 / 8.64e-9,   8.60e-9 / 8.49e-9,   5.77e-8 / 5.77e-8
-#   801 nodes: 2.25e-6 / 2.29e-6,   1.99e-6 / 2.01e-6,   8.93e-7 / 8.22e-6
+# amplitudes (modal recurrence over the modes of the SVD of the stiffness
+# factor).  Measured at one / two BLAS threads:
+#   41 nodes:  2.72e-12 / 2.72e-12, 1.60e-12 / 1.60e-12, 1.43e-13 / 1.43e-13
+#   201 nodes: 8.71e-9 / 8.64e-9,   8.60e-9 / 8.49e-9,   1.12e-12 / 1.12e-12
+#   801 nodes: 2.25e-6 / 2.29e-6,   1.99e-6 / 2.01e-6,   6.80e-11 / 2.17e-11
 NEWMARK_TOLERANCES = {
-    41: (2.8e-12, 1.7e-12, 5.1e-11),
-    201: (8.8e-9, 8.7e-9, 5.8e-8),
-    801: (2.3e-6, 2.1e-6, 8.3e-6),
+    41: (2.8e-12, 1.7e-12, 1.5e-13),
+    201: (8.8e-9, 8.7e-9, 1.2e-12),
+    801: (2.3e-6, 2.1e-6, 6.9e-11),
 }
 #: exp5_2's 10 000 steps: 5.68e-15 of the peak at one and two threads, in 100
 #: blocks of 100 steps (5.49e-15 when every block was stepped as rows of its own).
@@ -270,10 +293,9 @@ def test_frequency_sweep_against_exact(ref_beam, nodes):
         ref_beam, PINNED, nodes, 1e3, 3.0, freqs,
         settle_periods=settle, measure_periods=measure, zeta1=zeta1,
     )
-    system = discretize_beam(ref_beam, PINNED, nodes)
-    lam0 = scipy.linalg.eigh(system.stiffness, system.mass)[0][0]
+    grid = SpatialGrid.for_beam(ref_beam, nodes)
+    lam0 = sweep_eigenvalues(ref_beam, grid)[0]
     coeff = stiffness_damping_coeff(zeta1, math.sqrt(lam0))  # the sweep's own b
-    grid = system.grid
     lam = exact_eigenvalues(ref_beam, grid)
     modes = exact_modes(ref_beam, grid)
     gain = modal_loads(grid, modes, PointLoad(1e3, 3.0))

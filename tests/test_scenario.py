@@ -970,25 +970,23 @@ def modal_dict(**edits):
         ),
         pytest.param(
             edited("exp5_1", grid={"nodes": 6000}),
-            "grid.nodes 6000: the dense beam operator would take about 2197 MiB, "
+            "grid.nodes 6000: the dense beam operator would take about 2747 MiB, "
             "above the 1024 MiB limit; lower grid.nodes",
             id=(
-                "data35-grid.nodes 6000: the dense beam operator would take about 2197 MiB, "
+                "data35-grid.nodes 6000: the dense beam operator would take about 2747 MiB, "
                 "above the 1024 MiB limit; lower grid.nodes"
             ),
         ),
         pytest.param(
             edited(
                 "exp5_1",
-                sweep={"f_min": 1.0, "f_max": 2.0, "f_count": 100_000},
+                sweep={"f_min": 1.0, "f_max": 2.0, "f_count": 10_000_000},
             ),
-            "sweep.f_count 100000: midspan histories of 4001 steps would take "
-            "about 3053 MiB, above the 1024 MiB limit; "
-            "lower sweep.f_count or the settle and measure periods",
+            "sweep.f_count 10000000: the sweep's points would take about 1221 MiB, "
+            "above the 1024 MiB limit; lower sweep.f_count",
             id=(
-                "data36-sweep.f_count 100000: midspan histories of 4001 steps would take about "
-                "3053 MiB, above the 1024 MiB limit; lower sweep.f_count or the settle and "
-                "measure periods"
+                "data36-sweep.f_count 10000000: the sweep's points would take about 1221 MiB, "
+                "above the 1024 MiB limit; lower sweep.f_count"
             ),
         ),
         pytest.param(
@@ -1050,10 +1048,10 @@ def test_solver_rule_messages(data, message):
 
 
 # (scenario, n x n doubles its dense path holds at once): 4 n^2 doubles fill
-# 1 GiB at 5792 nodes, 7 n^2 doubles at 4378 and 8 n^2 doubles at 4096
+# 1 GiB at 5792 nodes, 7 n^2 doubles at 4378 and 10 n^2 doubles at 3663
 DENSE_PATHS = pytest.mark.parametrize(
     "make, copies",
-    [(minimal_static_dict, 4), (dynamic_beam_dict, 7), (small_sweep_dict, 8)],
+    [(minimal_static_dict, 4), (dynamic_beam_dict, 7), (small_sweep_dict, 10)],
     ids=["static", "dynamic_beam", "sweep"],
 )
 
@@ -1222,11 +1220,46 @@ def test_dynamic_steps_bounded_at_parse(make, time):
     assert parse_dict(data).tgrid.step_count == 10_000
 
 
-def test_sweep_history_size_bounded_at_parse():
+def test_sweep_points_bounded_at_parse():
+    # 128 bytes per frequency point: 8.4 million points fill 1 GiB; parsed
+    # only, never run.  No midspan history counts: the sweep holds none
+    limit = MAX_ARRAY_BYTES // 128
     data = scenario_to_dict(preset("exp5_1"))
-    data["sweep"]["f_count"] = 100_000
-    with pytest.raises(ValidationError, match=r"^sweep\.f_count 100000: "):
+    data["sweep"]["f_count"] = limit + 1
+    with pytest.raises(
+        ValidationError,
+        match=rf"^sweep\.f_count {limit + 1}: .* MiB limit; lower sweep\.f_count$",
+    ):
         parse_dict(data)
+    data["sweep"]["f_count"] = limit
+    assert parse_dict(data).sweep.f_count == limit
+
+
+def test_sweep_points_peak_within_parse_bound():
+    # the traced peak grows by no more per frequency than the 128 bytes the
+    # parse-time limit assumes, once the recurrence's groups are full
+    data = scenario_to_dict(preset("exp5_1"))
+    peaks = []
+    for count in (100, 600):
+        data["sweep"]["f_count"] = count
+        peaks.append(traced_peak(scenario_from_dict(data)))
+    assert (peaks[1] - peaks[0]) / 500 <= 128
+
+
+def test_sweep_recurrence_bounded_at_parse():
+    # one frequency's rows grow with sqrt(steps): about 1.1 GiB at 1e12 steps
+    # of exp5_1's 39 modes; parsed only, never run
+    data = scenario_to_dict(preset("exp5_1"))
+    data["sweep"]["settle_periods"] = 10**10
+    with pytest.raises(
+        ValidationError,
+        match=r"^sweep\.settle_periods 10000000000 \+ sweep\.measure_periods 10: one "
+        r"frequency's recurrence over 1000000001000 steps would take about \d+ MiB, above "
+        r"the 1024 MiB limit; lower the settle and measure periods or grid\.nodes$",
+    ):
+        parse_dict(data)
+    data["sweep"]["settle_periods"] = 10**9
+    assert parse_dict(data).sweep.settle_periods == 10**9
 
 
 def test_nonlinear_arrays_bounded_at_parse():

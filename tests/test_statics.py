@@ -17,7 +17,9 @@ from beamlab import (
     UdlLoad,
     ValidationError,
 )
+from beamlab.dynamics import MIN_BEAM_NODES
 from beamlab.statics import (
+    beam_factor,
     beam_stiffness_matrix,
     cantilever_point_deflection,
     nodal_force,
@@ -382,6 +384,28 @@ def test_fd_influence_maxwell_reciprocity(bc, n, data):
     from_i = static_fd_solve(FD_BEAM, bc, [PointLoad(1.0, x[i])], n).deflection
     scale = max(np.abs(from_j).max(), np.abs(from_i).max())
     assert abs(from_j[i] - from_i[j]) <= 1e-9 * scale
+
+
+# Every end kind, a spring at 1 N/m to 10 GN/m: from far below the beam's
+# bending stiffness at its end node to far above it.
+FACTOR_ENDS = st.sampled_from(
+    [EndCondition.pinned(), EndCondition.clamped(), EndCondition.free()]
+) | st.floats(1.0, 1e10).map(EndCondition.spring)
+
+
+@given(left=FACTOR_ENDS, right=FACTOR_ENDS, n=st.integers(MIN_BEAM_NODES, 201))
+@settings(max_examples=60, deadline=None, database=None)
+def test_property_factor_squares_to_stiffness(left, right, n):
+    bc = BoundarySpec(left, right)
+    grid = SpatialGrid.for_beam(FD_BEAM, n)
+    factor, free = beam_factor(FD_BEAM, bc, grid)
+    stiffness, stiffness_free = beam_stiffness_matrix(FD_BEAM, bc, grid)
+    assert np.array_equal(free, stiffness_free)
+    assert np.all(np.any(factor, axis=1))  # the zero rows are dropped
+    scale = np.abs(stiffness).max()
+    np.testing.assert_allclose(factor.T @ factor, stiffness, rtol=0, atol=1e-13 * scale)
+    if bc.constraint_count >= 2:  # no rigid-body mode, so no zero singular value
+        assert factor.shape[0] >= factor.shape[1]
 
 class TestQuasiStaticMoving:
     def test_peak_at_center_crossing(self, ref_beam):
