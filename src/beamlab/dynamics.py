@@ -647,13 +647,13 @@ def frequency_sweep(
         raise ValidationError("settle_periods and measure_periods must be >= 1")
     grid = SpatialGrid.for_beam(beam, n_nodes)
     mid_node = grid.nearest_node(beam.length / 2.0)
-    if not freqs:
-        return []
     load = nodal_force(PointLoad(p0, xload), grid)
     _check_beam_nodes(n_nodes)
     warning = _rigid_body_warning(bc)
     if warning:  # stiffness-proportional damping cannot damp rigid modes
         raise RankDeficiencyError(f"cannot integrate rank-deficient system: {warning}")
+    if not freqs:
+        return []
     # B^T B = K, so with B scaled to B M^(-1/2) in place, its squared singular
     # values are the eigenvalues of (K, M) and its right singular vectors
     # times M^(-1/2) the mass-normalized modes; svd gives them descending

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -252,9 +252,6 @@ class HarmonicPointLoad:
         object.__setattr__(
             self, "position", _nonnegative(self.position, "harmonic load position")
         )
-
-
-LoadCase = Union[UdlLoad, PointLoad, MovingPointLoad, HarmonicPointLoad]
 
 
 #: Load types whose force does not change with time.

@@ -3,15 +3,15 @@
 A scenario is a JSON object (schema tag "beamlab/1") that pins every input a
 run needs: geometry, end conditions, loads, grids, integrator settings and
 solver choice.  Parsing is strict: unknown keys and the blocks a run never
-reads (see _KINDS) are rejected with their dotted path, and every default the
-parser fills in is recorded so it can be reported in the output provenance
-block.
+reads (see _KINDS) are rejected with their dotted path.  An optional field
+left out takes the default its type declares; the schema table holds none of
+its own.  Each field of the blocks a run reads that the file left out is
+reported, with the value the run used, in the output provenance block.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -60,7 +60,6 @@ from .statics import quasi_static_moving, quasi_static_sinusoidal, static_fd_sol
 
 SCHEMA_VERSION = "beamlab/1"
 SOLVERS = ("static", "quasi_static", "modal", "dynamic", "sweep", "nonlinear")
-_DEFAULT_GRID_NODES = 201
 #: Largest array a run may hold, in bytes: the dense beam operator, the
 #: recorded frames, a sweep's midspan history, or one double per time sample
 #: and dof of a dynamic run, which also bounds its step count.  A scenario
@@ -203,9 +202,9 @@ class SystemSpec:
 class Scenario:
     """Fully validated run description.
 
-    `defaults_applied` records every value the parser had to fill in (dotted
-    key path to value); it is excluded from equality so a round-tripped
-    scenario compares equal to its source.
+    `defaults_applied` maps the dotted path of each leaf of the serialized
+    run that its file left out to the value the run used; it is excluded from
+    equality so a round-tripped scenario compares equal to its source.
     """
 
     name: str
@@ -213,7 +212,7 @@ class Scenario:
     beam: BeamSpec | None = None
     bc: BoundarySpec | None = None
     loads: tuple = ()
-    grid_nodes: int = _DEFAULT_GRID_NODES
+    grid_nodes: int = 201
     tgrid: TimeGrid | None = None
     integrator: IntegratorConfig = IntegratorConfig()
     zeta1: float = 0.0
@@ -388,43 +387,18 @@ class Scenario:
 
 
 _MISSING = object()
-
-
-class _Fields:
-    """One JSON object being consumed; leftover keys are an error."""
-
-    def __init__(self, data, path: str):
-        if not isinstance(data, dict):
-            label = f"'{path}'" if path else "scenario"
-            raise ValidationError(f"{label} must be a JSON object")
-        self._data = dict(data)
-        self._path = path
-
-    def label(self, key: str) -> str:
-        return f"{self._path}.{key}" if self._path else key
-
-    def require(self, key: str, keep: bool = False):
-        """A required key's value; `keep` leaves it for the block that takes it."""
-        if key not in self._data:
-            raise ValidationError(f"missing required field '{self.label(key)}'")
-        return self._data[key] if keep else self._data.pop(key)
-
-    def optional(self, key: str):
-        return self._data.pop(key, _MISSING)
-
-    def finish(self):
-        if self._data:
-            extras = ", ".join(sorted(self.label(k) for k in self._data))
-            raise ValidationError(f"unknown field(s): {extras}")
+_DEFAULT = object()
 
 
 class _F(NamedTuple):
     """One schema entry: JSON key, kind, default and constructor attribute.
 
-    `default` is _MISSING (the key is required), None (an absent key passes
-    and records nothing) or the JSON value to parse in the key's place, which
-    is then recorded in defaults_applied.  `attr` defaults to `key`; a dotted
-    attr reaches into a nested object when serializing.
+    `default` is _MISSING (the key is required), None (an absent key is left
+    out, and an empty value is not serialized) or _DEFAULT (an absent key is
+    left out of the constructor call, so the type's own default applies, and
+    the value is always serialized).  No entry holds a default of its own.
+    `attr` defaults to `key`; a dotted attr reaches into a nested object when
+    serializing.
     """
 
     key: str
@@ -439,7 +413,7 @@ class _Scalar:
     noun: str
     convert: Callable
 
-    def parse(self, raw, label: str, defaults: dict):
+    def parse(self, raw, label: str):
         if not isinstance(raw, bool) and isinstance(raw, self.types):
             with contextlib.suppress(OverflowError):
                 return self.convert(raw)
@@ -459,12 +433,10 @@ class _List:
     item: object
     noun: str = ""
 
-    def parse(self, raw, label: str, defaults: dict) -> tuple:
+    def parse(self, raw, label: str) -> tuple:
         if not isinstance(raw, list):
             raise ValidationError(f"'{label}' must be a list{self.noun}")
-        return tuple(
-            self.item.parse(v, f"{label}[{i}]", defaults) for i, v in enumerate(raw)
-        )
+        return tuple(self.item.parse(v, f"{label}[{i}]") for i, v in enumerate(raw))
 
     def dump(self, values) -> list:
         return [self.item.dump(v) for v in values]
@@ -478,12 +450,8 @@ def _build(make: Callable, label: str, *args, **kwargs):
         raise type(exc)(f"'{label}': {exc}") from None
 
 
-def _record(defaults: dict, label: str, value) -> None:
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _record(defaults, f"{label}.{key}", item)
-    else:
-        defaults[label] = copy.copy(value)
+def _dotted(label: str, key) -> str:
+    return f"{label}.{key}" if label else key
 
 
 class _Block:
@@ -497,28 +465,32 @@ class _Block:
         self.make = make
         self.fields = fields
 
-    def take(self, f: _Fields, defaults: dict) -> dict:
+    def take(self, raw, label: str, read=()) -> dict:
+        """The constructor arguments of the JSON object `raw`.  Keys outside the
+        table are refused, but for those in `read`, which the caller reads."""
+        if not isinstance(raw, dict):
+            noun = f"'{label}'" if label else "scenario"
+            raise ValidationError(f"{noun} must be a JSON object")
         kwargs: dict = {}
         for entry in self.fields:
-            label = f.label(entry.key)
-            raw = f.optional(entry.key)
-            if raw is _MISSING:
+            key_label = _dotted(label, entry.key)
+            if entry.key not in raw:
                 if entry.default is _MISSING:
-                    raise ValidationError(f"missing required field '{label}'")
-                if entry.default is None:
-                    continue
-                raw = entry.default
-                _record(defaults, label, raw)
-            value = entry.kind.parse(raw, label, defaults)
+                    raise ValidationError(f"missing required field '{key_label}'")
+                continue
+            value = entry.kind.parse(raw[entry.key], key_label)
             if _inline(entry):
                 kwargs.update(value)
             else:
                 kwargs[entry.attr or entry.key] = value
-        f.finish()
+        extras = raw.keys() - {entry.key for entry in self.fields} - set(read)
+        if extras:
+            labels = ", ".join(sorted(_dotted(label, key) for key in extras))
+            raise ValidationError(f"unknown field(s): {labels}")
         return kwargs
 
-    def parse(self, raw, label: str, defaults: dict):
-        kwargs = self.take(_Fields(raw, label), defaults)
+    def parse(self, raw, label: str):
+        kwargs = self.take(raw, label)
         return kwargs if self.make is None else _build(self.make, label, **kwargs)
 
     def dump(self, obj) -> dict:
@@ -541,21 +513,26 @@ def _inline(entry: _F) -> bool:
     return isinstance(entry.kind, _Block) and entry.kind.make is None
 
 
+def _read(raw, label: str, key: str) -> str:
+    """The required string `key` of the JSON object `raw`, read ahead of the
+    block that takes the rest of `raw`."""
+    return _Block(None, _F(key, _STRING)).take(raw, label, read=raw)[key]
+
+
 @dataclass(frozen=True)
 class _Tagged:
     """A JSON object whose 'type' key picks the field table of the rest."""
 
     blocks: Mapping[str, _Block]
 
-    def parse(self, raw, label: str, defaults: dict):
-        f = _Fields(raw, label)
-        tag = _STRING.parse(f.require("type"), f"{label}.type", defaults)
+    def parse(self, raw, label: str):
+        tag = _read(raw, label, "type")
         if tag not in self.blocks:
             raise ValidationError(
                 f"'{label}.type' must be one of {', '.join(self.blocks)}; got '{tag}'"
             )
         block = self.blocks[tag]
-        return _build(block.make, label, **block.take(f, defaults))
+        return _build(block.make, label, **block.take(raw, label, read=("type",)))
 
     def dump(self, value) -> dict:
         for tag, block in self.blocks.items():
@@ -571,8 +548,8 @@ class _Boundary:
         None, _F("left", _STRING), _F("right", _STRING), _F("k", _NUMBER, None)
     )
 
-    def parse(self, raw, label: str, defaults: dict) -> BoundarySpec:
-        ends = self._ENDS.parse(raw, label, defaults)
+    def parse(self, raw, label: str) -> BoundarySpec:
+        ends = self._ENDS.parse(raw, label)
         kinds = (ends["left"], ends["right"])
         for side, kind in zip(("bc.left", "bc.right"), kinds):
             if kind not in _END_KINDS:
@@ -607,7 +584,7 @@ _LOADS = _Tagged(
             MovingPointLoad,
             _F("p", _NUMBER),
             _F("speed", _NUMBER),
-            _F("x0", _NUMBER, 0.0),
+            _F("x0", _NUMBER, _DEFAULT),
         ),
         "harmonic_point": _Block(
             HarmonicPointLoad,
@@ -617,6 +594,12 @@ _LOADS = _Tagged(
         ),
     }
 )
+
+
+def _time_grid(end: float, dt: float, start: float = 0.0) -> TimeGrid:
+    """The time block's TimeGrid: a run starts at 0 unless the file says."""
+    return TimeGrid(start, end, dt)
+
 
 #: Every top-level key after "schema", in file order.  Integrator gamma and
 #: beta arrive under dotted names and are joined into an IntegratorConfig.
@@ -638,16 +621,10 @@ _SCENARIO = _Block(
     ),
     _F("bc", _Boundary(), None),
     _F("loads", _List(_LOADS), None),
-    _F(
-        "grid",
-        _Block(None, _F("nodes", _INTEGER, attr="grid_nodes")),
-        {"nodes": _DEFAULT_GRID_NODES},
-    ),
+    _F("grid", _Block(None, _F("nodes", _INTEGER, attr="grid_nodes")), _DEFAULT),
     _F(
         "time",
-        _Block(
-            TimeGrid, _F("start", _NUMBER, 0.0), _F("end", _NUMBER), _F("dt", _NUMBER)
-        ),
+        _Block(_time_grid, _F("start", _NUMBER, _DEFAULT), _F("end", _NUMBER), _F("dt", _NUMBER)),
         None,
         "tgrid",
     ),
@@ -655,11 +632,11 @@ _SCENARIO = _Block(
         "integrator",
         _Block(
             None,
-            _F("gamma", _NUMBER, 0.5, "integrator.gamma"),
-            _F("beta", _NUMBER, 0.25, "integrator.beta_nm"),
-            _F("rayleigh", _Block(None, _F("zeta1", _NUMBER)), {"zeta1": 0.0}),
+            _F("gamma", _NUMBER, _DEFAULT, "integrator.gamma"),
+            _F("beta", _NUMBER, _DEFAULT, "integrator.beta_nm"),
+            _F("rayleigh", _Block(None, _F("zeta1", _NUMBER)), _DEFAULT),
         ),
-        {},
+        _DEFAULT,
     ),
     _F(
         "material",
@@ -678,8 +655,8 @@ _SCENARIO = _Block(
             _F("f_min", _NUMBER),
             _F("f_max", _NUMBER),
             _F("f_count", _INTEGER),
-            _F("settle_periods", _INTEGER, 30),
-            _F("measure_periods", _INTEGER, 10),
+            _F("settle_periods", _INTEGER, _DEFAULT),
+            _F("measure_periods", _INTEGER, _DEFAULT),
         ),
         None,
     ),
@@ -707,7 +684,7 @@ _SCENARIO = _Block(
                     HarmonicDrive,
                     _F("amplitude", _NUMBER),
                     _F("f_hz", _NUMBER),
-                    _F("axis", _STRING, "x"),
+                    _F("axis", _STRING, _DEFAULT),
                 ),
             ),
         ),
@@ -718,8 +695,8 @@ _SCENARIO = _Block(
         _Block(None, _F("bearing_k", _NUMBER, attr="modal_bearing_k")),
         None,
     ),
-    _F("probes", _List(_NUMBER, " of positions in meters"), []),
-    _F("output", _Block(None, _F("stride", _INTEGER, 1)), {}),
+    _F("probes", _List(_NUMBER, " of positions in meters"), _DEFAULT),
+    _F("output", _Block(None, _F("stride", _INTEGER, _DEFAULT)), _DEFAULT),
     _F("notes", _List(_STRING, " of strings"), None),
 )
 #: The field table of each kind of run: the _SCENARIO entries it reads.
@@ -732,47 +709,57 @@ _SCHEMAS = {
 _BLANK = _SCENARIO.dump(SimpleNamespace(**{f.name: f.default for f in fields(Scenario)}))
 
 
-def _check_finite(data, label: str = "") -> None:
-    """Reject the first NaN or infinity in a decoded JSON tree, naming its path."""
-    if isinstance(data, float) and not math.isfinite(data):
-        raise ValidationError(f"'{label}' must be a finite number, got {data}")
-    if isinstance(data, dict):
-        for key, value in data.items():
-            _check_finite(value, f"{label}.{key}" if label else key)
-    elif isinstance(data, list):
-        for i, value in enumerate(data):
-            _check_finite(value, f"{label}[{i}]")
+def _leaves(tree, label: str = "", out: dict | None = None) -> dict:
+    """Dotted path to value of each scalar, empty object and empty list of a
+    decoded JSON tree, depth first.  Refuses the first NaN or infinity,
+    naming its path."""
+    out = {} if out is None else out
+    if isinstance(tree, dict) and tree:
+        for key, value in tree.items():
+            _leaves(value, _dotted(label, key), out)
+    elif isinstance(tree, list) and tree:
+        for i, value in enumerate(tree):
+            _leaves(value, f"{label}[{i}]", out)
+    elif isinstance(tree, float) and not math.isfinite(tree):
+        raise ValidationError(f"'{label}' must be a finite number, got {tree}")
+    else:
+        out[label] = tree
+    return out
 
 
 def scenario_from_dict(data, *, stride: int | None = None) -> Scenario:
     """Validate a decoded JSON object into a Scenario (strict keys).
 
     Only the blocks the run's kind reads (see _KINDS) are parsed; any other
-    is refused.  `stride`, when given, replaces `output.stride` before
-    validation, so the size limits see the stride the run will use; a run
-    that records no time series refuses it.
+    is refused.  An absent optional field takes its type's default, and
+    `defaults_applied` lists each such field of the serialized run.  `stride`,
+    when given, replaces `output.stride` before validation, so the size
+    limits see the stride the run will use; a run that records no time
+    series refuses it.
     """
-    defaults: dict[str, object] = {}
-    f = _Fields(data, "")
-    schema = _STRING.parse(f.require("schema"), "schema", defaults)
+    schema = _read(data, "", "schema")
     if schema != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported schema '{schema}' (this build reads '{SCHEMA_VERSION}')"
         )
-    solver = _STRING.parse(f.require("solver", keep=True), "solver", defaults)
+    solver = _read(data, "", "solver")
     kind = _kind(solver, data)
-    kwargs = _SCHEMAS[kind].take(f, defaults)
-    _check_finite(data)  # after the block constructors' own range checks
-    if "integrator.gamma" in kwargs:
-        gamma, beta_nm = kwargs.pop("integrator.gamma"), kwargs.pop("integrator.beta_nm")
-        kwargs["integrator"] = _build(IntegratorConfig, "integrator", gamma, beta_nm)
+    kwargs = _SCHEMAS[kind].take(data, "", read=("schema",))
+    # refuses NaN and infinity after the block constructors' own range checks
+    given = _leaves(data)
+    # the table's dotted attrs are the integrator's
+    joined = {key.split(".")[1]: kwargs.pop(key) for key in [*kwargs] if "." in key}
+    kwargs["integrator"] = _build(IntegratorConfig, "integrator", **joined)
     if stride is not None:
         if "output" not in _READS[kind]:
             raise ValidationError(
                 f"stride {stride} given, but solver '{solver}' records no time series"
             )
         kwargs["stride"] = stride
-        defaults.pop("output.stride", None)
+        given["output.stride"] = stride
+    parsed = SimpleNamespace(**{f.name: f.default for f in fields(Scenario)} | kwargs)
+    leaves = _leaves(_SCHEMAS[kind].dump(parsed))
+    defaults = {path: value for path, value in leaves.items() if path not in given}
     return Scenario(defaults_applied=defaults, **kwargs)
 
 
@@ -788,7 +775,12 @@ def _unique_keys(pairs: list) -> dict:
 def parse_scenario(text, *, stride: int | None = None) -> Scenario:
     """Parse scenario JSON given as bytes or str; `stride` as in scenario_from_dict."""
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"scenario is not UTF-8: {exc.reason} at byte {exc.start}"
+            ) from None
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -796,6 +788,8 @@ def parse_scenario(text, *, stride: int | None = None) -> Scenario:
             f"scenario is not valid JSON: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}"
         ) from None
+    except RecursionError:
+        raise ValidationError("scenario nests its JSON arrays or objects too deeply") from None
     return scenario_from_dict(data, stride=stride)
 
 

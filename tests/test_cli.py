@@ -114,6 +114,28 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff" + scenario_to_json(preset("exp1")).encode(), "scenario is not UTF-8"),
+        (b"[" * 200_000, "scenario nests its JSON arrays or objects too deeply"),
+    ],
+    ids=["not_utf8", "nested_too_deep"],
+)
+def test_unreadable_scenario_bytes_exit_2(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "beamlab.cli", "run", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: {message}")
+
+
 def test_partial_time_step_exit_2(tmp_path, capsys):
     path = tmp_path / "partial.json"
     text = scenario_to_json(preset("exp2_1")).replace('"end": 15.0', '"end": 15.02')

@@ -27,6 +27,7 @@ from beamlab import (
 from beamlab import dynamics
 from beamlab.dynamics import (
     GROWTH_LIMIT,
+    MIN_BEAM_NODES,
     RECURRENCE_BYTES,
     SWEEP_STEPS_PER_PERIOD,
     IntegratorConfig,
@@ -1000,3 +1001,14 @@ class TestFrequencySweep:
     def test_rejects_bad_frequencies(self, ref_beam):
         with pytest.raises(ValidationError):
             frequency_sweep(ref_beam, PINNED, 21, 1e3, 5.0, [0.0])
+
+    @pytest.mark.parametrize("freqs", [[], [2.0]], ids=["none", "one"])
+    def test_inputs_checked_before_an_empty_sweep(self, ref_beam, freqs):
+        free_free = ends_spec("free-free")
+        with pytest.raises(RankDeficiencyError, match="free-free leave rigid-body"):
+            frequency_sweep(ref_beam, free_free, 41, 1e3, 5.0, freqs)
+        with pytest.raises(ValidationError, match=f"n_nodes must be >= {MIN_BEAM_NODES}"):
+            frequency_sweep(ref_beam, PINNED, 5, 1e3, 5.0, freqs)
+
+    def test_empty_sweep_returns_no_points(self, ref_beam):
+        assert frequency_sweep(ref_beam, PINNED, 41, 1e3, 5.0, []) == []

@@ -1,8 +1,10 @@
+import inspect
 import json
 import math
 import re
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -271,6 +273,54 @@ def test_defaults_do_not_break_equality():
     b = scenario_from_dict(explicit)
     assert a == b
     assert a.defaults_applied != b.defaults_applied
+
+
+@pytest.mark.parametrize(
+    "block, value, path",
+    [("grid", {}, "grid.nodes"), ("integrator", {"rayleigh": {}}, "integrator.rayleigh.zeta1")],
+    ids=["grid", "rayleigh"],
+)
+def test_given_block_needs_its_required_keys(block, value, path):
+    # the block itself may be left out, but a block given needs its own keys
+    data = dynamic_beam_dict()
+    scenario_from_dict(data)
+    data[block] = value
+    with pytest.raises(ValidationError, match=f"^missing required field '{re.escape(path)}'$"):
+        scenario_from_dict(data)
+
+
+def table_entries(block, make=Scenario):
+    """(constructor, entry) for each entry of a field table and of the tables
+    nested in it; an inline block's fields go to the enclosing constructor."""
+    make = block.make or make
+    for entry in block.fields:
+        yield make, entry
+        if isinstance(entry.kind, beamlab.scenario._Block):
+            yield from table_entries(entry.kind, make)
+
+
+def entry_attrs(entry):
+    """The constructor attributes an entry sets: an inline block sets its fields'."""
+    if not beamlab.scenario._inline(entry):
+        yield entry.attr or entry.key
+        return
+    for field in entry.kind.fields:
+        yield from entry_attrs(field)
+
+
+def test_schema_table_defaults_come_from_the_types():
+    # a default written in the table would be a second copy of the type's
+    sc = beamlab.scenario
+    for block in (sc._SCENARIO, *sc._LOADS.blocks.values()):
+        for make, entry in table_entries(block):
+            assert any(entry.default is marker for marker in (sc._MISSING, None, sc._DEFAULT)), entry
+            if entry.default is not sc._DEFAULT:
+                continue
+            for attr in entry_attrs(entry):
+                head, *rest = attr.split(".")
+                default = inspect.signature(make).parameters[head].default
+                assert default is not inspect.Parameter.empty, (make, attr)
+                reduce(getattr, rest, default)  # a dotted attr reaches into it
 
 
 def test_probe_outside_span_rejected():
