@@ -35,7 +35,10 @@ Only `integrate` and `eigenfrequencies` call scipy, and each imports
 `scipy.linalg` itself, so mass-spring runs and sweeps never load scipy: a
 sweep takes its modes from numpy's SVD of the stiffness factor B, whose
 squared singular values are the eigenvalues of (K, M) without the squared
-condition number of K.
+condition number of K.  A sweep reads only midspan, so when its ends are
+equal and its node count odd, which mirrors the free nodes about the
+midspan node, it steps only the modes symmetric about midspan: every
+antisymmetric one is zero there.
 """
 
 from __future__ import annotations
@@ -636,7 +639,11 @@ def frequency_sweep(
     ends.  Rayleigh damping is stiffness-proportional, so each mode i obeys
     q'' + b*lam_i*q' + lam_i*q = Gamma_i*sin(2*pi*f*t), with Gamma = Phi^T p,
     and the recurrence of `modal_harmonic_response` advances all frequencies
-    at once, reading out only the midspan displacement Phi[mid] @ q.  No
+    at once, reading out only the midspan displacement Phi[mid] @ q.  With
+    equal ends and an odd node count the sweep is mirror-symmetric about
+    the midspan node, and a mode whose dot product with its mirror image is
+    negative is antisymmetric, zero at midspan in exact arithmetic: the
+    recurrence steps only the others, b still fitted to the lowest mode.  No
     midspan history is held: `_window_peaks` folds each chunk of samples
     into the two windows' peaks as the recurrence yields it.
     """
@@ -669,6 +676,10 @@ def frequency_sweep(
     # midspan is interior, so free: its column counts the free nodes before it
     midspan_row = modes[:, np.count_nonzero(free[:mid_node])].copy()
     gain = modes @ load[free]
+    if bc.left == bc.right and n_nodes % 2:
+        # mirror-symmetric: drop the antisymmetric modes, zero at midspan
+        kept = np.einsum("ij,ij->i", modes, modes[:, ::-1]) >= 0.0
+        lam, gain, midspan_row = lam[kept], gain[kept], midspan_row[kept]
     del modes  # no dense matrix stays beside the recurrence's rows
 
     hz = np.array(freqs)

@@ -36,7 +36,7 @@ from .material import (
     linear_vs_nonlinear_curve,
     nonlinear_cantilever_deflection,
 )
-from .modal import ModeSolution, solve_modes
+from .modal import ModeSolution, find_beta_roots, natural_frequencies, solve_modes
 from .model import (
     _END_KINDS,
     MIN_GRID_NODES,
@@ -351,7 +351,9 @@ class Scenario:
                 "lower sweep.f_count",
             )
             # the recurrence steps its frequencies in groups within a fixed
-            # budget, but one frequency's rows grow with sqrt(steps) and modes
+            # budget, but one frequency's rows grow with sqrt(steps) and modes.
+            # A mirror-symmetric sweep steps only the modes symmetric about
+            # midspan; this bound counts every mode, one per grid node
             steps = (sweep.settle_periods + sweep.measure_periods) * SWEEP_STEPS_PER_PERIOD
             limit(
                 sweep_frequency_bytes(n, steps),
@@ -1096,7 +1098,7 @@ def _run_sweep(s: Scenario) -> tuple[dict, dict]:
         measure_periods=s.sweep.measure_periods,
         zeta1=s.zeta1,
     )
-    first_mode_hz = solve_modes(s.beam, s.bc, 1)[0].f_hz
+    first_mode_hz = natural_frequencies(find_beta_roots(s.beam, s.bc, 1), s.beam)[0].f_hz
     extras = {"first_mode_hz_analytic": first_mode_hz, "nominal_load_f_hz": load.f_hz}
     return {"sweep_points": points}, extras
 

@@ -242,10 +242,10 @@ HISTORY_STRIDE = 10
 # Relative error tolerances per node count: undamped and damped
 # `beam_time_response` frames (coupled LU steps), and `frequency_sweep`
 # amplitudes (modal recurrence over the modes of the SVD of the stiffness
-# factor).  Measured at one / two BLAS threads:
+# factor that are symmetric about midspan).  Measured at one / two BLAS threads:
 #   41 nodes:  2.72e-12 / 2.72e-12, 1.60e-12 / 1.60e-12, 1.43e-13 / 1.43e-13
-#   201 nodes: 8.71e-9 / 8.64e-9,   8.60e-9 / 8.49e-9,   1.12e-12 / 1.12e-12
-#   801 nodes: 2.25e-6 / 2.29e-6,   1.99e-6 / 2.01e-6,   6.80e-11 / 2.17e-11
+#   201 nodes: 8.71e-9 / 8.64e-9,   8.60e-9 / 8.49e-9,   1.11e-12 / 1.11e-12
+#   801 nodes: 2.25e-6 / 2.29e-6,   1.99e-6 / 2.01e-6,   6.79e-11 / 2.16e-11
 NEWMARK_TOLERANCES = {
     41: (2.8e-12, 1.7e-12, 1.5e-13),
     201: (8.8e-9, 8.7e-9, 1.2e-12),

@@ -44,7 +44,7 @@ from beamlab.dynamics import (
 from beamlab.dynamics import _blocking, _frequency_bytes, _modal_chunks, _window_peaks
 from beamlab.modal import find_beta_roots, natural_frequencies
 from beamlab.scenario import run_scenario, scenario_from_dict
-from beamlab.statics import nodal_force, ss_point_deflection
+from beamlab.statics import beam_factor, nodal_force, ss_point_deflection, trapezoid_weights
 
 PINNED = BoundarySpec.pinned_pinned()
 OMEGA_UNIT = 2.0 * math.pi  # rad/s for the unit-period oscillator
@@ -728,6 +728,55 @@ def test_property_sweep_amplitudes_are_the_whole_window_peaks(
         assert np.array_equal([p.amplitude_m for p in points], amplitudes)
 
 
+def every_mode_peaks(beam, bc, nodes, p0, xload, hz, settle_periods, measure_periods, zeta1):
+    """Settle and measure window peaks of the sweep's recurrence over every
+    mode of the SVD of B*M^(-1/2), none left out."""
+    grid = SpatialGrid.for_beam(beam, nodes)
+    factor, free = beam_factor(beam, bc, grid)
+    root_mass = np.sqrt(beam.section.mass_per_length * trapezoid_weights(grid)[free])
+    sigma, modes = np.linalg.svd(factor / root_mass, full_matrices=False)[1:]
+    lam, modes = sigma[::-1] ** 2, modes[::-1] / root_mass
+    coeff = stiffness_damping_coeff(zeta1, math.sqrt(lam[0]))
+    midspan = modes[:, np.count_nonzero(free[: grid.nearest_node(beam.length / 2.0)])]
+    gain = modes @ nodal_force(PointLoad(p0, xload), grid)[free]
+    hz = np.array(hz)
+    settle = settle_periods * SWEEP_STEPS_PER_PERIOD
+    steps = settle + measure_periods * SWEEP_STEPS_PER_PERIOD
+    omega, dt = 2.0 * math.pi * hz, 1.0 / (SWEEP_STEPS_PER_PERIOD * hz)
+    chunks = _modal_chunks(
+        lam, coeff * lam, gain, omega, dt, steps, midspan, IntegratorConfig(), 0.0, 1
+    )
+    return _window_peaks(chunks, hz.size, (0, settle, steps + 1))
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # ref_beam is frozen
+)
+@given(
+    ends=st.sampled_from(["pinned-pinned", "clamped-clamped", "spring-spring"]),
+    spring=st.sampled_from([1e3, 1e6, 1e9]),
+    nodes=st.integers(5, 50).map(lambda k: 2 * k + 1),
+    xload=st.floats(0.5, 9.5),
+    hz=st.lists(st.floats(0.5, 30.0), min_size=1, max_size=3),
+)
+def test_property_symmetric_modes_give_every_mode_amplitudes(
+    ref_beam, ends, spring, nodes, xload, hz
+):
+    bc = ends_spec(ends, spring)
+    kwargs = dict(settle_periods=8, measure_periods=2, zeta1=0.05)
+    settle_peaks, want = every_mode_peaks(ref_beam, bc, nodes, 1e3, xload, hz, **kwargs)
+    grown = [0.0 < s and a > GROWTH_LIMIT * s for s, a in zip(settle_peaks, want)]
+    if any(grown):  # soft springs leave a slow transient: the same refusal
+        with pytest.raises(NonConvergenceError, match=f"f_hz={hz[grown.index(True)]}:"):
+            frequency_sweep(ref_beam, bc, nodes, 1e3, xload, hz, **kwargs)
+    else:
+        points = frequency_sweep(ref_beam, bc, nodes, 1e3, xload, hz, **kwargs)
+        np.testing.assert_allclose([p.amplitude_m for p in points], want, rtol=1e-13, atol=0)
+
+
 class TestDiscretizeBeam:
     def test_total_lumped_mass(self, ref_beam):
         bc = BoundarySpec(EndCondition.free(), EndCondition.free())
@@ -853,9 +902,13 @@ def refuses_rigid_body_ends(monkeypatch, ends):
     return pytest.raises(RankDeficiencyError, match=f"end conditions {ends} leave rigid-body")
 
 
-def ends_spec(ends: str) -> BoundarySpec:
-    left, right = ends.split("-")
-    return BoundarySpec(getattr(EndCondition, left)(), getattr(EndCondition, right)())
+def ends_spec(ends: str, spring: float = 1e6) -> BoundarySpec:
+    """The ends named "left-right"; a spring end holds `spring` N/m."""
+    left, right = (
+        EndCondition.spring(spring) if kind == "spring" else getattr(EndCondition, kind)()
+        for kind in ends.split("-")
+    )
+    return BoundarySpec(left, right)
 
 
 class TestBeamTimeResponse:
@@ -959,6 +1012,41 @@ class TestFrequencySweep:
         assert [p.f_hz for p in points] == freqs
         got = np.array([p.amplitude_m for p in points])
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize(
+        "ends, nodes, stepped, modes",
+        [
+            ("pinned-pinned", 41, 20, 39),
+            ("clamped-clamped", 41, 20, 39),
+            ("spring-spring", 41, 21, 41),
+            ("pinned-clamped", 41, 39, 39),
+            ("spring-clamped", 41, 40, 40),
+            ("pinned-pinned", 40, 38, 38),
+            ("clamped-clamped", 40, 38, 38),
+            ("spring-spring", 40, 40, 40),
+        ],
+    )
+    def test_mirror_symmetric_sweeps_step_only_the_symmetric_modes(
+        self, ref_beam, monkeypatch, ends, nodes, stepped, modes
+    ):
+        # equal ends and an odd node count put midspan on the mirror line,
+        # where every antisymmetric mode is zero; other sweeps step every mode
+        bc = ends_spec(ends)
+        free = beam_factor(ref_beam, bc, SpatialGrid.for_beam(ref_beam, nodes))[1]
+        assert np.count_nonzero(free) == modes
+        sizes = []
+
+        def recorded_chunks(lam, *args):
+            sizes.append(lam.size)
+            return _modal_chunks(lam, *args)
+
+        monkeypatch.setattr(dynamics, "_modal_chunks", recorded_chunks)
+        for xload in (3.0, 5.0):  # the cut does not look at the load
+            frequency_sweep(
+                ref_beam, bc, nodes, 1e3, xload, [0.5, 1.0],
+                settle_periods=4, measure_periods=2, zeta1=0.05,
+            )
+        assert sizes == [stepped, stepped]
 
     def test_measure_window_starts_at_the_settle_step(self, ref_beam):
         # exp5_1's beam and load just below the third mode: the decaying

@@ -1440,7 +1440,7 @@ def test_constructor_errors_name_their_block(name, keys, value, label):
         ("beam_time_response", short_dynamic_beam_dict()),
         ("frequency_sweep", small_sweep_dict()),
         ("solve_modes", modal_dict()),
-        ("solve_modes", small_sweep_dict()),
+        ("find_beta_roots", small_sweep_dict()),
         ("linear_vs_nonlinear_curve", edited("exp4")),
         ("nonlinear_cantilever_deflection", edited("exp4")),
         ("modal_harmonic_response", edited("exp5_2", time=_SHORT)),
