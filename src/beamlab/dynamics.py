@@ -22,14 +22,16 @@ per mode gives the coupled update's displacements up to rounding.  Resonance
 sweeps (stiffness-proportional damping over a lumped mass) and mass-spring
 runs (diagonal M, C and K) share that recurrence, `modal_harmonic_response`;
 beam time responses keep the direct factorized path.  Every run of the
-recurrence, at any length and stride, steps one block of about sqrt(steps)
-steps, on rows driven by cos and sin of the phase within a block and rows
-started from unit q, v and a; every block's drive is the same sinusoid
-shifted in phase, so linearity stitches all of them from those rows, and
-numpy's per-call cost is paid about 2*sqrt(steps) times rather than once per
-step.  The rows of a group of frequencies stay within a fixed byte budget,
-and the samples come out a chunk of blocks at a time: `system` runs copy them
-into their history, while sweeps fold them into two peaks per frequency.
+recurrence, at any length and stride, steps one block of about
+sqrt(steps/2) steps, on rows driven by cos and sin of the phase within a
+block and rows started from unit q, v and a; every block's drive is the same
+sinusoid shifted in phase, so linearity stitches all of them from those
+rows, and numpy's per-call cost is paid in sqrt(steps/2) steps and
+sqrt(2*steps) block stitches rather than once per step: a step costs about
+two stitches, and that split balances them.  The rows of a group of
+frequencies stay within a fixed byte budget, and the samples come out a
+chunk of blocks at a time: `system` runs copy them into their history, while
+sweeps fold them into two peaks per frequency.
 
 Only `integrate` and `eigenfrequencies` call scipy, and each imports
 `scipy.linalg` itself, so mass-spring runs and sweeps never load scipy: a
@@ -380,9 +382,18 @@ STITCH_BLOCKS = 16
 def _blocking(steps: int, stride: int) -> tuple[int, int]:
     """Block count and block length, a whole number of strides, that cut
     the steps of `modal_harmonic_response` up to its last recorded sample
-    into about sqrt(steps) blocks: none when it records only its start."""
+    into at most sqrt(2*steps) blocks: none when it records only its start.
+
+    The recurrence costs numpy calls: about size*step + blocks*stitch, with
+    size*blocks = steps, which is least at blocks = sqrt(steps*step/stitch).
+    On exp5_1's 30 frequencies and 20 modes, a step of `_step_block` took
+    47-55 us and a block's stitch in `_modal_chunks` 27-29 us (2 vCPUs, one
+    BLAS thread), so step/stitch is about 2.  The shorter block also shrinks
+    the rows of a frequency, so exp5_1's 30 fit one group of RECURRENCE_BYTES.
+    """
     last = steps - steps % stride
-    size = -(-last // max(1, math.isqrt(last)))
+    # blocks = sqrt(last * step / stitch), with step / stitch = 2
+    size = -(-last // max(1, math.isqrt(2 * last)))
     size = -(-size // stride) * stride
     return -(-last // max(1, size)), size
 
@@ -428,12 +439,12 @@ def modal_harmonic_response(
     Returns q @ readout at every `stride`-th step from step 0, with shape
     (steps // stride + 1, frequencies) + readout.shape[1:].
 
-    The steps up to the last recorded sample are cut into about sqrt(steps)
-    blocks of `size` steps, each a whole number of strides, and only one
-    block is stepped.  Block k's drive is sin(phi_k + theta_j) =
-    sin(phi_k)*cos(theta_j) + cos(phi_k)*sin(theta_j), with
-    phi_k = omega*(start + k*size*dt) and theta_j = omega*j*dt, so five rows
-    per (frequency x mode) channel cover every block: a cos(theta) and a
+    The steps up to the last recorded sample are cut by `_blocking` into
+    about sqrt(2*steps) blocks of `size` steps, each a whole number of
+    strides, and only one block is stepped.  Block k's drive is
+    sin(phi_k + theta_j) = sin(phi_k)*cos(theta_j) + cos(phi_k)*sin(theta_j),
+    with phi_k = omega*(start + k*size*dt) and theta_j = omega*j*dt, so five
+    rows per (frequency x mode) channel cover every block: a cos(theta) and a
     sin(theta) row from rest, and three undriven rows from unit q, v and a.
     The update is linear, so block k is sin(phi_k) times the cos row plus
     cos(phi_k) times the sin row plus the unit rows weighted by its start

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -69,6 +69,18 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
+def _finite_nonzero(compute: Callable[[], float], what: str) -> float:
+    """compute(), refused unless a finite nonzero number: an overflow or an
+    underflow to zero raises a ValidationError that names `what`."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value) or value == 0.0:
+        raise ValidationError(f"{what} is not a finite nonzero number")
+    return value
+
+
 @dataclass(frozen=True)
 class SectionProperties:
     """Quantities derived from a rectangular cross-section."""
@@ -85,7 +97,8 @@ class BeamSpec:
     """Uniform beam of rectangular cross-section.
 
     length, width, height in meters, elastic_modulus in Pa, density in kg/m^3.
-    All fields must be strictly positive.
+    All fields must be strictly positive, and the section quantities derived
+    from them finite and nonzero.
     """
 
     length: float
@@ -97,6 +110,7 @@ class BeamSpec:
     def __post_init__(self):
         for name in ("length", "width", "height", "elastic_modulus", "density"):
             object.__setattr__(self, name, _positive(getattr(self, name), name))
+        derive_section(self)
 
     @property
     def section(self) -> SectionProperties:
@@ -108,13 +122,32 @@ def derive_section(beam: BeamSpec) -> SectionProperties:
 
     area = width*height, second_moment = width*height^3/12, and the wave
     coefficient sqrt(EI / rho*A) that sets the free-vibration frequency scale.
-    Pure function: identical inputs give bit-identical outputs.
+    Pure function: identical inputs give bit-identical outputs.  A quantity
+    that overflows or underflows to zero is refused, naming the fields it is
+    built from.
     """
-    area = beam.width * beam.height
-    second_moment = beam.width * beam.height**3 / 12.0
-    flexural_rigidity = beam.elastic_modulus * second_moment
-    mass_per_length = beam.density * area
-    wave_coefficient = math.sqrt(flexural_rigidity / mass_per_length)
+
+    def checked(compute, quantity: str, names: str) -> float:
+        given = ", ".join(f"{name} {getattr(beam, name)!r}" for name in names.split())
+        return _finite_nonzero(compute, f"the {quantity} of {given}")
+
+    area = checked(lambda: beam.width * beam.height, "section area", "width height")
+    second_moment = checked(
+        lambda: beam.width * beam.height**3 / 12.0, "second moment of area", "width height"
+    )
+    flexural_rigidity = checked(
+        lambda: beam.elastic_modulus * second_moment,
+        "flexural rigidity",
+        "elastic_modulus width height",
+    )
+    mass_per_length = checked(
+        lambda: beam.density * area, "mass per length", "density width height"
+    )
+    wave_coefficient = checked(
+        lambda: math.sqrt(flexural_rigidity / mass_per_length),
+        "wave coefficient",
+        "elastic_modulus density width height",
+    )
     return SectionProperties(
         area=area,
         second_moment=second_moment,
@@ -292,6 +325,11 @@ class SpatialGrid:
                 f"got {self.node_count}"
             )
         object.__setattr__(self, "node_count", int(self.node_count))
+        # every curvature stencil is scaled by it
+        _finite_nonzero(
+            lambda: 1.0 / self.spacing**2,
+            f"1/spacing^2 of length {self.length!r} over {self.node_count} nodes",
+        )
 
     @classmethod
     def for_beam(cls, beam: BeamSpec, node_count: int) -> "SpatialGrid":

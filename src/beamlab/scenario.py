@@ -61,11 +61,17 @@ from .statics import quasi_static_moving, quasi_static_sinusoidal, static_fd_sol
 SCHEMA_VERSION = "beamlab/1"
 SOLVERS = ("static", "quasi_static", "modal", "dynamic", "sweep", "nonlinear")
 #: Largest array a run may hold, in bytes: the dense beam operator, the
-#: recorded frames, a sweep's midspan history, or one double per time sample
+#: recorded frames, a sweep's rows or points, or one double per time sample
 #: and dof of a dynamic run, which also bounds its step count.  A scenario
-#: estimated above it fails at parse instead of running for days or out of
-#: memory mid-solve.
+#: estimated above it fails at parse instead of running out of memory
+#: mid-solve.
 MAX_ARRAY_BYTES = 2**30
+#: Most mode-steps a sweep may take: every free mode, stepped at every
+#: frequency over every step.  At the 0.5-1.3 ns per mode-step measured on
+#: sweeps of 41 to 801 nodes (2 vCPUs, one BLAS thread) that is about 8 to
+#: 22 minutes; a sweep estimated above it fails at parse instead of running
+#: for hours or days.
+MAX_MODE_STEPS = 10**12
 _MIB = 2**20
 #: The top-level blocks each kind of run reads besides name, solver and notes:
 #: (the blocks it cannot run without, the blocks it may be given).  Any other
@@ -256,8 +262,9 @@ class Scenario:
         return _kind(self.solver, () if self.system is None else ("system",))
 
     def _check_solver(self):
-        """Check the blocks its kind reads and needs, its ends, its grid, then
-        its loads; each array it holds must fit in MAX_ARRAY_BYTES."""
+        """Check the blocks its kind reads and needs, its ends, its grid, its
+        loads, then its grid spacing; each array it holds must fit in
+        MAX_ARRAY_BYTES, and a sweep's work in MAX_MODE_STEPS."""
 
         def need(condition: bool, what: str):
             if not condition:
@@ -353,14 +360,26 @@ class Scenario:
             # the recurrence steps its frequencies in groups within a fixed
             # budget, but one frequency's rows grow with sqrt(steps) and modes.
             # A mirror-symmetric sweep steps only the modes symmetric about
-            # midspan; this bound counts every mode, one per grid node
+            # midspan; these bounds count every mode
             steps = (sweep.settle_periods + sweep.measure_periods) * SWEEP_STEPS_PER_PERIOD
+            periods = (
+                f"sweep.settle_periods {sweep.settle_periods} + sweep.measure_periods "
+                f"{sweep.measure_periods}"
+            )
             limit(
                 sweep_frequency_bytes(n, steps),
-                f"sweep.settle_periods {sweep.settle_periods} + sweep.measure_periods "
-                f"{sweep.measure_periods}: one frequency's recurrence over {steps} steps",
+                f"{periods}: one frequency's recurrence over {steps} steps",
                 "lower the settle and measure periods or grid.nodes",
             )
+            modes = n - sum(end.holds_deflection for end in (self.bc.left, self.bc.right))
+            work = modes * sweep.f_count * steps
+            if work > MAX_MODE_STEPS:
+                raise ValidationError(
+                    f"{periods} at sweep.f_count {sweep.f_count}: {steps} steps of {modes} "
+                    f"modes at each frequency would take {work:.2e} mode-steps, above the "
+                    f"{MAX_MODE_STEPS:.0e} limit; lower the settle and measure periods, "
+                    "sweep.f_count or grid.nodes"
+                )
         else:  # nonlinear
             need(
                 len(self.loads) == 1 and isinstance(self.loads[0], PointLoad),
@@ -386,6 +405,8 @@ class Scenario:
                     f"load_sweep.count {count}: the load curve's points",
                     "lower load_sweep.count",
                 )
+        if "grid" in _READS[kind]:  # its spacing, once the sizes are bounded
+            _build(SpatialGrid.for_beam, "beam.length", self.beam, n)
 
 
 _MISSING = object()

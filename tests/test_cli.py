@@ -261,6 +261,39 @@ def test_constructor_error_names_its_block_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("width", 5e-324, "'beam': the section area of width 5e-324, height 0.4"),
+        (
+            "density",
+            5e-324,
+            "'beam': the mass per length of density 5e-324, width 0.2, height 0.4",
+        ),
+        ("height", 1e300, "'beam': the second moment of area of width 0.2, height 1e+300"),
+        ("length", 1e300, "'beam.length': 1/spacing^2 of length 1e+300 over 201 nodes"),
+    ],
+    ids=["subnormal_width", "subnormal_density", "huge_height", "huge_length"],
+)
+def test_section_out_of_range_exit_2(tmp_path, key, value, message):
+    # an overflow or underflow in a derived quantity names its fields at
+    # parse, where it once crashed the solver with a traceback
+    data = json.loads(scenario_to_json(preset("exp1")))
+    data["beam"][key] = value
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "beamlab.cli", "run", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line == f"error: {message} is not a finite nonzero number"
+    assert not (tmp_path / "out").exists()
+
+
 def test_moving_load_before_time_zero(tmp_path):
     # the load sits at x0 + speed*t: short of the span while t < 0, and on
     # the pinned node 0 at t = 0, so no free node is pushed until t > 0
@@ -328,8 +361,8 @@ def test_module_invocation_subprocess():
 # The exp5_2 frames were re-recorded when mass-spring runs moved from the
 # coupled LU step loop to the per-axis modal recurrence: 8792 of 10001 x cells
 # moved, by at most 1.7e-15 of the peak; the y column stayed exactly 0.0.
-# They were re-recorded again when the recurrence came to step about
-# sqrt(steps) blocks of the time axis at once: 9803 of 10001 x cells moved,
+# They were re-recorded again when the recurrence came to step the time axis
+# in blocks, then sqrt(steps) of them: 9803 of 10001 x cells moved,
 # by at most 7.9e-15 of the peak; the y column stayed exactly 0.0.
 # Every provenance was re-recorded when `defaults_applied` came to list only
 # the fields of the blocks the run reads: exp1, exp3, exp4 and exp5_1 record
@@ -343,7 +376,12 @@ def test_module_invocation_subprocess():
 # at most 7.1e-11 relative, and they no longer change with the thread count.
 # exp5_1/sweep.csv was re-recorded when mirror-symmetric sweeps came to skip
 # the modes antisymmetric about midspan: 10 of 30 amplitudes moved, by at most
-# 3.8e-16 relative.
+# 3.8e-16 relative.  exp5_1/sweep.csv and exp5_2/frames.csv were re-recorded
+# when the recurrence's block length came to balance the cost of a step
+# against a block's stitch, about sqrt(2*steps) blocks rather than
+# sqrt(steps): 29 of 30 amplitudes moved, by at most 1.3e-14 relative, and
+# 9491 of 10001 x cells, by at most 2.1e-15 of the peak; the y column stayed
+# exactly 0.0.
 RECORDED_DIGESTS = {
     "exp1/frames.csv": "007ed26609e31edd02cb93d335bc28dbcc6c417b4639de4d4859c9bf0650cc22",
     "exp1/probes.csv": "8b233cf526504a8ec945eba3cbd8e0960521ec6b7584fc3672299694d2bfef1a",
@@ -362,8 +400,8 @@ RECORDED_DIGESTS = {
     "exp4/probes.csv": "284494e6bd0358f56b5610098410923dea77498b79dc32b23c9d5f136f095661",
     "exp4/provenance.json": "465aa1075b72991606aedcdbaf23b0a30079b2c8c5a3a7d4aa3d9c72e37736c0",
     "exp5_1/provenance.json": "bddd80f2efd520e0513aec1098d8dc604fe05c7e808cbab04161ce025becbf34",
-    "exp5_1/sweep.csv": "b58cf7e174811a9d11c805e76cb7d563ab9a1c67393e84a67884db0414378023",
-    "exp5_2/frames.csv": "3a92acbd8bcde9efd71437df9bb979b376a829738d9ccf0fd31912fc852f352f",
+    "exp5_1/sweep.csv": "8db61061fa6aabe4e2f7aab2acf651728483b0cae905ff1e2ca8750ad3ede0e1",
+    "exp5_2/frames.csv": "318a2f3da3c633888d9329f3f50c12541a20024ffafa98742100018a395e4ad3",
     "exp5_2/probes.csv": "c89980a9f932f22e14a31a7b5bd5b19d88e5ffab6614a14c0a502368235e70fd",
     "exp5_2/provenance.json": "b37ba33e77c86f57b0a7c1297c6a6c16bcd15f4da3fa9b294e82564654d8c42d",
     "modal exp3 3": "383392de8eb32b8093784bbdf700e5ce3e865e2a2e62e85ca72d8a00215bd2f2",

@@ -243,7 +243,7 @@ HISTORY_STRIDE = 10
 # `beam_time_response` frames (coupled LU steps), and `frequency_sweep`
 # amplitudes (modal recurrence over the modes of the SVD of the stiffness
 # factor that are symmetric about midspan).  Measured at one / two BLAS threads:
-#   41 nodes:  2.72e-12 / 2.72e-12, 1.60e-12 / 1.60e-12, 1.43e-13 / 1.43e-13
+#   41 nodes:  2.72e-12 / 2.72e-12, 1.60e-12 / 1.60e-12, 1.44e-13 / 1.44e-13
 #   201 nodes: 8.71e-9 / 8.64e-9,   8.60e-9 / 8.49e-9,   1.11e-12 / 1.11e-12
 #   801 nodes: 2.25e-6 / 2.29e-6,   1.99e-6 / 2.01e-6,   6.79e-11 / 2.16e-11
 NEWMARK_TOLERANCES = {
@@ -251,8 +251,9 @@ NEWMARK_TOLERANCES = {
     201: (8.8e-9, 8.7e-9, 1.2e-12),
     801: (2.3e-6, 2.1e-6, 6.9e-11),
 }
-#: exp5_2's 10 000 steps: 5.68e-15 of the peak at one and two threads, in 100
-#: blocks of 100 steps (5.49e-15 when every block was stepped as rows of its own).
+#: exp5_2's 10 000 steps: 6.29e-15 of the peak at one and two threads, in 141
+#: blocks of 71 steps (5.68e-15 in 100 blocks of 100, 5.49e-15 when every block
+#: was stepped as rows of its own).
 MASS_SPRING_TOLERANCE = 6.7e-15
 
 

@@ -43,7 +43,7 @@ from beamlab.dynamics import (
 )
 from beamlab.dynamics import _blocking, _frequency_bytes, _modal_chunks, _window_peaks
 from beamlab.modal import find_beta_roots, natural_frequencies
-from beamlab.scenario import run_scenario, scenario_from_dict
+from beamlab.scenario import preset, run_scenario, scenario_from_dict
 from beamlab.statics import beam_factor, nodal_force, ss_point_deflection, trapezoid_weights
 
 PINNED = BoundarySpec.pinned_pinned()
@@ -605,7 +605,10 @@ def test_property_blocking_covers_the_recorded_steps(data, steps):
     # the blocks reach the last recorded step, and none lies wholly past it
     last = steps // stride * stride
     assert blocks * size >= last > (blocks - 1) * size or blocks == last == 0
-    assert blocks <= math.isqrt(steps) + 1
+    # the least whole number of strides that cuts them into sqrt(2*last) blocks
+    target = max(1, math.isqrt(2 * last))
+    assert blocks <= target
+    assert size - stride < -(-last // target) <= size
 
 
 def test_stride_past_the_run_steps_nothing():
@@ -1047,6 +1050,20 @@ class TestFrequencySweep:
                 settle_periods=4, measure_periods=2, zeta1=0.05,
             )
         assert sizes == [stepped, stepped]
+
+    def test_exp5_1_steps_its_frequencies_in_one_group(self, monkeypatch):
+        # blocks of 45 steps leave each frequency's rows small enough that
+        # all 30 fit one group of RECURRENCE_BYTES: one _step_block call
+        calls = []
+
+        def counted_step_block(lam, damping, gain, omega, *args):
+            calls.append(omega.size)
+            return step_block(lam, damping, gain, omega, *args)
+
+        step_block = dynamics._step_block
+        monkeypatch.setattr(dynamics, "_step_block", counted_step_block)
+        run_scenario(preset("exp5_1"))
+        assert calls == [30]
 
     def test_measure_window_starts_at_the_settle_step(self, ref_beam):
         # exp5_1's beam and load just below the third mode: the decaying

@@ -27,6 +27,7 @@ from beamlab.model import (
 )
 from beamlab.scenario import (
     MAX_ARRAY_BYTES,
+    MAX_MODE_STEPS,
     PRESET_NAMES,
     LoadSweepSpec,
     Scenario,
@@ -1272,9 +1273,12 @@ def test_dynamic_steps_bounded_at_parse(make, time):
 
 def test_sweep_points_bounded_at_parse():
     # 128 bytes per frequency point: 8.4 million points fill 1 GiB; parsed
-    # only, never run.  No midspan history counts: the sweep holds none
+    # only, never run.  No midspan history counts: the sweep holds none.  One
+    # settle and one measure period keep the points' 6.5e10 mode-steps within
+    # MAX_MODE_STEPS
     limit = MAX_ARRAY_BYTES // 128
     data = scenario_to_dict(preset("exp5_1"))
+    data["sweep"].update(settle_periods=1, measure_periods=1)
     data["sweep"]["f_count"] = limit + 1
     with pytest.raises(
         ValidationError,
@@ -1297,19 +1301,34 @@ def test_sweep_points_peak_within_parse_bound():
 
 
 def test_sweep_recurrence_bounded_at_parse():
-    # one frequency's rows grow with sqrt(steps): about 1.1 GiB at 1e12 steps
-    # of exp5_1's 39 modes; parsed only, never run
+    # every free mode at every frequency over every step: exp5_1's 39 modes
+    # and 30 frequencies take 117000 mode-steps per period, so 1e12 allow
+    # 8547008 periods in all; parsed only, never run
+    assert 117000 * 8547009 > MAX_MODE_STEPS >= 117000 * 8547008
     data = scenario_to_dict(preset("exp5_1"))
-    data["sweep"]["settle_periods"] = 10**10
+    for settle in (10**10, 8546999):
+        data["sweep"]["settle_periods"] = settle
+        with pytest.raises(
+            ValidationError,
+            match=rf"^sweep\.settle_periods {settle} \+ sweep\.measure_periods 10 at "
+            rf"sweep\.f_count 30: {(settle + 10) * 100} steps of 39 modes at each "
+            r"frequency would take \S+ mode-steps, above the 1e\+12 limit; lower the "
+            r"settle and measure periods, sweep\.f_count or grid\.nodes$",
+        ):
+            parse_dict(data)
+    data["sweep"]["settle_periods"] = 8546998
+    assert parse_dict(data).sweep.settle_periods == 8546998
+    # one frequency's rows grow with sqrt(steps) and modes: about 1.07 GiB at
+    # 3001 nodes and 5e8 steps, refused before the work is counted
+    data["grid"] = {"nodes": 3001}
+    data["sweep"]["settle_periods"] = 5 * 10**6
     with pytest.raises(
         ValidationError,
-        match=r"^sweep\.settle_periods 10000000000 \+ sweep\.measure_periods 10: one "
-        r"frequency's recurrence over 1000000001000 steps would take about \d+ MiB, above "
+        match=r"^sweep\.settle_periods 5000000 \+ sweep\.measure_periods 10: one "
+        r"frequency's recurrence over 500001000 steps would take about \d+ MiB, above "
         r"the 1024 MiB limit; lower the settle and measure periods or grid\.nodes$",
     ):
         parse_dict(data)
-    data["sweep"]["settle_periods"] = 10**9
-    assert parse_dict(data).sweep.settle_periods == 10**9
 
 
 def test_nonlinear_arrays_bounded_at_parse():
