@@ -412,13 +412,6 @@ def _frequency_bytes(modes: int, outputs: int, blocks: int, size: int, stride: i
     return 8 * (basis + samples + max(stepping, stitching))
 
 
-def sweep_frequency_bytes(modes: int, steps: int) -> int:
-    """Bytes the recurrence of a sweep of `modes` modes over `steps` steps
-    holds for one frequency: it steps one at the least, whatever the budget."""
-    blocks, size = _blocking(steps, 1)
-    return _frequency_bytes(modes, 1, blocks, size, 1)
-
-
 def modal_harmonic_response(
     lam,
     damping,

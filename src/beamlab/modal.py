@@ -32,6 +32,7 @@ from .model import (
     EndCondition,
     InsufficientRootsError,
     NonConvergenceError,
+    SolverError,
     ValidationError,
 )
 
@@ -195,10 +196,11 @@ def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarra
     """First `n_roots` positive roots of the characteristic determinant.
 
     Scans upward from 0.1/L in steps of 0.05/L, brackets sign changes and
-    refines each with `brent_root` to within 1e-10/L.  Raises
-    InsufficientRootsError if the scan window beta*L <= 4*pi*n_roots + 10
-    runs out first, and NonConvergenceError if a refinement does not
-    converge in BRENT_MAXITER iterations.
+    refines each with `brent_root` to within 1e-10/L.  Raises SolverError
+    if beta^3 over the scan leaves the normal float range (a beam.length
+    far from 1), InsufficientRootsError if the scan window
+    beta*L <= 4*pi*n_roots + 10 runs out first, and NonConvergenceError if
+    a refinement does not converge in BRENT_MAXITER iterations.
     """
     if n_roots < 1:
         raise ValidationError(f"n_roots must be >= 1, got {n_roots}")
@@ -206,9 +208,22 @@ def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarra
     scan_step = SCAN_STEP_SCALE / length
     tol = ROOT_TOL_SCALE / length
     beta_max = (4.0 * math.pi * n_roots + 10.0) / length
+    beta_prev = BETA_MIN_SCALE / length
+    # the basis rows scale by up to beta^3, and by EI*beta^3 at a spring end;
+    # out of the normal floats the row scaling divides by zero or infinity
+    spring = "spring" in (bc.left.kind, bc.right.kind)
+    rigidity = beam.section.flexural_rigidity if spring else 1.0
+    try:
+        scaled = beta_prev**3 >= sys.float_info.min and math.isfinite(rigidity * beta_max**3)
+    except OverflowError:
+        scaled = False
+    if not scaled:
+        raise SolverError(
+            f"beam.length {length!r}: the root scan over beta*L in [{BETA_MIN_SCALE}, "
+            f"{beta_max * length:.4g}] takes beta^3 out of the normal float range"
+        )
 
     roots: list[float] = []
-    beta_prev = BETA_MIN_SCALE / length
     det_prev = characteristic_det(beta_prev, beam, bc)
     for beta_next, det_next in _scan(beta_prev, scan_step, beta_max, beam, bc):
         if det_next == 0.0:

@@ -14,7 +14,7 @@ All quantities are SI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -108,8 +108,8 @@ class BeamSpec:
     density: float
 
     def __post_init__(self):
-        for name in ("length", "width", "height", "elastic_modulus", "density"):
-            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _positive(getattr(self, f.name), f.name))
         derive_section(self)
 
     @property

@@ -3,10 +3,13 @@
 A scenario is a JSON object (schema tag "beamlab/1") that pins every input a
 run needs: geometry, end conditions, loads, grids, integrator settings and
 solver choice.  Parsing is strict: unknown keys and the blocks a run never
-reads (see _KINDS) are rejected with their dotted path.  An optional field
-left out takes the default its type declares; the schema table holds none of
-its own.  Each field of the blocks a run reads that the file left out is
-reported, with the value the run used, in the output provenance block.
+reads (see _KINDS) are rejected with their dotted path.  Each block that
+builds one value takes its keys, their kinds and which are optional from
+that value's dataclass fields (see _typed), so renaming a field renames its
+key.  An optional field left out takes the default its type declares; the
+schema table holds none of its own.  Each field of the blocks a run reads
+that the file left out is reported, with the value the run used, in the
+output provenance block.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from types import SimpleNamespace
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from .dynamics import (
     beam_time_response,
     frequency_sweep,
     modal_harmonic_response,
-    sweep_frequency_bytes,
 )
 from .material import (
     RambergOsgood,
@@ -357,28 +359,21 @@ class Scenario:
                 f"sweep.f_count {sweep.f_count}: the sweep's points",
                 "lower sweep.f_count",
             )
-            # the recurrence steps its frequencies in groups within a fixed
-            # budget, but one frequency's rows grow with sqrt(steps) and modes.
-            # A mirror-symmetric sweep steps only the modes symmetric about
-            # midspan; these bounds count every mode
+            # every free mode at every frequency over every step; a
+            # mirror-symmetric sweep steps only the modes symmetric about
+            # midspan, but this counts them all.  Within it, one frequency's
+            # recurrence rows, which grow with sqrt(steps) and the modes, stay
+            # below MAX_ARRAY_BYTES at every grid the operator limit admits
             steps = (sweep.settle_periods + sweep.measure_periods) * SWEEP_STEPS_PER_PERIOD
-            periods = (
-                f"sweep.settle_periods {sweep.settle_periods} + sweep.measure_periods "
-                f"{sweep.measure_periods}"
-            )
-            limit(
-                sweep_frequency_bytes(n, steps),
-                f"{periods}: one frequency's recurrence over {steps} steps",
-                "lower the settle and measure periods or grid.nodes",
-            )
             modes = n - sum(end.holds_deflection for end in (self.bc.left, self.bc.right))
             work = modes * sweep.f_count * steps
             if work > MAX_MODE_STEPS:
                 raise ValidationError(
-                    f"{periods} at sweep.f_count {sweep.f_count}: {steps} steps of {modes} "
-                    f"modes at each frequency would take {work:.2e} mode-steps, above the "
-                    f"{MAX_MODE_STEPS:.0e} limit; lower the settle and measure periods, "
-                    "sweep.f_count or grid.nodes"
+                    f"sweep.settle_periods {sweep.settle_periods} + sweep.measure_periods "
+                    f"{sweep.measure_periods} at sweep.f_count {sweep.f_count}: {steps} "
+                    f"steps of {modes} modes at each frequency would take {work:.2e} "
+                    f"mode-steps, above the {MAX_MODE_STEPS:.0e} limit; lower the settle "
+                    "and measure periods, sweep.f_count or grid.nodes"
                 )
         else:  # nonlinear
             need(
@@ -416,6 +411,8 @@ _DEFAULT = object()
 class _F(NamedTuple):
     """One schema entry: JSON key, kind, default and constructor attribute.
 
+    The blocks that build one value take their entries from its type's
+    fields (see _typed); only the top-level layout is written out here.
     `default` is _MISSING (the key is required), None (an absent key is left
     out, and an empty value is not serialized) or _DEFAULT (an absent key is
     left out of the constructor call, so the type's own default applies, and
@@ -465,8 +462,9 @@ class _List:
         return [self.item.dump(v) for v in values]
 
 
-def _build(make: Callable, label: str, *args, **kwargs):
-    """make(*args, **kwargs), naming the block in any ValidationError."""
+def _build(make: Callable, label: str, /, *args, **kwargs):
+    """make(*args, **kwargs), naming the block in any ValidationError.  Its
+    own parameters are positional, so a field may be named make or label."""
     try:
         return make(*args, **kwargs)
     except ValidationError as exc:
@@ -536,6 +534,28 @@ def _inline(entry: _F) -> bool:
     return isinstance(entry.kind, _Block) and entry.kind.make is None
 
 
+def _typed(make: Callable, **renamed: str) -> _Block:
+    """The block of the dataclass `make`: one entry per field, in field order.
+
+    A float, int or str field reads a number, an integer or a string, and a
+    dataclass field a nested block of its own.  A field with a default may be
+    left out (_DEFAULT); any other is required.  Each key is its field's
+    name, but where `renamed` maps a key to the field it sets.
+    """
+    hints = get_type_hints(make)
+    scalars = {float: _NUMBER, int: _INTEGER, str: _STRING}
+    keys = {attr: key for key, attr in renamed.items()}
+    entries = []
+    for f in fields(make):
+        hint = hints[f.name]
+        optional = f.default is not MISSING or f.default_factory is not MISSING
+        kind = _typed(hint) if is_dataclass(hint) else scalars[hint]
+        key = keys.get(f.name, f.name)
+        attr = None if key == f.name else f.name
+        entries.append(_F(key, kind, _DEFAULT if optional else _MISSING, attr))
+    return _Block(make, *entries)
+
+
 def _read(raw, label: str, key: str) -> str:
     """The required string `key` of the JSON object `raw`, read ahead of the
     block that takes the rest of `raw`."""
@@ -601,20 +621,10 @@ class _Boundary:
 
 _LOADS = _Tagged(
     {
-        "udl": _Block(UdlLoad, _F("q", _NUMBER)),
-        "point": _Block(PointLoad, _F("p", _NUMBER), _F("position", _NUMBER)),
-        "moving_point": _Block(
-            MovingPointLoad,
-            _F("p", _NUMBER),
-            _F("speed", _NUMBER),
-            _F("x0", _NUMBER, _DEFAULT),
-        ),
-        "harmonic_point": _Block(
-            HarmonicPointLoad,
-            _F("p0", _NUMBER),
-            _F("f_hz", _NUMBER),
-            _F("position", _NUMBER),
-        ),
+        "udl": _typed(UdlLoad),
+        "point": _typed(PointLoad),
+        "moving_point": _typed(MovingPointLoad),
+        "harmonic_point": _typed(HarmonicPointLoad),
     }
 )
 
@@ -630,18 +640,7 @@ _SCENARIO = _Block(
     None,
     _F("name", _STRING),
     _F("solver", _STRING),
-    _F(
-        "beam",
-        _Block(
-            BeamSpec,
-            _F("length", _NUMBER),
-            _F("width", _NUMBER),
-            _F("height", _NUMBER),
-            _F("elastic_modulus", _NUMBER),
-            _F("density", _NUMBER),
-        ),
-        None,
-    ),
+    _F("beam", _typed(BeamSpec), None),
     _F("bc", _Boundary(), None),
     _F("loads", _List(_LOADS), None),
     _F("grid", _Block(None, _F("nodes", _INTEGER, attr="grid_nodes")), _DEFAULT),
@@ -661,58 +660,10 @@ _SCENARIO = _Block(
         ),
         _DEFAULT,
     ),
-    _F(
-        "material",
-        _Block(
-            RambergOsgood,
-            _F("E", _NUMBER, attr="elastic_modulus"),
-            _F("alpha", _NUMBER),
-            _F("n", _NUMBER),
-        ),
-        None,
-    ),
-    _F(
-        "sweep",
-        _Block(
-            SweepSpec,
-            _F("f_min", _NUMBER),
-            _F("f_max", _NUMBER),
-            _F("f_count", _INTEGER),
-            _F("settle_periods", _INTEGER, _DEFAULT),
-            _F("measure_periods", _INTEGER, _DEFAULT),
-        ),
-        None,
-    ),
-    _F(
-        "load_sweep",
-        _Block(
-            LoadSweepSpec,
-            _F("p_min", _NUMBER),
-            _F("p_max", _NUMBER),
-            _F("count", _INTEGER),
-        ),
-        None,
-    ),
-    _F(
-        "system",
-        _Block(
-            SystemSpec,
-            _F("mass", _NUMBER),
-            _F("damping", _NUMBER),
-            _F("stiffness", _NUMBER),
-            _F("dofs", _INTEGER),
-            _F(
-                "force",
-                _Block(
-                    HarmonicDrive,
-                    _F("amplitude", _NUMBER),
-                    _F("f_hz", _NUMBER),
-                    _F("axis", _STRING, _DEFAULT),
-                ),
-            ),
-        ),
-        None,
-    ),
+    _F("material", _typed(RambergOsgood, E="elastic_modulus"), None),
+    _F("sweep", _typed(SweepSpec), None),
+    _F("load_sweep", _typed(LoadSweepSpec), None),
+    _F("system", _typed(SystemSpec), None),
     _F(
         "modal_only",
         _Block(None, _F("bearing_k", _NUMBER, attr="modal_bearing_k")),

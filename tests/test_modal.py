@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from beamlab import (
     BeamSpec,
     BoundarySpec,
     EndCondition,
+    SolverError,
     SpatialGrid,
     ValidationError,
 )
@@ -304,6 +306,20 @@ def test_property_brent_root_matches_brentq_on_closed_forms(name, a, b, xtol):
     fn = CLOSED_FORMS[name]
     assume(changes_sign(fn(a), fn(b)))
     assert brent_root(fn, a, b, xtol) == brentq_or_none(fn, a, b, xtol)
+
+
+@pytest.mark.parametrize("bc", [PINNED, CLAMPED_FREE, FREE_FREE], ids=["pp", "cf", "ff"])
+def test_roots_refused_where_beta_cubed_leaves_the_floats(bc):
+    # the scan's (0.1/L)^3 must be a normal float and ((4*pi*3 + 10)/L)^3
+    # finite: at 1e-101 and 1e101 m the roots scale with 1/L, warning-free
+    reference = find_beta_roots(BeamSpec(10.0, 0.2, 0.4, 25e9, 2500.0), bc, 3) * 10.0
+    for length in (1e-101, 1e101):
+        beam = BeamSpec(length, 0.2, 0.4, 25e9, 2500.0)
+        np.testing.assert_allclose(find_beta_roots(beam, bc, 3) * length, reference, rtol=1e-13)
+    for length in (1e-102, 1e102):
+        beam = BeamSpec(length, 0.2, 0.4, 25e9, 2500.0)
+        with pytest.raises(SolverError, match=rf"^beam\.length {re.escape(repr(length))}: "):
+            find_beta_roots(beam, bc, 3)
 
 
 def test_brent_root_refuses_a_bracket_without_sign_change():

@@ -3,7 +3,7 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -14,6 +14,8 @@ import beamlab.scenario
 from beamlab.dynamics import (
     MIN_BEAM_NODES,
     RECURRENCE_BYTES,
+    _blocking,
+    _frequency_bytes,
 )
 from beamlab.model import (
     MIN_GRID_NODES,
@@ -322,6 +324,47 @@ def test_schema_table_defaults_come_from_the_types():
                 default = inspect.signature(make).parameters[head].default
                 assert default is not inspect.Parameter.empty, (make, attr)
                 reduce(getattr, rest, default)  # a dotted attr reaches into it
+
+
+@dataclass(frozen=True)
+class _Inner:
+    label: str
+    weight: float = 1.5
+
+
+@dataclass(frozen=True)
+class _Outer:
+    span: float
+    count: int
+    inner: _Inner
+    tag: str = "a"
+
+
+def test_typed_block_takes_its_entries_from_the_fields():
+    sc = beamlab.scenario
+    block = sc._typed(_Outer, N="count")
+    assert block.make is _Outer
+    span, count, inner, tag = block.fields
+    assert span == ("span", sc._NUMBER, sc._MISSING, None)
+    assert count == ("N", sc._INTEGER, sc._MISSING, "count")
+    assert (inner.key, inner.default, inner.attr) == ("inner", sc._MISSING, None)
+    assert tag == ("tag", sc._STRING, sc._DEFAULT, None)
+    assert inner.kind.make is _Inner
+    assert inner.kind.fields == (
+        ("label", sc._STRING, sc._MISSING, None),
+        ("weight", sc._NUMBER, sc._DEFAULT, None),
+    )
+    value = block.parse({"span": 2, "N": 3, "inner": {"label": "x"}}, "outer")
+    assert value == _Outer(2.0, 3, _Inner("x"))
+    dumped = block.dump(value)
+    assert dumped == {"span": 2.0, "N": 3, "inner": {"label": "x", "weight": 1.5}, "tag": "a"}
+    assert block.parse(dumped, "outer") == value
+    with pytest.raises(ValidationError, match=r"^'outer\.N' must be an integer$"):
+        block.parse({**dumped, "N": 3.5}, "outer")
+    with pytest.raises(ValidationError, match=r"^unknown field\(s\): outer\.count$"):
+        block.parse({**dumped, "count": 3}, "outer")
+    with pytest.raises(ValidationError, match=r"^missing required field 'outer\.inner\.label'$"):
+        block.parse({**dumped, "inner": {}}, "outer")
 
 
 def test_probe_outside_span_rejected():
@@ -1318,17 +1361,38 @@ def test_sweep_recurrence_bounded_at_parse():
             parse_dict(data)
     data["sweep"]["settle_periods"] = 8546998
     assert parse_dict(data).sweep.settle_periods == 8546998
-    # one frequency's rows grow with sqrt(steps) and modes: about 1.07 GiB at
-    # 3001 nodes and 5e8 steps, refused before the work is counted
+    # one frequency's rows would take about 1.07 GiB at 3001 nodes and 5e8
+    # steps; the work limit refuses them first
     data["grid"] = {"nodes": 3001}
     data["sweep"]["settle_periods"] = 5 * 10**6
     with pytest.raises(
         ValidationError,
-        match=r"^sweep\.settle_periods 5000000 \+ sweep\.measure_periods 10: one "
-        r"frequency's recurrence over 500001000 steps would take about \d+ MiB, above "
-        r"the 1024 MiB limit; lower the settle and measure periods or grid\.nodes$",
+        match=r"^sweep\.settle_periods 5000000 \+ sweep\.measure_periods 10 at "
+        r"sweep\.f_count 30: 500001000 steps of 2999 modes at each frequency would "
+        r"take 4\.50e\+13 mode-steps, above the 1e\+12 limit; lower the settle and "
+        r"measure periods, sweep\.f_count or grid\.nodes$",
     ):
         parse_dict(data)
+
+
+def test_sweep_work_limit_bounds_one_frequencys_rows():
+    # the recurrence steps one frequency at the least, whatever its byte
+    # budget, and its rows grow with sqrt(steps) and the modes.  At one
+    # frequency and both ends held, MAX_MODE_STEPS admits the most steps;
+    # counting all n nodes as modes, the rows stay 3% below MAX_ARRAY_BYTES
+    # at every grid a sweep admits (1/1.0398 at 3663 nodes), so no byte
+    # limit of their own is needed
+    largest = math.isqrt(MAX_ARRAY_BYTES // 80)  # the operator's 10 n x n arrays
+    data = scenario_to_dict(preset("exp5_1"))
+    data["sweep"].update(f_max=0.5, f_count=1, settle_periods=1, measure_periods=1)
+    data["grid"] = {"nodes": largest}
+    assert parse_dict(data).grid_nodes == largest
+    data["grid"] = {"nodes": largest + 1}
+    with pytest.raises(ValidationError, match="the dense beam operator"):
+        parse_dict(data)
+    for n in range(MIN_BEAM_NODES, largest + 1):
+        blocks, size = _blocking(MAX_MODE_STEPS // (n - 2), 1)
+        assert 1.03 * _frequency_bytes(n, 1, blocks, size, 1) <= MAX_ARRAY_BYTES, n
 
 
 def test_nonlinear_arrays_bounded_at_parse():
