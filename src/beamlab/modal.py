@@ -11,10 +11,10 @@ circular frequencies omega = b^2 * sqrt(EI / rho*A).
 
 The determinant is evaluated with rows scaled to unit max magnitude, which
 keeps it well conditioned out to many multiples of the fundamental root.
-Roots are located by a sign-change scan and refined with Brent's method.  The
-scan takes its determinants in stacked chunks; the values are the same as one
-call per point.  The refinement, `brent_root`, is a port of scipy's brentq.c
-that returns the same roots bit for bit, so this module needs no scipy.
+Roots are located by a sign-change scan, which takes its determinants in
+stacked chunks; the values are the same as one call per point.  Every
+bracket is then narrowed to 1e-10/L by the same stacked calls, four points
+a round, so a root needs no scipy and no iteration cap.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .model import (
     DegenerateModeError,
     EndCondition,
     InsufficientRootsError,
-    NonConvergenceError,
     SolverError,
     ValidationError,
 )
@@ -45,10 +44,6 @@ SCAN_STEP_SCALE = 0.05
 ROOT_TOL_SCALE = 1e-10
 #: Scan points whose determinants are taken in one stacked call.
 SCAN_CHUNK = 128
-#: Brent iterations per root before refinement gives up, as in scipy's brentq.
-BRENT_MAXITER = 100
-#: Brent's relative tolerance on the root, 4 machine epsilons as in brentq.
-BRENT_RTOL = 4.0 * sys.float_info.epsilon
 
 #: Row k: where the k-th derivative of the basis, over beta^k, takes its four
 #: entries from (sin, cos, -sin, -cos, exp(-bx), -exp(-bx), exp(b(x-L))).
@@ -146,61 +141,50 @@ def _scan(beta: float, step: float, beta_max: float, beam: BeamSpec, bc: Boundar
         yield from zip(chunk, dets.tolist())
 
 
-def brent_root(f, xa: float, xb: float, xtol: float, args=()) -> float | None:
-    """Root of f(x, *args) in [xa, xb], to within xtol + BRENT_RTOL*|x|.
+def _refine(brackets, tol: float, beam: BeamSpec, bc: BoundarySpec) -> list[float]:
+    """Roots within (beta_lo, beta_hi, det_lo, det_hi) sign-change brackets.
 
-    A port of scipy's brentq.c (Brent 1973, *Algorithms for Minimization
-    without Derivatives*, ch. 4): the same steps in the same float order, so
-    the same root bit for bit.  f must change sign over the bracket.  Returns
-    None if BRENT_MAXITER iterations do not converge.
+    Each round stacks four determinants for every bracket wider than `tol`
+    and than the floats allow: at its secant point, tol/2 either side of it
+    and its midpoint, which at least halves it, so no iteration cap is needed.
+    It keeps the first sub-bracket whose ends change sign or meet an exact
+    zero.  A root does not depend on the brackets refined beside it.  Returns
+    the zero met, or the secant point of each final bracket.
     """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre, *args), f(xcur, *args)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValidationError(f"f does not change sign over [{xa}, {xb}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the better end in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur, *args)
-    return None
+    brackets = list(brackets)
+    while rows := [
+        i
+        for i, (lo, hi, _, f_hi) in enumerate(brackets)
+        if hi - lo > tol and lo < (lo + hi) / 2 < hi and f_hi != 0.0
+    ]:
+        points = []
+        for i in rows:
+            lo, hi, f_lo, f_hi = brackets[i]
+            secant = min(max(lo - f_lo * (hi - lo) / (f_hi - f_lo), lo), hi)
+            beside = (max(secant - tol / 2, lo), secant, min(secant + tol / 2, hi))
+            points.append(sorted((*beside, (lo + hi) / 2)))
+        dets = np.linalg.det(_characteristic_matrices(np.array(points), beam, bc)).tolist()
+        for i, inner, inner_dets in zip(rows, points, dets):
+            lo, hi, f_lo, f_hi = brackets[i]
+            xs, fs = [lo, *inner, hi], [f_lo, *inner_dets, f_hi]
+            k = next(k for k in range(5) if fs[k + 1] == 0.0 or (fs[k] < 0.0) != (fs[k + 1] < 0.0))
+            brackets[i] = (xs[k], xs[k + 1], fs[k], fs[k + 1])
+    return [
+        hi if f_hi == 0.0 else lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        for lo, hi, f_lo, f_hi in brackets
+    ]
 
 
 def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarray:
     """First `n_roots` positive roots of the characteristic determinant.
 
-    Scans upward from 0.1/L in steps of 0.05/L, brackets sign changes and
-    refines each with `brent_root` to within 1e-10/L.  Raises SolverError
-    if beta^3 over the scan leaves the normal float range (a beam.length
-    far from 1), InsufficientRootsError if the scan window
-    beta*L <= 4*pi*n_roots + 10 runs out first, and NonConvergenceError if
-    a refinement does not converge in BRENT_MAXITER iterations.
+    Scans upward from 0.1/L in steps of 0.05/L and brackets sign changes.
+    Once roots and brackets reach `n_roots`, or the window ends, `_refine`
+    narrows every bracket to within 1e-10/L in the same stacked rounds.  A
+    root within half a scan step of the one before it is dropped, and the
+    scan goes on.  Raises SolverError if beta^3 over the scan leaves the
+    normal float range (a beam.length far from 1), and InsufficientRootsError
+    if the scan window beta*L <= 4*pi*n_roots + 10 runs out first.
     """
     if n_roots < 1:
         raise ValidationError(f"n_roots must be >= 1, got {n_roots}")
@@ -224,29 +208,25 @@ def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarra
         )
 
     roots: list[float] = []
+    brackets: list[tuple[float, float, float, float]] = []
+    scan = _scan(beta_prev, scan_step, beta_max, beam, bc)
     det_prev = characteristic_det(beta_prev, beam, bc)
-    for beta_next, det_next in _scan(beta_prev, scan_step, beta_max, beam, bc):
-        if det_next == 0.0:
-            roots.append(beta_next)
-        elif det_prev * det_next < 0.0:
-            root = brent_root(characteristic_det, beta_prev, beta_next, tol, (beam, bc))
-            if root is None:
-                raise NonConvergenceError(
-                    f"root refinement for beta*L in [{beta_prev * length:.6g}, "
-                    f"{beta_next * length:.6g}] with {bc.left.kind}-{bc.right.kind} "
-                    f"ends did not converge in BRENT_MAXITER={BRENT_MAXITER} iterations"
-                )
+    while len(roots) < n_roots:
+        for beta_next, det_next in scan:  # resumes where the last batch stopped
+            if det_next == 0.0 or det_prev * det_next < 0.0:
+                brackets.append((beta_prev, beta_next, det_prev, det_next))
+            beta_prev, det_prev = beta_next, det_next
+            if len(roots) + len(brackets) == n_roots:
+                break
+        if not brackets:  # the window ran out
+            raise InsufficientRootsError(
+                f"found {len(roots)} of {n_roots} characteristic roots with "
+                f"beta*L <= {beta_max * length:.2f}"
+            )
+        for root in _refine(brackets, tol, beam, bc):
             if not roots or root - roots[-1] > 0.5 * scan_step:
                 roots.append(root)
-        if len(roots) == n_roots:
-            break
-        beta_prev, det_prev = beta_next, det_next
-
-    if len(roots) < n_roots:
-        raise InsufficientRootsError(
-            f"found {len(roots)} of {n_roots} characteristic roots with "
-            f"beta*L <= {beta_max * length:.2f}"
-        )
+        brackets = []
     return np.array(roots)
 
 

@@ -74,6 +74,12 @@ MAX_ARRAY_BYTES = 2**30
 #: 22 minutes; a sweep estimated above it fails at parse instead of running
 #: for hours or days.
 MAX_MODE_STEPS = 10**12
+#: Most modes `modal_results` solves.  `beamlab modal` took 0.14-0.27 ms per
+#: mode at 500 to 5000 modes (exp3 and exp2_1, 2 vCPUs, one BLAS thread), and
+#: 2.2 s (exp3, exp2_1) to 4.0 s (exp1's spring ends) at this ceiling.  Its
+#: roots reach beta*L of about 31 400, where floats still resolve the
+#: 1e-10/L root tolerance (past about 35 800 roots they do not).
+MAX_MODES = 10_000
 _MIB = 2**20
 #: The top-level blocks each kind of run reads besides name, solver and notes:
 #: (the blocks it cannot run without, the blocks it may be given).  Any other
@@ -249,6 +255,13 @@ class Scenario:
             )
         if self.modal_bearing_k is not None and self.modal_bearing_k <= 0.0:
             raise ValidationError("modal_only.bearing_k must be positive")
+        bc = self.bc
+        if bc is not None and bc.left.kind == bc.right.kind == "spring" and bc.left != bc.right:
+            # a file holds one bc.k, so a round trip would change one end
+            raise ValidationError(
+                f"bc.k is one stiffness for both spring ends, got {bc.left.stiffness} "
+                f"and {bc.right.stiffness}"
+            )
         if self.beam is not None:
             check_load_positions(self.loads, self.beam.length)
             for pos in self.probes:
@@ -265,8 +278,8 @@ class Scenario:
 
     def _check_solver(self):
         """Check the blocks its kind reads and needs, its ends, its grid, its
-        loads, then its grid spacing; each array it holds must fit in
-        MAX_ARRAY_BYTES, and a sweep's work in MAX_MODE_STEPS."""
+        loads, then its grid spacing and a sweep's eigenvalues; each array it
+        holds must fit in MAX_ARRAY_BYTES, and a sweep's work in MAX_MODE_STEPS."""
 
         def need(condition: bool, what: str):
             if not condition:
@@ -401,7 +414,21 @@ class Scenario:
                     "lower load_sweep.count",
                 )
         if "grid" in _READS[kind]:  # its spacing, once the sizes are bounded
-            _build(SpatialGrid.for_beam, "beam.length", self.beam, n)
+            grid = _build(SpatialGrid.for_beam, "beam.length", self.beam, n)
+        if kind == "sweep":
+            # its eigenvalues run from about pi^4*EI/(rho*A*L^4) to
+            # 16*EI/(rho*A*dx^4); the grid keeps dx^2 and so L^2 nonzero, and
+            # products, unlike powers, overflow to inf without raising
+            wave, length = self.beam.section.wave_coefficient, self.beam.length
+            for what, root in (
+                ("smallest", math.pi**2 * wave / (length * length)),
+                ("largest", 4.0 * wave / (grid.spacing * grid.spacing)),
+            ):
+                if not 0.0 < root * root < math.inf:
+                    raise ValidationError(
+                        f"'beam.length': the sweep's {what} eigenvalue at length {length!r} "
+                        f"over {n} nodes is not a finite nonzero number"
+                    )
 
 
 _MISSING = object()
@@ -1005,8 +1032,8 @@ def modal_results(s: Scenario, mode_count: int = 3) -> list[ModeSolution]:
     """Natural modes for any scenario that carries a beam."""
     if s.beam is None:
         raise ValidationError("modal analysis requires a beam block")
-    if mode_count < 1:
-        raise ValidationError(f"mode count must be >= 1, got {mode_count}")
+    if not 1 <= mode_count <= MAX_MODES:
+        raise ValidationError(f"mode count must be in [1, {MAX_MODES}], got {mode_count}")
     return solve_modes(s.beam, modal_bc(s), mode_count)
 
 

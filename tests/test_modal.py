@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,17 +16,11 @@ from beamlab import (
     ValidationError,
 )
 from beamlab import modal
-from beamlab.model import (
-    DegenerateModeError,
-    InsufficientRootsError,
-    NonConvergenceError,
-    StaticProfile,
-)
+from beamlab.model import DegenerateModeError, InsufficientRootsError, StaticProfile
 from beamlab.modal import (
     BETA_MIN_SCALE,
     ROOT_TOL_SCALE,
     ModeSolution,
-    brent_root,
     characteristic_det,
     characteristic_matrix,
     find_beta_roots,
@@ -33,7 +28,7 @@ from beamlab.modal import (
     shape_basis,
     solve_modes,
 )
-from beamlab.scenario import modal_bc, preset
+from beamlab.scenario import MAX_MODES, modal_bc, preset
 
 PINNED = BoundarySpec.pinned_pinned()
 CLAMPED_FREE = BoundarySpec.clamped_free()
@@ -55,10 +50,10 @@ def free_free_reference_roots():
 def scalar_find_beta_roots(beam, bc, n_roots):
     """Reference oracle: the one-determinant-at-a-time scan.
 
-    `find_beta_roots` evaluates its scan in stacked chunks; this loop takes
-    the same points in the same order, one `characteristic_det` call each,
-    and refines each bracket with the same `brentq` call, so both must return
-    the same roots bit for bit.
+    `find_beta_roots` evaluates its scan in stacked chunks and refines its
+    brackets in batches; this loop takes the same points in the same order,
+    one `characteristic_det` call each, and refines each bracket alone as it
+    is found, so both must return the same roots bit for bit.
     """
     length = beam.length
     scan_step = modal.SCAN_STEP_SCALE / length
@@ -70,16 +65,9 @@ def scalar_find_beta_roots(beam, bc, n_roots):
     while beta_prev < beta_max and len(roots) < n_roots:
         beta_next = beta_prev + scan_step
         det_next = characteristic_det(beta_next, beam, bc)
-        if det_next == 0.0:
-            roots.append(beta_next)
-        elif det_prev * det_next < 0.0:
-            root = brentq(
-                characteristic_det,
-                beta_prev,
-                beta_next,
-                args=(beam, bc),
-                xtol=ROOT_TOL_SCALE / length,
-            )
+        if det_next == 0.0 or det_prev * det_next < 0.0:
+            bracket = (beta_prev, beta_next, det_prev, det_next)
+            (root,) = modal._refine([bracket], ROOT_TOL_SCALE / length, beam, bc)
             if not roots or root - roots[-1] > 0.5 * scan_step:
                 roots.append(root)
         beta_prev, det_prev = beta_next, det_next
@@ -200,15 +188,6 @@ class TestFindBetaRoots:
         with pytest.raises(ValidationError):
             find_beta_roots(ref_beam, PINNED, 0)
 
-    def test_refinement_cap_raises_nonconvergence(self, ref_beam, monkeypatch):
-        monkeypatch.setattr(modal, "BRENT_MAXITER", 1)
-        with pytest.raises(NonConvergenceError) as excinfo:
-            find_beta_roots(ref_beam, PINNED, 1)
-        assert str(excinfo.value) == (
-            "root refinement for beta*L in [3.1, 3.15] with pinned-pinned ends "
-            "did not converge in BRENT_MAXITER=1 iterations"
-        )
-
 
 SPRING_SUPPORTS = {
     "spring-spring": lambda k1, k2: (EndCondition.spring(k1), EndCondition.spring(k2)),
@@ -243,69 +222,111 @@ def test_property_spring_supported_roots(supports, log_k1, log_k2, n_roots):
         assert np.max(np.abs(scaled @ np.array(mode.coefficients))) < 1e-6
 
 
-def brentq_or_none(f, a, b, xtol, args=()):
-    """scipy's brentq, with None where it gives up after its 100 iterations."""
-    try:
-        return brentq(f, a, b, args=args, xtol=xtol)
-    except RuntimeError:
-        return None
-
-
 def changes_sign(fa, fb):
     return fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)
 
 
 END_KINDS = ("pinned", "clamped", "free", "spring")
-#: log-uniform over 1e-14..1e-3
-XTOL = st.floats(min_value=-14.0, max_value=-3.0).map(lambda e: 10.0**e)
+BRACKET_BEAM = BeamSpec(length=10.0, width=0.2, height=0.4, elastic_modulus=25e9, density=2500.0)
+BRACKET_TOL = ROOT_TOL_SCALE / BRACKET_BEAM.length
+#: random ends, springs from nearly free to nearly rigid
+ENDS = {
+    "left": st.sampled_from(END_KINDS),
+    "right": st.sampled_from(END_KINDS),
+    "log_k1": LOG_STIFFNESS,
+    "log_k2": LOG_STIFFNESS,
+}
+#: brackets of beta*L over 0.1..64, tight or spanning a root spacing
+SPANS = st.tuples(
+    st.floats(min_value=0.1, max_value=60.0), st.floats(min_value=0.01, max_value=4.0)
+)
 
 
 def end_condition(kind, log_k):
     return EndCondition.spring(10.0**log_k) if kind == "spring" else EndCondition(kind)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    left=st.sampled_from(END_KINDS),
-    right=st.sampled_from(END_KINDS),
-    log_k1=LOG_STIFFNESS,
-    log_k2=LOG_STIFFNESS,
-    lo=st.floats(min_value=0.1, max_value=60.0),
-    width=st.floats(min_value=0.01, max_value=4.0),
-    xtol=XTOL,
-)
-def test_property_brent_root_matches_brentq_on_characteristic_det(
-    left, right, log_k1, log_k2, lo, width, xtol
-):
-    # brackets of beta*L over 0.1..64, tight or spanning a root spacing
-    beam = BeamSpec(length=10.0, width=0.2, height=0.4, elastic_modulus=25e9, density=2500.0)
-    bc = BoundarySpec(end_condition(left, log_k1), end_condition(right, log_k2))
-    a, b = lo / beam.length, (lo + width) / beam.length
-    assume(changes_sign(characteristic_det(a, beam, bc), characteristic_det(b, beam, bc)))
-    expected = brentq_or_none(characteristic_det, a, b, xtol, (beam, bc))
-    assert brent_root(characteristic_det, a, b, xtol, (beam, bc)) == expected
+def ends(left, right, log_k1, log_k2):
+    return BoundarySpec(end_condition(left, log_k1), end_condition(right, log_k2))
 
 
-CLOSED_FORMS = {
-    # clamped-free and free-free frequency equations, and pinned-pinned's
-    "cos cosh + 1": lambda z: math.cos(z) * math.cosh(z) + 1.0,
-    "cos cosh - 1": lambda z: math.cos(z) * math.cosh(z) - 1.0,
-    "sin sinh": lambda z: math.sin(z) * math.sinh(z),
-}
+def bracket(bc, span):
+    """(beta_lo, beta_hi, det_lo, det_hi) over the beta*L span (lo, lo + width)."""
+    lo, width = span
+    a, b = lo / BRACKET_BEAM.length, (lo + width) / BRACKET_BEAM.length
+    return a, b, characteristic_det(a, BRACKET_BEAM, bc), characteristic_det(b, BRACKET_BEAM, bc)
+
+
+def one_sign_change(bc, a, b):
+    """Whether the determinant changes sign once over 64 equal steps of [a, b]."""
+    dets = np.linalg.det(modal._characteristic_matrices(np.linspace(a, b, 65), BRACKET_BEAM, bc))
+    return int(np.count_nonzero(np.signbit(dets[1:]) != np.signbit(dets[:-1]))) == 1
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    name=st.sampled_from(sorted(CLOSED_FORMS)),
-    a=st.floats(min_value=0.0, max_value=40.0),
-    b=st.floats(min_value=0.0, max_value=40.0),
-    xtol=XTOL,
-)
-def test_property_brent_root_matches_brentq_on_closed_forms(name, a, b, xtol):
-    # either end first, as brentq takes them
-    fn = CLOSED_FORMS[name]
-    assume(changes_sign(fn(a), fn(b)))
-    assert brent_root(fn, a, b, xtol) == brentq_or_none(fn, a, b, xtol)
+@given(span=SPANS, **ENDS)
+def test_property_refined_root_within_tol_of_brentq(left, right, log_k1, log_k2, span):
+    bc = ends(left, right, log_k1, log_k2)
+    a, b, fa, fb = bracket(bc, span)
+    assume(changes_sign(fa, fb) and one_sign_change(bc, a, b))
+    (root,) = modal._refine([(a, b, fa, fb)], BRACKET_TOL, BRACKET_BEAM, bc)
+    expected = brentq(characteristic_det, a, b, args=(BRACKET_BEAM, bc), xtol=1e-14)
+    assert abs(root - expected) <= BRACKET_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(span=SPANS, **ENDS)
+def test_property_refinement_rounds_bounded_by_halving(left, right, log_k1, log_k2, span):
+    # the midpoint of each round at least halves the bracket
+    bc = ends(left, right, log_k1, log_k2)
+    a, b, fa, fb = bracket(bc, span)
+    assume(changes_sign(fa, fb))
+    stacked = mock.patch.object(
+        modal, "_characteristic_matrices", wraps=modal._characteristic_matrices
+    )
+    with stacked as calls:
+        modal._refine([(a, b, fa, fb)], BRACKET_TOL, BRACKET_BEAM, bc)
+    assert calls.call_count <= math.ceil(math.log2((b - a) / BRACKET_TOL)) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(spans=st.lists(SPANS, min_size=2, max_size=6), **ENDS)
+def test_property_brackets_refined_together_as_alone(left, right, log_k1, log_k2, spans):
+    bc = ends(left, right, log_k1, log_k2)
+    brackets = [b for b in (bracket(bc, span) for span in spans) if changes_sign(b[2], b[3])]
+    assume(len(brackets) >= 2)
+    alone = [modal._refine([b], BRACKET_TOL, BRACKET_BEAM, bc)[0] for b in brackets]
+    assert modal._refine(brackets, BRACKET_TOL, BRACKET_BEAM, bc) == alone
+
+
+def test_pinned_roots_at_the_mode_ceiling(ref_beam):
+    # the last of them at beta*L near 31 400, where the 1e-10/L tolerance is
+    # about 3e-15 relative
+    n = np.arange(1, MAX_MODES + 1)
+    exact = n * math.pi / ref_beam.length
+    roots = find_beta_roots(ref_beam, PINNED, MAX_MODES)
+    np.testing.assert_allclose(roots, exact, rtol=1e-14, atol=0.0)
+
+
+def test_narrow_bracket_is_left_untouched():
+    # its secant point, or the zero at its end, comes back without a determinant
+    a, b = 0.3, 0.3 + BRACKET_TOL / 2
+    narrow = [(a, b, -1.0, 3.0), (a, b, 2.0, 0.0)]
+    with mock.patch.object(modal, "_characteristic_matrices") as calls:
+        roots = modal._refine(narrow, BRACKET_TOL, BRACKET_BEAM, PINNED)
+        # nothing lies between the ends, whatever the tolerance
+        roots += modal._refine([(a, math.nextafter(a, 1.0), -1.0, 3.0)], 0.0, BRACKET_BEAM, PINNED)
+    calls.assert_not_called()
+    assert roots == [a + (b - a) / 4, b, a + (math.nextafter(a, 1.0) - a) / 4]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8), more=st.integers(min_value=1, max_value=8), **ENDS)
+def test_property_roots_are_a_prefix_of_more_roots(left, right, log_k1, log_k2, n, more):
+    # a bracket's root does not depend on the batch it is refined in
+    bc = ends(left, right, log_k1, log_k2)
+    fewer = find_beta_roots(BRACKET_BEAM, bc, n)
+    assert np.array_equal(find_beta_roots(BRACKET_BEAM, bc, n + more)[:n], fewer)
 
 
 @pytest.mark.parametrize("bc", [PINNED, CLAMPED_FREE, FREE_FREE], ids=["pp", "cf", "ff"])
@@ -320,11 +341,6 @@ def test_roots_refused_where_beta_cubed_leaves_the_floats(bc):
         beam = BeamSpec(length, 0.2, 0.4, 25e9, 2500.0)
         with pytest.raises(SolverError, match=rf"^beam\.length {re.escape(repr(length))}: "):
             find_beta_roots(beam, bc, 3)
-
-
-def test_brent_root_refuses_a_bracket_without_sign_change():
-    with pytest.raises(ValidationError, match="does not change sign"):
-        brent_root(CLOSED_FORMS["cos cosh + 1"], 2.0, 3.0, 1e-12)
 
 
 class TestNaturalFrequencies:

@@ -20,6 +20,7 @@ from beamlab.dynamics import (
 from beamlab.model import (
     MIN_GRID_NODES,
     BoundarySpec,
+    EndCondition,
     HarmonicPointLoad,
     MovingPointLoad,
     NonConvergenceError,
@@ -669,6 +670,22 @@ def test_exp1_modal_bearing_override():
     # fundamental
     assert soft[0].f_hz < pinned[0].f_hz
     assert [m.f_hz for m in soft] == sorted(m.f_hz for m in soft)
+
+
+def spring_modal(k_left, k_right):
+    ends = BoundarySpec(EndCondition.spring(k_left), EndCondition.spring(k_right))
+    return Scenario(name="exp3", solver="modal", beam=preset("exp3").beam, bc=ends)
+
+
+def test_spring_ends_of_unequal_stiffness_refused():
+    # a file holds one bc.k, so these ends would come back both 2000 N/m
+    with pytest.raises(ValidationError, match=r"^bc\.k .* 1000\.0 and 2000\.0$"):
+        spring_modal(1e3, 2e3)
+
+
+def test_spring_ends_of_equal_stiffness_round_trip():
+    s = spring_modal(1e3, 1e3)
+    assert parse_scenario(scenario_to_json(s)) == s
 
 
 def test_exp5_2_drives_x_only():
