@@ -14,7 +14,8 @@ keeps it well conditioned out to many multiples of the fundamental root.
 Roots are located by a sign-change scan, which takes its determinants in
 stacked chunks; the values are the same as one call per point.  Every
 bracket is then narrowed to 1e-10/L by the same stacked calls, four points
-a round, so a root needs no scipy and no iteration cap.
+a round, so a root needs no scipy and no iteration cap.  The mode shapes of
+all the roots come from one stacked SVD of their matrices.
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ _DERIVATIVE_TERMS = np.array([[0, 1, 4, 6], [1, 2, 5, 6], [2, 3, 4, 6], [3, 0, 5
 _END_ROWS = {"pinned": [0, 2], "clamped": [0, 1], "free": [2, 3]}
 
 
-def _last_axis(*arrays) -> np.ndarray:
-    """Equal-shape arrays stacked along a new last axis."""
-    return np.concatenate([a[..., None] for a in arrays], axis=-1)
-
-
 def shape_basis(beta, x, length: float) -> np.ndarray:
     """Value, slope, curvature and third-derivative rows of the shape basis.
 
@@ -67,10 +63,10 @@ def shape_basis(beta, x, length: float) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     bx = beta * x
     s, c, em = np.sin(bx), np.cos(bx), np.exp(-bx)
-    terms = _last_axis(s, c, -s, -c, em, -em, np.exp(beta * (x - length)))
+    terms = np.stack([s, c, -s, -c, em, -em, np.exp(beta * (x - length))], axis=-1)
     rows = terms.take(_DERIVATIVE_TERMS, axis=-1)
     b2 = beta * beta
-    rows[..., 1:, :] *= _last_axis(beta, b2, b2 * beta)[..., :, None]
+    rows[..., 1:, :] *= np.stack([beta, b2, b2 * beta], axis=-1)[..., :, None]
     return rows
 
 
@@ -125,20 +121,23 @@ def characteristic_det(beta: float, beam: BeamSpec, bc: BoundarySpec) -> float:
 
 
 def _scan(beta: float, step: float, beta_max: float, beam: BeamSpec, bc: BoundarySpec):
-    """Yield (beta, det) for beta + step, beta + 2*step, ... up to and
+    """Yield (beta, det) for beta, beta + step, beta + 2*step, ... up to and
     including the first point at or above beta_max.
 
     Each point is the previous one plus `step`, as in a one-at-a-time scan.
     The determinants of SCAN_CHUNK points come from one stacked call, which
     gives each matrix the value a call of its own gives.
     """
-    while beta < beta_max:
-        chunk = []
+    chunk = [beta]
+    while True:
         while len(chunk) < SCAN_CHUNK and beta < beta_max:
             beta = beta + step
             chunk.append(beta)
         dets = np.linalg.det(_characteristic_matrices(np.array(chunk), beam, bc))
         yield from zip(chunk, dets.tolist())
+        if beta >= beta_max:
+            return
+        chunk = []
 
 
 def _refine(brackets, tol: float, beam: BeamSpec, bc: BoundarySpec) -> list[float]:
@@ -210,7 +209,7 @@ def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarra
     roots: list[float] = []
     brackets: list[tuple[float, float, float, float]] = []
     scan = _scan(beta_prev, scan_step, beta_max, beam, bc)
-    det_prev = characteristic_det(beta_prev, beam, bc)
+    beta_prev, det_prev = next(scan)
     while len(roots) < n_roots:
         for beta_next, det_next in scan:  # resumes where the last batch stopped
             if det_next == 0.0 or det_prev * det_next < 0.0:
@@ -250,23 +249,27 @@ def natural_frequencies(betas, beam: BeamSpec) -> list[ModeFrequency]:
     return out
 
 
-def _null_coefficients(beta: float, beam: BeamSpec, bc: BoundarySpec) -> np.ndarray:
-    matrix = characteristic_matrix(beta, beam, bc)
-    _, singular, vh = np.linalg.svd(matrix)
-    if singular[-1] > 1e-6 * singular[0]:
-        raise ValidationError(
-            f"beta={beta} is not a characteristic root "
-            f"(smallest singular value ratio {singular[-1] / singular[0]:.2e})"
-        )
-    if singular[-2] < 1e-6 * singular[0]:
-        raise DegenerateModeError(
-            f"degenerate root at beta={beta}: two singular values vanish together"
-        )
+def _null_coefficients(betas, beam: BeamSpec, bc: BoundarySpec) -> np.ndarray:
+    """Null vectors of the roots' matrices, from one stacked SVD, in the shape
+    of `betas` + (4,).  Refuses the first non-root or degenerate beta."""
+    betas = np.asarray(betas, dtype=float)
+    _, singular, vh = np.linalg.svd(_characteristic_matrices(betas, beam, bc))
+    for beta, s in zip(betas.ravel().tolist(), singular.reshape(-1, 4).tolist()):
+        if s[-1] > 1e-6 * s[0]:
+            raise ValidationError(
+                f"beta={beta} is not a characteristic root "
+                f"(smallest singular value ratio {s[-1] / s[0]:.2e})"
+            )
+        if s[-2] < 1e-6 * s[0]:
+            raise DegenerateModeError(
+                f"degenerate root at beta={beta}: two singular values vanish together"
+            )
     # the first coefficient of at least half the largest magnitude is positive:
     # the largest alone can flip, as clamped or free ends give near-equal pairs
-    null = vh[-1]
+    null = vh[..., -1, :]
     magnitude = np.abs(null)
-    return null if null[np.argmax(magnitude >= 0.5 * magnitude.max())] > 0 else -null
+    lead = np.argmax(magnitude >= 0.5 * magnitude.max(axis=-1, keepdims=True), axis=-1)
+    return np.where(np.take_along_axis(null, lead[..., None], axis=-1) > 0, null, -null)
 
 
 @dataclass(frozen=True)
@@ -283,13 +286,9 @@ class ModeSolution:
 def solve_modes(beam: BeamSpec, bc: BoundarySpec, n_modes: int) -> list[ModeSolution]:
     """Convenience wrapper: roots, frequencies and coefficients together."""
     betas = find_beta_roots(beam, bc, n_modes)
+    frequencies = natural_frequencies(betas, beam)
+    coefficients = _null_coefficients(betas, beam, bc).tolist()
     return [
-        ModeSolution(
-            beta=float(beta),
-            omega_rad_s=freq.omega_rad_s,
-            f_hz=freq.f_hz,
-            coefficients=tuple(_null_coefficients(float(beta), beam, bc).tolist()),
-            bc=bc,
-        )
-        for beta, freq in zip(betas, natural_frequencies(betas, beam))
+        ModeSolution(beta, freq.omega_rad_s, freq.f_hz, tuple(shape), bc)
+        for beta, freq, shape in zip(betas.tolist(), frequencies, coefficients)
     ]

@@ -13,6 +13,7 @@ All quantities are SI.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
@@ -110,9 +111,9 @@ class BeamSpec:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _positive(getattr(self, f.name), f.name))
-        derive_section(self)
+        self.section  # derived once here, which refuses an out-of-range section
 
-    @property
+    @functools.cached_property
     def section(self) -> SectionProperties:
         return derive_section(self)
 

@@ -278,8 +278,9 @@ class Scenario:
 
     def _check_solver(self):
         """Check the blocks its kind reads and needs, its ends, its grid, its
-        loads, then its grid spacing and a sweep's eigenvalues; each array it
-        holds must fit in MAX_ARRAY_BYTES, and a sweep's work in MAX_MODE_STEPS."""
+        loads, then its grid spacing, a static deflection's bound and a sweep's
+        eigenvalues; each array it holds must fit in MAX_ARRAY_BYTES, and a
+        sweep's work in MAX_MODE_STEPS."""
 
         def need(condition: bool, what: str):
             if not condition:
@@ -415,6 +416,23 @@ class Scenario:
                 )
         if "grid" in _READS[kind]:  # its spacing, once the sizes are bounded
             grid = _build(SpatialGrid.for_beam, "beam.length", self.beam, n)
+        if kind in ("static", "quasi_static", "nonlinear"):
+            # every frame is a static deflection, below (|q|*L + sum |P|)*L^3/EI:
+            # the closed forms scale that bound by 5/384, 1/48 or 1/3
+            length, rigidity = self.beam.length, self.beam.section.flexural_rigidity
+            force = sum(
+                abs(load.q) * length if isinstance(load, UdlLoad)
+                else abs(load.p0 if isinstance(load, HarmonicPointLoad) else load.p)
+                for load in self.loads
+            )
+            if self.load_sweep is not None:
+                force = max(force, self.load_sweep.p_max)
+            if not math.isfinite(force / rigidity * (length * length * length)):
+                raise ValidationError(
+                    f"'beam.elastic_modulus' {self.beam.elastic_modulus!r}: at EI {rigidity!r} "
+                    f"N*m^2, the static deflection bound (|q|*L + sum |P|)*L^3/EI of "
+                    f"{force!r} N over beam.length {length!r} m is not a finite number"
+                )
         if kind == "sweep":
             # its eigenvalues run from about pi^4*EI/(rho*A*L^4) to
             # 16*EI/(rho*A*dx^4); the grid keeps dx^2 and so L^2 nonzero, and

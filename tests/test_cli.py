@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from beamlab import dynamics, modal
+from beamlab import dynamics, modal, scenario
 from beamlab.cli import main
 from beamlab.scenario import MAX_MODES, preset, scenario_to_dict, scenario_to_json
 
@@ -195,6 +195,49 @@ def test_sweep_at_extreme_lengths_exits_cleanly(tmp_path, monkeypatch, capsys):
         if code == 0:
             passed.append(k)
     assert passed == list(range(-70, 1, 5))
+
+
+@pytest.mark.parametrize(
+    "name, first",
+    # the first exponent each runs at: the bound's margin over the closed
+    # forms (3 to 76.8) costs exp1 two decades and the others one
+    [("exp1", -297), ("exp2_1", -298), ("exp2_2", -298), ("exp3", -298), ("exp4", -296)],
+)
+def test_tiny_elastic_modulus_exits_cleanly(tmp_path, monkeypatch, capsys, name, first):
+    # static, quasi-static and nonlinear runs at beam.elastic_modulus
+    # 1e-320..1e-290: where their static deflection could overflow, parse
+    # refuses the modulus, where the solver once overflowed with warnings
+    entered = []
+    for kind, runner in scenario._RUNNERS.items():
+        monkeypatch.setitem(
+            scenario._RUNNERS, kind, lambda s, runner=runner: entered.append(s) or runner(s)
+        )
+    data = json.loads(scenario_to_json(preset(name)))
+    passed = []
+    for k in range(-320, -289):
+        data["beam"]["elastic_modulus"] = float(f"1e{k}")
+        path = tmp_path / "modulus.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / f"out{-k}"
+        entered.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", str(path), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert not caught, (k, [str(w.message) for w in caught])
+        if code == 0:
+            assert err == ""
+            for csv in out_dir.glob("*.csv"):
+                text = csv.read_text()
+                assert "nan" not in text and "inf" not in text, (k, csv)
+            passed.append(k)
+            continue
+        assert code == 2 and not entered and not out_dir.exists(), (k, err)
+        (line,) = err.splitlines()
+        assert "elastic_modulus" in line, (k, line)
+        if k >= -318:  # below, derive_section refuses the wave coefficient
+            assert line.startswith("error: 'beam.elastic_modulus' 1e"), (k, line)
+    assert passed == list(range(first, -289))
 
 
 def test_modal_command_output(capsys):

@@ -471,3 +471,57 @@ class TestSolveModes:
             for scale in (1.0 - 1e-11, 1.0 + 1e-12, 1.0 + 1e-11):
                 moved = modal._null_coefficients(mode.beta * scale, ref_beam, bc)
                 np.testing.assert_allclose(moved, mode.coefficients, rtol=0, atol=1e-6)
+
+
+def per_root_coefficients(beta, beam, bc):
+    """Reference: one SVD of `characteristic_matrix` per root, signed so that
+    the first coefficient of at least half the largest magnitude is positive."""
+    _, _, vh = np.linalg.svd(characteristic_matrix(beta, beam, bc))
+    null = vh[-1]
+    magnitude = np.abs(null)
+    return null if null[np.argmax(magnitude >= 0.5 * magnitude.max())] > 0 else -null
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_modes=st.integers(min_value=1, max_value=60), **ENDS)
+def test_property_stacked_shapes_match_per_root_svd(left, right, log_k1, log_k2, n_modes):
+    bc = ends(left, right, log_k1, log_k2)
+    for mode in solve_modes(BRACKET_BEAM, bc, n_modes):
+        expected = per_root_coefficients(mode.beta, BRACKET_BEAM, bc)
+        # bit for bit, the sign of a zero included
+        assert np.array(mode.coefficients).tobytes() == expected.tobytes(), mode.beta
+
+
+@pytest.mark.parametrize(
+    "bc", [PINNED, CLAMPED_FREE, modal_bc(preset("exp1"))], ids=["pp", "cf", "springs"]
+)
+def test_one_stacked_svd_and_no_scalar_determinant(ref_beam, monkeypatch, bc):
+    svd = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    with mock.patch.object(modal, "characteristic_det", wraps=characteristic_det) as det:
+        find_beta_roots(ref_beam, bc, 5)
+        solve_modes(ref_beam, bc, 50)
+    det.assert_not_called()
+    assert shapes == [(50, 4, 4)]
+
+
+def test_first_nonroot_of_an_array_is_named(ref_beam):
+    roots = find_beta_roots(ref_beam, PINNED, 3)
+    stacked = modal._null_coefficients(roots[:, None], ref_beam, PINNED)
+    assert stacked.shape == (3, 1, 4)
+    assert np.array_equal(stacked[:, 0], modal._null_coefficients(roots, ref_beam, PINNED))
+    # the first of the two non-roots in order is named
+    _, singular, _ = np.linalg.svd(characteristic_matrix(0.5, ref_beam, PINNED))
+    message = (
+        "beta=0.5 is not a characteristic root "
+        f"(smallest singular value ratio {singular[-1] / singular[0]:.2e})"
+    )
+    betas = [roots[0], 0.5, roots[1], 0.21, roots[2]]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        modal._null_coefficients(betas, ref_beam, PINNED)

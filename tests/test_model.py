@@ -17,6 +17,7 @@ from beamlab import (
     ValidationError,
     derive_section,
 )
+from beamlab import model
 
 
 class TestDeriveSection:
@@ -64,6 +65,16 @@ class TestDeriveSection:
 
     def test_section_property_matches_function(self, ref_beam):
         assert ref_beam.section == derive_section(ref_beam)
+
+    def test_section_derived_once_at_construction(self, monkeypatch):
+        beam, twin = (BeamSpec(10.0, 0.2, 0.4, 25e9, 2500.0) for _ in range(2))
+
+        def unreachable(beam):
+            raise AssertionError("the section was derived again")
+
+        monkeypatch.setattr(model, "derive_section", unreachable)
+        assert beam.section is beam.section
+        assert beam == twin and hash(beam) == hash(twin)
 
 
 class TestEndCondition:
