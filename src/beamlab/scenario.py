@@ -61,7 +61,6 @@ from .model import (
 from .statics import quasi_static_moving, quasi_static_sinusoidal, static_fd_solve
 
 SCHEMA_VERSION = "beamlab/1"
-SOLVERS = ("static", "quasi_static", "modal", "dynamic", "sweep", "nonlinear")
 #: Largest array a run may hold, in bytes: the dense beam operator, the
 #: recorded frames, a sweep's rows or points, or one double per time sample
 #: and dof of a dynamic run, which also bounds its step count.  A scenario
@@ -81,28 +80,28 @@ MAX_MODE_STEPS = 10**12
 #: 1e-10/L root tolerance (past about 35 800 roots they do not).
 MAX_MODES = 10_000
 _MIB = 2**20
-#: The top-level blocks each kind of run reads besides name, solver and notes:
-#: (the blocks it cannot run without, the blocks it may be given).  Any other
-#: block is refused.  A dynamic run with a system block is its own kind,
-#: "system".  Every beam kind reads modal_only: `beamlab modal` reads any
-#: scenario with a beam.
+#: What each kind of run accepts: the top-level blocks it cannot run without,
+#: those it may be given besides name, solver and notes (any other block is
+#: refused), the ends it is fixed to, left, right and their name, and the
+#: _LOADS tags of the one load it takes.  A needed "a|b" is met by either
+#: block, but the kind reads only a: a dynamic run with a system block is its
+#: own kind, "system".  Every beam kind reads modal_only: `beamlab modal`
+#: reads any scenario with a beam.
 _KINDS = {
-    "static": ("beam bc loads", "grid modal_only probes"),
-    "quasi_static": ("beam bc loads time", "grid modal_only probes output"),
-    "modal": ("beam", "bc modal_only"),
-    "system": ("system time", "integrator output"),
-    "dynamic": ("beam bc loads time", "grid integrator modal_only probes output"),
-    "sweep": ("beam bc loads sweep", "grid integrator modal_only"),
-    "nonlinear": ("beam bc loads material", "grid load_sweep modal_only probes"),
+    "static": ("beam bc loads", "grid modal_only probes", "", ""),
+    "quasi_static": ("beam bc loads time", "grid modal_only probes output", "pinned pinned",
+                     "moving_point harmonic_point"),
+    "modal": ("beam", "bc modal_only", "", ""),
+    "system": ("system time", "integrator output", "", ""),
+    "dynamic": ("beam|system bc loads time", "grid integrator modal_only probes output", "", ""),
+    "sweep": ("beam bc loads sweep", "grid integrator modal_only", "", "harmonic_point"),
+    "nonlinear": ("beam bc loads material", "grid load_sweep modal_only probes",
+                  "clamped free (cantilever)", "point"),
 }
+SOLVERS = tuple(kind for kind in _KINDS if kind != "system")
 _READS = {
-    kind: {"name", "solver", "notes", *needs.split(), *more.split()}
-    for kind, (needs, more) in _KINDS.items()
-}
-#: The ends the quasi-static closed form and the nonlinear cantilever hold for.
-_FIXED_ENDS = {
-    "quasi_static": (BoundarySpec.pinned_pinned(), "bc {left: pinned, right: pinned}"),
-    "nonlinear": (BoundarySpec.clamped_free(), "bc {left: clamped, right: free} (cantilever)"),
+    kind: {"name", "solver", "notes", *more.split(), *(b.partition("|")[0] for b in needs.split())}
+    for kind, (needs, more, *_) in _KINDS.items()
 }
 #: The provenance entry of each attribute, on the runs that read all its
 #: blocks: rayleigh damping applies to beam runs only.
@@ -113,9 +112,7 @@ def _kind(solver: str, given) -> str:
     """The row of _KINDS a run of `solver` with the blocks `given` falls
     under.  Refuses the first given block, in schema order, it never reads."""
     if solver not in SOLVERS:
-        raise ValidationError(
-            f"solver must be one of {', '.join(SOLVERS)}; got '{solver}'"
-        )
+        raise ValidationError(f"solver must be one of {', '.join(SOLVERS)}; got '{solver}'")
     kind = "system" if solver == "dynamic" and "system" in given else solver
     for entry in _SCENARIO.fields:
         if entry.key in given and entry.key not in _READS[kind]:
@@ -277,10 +274,8 @@ class Scenario:
         return _kind(self.solver, () if self.system is None else ("system",))
 
     def _check_solver(self):
-        """Check the blocks its kind reads and needs, its ends, its grid, its
-        loads, then its grid spacing, a static deflection's bound and a sweep's
-        eigenvalues; each array it holds must fit in MAX_ARRAY_BYTES, and a
-        sweep's work in MAX_MODE_STEPS."""
+        """Check its ends, blocks and load by its row of _KINDS, then its grid,
+        sizes, work, spacing and float range in its kind's one branch."""
 
         def need(condition: bool, what: str):
             if not condition:
@@ -303,67 +298,105 @@ class Scenario:
                 "raise time.dt or shorten the time span",
             )
 
-        # a block is given when it serializes unlike a blank one
-        dumped = _SCENARIO.dump(self).items()
-        given = {key for key, value in dumped if value != _BLANK.get(key)}
-        kind = _kind(self.solver, given)
-        if kind in _FIXED_ENDS:
-            need(self.bc == _FIXED_ENDS[kind][0], _FIXED_ENDS[kind][1])
-        for block in _KINDS[kind][0].split():
-            what = "at least one load" if block == "loads" else f"a {block} block"
-            if kind == "dynamic" and block == "beam":
-                what += " or a system block"  # a dynamic run without one is a beam run
-            need(block in given, what)
-        n = self.grid_nodes
-        least = MIN_BEAM_NODES if kind in ("dynamic", "sweep") else MIN_GRID_NODES
-        if n < least:
-            raise ValidationError(
-                f"grid.nodes must be >= {least} for solver '{self.solver}', got {n}"
-            )
-        # the n x n float64 arrays of the dense beam operator a run holds at
-        # once, rounded up with one to spare: its tracemalloc peak at 101-1201
-        # nodes (static 3.0, dynamic 5.0-5.9, sweep 3.0), plus, for a sweep, 6.0
-        # that numpy's SVD mallocs where tracemalloc cannot see them: dgesdd's
-        # copies of B, U and V^T, and its workspace, 3.0 by LAPACK's workspace
-        # query (9.3 in all by the growth of ru_maxrss at 801-1601 nodes).  The
-        # other kinds hold none
-        copies = {"static": 4, "dynamic": 7, "sweep": 10}.get(kind, 0)
-        limit(
-            8 * copies * n * n, f"grid.nodes {n}: the dense beam operator", "lower grid.nodes"
-        )
-        if kind == "static":
-            if any(not isinstance(load, STATIC_LOADS) for load in self.loads):
+        def nodes(least: int, copies: int = 0) -> None:
+            if n < least:
                 raise ValidationError(
-                    "solver 'static' accepts only udl and point loads"
+                    f"grid.nodes must be >= {least} for solver '{self.solver}', got {n}"
                 )
-        elif kind == "quasi_static":
-            need(
-                len(self.loads) == 1
-                and isinstance(self.loads[0], (MovingPointLoad, HarmonicPointLoad)),
-                "exactly one moving_point or harmonic_point load",
+            # the n x n float64 arrays of the dense beam operator a run holds at
+            # once, rounded up with one to spare: its tracemalloc peak at 101-1201
+            # nodes (static 3.0, dynamic 5.0-5.9, sweep 3.0), plus, for a sweep, 6.0
+            # that numpy's SVD mallocs where tracemalloc cannot see them: dgesdd's
+            # copies of B, U and V^T, and its workspace, 3.0 by LAPACK's workspace
+            # query (9.3 in all by the growth of ru_maxrss at 801-1601 nodes).  The
+            # other kinds hold none
+            limit(
+                8 * copies * n * n, f"grid.nodes {n}: the dense beam operator", "lower grid.nodes"
             )
+
+        def spacing() -> float:  # once the sizes are bounded
+            return _build(SpatialGrid.for_beam, "beam.length", self.beam, n).spacing
+
+        def deflection() -> None:
+            # every frame is a static deflection, below (|q|*L + sum |P|)*L^3/EI:
+            # the closed forms scale that bound by 5/384, 1/48 or 1/3
+            length, rigidity = self.beam.length, self.beam.section.flexural_rigidity
+            force = sum(
+                abs(load.q) * length if isinstance(load, UdlLoad)
+                else abs(load.p0 if isinstance(load, HarmonicPointLoad) else load.p)
+                for load in self.loads
+            )
+            if self.load_sweep is not None:
+                force = max(force, self.load_sweep.p_max)
+            if not math.isfinite(force / rigidity * (length * length * length)):
+                raise ValidationError(
+                    f"'beam.elastic_modulus' {self.beam.elastic_modulus!r}: at EI {rigidity!r} "
+                    f"N*m^2, the static deflection bound (|q|*L + sum |P|)*L^3/EI of "
+                    f"{force!r} N over beam.length {length!r} m is not a finite number"
+                )
+
+        def eigenvalues(dx: float) -> None:
+            # they run from about pi^4*EI/(rho*A*L^4) to 16*EI/(rho*A*dx^4); the
+            # grid keeps dx^2 and so L^2 nonzero, and products, unlike powers,
+            # overflow to inf without raising
+            wave, length = self.beam.section.wave_coefficient, self.beam.length
+            for what, root in (
+                ("smallest", math.pi**2 * wave / (length * length)),
+                ("largest", 4.0 * wave / (dx * dx)),
+            ):
+                if not 0.0 < root * root < math.inf:
+                    raise ValidationError(
+                        f"'beam.length': the sweep's {what} eigenvalue at length {length!r} "
+                        f"over {n} nodes is not a finite nonzero number"
+                    )
+
+        # a block is given when it serializes unlike a blank one
+        dumped = _SCENARIO.dump(self)
+        given = {key for key, value in dumped.items() if value != _BLANK.get(key)}
+        kind = _kind(self.solver, given)
+        needs, _, ends, load = _KINDS[kind]
+        n = self.grid_nodes
+        if ends:
+            left, right, *name = ends.split(maxsplit=2)
+            fixed = BoundarySpec(EndCondition(left), EndCondition(right))
+            need(self.bc == fixed, " ".join([f"bc {{left: {left}, right: {right}}}", *name]))
+        for either in (block.split("|") for block in needs.split()):
+            what = " or ".join(f"a {one} block" for one in either)
+            need(given.intersection(either), "at least one load" if either == ["loads"] else what)
+        if load:  # a needed block, so loads[0] is there
+            tags = load.split()
+            one = isinstance(self.loads[0], tuple(_LOADS.blocks[tag].make for tag in tags))
+            need(len(self.loads) == 1 and one, f"exactly one {' or '.join(tags)} load")
+        if kind == "static":
+            nodes(MIN_GRID_NODES, 4)
+            if any(not isinstance(load, STATIC_LOADS) for load in self.loads):
+                raise ValidationError("solver 'static' accepts only udl and point loads")
+            spacing()
+            deflection()
+        elif kind == "quasi_static":
+            nodes(MIN_GRID_NODES)
             records = self.tgrid.step_count // self.stride + 1
             limit(
                 8 * records * n,
                 f"output.stride {self.stride}: {records} recorded frames of {n} columns",
                 "raise output.stride or lower grid.nodes",
             )
+            spacing()
+            deflection()
         elif kind == "modal":
             need(given & {"bc", "modal_only"}, "a bc block or modal_only.bearing_k")
         elif kind == "system":
             if self.zeta1 != 0.0:
                 raise ValidationError(
-                    "rayleigh damping applies to beam runs; "
-                    "set system.damping instead"
+                    "rayleigh damping applies to beam runs; set system.damping instead"
                 )
             time_samples(self.system.dofs)
         elif kind == "dynamic":
+            nodes(MIN_BEAM_NODES, 7)
             time_samples(n)
+            spacing()
         elif kind == "sweep":
-            need(
-                len(self.loads) == 1 and isinstance(self.loads[0], HarmonicPointLoad),
-                "exactly one harmonic_point load",
-            )
+            nodes(MIN_BEAM_NODES, 10)
             sweep = self.sweep
             # 128 bytes per frequency point: its frequency, its window peaks
             # and its result point, 76-77 measured with tracemalloc as the
@@ -389,11 +422,9 @@ class Scenario:
                     f"mode-steps, above the {MAX_MODE_STEPS:.0e} limit; lower the settle "
                     "and measure periods, sweep.f_count or grid.nodes"
                 )
+            eigenvalues(spacing())
         else:  # nonlinear
-            need(
-                len(self.loads) == 1 and isinstance(self.loads[0], PointLoad),
-                "exactly one point load",
-            )
+            nodes(MIN_GRID_NODES)
             p, position = self.loads[0].p, self.loads[0].position
             need(p >= 0.0, f"loads[0].p >= 0, got {p}")
             need(position > 0.0, f"loads[0].position > 0, got {position}")
@@ -414,39 +445,8 @@ class Scenario:
                     f"load_sweep.count {count}: the load curve's points",
                     "lower load_sweep.count",
                 )
-        if "grid" in _READS[kind]:  # its spacing, once the sizes are bounded
-            grid = _build(SpatialGrid.for_beam, "beam.length", self.beam, n)
-        if kind in ("static", "quasi_static", "nonlinear"):
-            # every frame is a static deflection, below (|q|*L + sum |P|)*L^3/EI:
-            # the closed forms scale that bound by 5/384, 1/48 or 1/3
-            length, rigidity = self.beam.length, self.beam.section.flexural_rigidity
-            force = sum(
-                abs(load.q) * length if isinstance(load, UdlLoad)
-                else abs(load.p0 if isinstance(load, HarmonicPointLoad) else load.p)
-                for load in self.loads
-            )
-            if self.load_sweep is not None:
-                force = max(force, self.load_sweep.p_max)
-            if not math.isfinite(force / rigidity * (length * length * length)):
-                raise ValidationError(
-                    f"'beam.elastic_modulus' {self.beam.elastic_modulus!r}: at EI {rigidity!r} "
-                    f"N*m^2, the static deflection bound (|q|*L + sum |P|)*L^3/EI of "
-                    f"{force!r} N over beam.length {length!r} m is not a finite number"
-                )
-        if kind == "sweep":
-            # its eigenvalues run from about pi^4*EI/(rho*A*L^4) to
-            # 16*EI/(rho*A*dx^4); the grid keeps dx^2 and so L^2 nonzero, and
-            # products, unlike powers, overflow to inf without raising
-            wave, length = self.beam.section.wave_coefficient, self.beam.length
-            for what, root in (
-                ("smallest", math.pi**2 * wave / (length * length)),
-                ("largest", 4.0 * wave / (grid.spacing * grid.spacing)),
-            ):
-                if not 0.0 < root * root < math.inf:
-                    raise ValidationError(
-                        f"'beam.length': the sweep's {what} eigenvalue at length {length!r} "
-                        f"over {n} nodes is not a finite nonzero number"
-                    )
+            spacing()
+            deflection()
 
 
 _MISSING = object()
