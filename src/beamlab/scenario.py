@@ -277,6 +277,9 @@ class Scenario:
         """Check its ends, blocks and load by its row of _KINDS, then its grid,
         sizes, work, spacing and float range in its kind's one branch."""
 
+        # the fields of a beam's EI and its grid spacing
+        beam_fields = "beam.elastic_modulus beam.width beam.height beam.length grid.nodes"
+
         def need(condition: bool, what: str):
             if not condition:
                 raise ValidationError(f"solver '{self.solver}' requires {what}")
@@ -314,10 +317,20 @@ class Scenario:
                 8 * copies * n * n, f"grid.nodes {n}: the dense beam operator", "lower grid.nodes"
             )
 
+        def finite(label: str, quantity: str, names: str, *values: float) -> None:
+            # the error names the fields, as the file gives them, that the
+            # values are built from
+            if not all(map(math.isfinite, values)):
+                leaves = _leaves(dumped)
+                given = ", ".join(
+                    f"{key} {leaves[key]!r}" for key in names.split() if key in leaves
+                )
+                raise ValidationError(f"'{label}': {quantity} of {given} is not a finite number")
+
         def spacing() -> float:  # once the sizes are bounded
             return _build(SpatialGrid.for_beam, "beam.length", self.beam, n).spacing
 
-        def deflection() -> None:
+        def deflection() -> float:
             # every frame is a static deflection, below (|q|*L + sum |P|)*L^3/EI:
             # the closed forms scale that bound by 5/384, 1/48 or 1/3
             length, rigidity = self.beam.length, self.beam.section.flexural_rigidity
@@ -334,27 +347,49 @@ class Scenario:
                     f"N*m^2, the static deflection bound (|q|*L + sum |P|)*L^3/EI of "
                     f"{force!r} N over beam.length {length!r} m is not a finite number"
                 )
+            return force
 
-        def eigenvalues(dx: float) -> None:
+        def eigenvalues(dx: float, whose: str) -> list[float]:
             # they run from about pi^4*EI/(rho*A*L^4) to 16*EI/(rho*A*dx^4); the
             # grid keeps dx^2 and so L^2 nonzero, and products, unlike powers,
             # overflow to inf without raising
             wave, length = self.beam.section.wave_coefficient, self.beam.length
-            for what, root in (
-                ("smallest", math.pi**2 * wave / (length * length)),
-                ("largest", 4.0 * wave / (dx * dx)),
-            ):
+            roots = {
+                "smallest": math.pi**2 * wave / (length * length),
+                "largest": 4.0 * wave / (dx * dx),
+            }
+            for what, root in roots.items():
                 if not 0.0 < root * root < math.inf:
                     raise ValidationError(
-                        f"'beam.length': the sweep's {what} eigenvalue at length {length!r} "
+                        f"'beam.length': the {whose} {what} eigenvalue at length {length!r} "
                         f"over {n} nodes is not a finite nonzero number"
                     )
+            return [root * root for root in roots.values()]
+
+        def stiffness(dx: float) -> float:
+            # K's largest entry, about 6*EI/dx^3, in its assembly's order: the
+            # curvature stencils' product, then EI
+            entry = self.beam.section.flexural_rigidity * (6.0 / dx / dx / dx)
+            finite("beam", "the largest stiffness entry 6*EI/dx^3", beam_fields, entry)
+            return entry
+
+        def damping(smallest: float, entry: float) -> float:
+            # Rayleigh damping b*K, fitted to the first mode: b = 2*zeta1/omega1,
+            # with omega1 about the root of the smallest eigenvalue
+            coeff = 2.0 * self.zeta1 / math.sqrt(smallest)
+            finite(
+                "integrator.rayleigh.zeta1",
+                "the largest damping entry 2*zeta1/omega1 times the largest stiffness entry",
+                f"integrator.rayleigh.zeta1 beam.density {beam_fields}",
+                coeff * entry,
+            )
+            return coeff
 
         # a block is given when it serializes unlike a blank one
         dumped = _SCENARIO.dump(self)
         given = {key for key, value in dumped.items() if value != _BLANK.get(key)}
         kind = _kind(self.solver, given)
-        needs, _, ends, load = _KINDS[kind]
+        needs, _, ends, load_tags = _KINDS[kind]
         n = self.grid_nodes
         if ends:
             left, right, *name = ends.split(maxsplit=2)
@@ -363,16 +398,17 @@ class Scenario:
         for either in (block.split("|") for block in needs.split()):
             what = " or ".join(f"a {one} block" for one in either)
             need(given.intersection(either), "at least one load" if either == ["loads"] else what)
-        if load:  # a needed block, so loads[0] is there
-            tags = load.split()
+        if load_tags:  # a needed block, so loads[0] is there
+            tags = load_tags.split()
             one = isinstance(self.loads[0], tuple(_LOADS.blocks[tag].make for tag in tags))
             need(len(self.loads) == 1 and one, f"exactly one {' or '.join(tags)} load")
         if kind == "static":
             nodes(MIN_GRID_NODES, 4)
             if any(not isinstance(load, STATIC_LOADS) for load in self.loads):
                 raise ValidationError("solver 'static' accepts only udl and point loads")
-            spacing()
+            dx = spacing()
             deflection()
+            stiffness(dx)
         elif kind == "quasi_static":
             nodes(MIN_GRID_NODES)
             records = self.tgrid.step_count // self.stride + 1
@@ -391,10 +427,27 @@ class Scenario:
                     "rayleigh damping applies to beam runs; set system.damping instead"
                 )
             time_samples(self.system.dofs)
+            # the modal recurrence steps unit-mass modes, one per axis
+            spec, dt = self.system, self.tgrid.dt
+            lam = spec.stiffness / spec.mass
+            finite(
+                "system.mass",
+                "one of k/m, c/m, amplitude/m and beta*dt^2*k/m",
+                "system.mass system.stiffness system.damping system.force.amplitude time.dt "
+                "integrator.beta",
+                lam,
+                spec.damping / spec.mass,
+                spec.force.amplitude / spec.mass,
+                self.integrator.beta_nm * dt * dt * lam,
+            )
         elif kind == "dynamic":
             nodes(MIN_BEAM_NODES, 7)
             time_samples(n)
-            spacing()
+            dx = spacing()
+            entry = stiffness(dx)
+            if self.zeta1 > 0.0:  # the Rayleigh fit takes the first mode
+                smallest, _ = eigenvalues(dx, "dynamic run's")
+                damping(smallest, entry)
         elif kind == "sweep":
             nodes(MIN_BEAM_NODES, 10)
             sweep = self.sweep
@@ -422,7 +475,19 @@ class Scenario:
                     f"mode-steps, above the {MAX_MODE_STEPS:.0e} limit; lower the settle "
                     "and measure periods, sweep.f_count or grid.nodes"
                 )
-            eigenvalues(spacing())
+            smallest, largest = eigenvalues(spacing(), "sweep's")
+            coeff = damping(smallest, largest)
+            # every step is 1/(SWEEP_STEPS_PER_PERIOD*f) long, the longest at f_min
+            dt = 1.0 / SWEEP_STEPS_PER_PERIOD / sweep.f_min
+            finite(
+                "sweep.f_min",
+                f"the step dt = 1/({SWEEP_STEPS_PER_PERIOD}*f_min) or the Newmark terms "
+                "beta*dt^2*lambda_max and gamma*dt*b*lambda_max",
+                f"sweep.f_min integrator.beta integrator.gamma beam.density {beam_fields}",
+                dt,
+                self.integrator.beta_nm * dt * dt * largest,
+                self.integrator.gamma * dt * coeff * largest,
+            )
         else:  # nonlinear
             nodes(MIN_GRID_NODES)
             p, position = self.loads[0].p, self.loads[0].position
@@ -446,7 +511,24 @@ class Scenario:
                     "lower load_sweep.count",
                 )
             spacing()
-            deflection()
+            force = deflection()
+            # the profile divides by material.E, not by the beam's modulus, and
+            # softens it by 1 + alpha*(sigma/E)^(n-1) at the extreme-fibre
+            # stress sigma, largest at the root: P*a*(h/2)/I
+            law, inertia, length = self.material, self.beam.section.second_moment, self.beam.length
+            ratio = force * position * (0.5 * self.beam.height) / inertia / law.elastic_modulus
+            softening = math.inf
+            with contextlib.suppress(OverflowError):
+                softening = 1.0 + law.alpha * ratio ** (law.n - 1.0)
+            # 0 * inf is NaN: a zero load is refused where E*I underflows
+            flexibility = 1.0 / law.elastic_modulus / inertia
+            finite(
+                "material.E",
+                "the nonlinear deflection bound P*L^3/(E*I)*(1 + alpha*(P*a*h/(2*E*I))^(n-1))",
+                "material.E material.alpha material.n loads[0].p load_sweep.p_max "
+                "loads[0].position beam.width beam.height beam.length",
+                force * flexibility * (length * length * length) * softening,
+            )
 
 
 _MISSING = object()

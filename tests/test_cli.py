@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from beamlab import dynamics, modal, scenario
 from beamlab.cli import main
+from beamlab.model import SolverError, ValidationError
 from beamlab.scenario import MAX_MODES, preset, scenario_to_dict, scenario_to_json
 
 
@@ -625,6 +627,55 @@ print(json.dumps({
 def test_beam_dynamic_outputs_match_recorded_digests(tmp_path):
     digests = run_digests(BEAM_DYNAMIC_SCRIPT, tmp_path, json.dumps(BEAM_DYNAMIC))
     assert digests == BEAM_DYNAMIC_DIGESTS
+
+
+# Each numeric leaf of each preset and of BEAM_DYNAMIC is set, one at a
+# time, to each of these: floats at and near both ends of the range, a
+# negative one, and an integer that no float holds.
+EXTREMES = (5e-324, 1e-300, 1e-150, 1e-30, 1e30, 1e150, 1e300, -1e300, 2**53 + 1)
+
+
+def numeric_paths(tree, path=()):
+    """The key path of each number in a decoded JSON tree, depth first."""
+    if isinstance(tree, (dict, list)):
+        for key, value in tree.items() if isinstance(tree, dict) else enumerate(tree):
+            yield from numeric_paths(value, (*path, key))
+    elif isinstance(tree, (int, float)):
+        yield path
+
+
+@pytest.mark.parametrize("name", [*scenario.PRESET_NAMES, "beam_dynamic"])
+def test_extreme_values_refused_at_parse_or_run_cleanly(monkeypatch, name):
+    # an input the solvers cannot honour is refused at parse, naming a field,
+    # before any runner starts; every other run returns or raises a
+    # SolverError, and none overflows on the way
+    entered = []
+    for kind, runner in scenario._RUNNERS.items():
+        monkeypatch.setitem(
+            scenario._RUNNERS, kind, lambda s, runner=runner: entered.append(s) or runner(s)
+        )
+    base = BEAM_DYNAMIC if name == "beam_dynamic" else json.loads(scenario_to_json(preset(name)))
+    failures = []
+    for path in numeric_paths(base):
+        for value in EXTREMES:
+            data = copy.deepcopy(base)
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            case = f"{'.'.join(map(str, path))}={value!r}"
+            entered.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    scenario.run_scenario(scenario.scenario_from_dict(data))
+                except ValidationError as exc:
+                    if entered:
+                        failures.append(f"{case}: refused after its runner started: {exc}")
+                except SolverError:
+                    pass
+            failures += [f"{case}: {w.category.__name__}: {w.message}" for w in caught]
+    assert not failures, "\n".join(failures)
 
 
 # Which commands load scipy.  Each check runs in a fresh interpreter: this
