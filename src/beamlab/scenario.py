@@ -391,13 +391,13 @@ class Scenario:
         kind = _kind(self.solver, given)
         needs, _, ends, load_tags = _KINDS[kind]
         n = self.grid_nodes
-        if ends:
+        if ends:  # none of them a spring, so each end is its kind
             left, right, *name = ends.split(maxsplit=2)
-            fixed = BoundarySpec(EndCondition(left), EndCondition(right))
-            need(self.bc == fixed, " ".join([f"bc {{left: {left}, right: {right}}}", *name]))
-        for either in (block.split("|") for block in needs.split()):
-            what = " or ".join(f"a {one} block" for one in either)
-            need(given.intersection(either), "at least one load" if either == ["loads"] else what)
+            kinds = None if self.bc is None else (self.bc.left.kind, self.bc.right.kind)
+            need(kinds == (left, right), " ".join([f"bc {{left: {left}, right: {right}}}", *name]))
+        for block in needs.split():
+            what = "at least one load" if block == "loads" else f"a {block} block"
+            need(not given.isdisjoint(block.split("|")), what.replace("|", " block or a "))
         if load_tags:  # a needed block, so loads[0] is there
             tags = load_tags.split()
             one = isinstance(self.loads[0], tuple(_LOADS.blocks[tag].make for tag in tags))
