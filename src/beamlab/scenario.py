@@ -367,20 +367,29 @@ class Scenario:
             return [root * root for root in roots.values()]
 
         def stiffness(dx: float) -> float:
-            # K's largest entry, about 6*EI/dx^3, in its assembly's order: the
-            # curvature stencils' product, then EI
-            entry = self.beam.section.flexural_rigidity * (6.0 / dx / dx / dx)
-            finite("beam", "the largest stiffness entry 6*EI/dx^3", beam_fields, entry)
+            # K's largest entry, in its assembly's order: the curvature stencils'
+            # product, 6/dx^3 inside and 7/dx^3 beside a clamped end, then EI,
+            # then a spring end's k
+            entry = self.beam.section.flexural_rigidity * (7.0 / dx / dx / dx) + spring
+            names = f"{beam_fields} bc.k"
+            finite("beam", "the largest stiffness entry 7*EI/dx^3 + spring k", names, entry)
             return entry
 
         def damping(smallest: float, entry: float) -> float:
-            # Rayleigh damping b*K, fitted to the first mode: b = 2*zeta1/omega1,
-            # with omega1 about the root of the smallest eigenvalue
-            coeff = 2.0 * self.zeta1 / math.sqrt(smallest)
+            # Rayleigh damping b*K, b = 2*zeta1/omega1.  omega1 is at least
+            # (1.8/pi)^2 of the root of the smallest eigenvalue: a cantilever's
+            # is (1.875/pi)^2 of it, and 7 nodes undershoot that by 2%.  With no
+            # end clamped, a beam may also move rigidly on springs k, and then
+            # 1/omega1^2 <= 1/omega_beam^2 + rho*A*L/(2*k) (Dunkerley)
+            period = (math.pi / 1.8) ** 2 / math.sqrt(smallest)
+            if spring and "clamped" not in (self.bc.left.kind, self.bc.right.kind):
+                rigid = math.sqrt(0.5 * self.beam.section.mass_per_length * self.beam.length)
+                period = math.hypot(period, rigid / math.sqrt(spring))
+            coeff = 2.0 * self.zeta1 * period
             finite(
                 "integrator.rayleigh.zeta1",
                 "the largest damping entry 2*zeta1/omega1 times the largest stiffness entry",
-                f"integrator.rayleigh.zeta1 beam.density {beam_fields}",
+                f"integrator.rayleigh.zeta1 beam.density {beam_fields} bc.k",
                 coeff * entry,
             )
             return coeff
@@ -391,6 +400,8 @@ class Scenario:
         kind = _kind(self.solver, given)
         needs, _, ends, load_tags = _KINDS[kind]
         n = self.grid_nodes
+        # a spring end's stiffness, one bc.k for both, or 0
+        spring = (self.bc.left.stiffness or self.bc.right.stiffness or 0.0) if self.bc else 0.0
         if ends:  # none of them a spring, so each end is its kind
             left, right, *name = ends.split(maxsplit=2)
             kinds = None if self.bc is None else (self.bc.left.kind, self.bc.right.kind)

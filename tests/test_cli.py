@@ -629,6 +629,35 @@ def test_beam_dynamic_outputs_match_recorded_digests(tmp_path):
     assert digests == BEAM_DYNAMIC_DIGESTS
 
 
+@pytest.fixture
+def entered(monkeypatch):
+    """The scenarios that reached a runner, each runner wrapped to record it."""
+    calls = []
+    for kind, runner in scenario._RUNNERS.items():
+        monkeypatch.setitem(
+            scenario._RUNNERS, kind, lambda s, runner=runner: calls.append(s) or runner(s)
+        )
+    return calls
+
+
+def unclean_ends(data, entered) -> list[str]:
+    """What went wrong when `data` was parsed and run: a ValidationError once
+    a runner had started, and every warning.  A refusal at parse and a
+    SolverError are clean ends."""
+    entered.clear()
+    failures = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            scenario.run_scenario(scenario.scenario_from_dict(data))
+        except ValidationError as exc:
+            if entered:
+                failures.append(f"refused after its runner started: {exc}")
+        except SolverError:
+            pass
+    return failures + [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
 # Each numeric leaf of each preset and of BEAM_DYNAMIC is set, one at a
 # time, to each of these: floats at and near both ends of the range, a
 # negative one, and an integer that no float holds.
@@ -645,15 +674,10 @@ def numeric_paths(tree, path=()):
 
 
 @pytest.mark.parametrize("name", [*scenario.PRESET_NAMES, "beam_dynamic"])
-def test_extreme_values_refused_at_parse_or_run_cleanly(monkeypatch, name):
+def test_extreme_values_refused_at_parse_or_run_cleanly(entered, name):
     # an input the solvers cannot honour is refused at parse, naming a field,
     # before any runner starts; every other run returns or raises a
     # SolverError, and none overflows on the way
-    entered = []
-    for kind, runner in scenario._RUNNERS.items():
-        monkeypatch.setitem(
-            scenario._RUNNERS, kind, lambda s, runner=runner: entered.append(s) or runner(s)
-        )
     base = BEAM_DYNAMIC if name == "beam_dynamic" else json.loads(scenario_to_json(preset(name)))
     failures = []
     for path in numeric_paths(base):
@@ -664,17 +688,37 @@ def test_extreme_values_refused_at_parse_or_run_cleanly(monkeypatch, name):
                 parent = parent[key]
             parent[path[-1]] = value
             case = f"{'.'.join(map(str, path))}={value!r}"
-            entered.clear()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    scenario.run_scenario(scenario.scenario_from_dict(data))
-                except ValidationError as exc:
-                    if entered:
-                        failures.append(f"{case}: refused after its runner started: {exc}")
-                except SolverError:
-                    pass
-            failures += [f"{case}: {w.category.__name__}: {w.message}" for w in caught]
+            failures += [f"{case}: {failure}" for failure in unclean_ends(data, entered)]
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize(
+    "bc",
+    [
+        {"left": "pinned", "right": "pinned"},
+        {"left": "clamped", "right": "free"},
+        {"left": "clamped", "right": "clamped"},
+        {"left": "spring", "right": "spring", "k": 1.0},
+        {"left": "spring", "right": "pinned", "k": 1.0},
+        {"left": "clamped", "right": "spring", "k": 1e-300},
+    ],
+    ids=["pinned", "cantilever", "clamped", "springs", "spring_pinned", "clamped_spring"],
+)
+@pytest.mark.parametrize("name", ["beam_dynamic", "exp5_1"])
+def test_rayleigh_damping_bound_holds_at_any_ends(entered, name, bc):
+    # zeta1 from 1e296 to 1e301 in quarter decades, where b*K overflows:
+    # the parse bound takes omega1 no higher than a cantilever's, or than the
+    # beam's on its springs, so each is refused at parse or runs cleanly
+    data = copy.deepcopy(BEAM_DYNAMIC) if name == "beam_dynamic" else json.loads(
+        scenario_to_json(preset(name))
+    )
+    data["bc"] = bc
+    failures = []
+    for quarter in range(4 * 296, 4 * 301 + 1):
+        data["integrator"]["rayleigh"]["zeta1"] = zeta1 = 10.0 ** (quarter / 4)
+        if quarter == 4 * 296:  # far enough from overflow to run
+            scenario.scenario_from_dict(data)
+        failures += [f"zeta1 {zeta1!r}: {failure}" for failure in unclean_ends(data, entered)]
     assert not failures, "\n".join(failures)
 
 
