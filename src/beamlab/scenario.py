@@ -322,10 +322,10 @@ class Scenario:
             # values are built from
             if not all(map(math.isfinite, values)):
                 leaves = _leaves(dumped)
-                given = ", ".join(
+                named = ", ".join(
                     f"{key} {leaves[key]!r}" for key in names.split() if key in leaves
                 )
-                raise ValidationError(f"'{label}': {quantity} of {given} is not a finite number")
+                raise ValidationError(f"'{label}': {quantity} of {named} is not a finite number")
 
         def spacing() -> float:  # once the sizes are bounded
             return _build(SpatialGrid.for_beam, "beam.length", self.beam, n).spacing

@@ -678,7 +678,7 @@ def test_extreme_values_refused_at_parse_or_run_cleanly(entered, name):
     # an input the solvers cannot honour is refused at parse, naming a field,
     # before any runner starts; every other run returns or raises a
     # SolverError, and none overflows on the way
-    base = BEAM_DYNAMIC if name == "beam_dynamic" else json.loads(scenario_to_json(preset(name)))
+    base = BEAM_DYNAMIC if name == "beam_dynamic" else scenario_to_dict(preset(name))
     failures = []
     for path in numeric_paths(base):
         for value in EXTREMES:
@@ -709,10 +709,8 @@ def test_rayleigh_damping_bound_holds_at_any_ends(entered, name, bc):
     # zeta1 from 1e296 to 1e301 in quarter decades, where b*K overflows:
     # the parse bound takes omega1 no higher than a cantilever's, or than the
     # beam's on its springs, so each is refused at parse or runs cleanly
-    data = copy.deepcopy(BEAM_DYNAMIC) if name == "beam_dynamic" else json.loads(
-        scenario_to_json(preset(name))
-    )
-    data["bc"] = bc
+    base = BEAM_DYNAMIC if name == "beam_dynamic" else scenario_to_dict(preset(name))
+    data = {**copy.deepcopy(base), "bc": bc}
     failures = []
     for quarter in range(4 * 296, 4 * 301 + 1):
         data["integrator"]["rayleigh"]["zeta1"] = zeta1 = 10.0 ** (quarter / 4)
