@@ -9,7 +9,9 @@ that value's dataclass fields (see _typed), so renaming a field renames its
 key.  An optional field left out takes the default its type declares; the
 schema table holds none of its own.  Each field of the blocks a run reads
 that the file left out is reported, with the value the run used, in the
-output provenance block.
+output provenance block.  Each kind of run has a check beside its runner:
+after its row's rules for ends, blocks and load, the check refuses at parse
+the sizes, work and float range its runner could not take.
 """
 
 from __future__ import annotations
@@ -80,32 +82,8 @@ MAX_MODE_STEPS = 10**12
 #: 1e-10/L root tolerance (past about 35 800 roots they do not).
 MAX_MODES = 10_000
 _MIB = 2**20
-#: What each kind of run accepts: the top-level blocks it cannot run without,
-#: those it may be given besides name, solver and notes (any other block is
-#: refused), the ends it is fixed to, left, right and their name, and the
-#: _LOADS tags of the one load it takes.  A needed "a|b" is met by either
-#: block, but the kind reads only a: a dynamic run with a system block is its
-#: own kind, "system".  Every beam kind reads modal_only: `beamlab modal`
-#: reads any scenario with a beam.
-_KINDS = {
-    "static": ("beam bc loads", "grid modal_only probes", "", ""),
-    "quasi_static": ("beam bc loads time", "grid modal_only probes output", "pinned pinned",
-                     "moving_point harmonic_point"),
-    "modal": ("beam", "bc modal_only", "", ""),
-    "system": ("system time", "integrator output", "", ""),
-    "dynamic": ("beam|system bc loads time", "grid integrator modal_only probes output", "", ""),
-    "sweep": ("beam bc loads sweep", "grid integrator modal_only", "", "harmonic_point"),
-    "nonlinear": ("beam bc loads material", "grid load_sweep modal_only probes",
-                  "clamped free (cantilever)", "point"),
-}
-SOLVERS = tuple(kind for kind in _KINDS if kind != "system")
-_READS = {
-    kind: {"name", "solver", "notes", *more.split(), *(b.partition("|")[0] for b in needs.split())}
-    for kind, (needs, more, *_) in _KINDS.items()
-}
-#: The provenance entry of each attribute, on the runs that read all its
-#: blocks: rayleigh damping applies to beam runs only.
-_RECORDED = {"grid_nodes": {"grid"}, "zeta1": {"beam", "integrator"}, "stride": {"output"}}
+#: The fields of a beam's EI and its grid spacing.
+_BEAM_FIELDS = "beam.elastic_modulus beam.width beam.height beam.length grid.nodes"
 
 
 def _kind(solver: str, given) -> str:
@@ -274,272 +252,142 @@ class Scenario:
         return _kind(self.solver, () if self.system is None else ("system",))
 
     def _check_solver(self):
-        """Check its ends, blocks and load by its row of _KINDS, then its grid,
-        sizes, work, spacing and float range in its kind's one branch."""
-
-        # the fields of a beam's EI and its grid spacing
-        beam_fields = "beam.elastic_modulus beam.width beam.height beam.length grid.nodes"
-
-        def need(condition: bool, what: str):
-            if not condition:
-                raise ValidationError(f"solver '{self.solver}' requires {what}")
-
-        def limit(nbytes: int, what: str, remedy: str) -> None:
-            if nbytes > MAX_ARRAY_BYTES:
-                raise ValidationError(
-                    f"{what} would take about {(nbytes + _MIB // 2) // _MIB} MiB, above the "
-                    f"{MAX_ARRAY_BYTES / _MIB:.0f} MiB limit; {remedy}"
-                )
-
-        def time_samples(columns: int) -> None:
-            # every step is computed whatever the stride; this also bounds
-            # the frames, which hold at most one row per time sample
-            samples = self.tgrid.step_count + 1
-            limit(
-                8 * samples * columns,
-                f"time.dt {self.tgrid.dt}: {samples} time samples of {columns} dofs",
-                "raise time.dt or shorten the time span",
-            )
-
-        def nodes(least: int, copies: int = 0) -> None:
-            if n < least:
-                raise ValidationError(
-                    f"grid.nodes must be >= {least} for solver '{self.solver}', got {n}"
-                )
-            # the n x n float64 arrays of the dense beam operator a run holds at
-            # once, rounded up with one to spare: its tracemalloc peak at 101-1201
-            # nodes (static 3.0, dynamic 5.0-5.9, sweep 3.0), plus, for a sweep, 6.0
-            # that numpy's SVD mallocs where tracemalloc cannot see them: dgesdd's
-            # copies of B, U and V^T, and its workspace, 3.0 by LAPACK's workspace
-            # query (9.3 in all by the growth of ru_maxrss at 801-1601 nodes).  The
-            # other kinds hold none
-            limit(
-                8 * copies * n * n, f"grid.nodes {n}: the dense beam operator", "lower grid.nodes"
-            )
-
-        def finite(label: str, quantity: str, names: str, *values: float) -> None:
-            # the error names the fields, as the file gives them, that the
-            # values are built from
-            if not all(map(math.isfinite, values)):
-                leaves = _leaves(dumped)
-                named = ", ".join(
-                    f"{key} {leaves[key]!r}" for key in names.split() if key in leaves
-                )
-                raise ValidationError(f"'{label}': {quantity} of {named} is not a finite number")
-
-        def spacing() -> float:  # once the sizes are bounded
-            return _build(SpatialGrid.for_beam, "beam.length", self.beam, n).spacing
-
-        def deflection() -> float:
-            # every frame is a static deflection, below (|q|*L + sum |P|)*L^3/EI:
-            # the closed forms scale that bound by 5/384, 1/48 or 1/3
-            length, rigidity = self.beam.length, self.beam.section.flexural_rigidity
-            force = sum(
-                abs(load.q) * length if isinstance(load, UdlLoad)
-                else abs(load.p0 if isinstance(load, HarmonicPointLoad) else load.p)
-                for load in self.loads
-            )
-            if self.load_sweep is not None:
-                force = max(force, self.load_sweep.p_max)
-            if not math.isfinite(force / rigidity * (length * length * length)):
-                raise ValidationError(
-                    f"'beam.elastic_modulus' {self.beam.elastic_modulus!r}: at EI {rigidity!r} "
-                    f"N*m^2, the static deflection bound (|q|*L + sum |P|)*L^3/EI of "
-                    f"{force!r} N over beam.length {length!r} m is not a finite number"
-                )
-            return force
-
-        def eigenvalues(dx: float, whose: str) -> list[float]:
-            # they run from about pi^4*EI/(rho*A*L^4) to 16*EI/(rho*A*dx^4); the
-            # grid keeps dx^2 and so L^2 nonzero, and products, unlike powers,
-            # overflow to inf without raising
-            wave, length = self.beam.section.wave_coefficient, self.beam.length
-            roots = {
-                "smallest": math.pi**2 * wave / (length * length),
-                "largest": 4.0 * wave / (dx * dx),
-            }
-            for what, root in roots.items():
-                if not 0.0 < root * root < math.inf:
-                    raise ValidationError(
-                        f"'beam.length': the {whose} {what} eigenvalue at length {length!r} "
-                        f"over {n} nodes is not a finite nonzero number"
-                    )
-            return [root * root for root in roots.values()]
-
-        def stiffness(dx: float) -> float:
-            # K's largest entry, in its assembly's order: the curvature stencils'
-            # product, 6/dx^3 inside and 7/dx^3 beside a clamped end, then EI,
-            # then a spring end's k
-            entry = self.beam.section.flexural_rigidity * (7.0 / dx / dx / dx) + spring
-            names = f"{beam_fields} bc.k"
-            finite("beam", "the largest stiffness entry 7*EI/dx^3 + spring k", names, entry)
-            return entry
-
-        def damping(smallest: float, entry: float) -> float:
-            # Rayleigh damping b*K, b = 2*zeta1/omega1.  omega1 is at least
-            # (1.8/pi)^2 of the root of the smallest eigenvalue: a cantilever's
-            # is (1.875/pi)^2 of it, and 7 nodes undershoot that by 2%.  With no
-            # end clamped, a beam may also move rigidly on springs k, and then
-            # 1/omega1^2 <= 1/omega_beam^2 + rho*A*L/(2*k) (Dunkerley)
-            period = (math.pi / 1.8) ** 2 / math.sqrt(smallest)
-            if spring and "clamped" not in (self.bc.left.kind, self.bc.right.kind):
-                rigid = math.sqrt(0.5 * self.beam.section.mass_per_length * self.beam.length)
-                period = math.hypot(period, rigid / math.sqrt(spring))
-            coeff = 2.0 * self.zeta1 * period
-            finite(
-                "integrator.rayleigh.zeta1",
-                "the largest damping entry 2*zeta1/omega1 times the largest stiffness entry",
-                f"integrator.rayleigh.zeta1 beam.density {beam_fields} bc.k",
-                coeff * entry,
-            )
-            return coeff
-
+        """Check its ends, blocks and load by its row of _KINDS, then run the row's check."""
         # a block is given when it serializes unlike a blank one
-        dumped = _SCENARIO.dump(self)
-        given = {key for key, value in dumped.items() if value != _BLANK.get(key)}
-        kind = _kind(self.solver, given)
-        needs, _, ends, load_tags = _KINDS[kind]
-        n = self.grid_nodes
-        # a spring end's stiffness, one bc.k for both, or 0
-        spring = (self.bc.left.stiffness or self.bc.right.stiffness or 0.0) if self.bc else 0.0
+        given = {key for key, value in _SCENARIO.dump(self).items() if value != _BLANK.get(key)}
+        needs, _, ends, load_tags, check, _ = _KINDS[_kind(self.solver, given)]
         if ends:  # none of them a spring, so each end is its kind
             left, right, *name = ends.split(maxsplit=2)
             kinds = None if self.bc is None else (self.bc.left.kind, self.bc.right.kind)
-            need(kinds == (left, right), " ".join([f"bc {{left: {left}, right: {right}}}", *name]))
+            what = " ".join([f"bc {{left: {left}, right: {right}}}", *name])
+            self._need(kinds == (left, right), what)
         for block in needs.split():
             what = "at least one load" if block == "loads" else f"a {block} block"
-            need(not given.isdisjoint(block.split("|")), what.replace("|", " block or a "))
+            self._need(not given.isdisjoint(block.split("|")), what.replace("|", " block or a "))
         if load_tags:  # a needed block, so loads[0] is there
             tags = load_tags.split()
             one = isinstance(self.loads[0], tuple(_LOADS.blocks[tag].make for tag in tags))
-            need(len(self.loads) == 1 and one, f"exactly one {' or '.join(tags)} load")
-        if kind == "static":
-            nodes(MIN_GRID_NODES, 4)
-            if any(not isinstance(load, STATIC_LOADS) for load in self.loads):
-                raise ValidationError("solver 'static' accepts only udl and point loads")
-            dx = spacing()
-            deflection()
-            stiffness(dx)
-        elif kind == "quasi_static":
-            nodes(MIN_GRID_NODES)
-            records = self.tgrid.step_count // self.stride + 1
-            limit(
-                8 * records * n,
-                f"output.stride {self.stride}: {records} recorded frames of {n} columns",
-                "raise output.stride or lower grid.nodes",
+            self._need(len(self.loads) == 1 and one, f"exactly one {' or '.join(tags)} load")
+        check(self)
+
+    @property
+    def _spring(self) -> float:
+        """A spring end's stiffness, one bc.k for both, or 0."""
+        return (self.bc.left.stiffness or self.bc.right.stiffness or 0.0) if self.bc else 0.0
+
+    def _need(self, condition: bool, what: str) -> None:
+        if not condition:
+            raise ValidationError(f"solver '{self.solver}' requires {what}")
+
+    @staticmethod
+    def _limit(nbytes: int, what: str, remedy: str) -> None:
+        if nbytes > MAX_ARRAY_BYTES:
+            raise ValidationError(
+                f"{what} would take about {(nbytes + _MIB // 2) // _MIB} MiB, above the "
+                f"{MAX_ARRAY_BYTES / _MIB:.0f} MiB limit; {remedy}"
             )
-            spacing()
-            deflection()
-        elif kind == "modal":
-            need(given & {"bc", "modal_only"}, "a bc block or modal_only.bearing_k")
-        elif kind == "system":
-            if self.zeta1 != 0.0:
+
+    def _time_samples(self, columns: int) -> None:
+        # every step is computed whatever the stride; this also bounds the
+        # frames, which hold at most one row per time sample
+        samples = self.tgrid.step_count + 1
+        self._limit(
+            8 * samples * columns,
+            f"time.dt {self.tgrid.dt}: {samples} time samples of {columns} dofs",
+            "raise time.dt or shorten the time span",
+        )
+
+    def _nodes(self, least: int, copies: int = 0) -> None:
+        n = self.grid_nodes
+        if n < least:
+            raise ValidationError(
+                f"grid.nodes must be >= {least} for solver '{self.solver}', got {n}"
+            )
+        # the n x n float64 arrays of the dense beam operator a run holds at
+        # once, rounded up with one to spare: its tracemalloc peak at 101-1201
+        # nodes (static 3.0, dynamic 5.0-5.9, sweep 3.0), plus, for a sweep, 6.0
+        # that numpy's SVD mallocs where tracemalloc cannot see them: dgesdd's
+        # copies of B, U and V^T, and its workspace, 3.0 by LAPACK's workspace
+        # query (9.3 in all by the growth of ru_maxrss at 801-1601 nodes).  The
+        # other kinds hold none
+        self._limit(
+            8 * copies * n * n, f"grid.nodes {n}: the dense beam operator", "lower grid.nodes"
+        )
+
+    def _finite(self, label: str, quantity: str, names: str, *values: float) -> None:
+        # the error names the fields, as the file gives them, that the values
+        # are built from
+        if not all(map(math.isfinite, values)):
+            leaves = _leaves(_SCENARIO.dump(self))
+            named = ", ".join(f"{key} {leaves[key]!r}" for key in names.split() if key in leaves)
+            raise ValidationError(f"'{label}': {quantity} of {named} is not a finite number")
+
+    def _spacing(self) -> float:  # once the sizes are bounded
+        return _build(SpatialGrid.for_beam, "beam.length", self.beam, self.grid_nodes).spacing
+
+    def _deflection(self) -> float:
+        # every frame is a static deflection, below (|q|*L + sum |P|)*L^3/EI:
+        # the closed forms scale that bound by 5/384, 1/48 or 1/3
+        length, rigidity = self.beam.length, self.beam.section.flexural_rigidity
+        force = sum(
+            abs(load.q) * length if isinstance(load, UdlLoad)
+            else abs(load.p0 if isinstance(load, HarmonicPointLoad) else load.p)
+            for load in self.loads
+        )
+        if self.load_sweep is not None:
+            force = max(force, self.load_sweep.p_max)
+        if not math.isfinite(force / rigidity * (length * length * length)):
+            raise ValidationError(
+                f"'beam.elastic_modulus' {self.beam.elastic_modulus!r}: at EI {rigidity!r} "
+                f"N*m^2, the static deflection bound (|q|*L + sum |P|)*L^3/EI of "
+                f"{force!r} N over beam.length {length!r} m is not a finite number"
+            )
+        return force
+
+    def _eigenvalues(self, dx: float, whose: str) -> list[float]:
+        # they run from about pi^4*EI/(rho*A*L^4) to 16*EI/(rho*A*dx^4); the
+        # grid keeps dx^2 and so L^2 nonzero, and products, unlike powers,
+        # overflow to inf without raising
+        wave, length = self.beam.section.wave_coefficient, self.beam.length
+        roots = {
+            "smallest": math.pi**2 * wave / (length * length),
+            "largest": 4.0 * wave / (dx * dx),
+        }
+        for what, root in roots.items():
+            if not 0.0 < root * root < math.inf:
                 raise ValidationError(
-                    "rayleigh damping applies to beam runs; set system.damping instead"
+                    f"'beam.length': the {whose} {what} eigenvalue at length {length!r} "
+                    f"over {self.grid_nodes} nodes is not a finite nonzero number"
                 )
-            time_samples(self.system.dofs)
-            # the modal recurrence steps unit-mass modes, one per axis
-            spec, dt = self.system, self.tgrid.dt
-            lam = spec.stiffness / spec.mass
-            finite(
-                "system.mass",
-                "one of k/m, c/m, amplitude/m and beta*dt^2*k/m",
-                "system.mass system.stiffness system.damping system.force.amplitude time.dt "
-                "integrator.beta",
-                lam,
-                spec.damping / spec.mass,
-                spec.force.amplitude / spec.mass,
-                self.integrator.beta_nm * dt * dt * lam,
-            )
-        elif kind == "dynamic":
-            nodes(MIN_BEAM_NODES, 7)
-            time_samples(n)
-            dx = spacing()
-            entry = stiffness(dx)
-            if self.zeta1 > 0.0:  # the Rayleigh fit takes the first mode
-                smallest, _ = eigenvalues(dx, "dynamic run's")
-                damping(smallest, entry)
-        elif kind == "sweep":
-            nodes(MIN_BEAM_NODES, 10)
-            sweep = self.sweep
-            # 128 bytes per frequency point: its frequency, its window peaks
-            # and its result point, 76-77 measured with tracemalloc as the
-            # slope between 200 and 3000 points, rounded up
-            limit(
-                128 * sweep.f_count,
-                f"sweep.f_count {sweep.f_count}: the sweep's points",
-                "lower sweep.f_count",
-            )
-            # every free mode at every frequency over every step; a
-            # mirror-symmetric sweep steps only the modes symmetric about
-            # midspan, but this counts them all.  Within it, one frequency's
-            # recurrence rows, which grow with sqrt(steps) and the modes, stay
-            # below MAX_ARRAY_BYTES at every grid the operator limit admits
-            steps = (sweep.settle_periods + sweep.measure_periods) * SWEEP_STEPS_PER_PERIOD
-            modes = n - sum(end.holds_deflection for end in (self.bc.left, self.bc.right))
-            work = modes * sweep.f_count * steps
-            if work > MAX_MODE_STEPS:
-                raise ValidationError(
-                    f"sweep.settle_periods {sweep.settle_periods} + sweep.measure_periods "
-                    f"{sweep.measure_periods} at sweep.f_count {sweep.f_count}: {steps} "
-                    f"steps of {modes} modes at each frequency would take {work:.2e} "
-                    f"mode-steps, above the {MAX_MODE_STEPS:.0e} limit; lower the settle "
-                    "and measure periods, sweep.f_count or grid.nodes"
-                )
-            smallest, largest = eigenvalues(spacing(), "sweep's")
-            coeff = damping(smallest, largest)
-            # every step is 1/(SWEEP_STEPS_PER_PERIOD*f) long, the longest at f_min
-            dt = 1.0 / SWEEP_STEPS_PER_PERIOD / sweep.f_min
-            finite(
-                "sweep.f_min",
-                f"the step dt = 1/({SWEEP_STEPS_PER_PERIOD}*f_min) or the Newmark terms "
-                "beta*dt^2*lambda_max and gamma*dt*b*lambda_max",
-                f"sweep.f_min integrator.beta integrator.gamma beam.density {beam_fields}",
-                dt,
-                self.integrator.beta_nm * dt * dt * largest,
-                self.integrator.gamma * dt * coeff * largest,
-            )
-        else:  # nonlinear
-            nodes(MIN_GRID_NODES)
-            p, position = self.loads[0].p, self.loads[0].position
-            need(p >= 0.0, f"loads[0].p >= 0, got {p}")
-            need(position > 0.0, f"loads[0].position > 0, got {position}")
-            # 10 n-length float64 arrays held at once (9.1 measured with
-            # tracemalloc at a million nodes)
-            limit(
-                8 * 10 * n,
-                f"grid.nodes {n}: the nonlinear cantilever's nodal arrays",
-                "lower grid.nodes",
-            )
-            if self.load_sweep is not None:
-                # 256 bytes per point of the load curve: its load, its point
-                # and their list slots, 193-204 measured with tracemalloc as
-                # the slope between 200 and 8000 points, rounded up
-                count = self.load_sweep.count
-                limit(
-                    256 * count,
-                    f"load_sweep.count {count}: the load curve's points",
-                    "lower load_sweep.count",
-                )
-            spacing()
-            force = deflection()
-            # the profile divides by material.E, not by the beam's modulus, and
-            # softens it by 1 + alpha*(sigma/E)^(n-1) at the extreme-fibre
-            # stress sigma, largest at the root: P*a*(h/2)/I
-            law, inertia, length = self.material, self.beam.section.second_moment, self.beam.length
-            ratio = force * position * (0.5 * self.beam.height) / inertia / law.elastic_modulus
-            softening = math.inf
-            with contextlib.suppress(OverflowError):
-                softening = 1.0 + law.alpha * ratio ** (law.n - 1.0)
-            # 0 * inf is NaN: a zero load is refused where E*I underflows
-            flexibility = 1.0 / law.elastic_modulus / inertia
-            finite(
-                "material.E",
-                "the nonlinear deflection bound P*L^3/(E*I)*(1 + alpha*(P*a*h/(2*E*I))^(n-1))",
-                "material.E material.alpha material.n loads[0].p load_sweep.p_max "
-                "loads[0].position beam.width beam.height beam.length",
-                force * flexibility * (length * length * length) * softening,
-            )
+        return [root * root for root in roots.values()]
+
+    def _stiffness(self, dx: float) -> float:
+        # K's largest entry, in its assembly's order: the curvature stencils'
+        # product, 6/dx^3 inside and 7/dx^3 beside a clamped end, then EI, then
+        # a spring end's k
+        entry = self.beam.section.flexural_rigidity * (7.0 / dx / dx / dx) + self._spring
+        quantity = "the largest stiffness entry 7*EI/dx^3 + spring k"
+        self._finite("beam", quantity, f"{_BEAM_FIELDS} bc.k", entry)
+        return entry
+
+    def _damping(self, smallest: float, entry: float) -> float:
+        # Rayleigh damping b*K, b = 2*zeta1/omega1.  omega1 is at least
+        # (1.8/pi)^2 of the root of the smallest eigenvalue: a cantilever's is
+        # (1.875/pi)^2 of it, and 7 nodes undershoot that by 2%.  With no end
+        # clamped, a beam may also move rigidly on springs k, and then
+        # 1/omega1^2 <= 1/omega_beam^2 + rho*A*L/(2*k) (Dunkerley)
+        period, spring = (math.pi / 1.8) ** 2 / math.sqrt(smallest), self._spring
+        if spring and "clamped" not in (self.bc.left.kind, self.bc.right.kind):
+            rigid = math.sqrt(0.5 * self.beam.section.mass_per_length * self.beam.length)
+            period = math.hypot(period, rigid / math.sqrt(spring))
+        coeff = 2.0 * self.zeta1 * period
+        self._finite(
+            "integrator.rayleigh.zeta1",
+            "the largest damping entry 2*zeta1/omega1 times the largest stiffness entry",
+            f"integrator.rayleigh.zeta1 beam.density {_BEAM_FIELDS} bc.k",
+            coeff * entry,
+        )
+        return coeff
 
 
 _MISSING = object()
@@ -811,14 +659,14 @@ _SCENARIO = _Block(
     _F("output", _Block(None, _F("stride", _INTEGER, _DEFAULT)), _DEFAULT),
     _F("notes", _List(_STRING, " of strings"), None),
 )
-#: The field table of each kind of run: the _SCENARIO entries it reads.
-_SCHEMAS = {
-    kind: _Block(None, *(e for e in _SCENARIO.fields if e.key in reads))
-    for kind, reads in _READS.items()
-}
 
 #: The serialized blocks of a Scenario left at every default.
 _BLANK = _SCENARIO.dump(SimpleNamespace(**{f.name: f.default for f in fields(Scenario)}))
+
+
+def _dump(s, kind: str) -> dict:
+    """The blocks of `s` that its kind of run reads, serialized."""
+    return _Block(None, *(e for e in _SCENARIO.fields if e.key in _READS[kind])).dump(s)
 
 
 def _leaves(tree, label: str = "", out: dict | None = None) -> dict:
@@ -856,7 +704,7 @@ def scenario_from_dict(data, *, stride: int | None = None) -> Scenario:
         )
     solver = _read(data, "", "solver")
     kind = _kind(solver, data)
-    kwargs = _SCHEMAS[kind].take(data, "", read=("schema",))
+    kwargs = _SCENARIO.take(data, "", read=("schema",))
     # refuses NaN and infinity after the block constructors' own range checks
     given = _leaves(data)
     # the table's dotted attrs are the integrator's
@@ -870,7 +718,7 @@ def scenario_from_dict(data, *, stride: int | None = None) -> Scenario:
         kwargs["stride"] = stride
         given["output.stride"] = stride
     parsed = SimpleNamespace(**{f.name: f.default for f in fields(Scenario)} | kwargs)
-    leaves = _leaves(_SCHEMAS[kind].dump(parsed))
+    leaves = _leaves(_dump(parsed, kind))
     defaults = {path: value for path, value in leaves.items() if path not in given}
     return Scenario(defaults_applied=defaults, **kwargs)
 
@@ -907,7 +755,7 @@ def parse_scenario(text, *, stride: int | None = None) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Inverse of scenario_from_dict: the blocks its kind reads, no default left out."""
-    return {"schema": SCHEMA_VERSION, **_SCHEMAS[s.kind].dump(s)}
+    return {"schema": SCHEMA_VERSION, **_dump(s, s.kind)}
 
 
 def scenario_to_json(s: Scenario) -> str:
@@ -1108,9 +956,27 @@ def _attach_probes(s: Scenario, result: TimeSeriesResult) -> TimeSeriesResult:
     return replace(result, probes=mapping)
 
 
+def _check_static(s: Scenario) -> None:
+    s._nodes(MIN_GRID_NODES, 4)
+    if any(not isinstance(load, STATIC_LOADS) for load in s.loads):
+        raise ValidationError("solver 'static' accepts only udl and point loads")
+    dx = s._spacing()
+    s._deflection()
+    s._stiffness(dx)
+
+
 def _run_static(s: Scenario) -> tuple[dict, dict]:
     profile = static_fd_solve(s.beam, s.bc, list(s.loads), s.grid_nodes)
     return {"static_profile": profile}, {}
+
+
+def _check_quasi_static(s: Scenario) -> None:
+    s._nodes(MIN_GRID_NODES)
+    records, n = s.tgrid.step_count // s.stride + 1, s.grid_nodes
+    what = f"output.stride {s.stride}: {records} recorded frames of {n} columns"
+    s._limit(8 * records * n, what, "raise output.stride or lower grid.nodes")
+    s._spacing()
+    s._deflection()
 
 
 def _run_quasi_static(s: Scenario) -> tuple[dict, dict]:
@@ -1148,12 +1014,36 @@ def modal_results(s: Scenario, mode_count: int = 3) -> list[ModeSolution]:
     return solve_modes(s.beam, modal_bc(s), mode_count)
 
 
+def _check_modal(s: Scenario) -> None:
+    ends = s.bc is not None or s.modal_bearing_k is not None
+    s._need(ends, "a bc block or modal_only.bearing_k")
+
+
 def _run_modal(s: Scenario) -> tuple[dict, dict]:
     modes = modal_results(s)
     extras: dict = {"mode_count": len(modes)}
     if s.modal_bearing_k is not None:
         extras["bearing_k_applied"] = s.modal_bearing_k
     return {"modes": modes}, extras
+
+
+def _check_system(s: Scenario) -> None:
+    if s.zeta1 != 0.0:
+        raise ValidationError("rayleigh damping applies to beam runs; set system.damping instead")
+    s._time_samples(s.system.dofs)
+    # the modal recurrence steps unit-mass modes, one per axis
+    spec, dt = s.system, s.tgrid.dt
+    lam = spec.stiffness / spec.mass
+    s._finite(
+        "system.mass",
+        "one of k/m, c/m, amplitude/m and beta*dt^2*k/m",
+        "system.mass system.stiffness system.damping system.force.amplitude time.dt "
+        "integrator.beta",
+        lam,
+        spec.damping / spec.mass,
+        spec.force.amplitude / spec.mass,
+        s.integrator.beta_nm * dt * dt * lam,
+    )
 
 
 def _run_system(s: Scenario) -> tuple[dict, dict]:
@@ -1179,6 +1069,16 @@ def _run_system(s: Scenario) -> tuple[dict, dict]:
     return {"time_series": result}, extras
 
 
+def _check_dynamic(s: Scenario) -> None:
+    s._nodes(MIN_BEAM_NODES, 7)
+    s._time_samples(s.grid_nodes)
+    dx = s._spacing()
+    entry = s._stiffness(dx)
+    if s.zeta1 > 0.0:  # the Rayleigh fit takes the first mode
+        smallest, _ = s._eigenvalues(dx, "dynamic run's")
+        s._damping(smallest, entry)
+
+
 def _run_dynamic(s: Scenario) -> tuple[dict, dict]:
     result = beam_time_response(
         s.beam,
@@ -1192,6 +1092,45 @@ def _run_dynamic(s: Scenario) -> tuple[dict, dict]:
     )
     result = _attach_probes(s, result)
     return {"time_series": result}, {}
+
+
+def _check_sweep(s: Scenario) -> None:
+    s._nodes(MIN_BEAM_NODES, 10)
+    sweep = s.sweep
+    # 128 bytes per frequency point: its frequency, its window peaks and its
+    # result point, 76-77 measured with tracemalloc as the slope between 200
+    # and 3000 points, rounded up
+    what = f"sweep.f_count {sweep.f_count}: the sweep's points"
+    s._limit(128 * sweep.f_count, what, "lower sweep.f_count")
+    # every free mode at every frequency over every step; a mirror-symmetric
+    # sweep steps only the modes symmetric about midspan, but this counts them
+    # all.  Within it, one frequency's recurrence rows, which grow with
+    # sqrt(steps) and the modes, stay below MAX_ARRAY_BYTES at every grid the
+    # operator limit admits
+    steps = (sweep.settle_periods + sweep.measure_periods) * SWEEP_STEPS_PER_PERIOD
+    modes = s.grid_nodes - sum(end.holds_deflection for end in (s.bc.left, s.bc.right))
+    work = modes * sweep.f_count * steps
+    if work > MAX_MODE_STEPS:
+        raise ValidationError(
+            f"sweep.settle_periods {sweep.settle_periods} + sweep.measure_periods "
+            f"{sweep.measure_periods} at sweep.f_count {sweep.f_count}: {steps} "
+            f"steps of {modes} modes at each frequency would take {work:.2e} "
+            f"mode-steps, above the {MAX_MODE_STEPS:.0e} limit; lower the settle "
+            "and measure periods, sweep.f_count or grid.nodes"
+        )
+    smallest, largest = s._eigenvalues(s._spacing(), "sweep's")
+    coeff = s._damping(smallest, largest)
+    # every step is 1/(SWEEP_STEPS_PER_PERIOD*f) long, the longest at f_min
+    dt = 1.0 / SWEEP_STEPS_PER_PERIOD / sweep.f_min
+    s._finite(
+        "sweep.f_min",
+        f"the step dt = 1/({SWEEP_STEPS_PER_PERIOD}*f_min) or the Newmark terms "
+        "beta*dt^2*lambda_max and gamma*dt*b*lambda_max",
+        f"sweep.f_min integrator.beta integrator.gamma beam.density {_BEAM_FIELDS}",
+        dt,
+        s.integrator.beta_nm * dt * dt * largest,
+        s.integrator.gamma * dt * coeff * largest,
+    )
 
 
 def _run_sweep(s: Scenario) -> tuple[dict, dict]:
@@ -1213,6 +1152,43 @@ def _run_sweep(s: Scenario) -> tuple[dict, dict]:
     return {"sweep_points": points}, extras
 
 
+def _check_nonlinear(s: Scenario) -> None:
+    s._nodes(MIN_GRID_NODES)
+    p, position = s.loads[0].p, s.loads[0].position
+    s._need(p >= 0.0, f"loads[0].p >= 0, got {p}")
+    s._need(position > 0.0, f"loads[0].position > 0, got {position}")
+    # 10 n-length float64 arrays held at once (9.1 measured with tracemalloc
+    # at a million nodes)
+    what = f"grid.nodes {s.grid_nodes}: the nonlinear cantilever's nodal arrays"
+    s._limit(8 * 10 * s.grid_nodes, what, "lower grid.nodes")
+    if s.load_sweep is not None:
+        # 256 bytes per point of the load curve: its load, its point and
+        # their list slots, 193-204 measured with tracemalloc as the slope
+        # between 200 and 8000 points, rounded up
+        count = s.load_sweep.count
+        what = f"load_sweep.count {count}: the load curve's points"
+        s._limit(256 * count, what, "lower load_sweep.count")
+    s._spacing()
+    force = s._deflection()
+    # the profile divides by material.E, not by the beam's modulus, and
+    # softens it by 1 + alpha*(sigma/E)^(n-1) at the extreme-fibre stress
+    # sigma, largest at the root: P*a*(h/2)/I
+    law, inertia, length = s.material, s.beam.section.second_moment, s.beam.length
+    ratio = force * position * (0.5 * s.beam.height) / inertia / law.elastic_modulus
+    softening = math.inf
+    with contextlib.suppress(OverflowError):
+        softening = 1.0 + law.alpha * ratio ** (law.n - 1.0)
+    # 0 * inf is NaN: a zero load is refused where E*I underflows
+    flexibility = 1.0 / law.elastic_modulus / inertia
+    s._finite(
+        "material.E",
+        "the nonlinear deflection bound P*L^3/(E*I)*(1 + alpha*(P*a*h/(2*E*I))^(n-1))",
+        "material.E material.alpha material.n loads[0].p load_sweep.p_max "
+        "loads[0].position beam.width beam.height beam.length",
+        force * flexibility * (length * length * length) * softening,
+    )
+
+
 def _run_nonlinear(s: Scenario) -> tuple[dict, dict]:
     load = s.loads[0]
     p_values = (
@@ -1228,16 +1204,35 @@ def _run_nonlinear(s: Scenario) -> tuple[dict, dict]:
     return {"static_profile": profile, "load_curve": curve}, extras
 
 
-#: The runner of each kind of run (see _KINDS).
-_RUNNERS = {
-    "static": _run_static,
-    "quasi_static": _run_quasi_static,
-    "modal": _run_modal,
-    "system": _run_system,
-    "dynamic": _run_dynamic,
-    "sweep": _run_sweep,
-    "nonlinear": _run_nonlinear,
+#: What each kind of run accepts: the top-level blocks it cannot run without,
+#: those it may be given besides name, solver and notes (any other block is
+#: refused), the ends it is fixed to, left, right and their name, the _LOADS
+#: tags of the one load it takes, the check Scenario._check_solver calls once
+#: those hold, and the runner run_scenario calls.  A needed "a|b" is met by
+#: either block, but the kind reads only a: a dynamic run with a system block
+#: is its own kind, "system".  Every beam kind reads modal_only: `beamlab
+#: modal` reads any scenario with a beam.
+_KINDS = {
+    "static": ("beam bc loads", "grid modal_only probes", "", "", _check_static, _run_static),
+    "quasi_static": ("beam bc loads time", "grid modal_only probes output", "pinned pinned",
+                     "moving_point harmonic_point", _check_quasi_static, _run_quasi_static),
+    "modal": ("beam", "bc modal_only", "", "", _check_modal, _run_modal),
+    "system": ("system time", "integrator output", "", "", _check_system, _run_system),
+    "dynamic": ("beam|system bc loads time", "grid integrator modal_only probes output", "", "",
+                _check_dynamic, _run_dynamic),
+    "sweep": ("beam bc loads sweep", "grid integrator modal_only", "", "harmonic_point",
+              _check_sweep, _run_sweep),
+    "nonlinear": ("beam bc loads material", "grid load_sweep modal_only probes",
+                  "clamped free (cantilever)", "point", _check_nonlinear, _run_nonlinear),
 }
+SOLVERS = tuple(kind for kind in _KINDS if kind != "system")
+_READS = {
+    kind: {"name", "solver", "notes", *more.split(), *(b.partition("|")[0] for b in needs.split())}
+    for kind, (needs, more, *_) in _KINDS.items()
+}
+#: The provenance entry of each attribute, on the runs that read all its
+#: blocks: rayleigh damping applies to beam runs only.
+_RECORDED = {"grid_nodes": {"grid"}, "zeta1": {"beam", "integrator"}, "stride": {"output"}}
 
 
 def run_scenario(s: Scenario, *, sweep_workers: int = 1) -> ResultSet:
@@ -1251,7 +1246,7 @@ def run_scenario(s: Scenario, *, sweep_workers: int = 1) -> ResultSet:
     if sweep_workers < 1:
         raise ValidationError(f"sweep_workers must be >= 1, got {sweep_workers}")
     try:
-        outputs, extras = _RUNNERS[s.kind](s)
+        outputs, extras = _KINDS[s.kind][-1](s)
     except SolverError as exc:
         raise type(exc)(f"scenario '{s.name}': {exc}") from exc
     reads = _READS[s.kind]

@@ -210,9 +210,9 @@ def test_tiny_elastic_modulus_exits_cleanly(tmp_path, monkeypatch, capsys, name,
     # 1e-320..1e-290: where their static deflection could overflow, parse
     # refuses the modulus, where the solver once overflowed with warnings
     entered = []
-    for kind, runner in scenario._RUNNERS.items():
+    for kind, (*row, runner) in scenario._KINDS.items():
         monkeypatch.setitem(
-            scenario._RUNNERS, kind, lambda s, runner=runner: entered.append(s) or runner(s)
+            scenario._KINDS, kind, (*row, lambda s, runner=runner: entered.append(s) or runner(s))
         )
     data = json.loads(scenario_to_json(preset(name)))
     passed = []
@@ -633,9 +633,9 @@ def test_beam_dynamic_outputs_match_recorded_digests(tmp_path):
 def entered(monkeypatch):
     """The scenarios that reached a runner, each runner wrapped to record it."""
     calls = []
-    for kind, runner in scenario._RUNNERS.items():
+    for kind, (*row, runner) in scenario._KINDS.items():
         monkeypatch.setitem(
-            scenario._RUNNERS, kind, lambda s, runner=runner: calls.append(s) or runner(s)
+            scenario._KINDS, kind, (*row, lambda s, runner=runner: calls.append(s) or runner(s))
         )
     return calls
 
