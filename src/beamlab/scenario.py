@@ -81,6 +81,13 @@ MAX_MODE_STEPS = 10**12
 #: roots reach beta*L of about 31 400, where floats still resolve the
 #: 1e-10/L root tolerance (past about 35 800 roots they do not).
 MAX_MODES = 10_000
+#: Largest k*dx^3/EI of a spring end on a run that fits its first mode: a
+#: sweep, or a beam `dynamic` run with Rayleigh damping.  Stiffer springs
+#: dwarf the beam's entries of K and leave the first mode to rounding: on the
+#: reference beam at 801 nodes (one BLAS thread) a dynamic run's dense eigh
+#: put omega1 1.7e-4 off the factor SVD's at this ratio, 2.7e-3 at 1e4 and 0
+#: at 1e8.  It admits bc.k up to 1.7e12 N/m at 41 nodes and 1.4e16 N/m at 801.
+MAX_SPRING_RATIO = 1e3
 _MIB = 2**20
 #: The fields of a beam's EI and its grid spacing.
 _BEAM_FIELDS = "beam.elastic_modulus beam.width beam.height beam.length grid.nodes"
@@ -369,6 +376,15 @@ class Scenario:
         quantity = "the largest stiffness entry 7*EI/dx^3 + spring k"
         self._finite("beam", quantity, f"{_BEAM_FIELDS} bc.k", entry)
         return entry
+
+    def _spring_ratio(self, dx: float) -> None:
+        ratio = self._spring * dx * dx * dx / self.beam.section.flexural_rigidity
+        if ratio > MAX_SPRING_RATIO:
+            raise ValidationError(
+                f"'bc.k' {self._spring!r}: k*dx^3/EI at grid.nodes {self.grid_nodes} is "
+                f"{ratio:.3g}, above {MAX_SPRING_RATIO:.0f}, where the first mode is lost "
+                "to rounding; lower bc.k or use pinned ends"
+            )
 
     def _damping(self, smallest: float, entry: float) -> float:
         # Rayleigh damping b*K, b = 2*zeta1/omega1.  omega1 is at least
@@ -1075,6 +1091,7 @@ def _check_dynamic(s: Scenario) -> None:
     dx = s._spacing()
     entry = s._stiffness(dx)
     if s.zeta1 > 0.0:  # the Rayleigh fit takes the first mode
+        s._spring_ratio(dx)
         smallest, _ = s._eigenvalues(dx, "dynamic run's")
         s._damping(smallest, entry)
 
@@ -1118,7 +1135,9 @@ def _check_sweep(s: Scenario) -> None:
             f"mode-steps, above the {MAX_MODE_STEPS:.0e} limit; lower the settle "
             "and measure periods, sweep.f_count or grid.nodes"
         )
-    smallest, largest = s._eigenvalues(s._spacing(), "sweep's")
+    dx = s._spacing()
+    s._spring_ratio(dx)
+    smallest, largest = s._eigenvalues(dx, "sweep's")
     coeff = s._damping(smallest, largest)
     # every step is 1/(SWEEP_STEPS_PER_PERIOD*f) long, the longest at f_min
     dt = 1.0 / SWEEP_STEPS_PER_PERIOD / sweep.f_min

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from beamlab import dynamics, modal, scenario
@@ -70,6 +71,18 @@ def test_stride_on_runs_without_time_series_exit_2(tmp_path, capsys, name):
         capsys.readouterr().err
     )
     assert not out_dir.exists()
+
+
+def test_stride_below_one_exit_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--preset", "exp2_1", "--out", str(out_dir), "--stride", "0"]) == 2
+    assert capsys.readouterr().err == "error: output.stride must be >= 1, got 0\n"
+    assert not out_dir.exists()
+
+
+def test_modal_of_a_beamless_scenario_exit_2(capsys):
+    assert main(["modal", "--preset", "exp5_2", "--modes", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: modal analysis requires a beam block\n")
 
 
 def test_system_run_with_grid_exit_2(tmp_path, capsys):
@@ -718,6 +731,92 @@ def test_rayleigh_damping_bound_holds_at_any_ends(entered, name, bc):
             scenario.scenario_from_dict(data)
         failures += [f"zeta1 {zeta1!r}: {failure}" for failure in unclean_ends(data, entered)]
     assert not failures, "\n".join(failures)
+
+
+#: Spring ends of one stiffness bc.k, set by each test.
+SPRINGS = {"left": "spring", "right": "spring", "k": 1.0}
+
+
+def test_every_field_a_bound_names_exists(monkeypatch):
+    # a refused bound names the fields its value is built from, leaving out
+    # any name the run does not serialize: so each name must be a leaf of
+    # some run, or a renamed field would silently drop out of the message
+    named, labels = set(), set()
+    finite = scenario.Scenario._finite
+
+    def spy(s, label, quantity, names, *values):
+        labels.add(label)
+        named.update(names.split())
+        return finite(s, label, quantity, names, *values)
+
+    monkeypatch.setattr(scenario.Scenario, "_finite", spy)
+    runs = [scenario_to_dict(preset(name)) for name in scenario.PRESET_NAMES] + [BEAM_DYNAMIC]
+    # the kinds whose ends are not fixed, on spring ends
+    runs += [
+        {**data, "bc": {**SPRINGS, "k": 1e6}}
+        for data in runs
+        if data["solver"] in ("static", "dynamic", "sweep") and "bc" in data
+    ]
+    leaves = set()
+    for data in runs:
+        leaves.update(scenario._leaves(scenario_to_dict(scenario.scenario_from_dict(data))))
+    bounds = {"beam", "integrator.rayleigh.zeta1", "system.mass", "sweep.f_min", "material.E"}
+    assert labels == bounds
+    assert "bc.k" in named and not named - leaves, sorted(named - leaves)
+
+
+@pytest.mark.parametrize(
+    "name, nodes, first",
+    # the first decade of bc.k at which k*dx^3/EI on the reference beam
+    # passes MAX_SPRING_RATIO (1e3): 1.7e12 N/m at 41 nodes, 2.1e14 N/m at
+    # 201 and 1.4e16 N/m at 801
+    [
+        ("exp5_1", 41, 13),
+        ("exp5_1", 201, 15),
+        ("beam_dynamic", 41, 13),
+        ("beam_dynamic", 201, 15),
+        ("beam_dynamic", 801, 17),
+    ],
+)
+def test_stiff_spring_ends_refused_at_parse(entered, name, nodes, first):
+    # a sweep or a damped beam dynamic run fits its first mode, which springs
+    # far stiffer than EI/dx^3 leave to rounding: each decade of bc.k below
+    # the bound parses, and each from it on is refused naming bc.k
+    base = BEAM_DYNAMIC if name == "beam_dynamic" else scenario_to_dict(preset(name))
+    data = {**copy.deepcopy(base), "bc": dict(SPRINGS), "grid": {"nodes": nodes}}
+    for exponent in [*range(41), 100, 300, 308]:
+        data["bc"]["k"] = float(f"1e{exponent}")
+        if exponent < first:
+            scenario.scenario_from_dict(data)
+            continue
+        with pytest.raises(ValidationError, match=r"^'bc\.k' [^:]+: k\*dx\^3/EI at grid\.nodes "):
+            scenario.scenario_from_dict(data)
+    if nodes == 41:  # either side of the bound, and far past it, ends cleanly
+        for exponent in (first - 1, first, 18, 28, 38, 300):
+            data["bc"]["k"] = float(f"1e{exponent}")
+            assert not unclean_ends(data, entered), exponent
+
+
+@pytest.mark.parametrize("name", ["exp1", "undamped"])
+def test_spring_ends_of_any_stiffness_run_without_a_fit(entered, name):
+    # a static run and an undamped beam dynamic run fit no mode: they take
+    # every bc.k, and from 1e20 N/m their answer is the pinned one
+    base = copy.deepcopy(BEAM_DYNAMIC if name == "undamped" else scenario_to_dict(preset(name)))
+    if name == "undamped":
+        base["integrator"]["rayleigh"]["zeta1"] = 0.0
+
+    def answer(data):
+        result = scenario.run_scenario(scenario.scenario_from_dict(data))
+        profile = result.static_profile
+        return result.time_series.frames if profile is None else profile.deflection
+
+    pinned = answer(base)
+    for exponent in (12, 13, 20, 28, 38, 100, 300, 308):
+        data = {**copy.deepcopy(base), "bc": {**SPRINGS, "k": float(f"1e{exponent}")}}
+        assert not unclean_ends(data, entered), exponent
+        if exponent >= 20:
+            error = np.abs(answer(data) - pinned).max() / np.abs(pinned).max()
+            assert error < 1e-8, (exponent, error)
 
 
 # Which commands load scipy.  Each check runs in a fresh interpreter: this

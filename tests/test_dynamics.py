@@ -282,6 +282,12 @@ class TestIntegrate:
         peaks = np.abs(result.frames[:, 0]).max()
         assert abs(0.5 * system.stiffness[0, 0] * peaks**2 - energy0) / energy0 < 1e-3
 
+    def test_stride_below_one_refused(self):
+        system = sdof_system(**UNIT_OSC)
+        tgrid = TimeGrid(0.0, 1.0, 0.1)
+        with pytest.raises(ValidationError, match=r"^stride must be >= 1, got 0$"):
+            integrate(system, constant_force([0.0]), [0.0], [0.0], tgrid, stride=0)
+
     def test_constant_force_static_limit(self):
         system = sdof_system(1.0, 1.0, OMEGA_UNIT**2)
         tgrid = TimeGrid(0.0, 20.0, 1e-3)
@@ -1106,6 +1112,16 @@ class TestFrequencySweep:
     def test_rejects_bad_frequencies(self, ref_beam):
         with pytest.raises(ValidationError):
             frequency_sweep(ref_beam, PINNED, 21, 1e3, 5.0, [0.0])
+
+    @pytest.mark.parametrize("settle, measure", [(0, 10), (30, 0)], ids=["settle", "measure"])
+    def test_rejects_periods_below_one(self, ref_beam, settle, measure):
+        with pytest.raises(
+            ValidationError, match=r"^settle_periods and measure_periods must be >= 1$"
+        ):
+            frequency_sweep(
+                ref_beam, PINNED, 21, 1e3, 5.0, [2.0],
+                settle_periods=settle, measure_periods=measure,
+            )
 
     @pytest.mark.parametrize("freqs", [[], [2.0]], ids=["none", "one"])
     def test_inputs_checked_before_an_empty_sweep(self, ref_beam, freqs):

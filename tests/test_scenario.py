@@ -860,6 +860,7 @@ _UDL = {"type": "udl", "q": 5000.0}
 _POINT = {"type": "point", "p": 1.0e4, "position": 5.0}
 _MOVING = {"type": "moving_point", "p": 1.0e4, "speed": 1.0, "x0": 0.0}
 _SHORT = {"end": 0.05, "dt": 0.01}
+_SYSTEM = scenario_to_dict(preset("exp5_2"))["system"]
 
 
 def modal_dict(**edits):
@@ -1150,6 +1151,45 @@ def modal_dict(**edits):
             "load_sweep.count 1000000000000: the load curve's points would take about "
             "244140625 MiB, above the 1024 MiB limit; lower load_sweep.count",
             id="data45-load_sweep.count above the array limit",
+        ),
+        pytest.param(
+            edited("exp1", bc={"left": "hinged", "right": "pinned"}),
+            "'bc.left' must be one of pinned, clamped, free, spring; got 'hinged'",
+            id="data46-unknown end kind",
+        ),
+        pytest.param(
+            edited("exp2_1", output={"stride": 0}),
+            "output.stride must be >= 1, got 0",
+            id="data47-output.stride must be >= 1, got 0",
+        ),
+        pytest.param(
+            edited("exp1", name=""),
+            "scenario name must be non-empty",
+            id="data48-scenario name must be non-empty",
+        ),
+        pytest.param(
+            edited(
+                "exp5_2",
+                system={**_SYSTEM, "dofs": 1, "force": {**_SYSTEM["force"], "axis": "y"}},
+            ),
+            "'system': a one-DOF system only accepts force axis 'x'",
+            id="data49-one-DOF system driven along y",
+        ),
+        pytest.param(
+            edited("exp1", probes=5.0),
+            "'probes' must be a list of positions in meters",
+            id="data50-probes given as a number",
+        ),
+        pytest.param(
+            # at zeta1 1e136 this sweep once overflowed with RuntimeWarnings
+            edited(
+                "exp5_1",
+                bc={"left": "spring", "right": "spring", "k": 1e28},
+                integrator={"rayleigh": {"zeta1": 1e136}},
+            ),
+            "'bc.k' 1e+28: k*dx^3/EI at grid.nodes 41 is 5.86e+18, above 1000, where the "
+            "first mode is lost to rounding; lower bc.k or use pinned ends",
+            id="data51-spring end far stiffer than the beam",
         ),
     ],
 )
