@@ -798,9 +798,9 @@ def test_stiff_spring_ends_refused_at_parse(entered, name, nodes, first):
 
 
 @pytest.mark.parametrize("name", ["exp1", "undamped"])
-def test_spring_ends_of_any_stiffness_run_without_a_fit(entered, name):
+def test_spring_ends_of_any_stiffness_run_without_a_fit(name):
     # a static run and an undamped beam dynamic run fit no mode: they take
-    # every bc.k, and from 1e20 N/m their answer is the pinned one
+    # every bc.k, and tend to the pinned answer as it stiffens
     base = copy.deepcopy(BEAM_DYNAMIC if name == "undamped" else scenario_to_dict(preset(name)))
     if name == "undamped":
         base["integrator"]["rayleigh"]["zeta1"] = 0.0
@@ -813,10 +813,8 @@ def test_spring_ends_of_any_stiffness_run_without_a_fit(entered, name):
     pinned = answer(base)
     for exponent in (12, 13, 20, 28, 38, 100, 300, 308):
         data = {**copy.deepcopy(base), "bc": {**SPRINGS, "k": float(f"1e{exponent}")}}
-        assert not unclean_ends(data, entered), exponent
-        if exponent >= 20:
-            error = np.abs(answer(data) - pinned).max() / np.abs(pinned).max()
-            assert error < 1e-8, (exponent, error)
+        error = np.abs(answer(data) - pinned).max() / np.abs(pinned).max()
+        assert error < (1e-5 if exponent < 20 else 1e-8), (exponent, error)
 
 
 # Which commands load scipy.  Each check runs in a fresh interpreter: this
