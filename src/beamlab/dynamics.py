@@ -13,7 +13,7 @@ damping.  The effective matrix is factorized once per run.
 Beams are reduced to mass-spring chains by lumping rho*A over nodal tributary
 lengths and reusing the static bending stiffness; damping, when requested, is
 Rayleigh stiffness-proportional fitted to a first-mode damping ratio, so beam
-runs refuse ends that leave a rigid-body mode, which it cannot damp.
+runs refuse the ends that `BoundarySpec.rigid_body_warning` flags.
 
 Classically damped systems under a harmonic load take a shortcut: when the
 mass-normalized eigenvectors Phi of (K, M) diagonalize M, C and K together,
@@ -276,26 +276,18 @@ def _lumped_mass(beam: BeamSpec, grid: SpatialGrid, free: np.ndarray) -> np.ndar
     return beam.section.mass_per_length * trapezoid_weights(grid)[free]
 
 
-def _rigid_body_warning(bc: BoundarySpec) -> str | None:
-    """Why the ends leave a rigid-body mode free, or None if they do not."""
-    if bc.constraint_count < 2:
-        return f"end conditions {bc.left.kind}-{bc.right.kind} leave rigid-body modes free"
-    return None
-
-
 def discretize_beam(beam: BeamSpec, bc: BoundarySpec, n_nodes: int) -> MdofSystem:
     """Undamped lumped-mass finite-difference beam model over the free nodes.
 
     Mass lumps rho*A over nodal tributary lengths (half cells at the ends);
     stiffness is the static bending operator.
     Under-constrained support sets are allowed (for eigen comparisons) but
-    tagged with a rank warning that `integrate` honors.
+    tagged with `BoundarySpec.rigid_body_warning`, which `integrate` honors.
     """
     _check_beam_nodes(n_nodes)
     grid = SpatialGrid.for_beam(beam, n_nodes)
     stiffness, free = beam_stiffness_matrix(beam, bc, grid)
     mass = np.diag(_lumped_mass(beam, grid, free))
-    warning = _rigid_body_warning(bc)
     return MdofSystem(
         mass=mass,
         damping=np.zeros_like(mass),
@@ -303,7 +295,7 @@ def discretize_beam(beam: BeamSpec, bc: BoundarySpec, n_nodes: int) -> MdofSyste
         labels=tuple(compress(grid.labels, free)),
         grid=grid,
         free_mask=free,
-        rank_warning=warning,
+        rank_warning=bc.rigid_body_warning,
     )
 
 
@@ -332,15 +324,17 @@ def beam_time_response(
     """Integrate a discretized beam from rest and report full-grid frames.
 
     zeta1 > 0 adds stiffness-proportional Rayleigh damping fitted to the
-    discrete first mode.  Ends that leave a rigid-body mode are refused
-    whatever zeta1: that damping would leave the mode undamped.  Udl and
-    point loads are turned into nodal forces once; harmonic and moving loads
-    are added at every step.
+    discrete first mode.  Ends that leave a rigid-body mode free are refused
+    by `BoundarySpec.rigid_body_warning` whatever zeta1, before any operator
+    is built: that damping would leave the mode undamped.  Udl and point
+    loads are turned into nodal forces once; harmonic and moving loads are
+    added at every step.
     """
     check_load_positions(loads, beam.length)
+    _check_beam_nodes(n_nodes)
+    if warning := bc.rigid_body_warning:
+        raise RankDeficiencyError(f"cannot integrate rank-deficient system: {warning}")
     system = discretize_beam(beam, bc, n_nodes)
-    if system.rank_warning:  # stiffness-proportional damping cannot damp rigid modes
-        raise RankDeficiencyError(f"cannot integrate rank-deficient system: {system.rank_warning}")
     if zeta1 > 0.0:
         omega1 = float(eigenfrequencies(system, 1)[0])
         coeff = stiffness_damping_coeff(zeta1, omega1)
@@ -660,8 +654,7 @@ def frequency_sweep(
     mid_node = grid.nearest_node(beam.length / 2.0)
     load = nodal_force(PointLoad(p0, xload), grid)
     _check_beam_nodes(n_nodes)
-    warning = _rigid_body_warning(bc)
-    if warning:  # stiffness-proportional damping cannot damp rigid modes
+    if warning := bc.rigid_body_warning:  # see beam_time_response
         raise RankDeficiencyError(f"cannot integrate rank-deficient system: {warning}")
     if not freqs:
         return []

@@ -233,6 +233,14 @@ class BoundarySpec:
     def constraint_count(self) -> int:
         return self.left.constraint_count + self.right.constraint_count
 
+    @property
+    def rigid_body_warning(self) -> str | None:
+        """Why the ends leave a rigid-body mode free, or None if they hold
+        both: the one text with which every beam solver refuses them."""
+        if self.constraint_count < 2:
+            return f"end conditions {self.left.kind}-{self.right.kind} leave rigid-body modes free"
+        return None
+
 
 @dataclass(frozen=True)
 class UdlLoad:

@@ -212,15 +212,12 @@ def static_fd_solve(
     """Finite-difference static solve K w = F with the given end conditions.
 
     Dirichlet nodes (pinned/clamped ends) are eliminated and restored as exact
-    zeros.  Configurations that leave a rigid-body mode unconstrained (fewer
-    than two end constraints, e.g. free-free or pinned-free) are rejected.
+    zeros.  Ends that leave a rigid-body mode free (e.g. free-free or
+    pinned-free) are refused with `BoundarySpec.rigid_body_warning`.
     """
     grid = SpatialGrid.for_beam(beam, n_nodes)
-    if bc.constraint_count < 2:
-        raise RankDeficiencyError(
-            f"end conditions {bc.left.kind}-{bc.right.kind} leave rigid-body "
-            "modes unconstrained"
-        )
+    if warning := bc.rigid_body_warning:
+        raise RankDeficiencyError(warning)
     force = np.zeros(grid.node_count)
     for load in loads:
         if not isinstance(load, STATIC_LOADS):

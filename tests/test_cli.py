@@ -160,12 +160,30 @@ def test_partial_time_step_exit_2(tmp_path, capsys):
     assert "whole number" in capsys.readouterr().err
 
 
-def test_solver_error_exit_3(tmp_path, capsys):
-    text = scenario_to_json(preset("exp1")).replace('"right": "pinned"', '"right": "free"')
+@pytest.mark.parametrize(
+    "name, prefix",
+    [
+        ("exp1", ""),
+        ("beam_dynamic", "cannot integrate rank-deficient system: "),
+        ("exp5_1", "cannot integrate rank-deficient system: "),
+    ],
+    ids=["static", "dynamic", "sweep"],
+)
+def test_rigid_body_ends_exit_3(tmp_path, capsys, name, prefix):
+    # every beam run that needs both rigid-body modes held refuses with one text
+    base = BEAM_DYNAMIC if name == "beam_dynamic" else scenario_to_dict(preset(name))
     path = tmp_path / "under.json"
-    path.write_text(text)
+    path.write_text(json.dumps({**base, "bc": {"left": "pinned", "right": "free"}}))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
-    assert "rigid" in capsys.readouterr().err
+    refusal = "end conditions pinned-free leave rigid-body modes free"
+    assert capsys.readouterr().err == f"error: scenario '{name}': {prefix}{refusal}\n"
+
+
+def test_output_path_an_existing_file_exit_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", "--preset", "exp1", "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
 
 
 def test_mode_count_above_the_ceiling_exit_2(monkeypatch, capsys):

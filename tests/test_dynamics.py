@@ -139,6 +139,29 @@ class TestSystemBuilders:
         with pytest.raises(ValidationError, match="mass"):
             sdof_system(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("c, k", [(-0.1, 1.0), (0.1, -1.0)], ids=["damping", "stiffness"])
+    def test_sdof_rejects_negative_damping_or_stiffness(self, c, k):
+        message = "^damping and stiffness must be nonnegative$"
+        with pytest.raises(ValidationError, match=message):
+            sdof_system(1.0, c, k)
+
+    @pytest.mark.parametrize(
+        "damping, labels, message",
+        [
+            (np.zeros((2, 3)), ("a", "b"), r"^damping matrix must be 2x2, got \(2, 3\)$"),
+            (np.zeros((2, 2)), ("a",), "^expected 2 dof labels, got 1$"),
+        ],
+        ids=["shape", "labels"],
+    )
+    def test_mdof_checks_shapes_and_labels(self, damping, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            MdofSystem(np.eye(2), damping, np.eye(2), labels)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_eigenfrequencies_count_in_range(self, count):
+        with pytest.raises(ValidationError, match=rf"^count must be in \[1, 1\], got {count}$"):
+            eigenfrequencies(sdof_system(1.0, 0.0, 1.0), count)
+
     def test_mdof_requires_symmetry(self):
         with pytest.raises(ValidationError, match="stiffness"):
             MdofSystem(
@@ -308,6 +331,14 @@ class TestIntegrate:
         with pytest.raises(SolverError, match=r"failed at t=0\.25: getrs info -3"):
             integrate(system, constant_force([1.0]), [0.0], [0.0], tgrid)
 
+    def test_overflowing_effective_matrix_refused(self):
+        # M + dt^2/4*K overflows to inf, which lu_factor refuses
+        system = sdof_system(1.0, 0.0, 1e300)
+        tgrid = TimeGrid(0.0, 1e10, 1e10)
+        message = "^effective matrix factorization failed: array must not contain infs"
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match=message):
+            integrate(system, constant_force([0.0]), [0.0], [0.0], tgrid)
+
     def test_damped_resonance_amplitude(self):
         m, c, k = 1.0, 0.2, OMEGA_UNIT**2
         system = sdof_system(m, c, k)
@@ -418,6 +449,124 @@ def test_property_undamped_average_acceleration_conserves_energy(
         v = 2.0 * (u_next - u) / dt - v
         energy = system_energy(system, u_next, v)
         assert abs(energy - energy0) <= 1e-9 * energy0
+
+
+def energy_balance_excess(system: MdofSystem, frames, forces, v0, dt) -> np.ndarray:
+    """Per step, |residual| of the average-acceleration energy balance over
+    its rounding bound: at most 1 wherever the run is Newmark's gamma = 1/2,
+    beta = 1/4 update.
+
+    The balance, exact in exact arithmetic for any M, C, K and load, is
+    1/2 v1'Mv1 + 1/2 u1'Ku1 - 1/2 v0'Mv0 - 1/2 u0'Ku0
+        = 1/2 du'(F0 + F1) - dt/4 (v0 + v1)'C(v0 + v1),
+    with each velocity taken from the stride-1 frames by v1 = 2 du/dt - v0.
+    The bound is eps times the condition number of the effective matrix
+    M + dt/2 C + dt^2/4 K times the sum of the terms' magnitudes, each term
+    x'Ax widened to |x|'|A|(|x| + 2 s) by the rounding scale s of x: s of u1
+    is |u0| + |u1| + dt |v0| + dt^2 (|a0| + |a1|), the pieces of its update,
+    and s of v1 adds 2/dt times that and |v1| to s of v0, since every
+    velocity carries the rounding of every displacement before it.
+    """
+    mass, damping, stiffness = system.mass, system.damping, system.stiffness
+    cond = np.linalg.cond(mass + 0.5 * dt * damping + 0.25 * dt**2 * stiffness)
+
+    def widened(x, matrix, scale):
+        return np.abs(x) @ np.abs(matrix) @ (np.abs(x) + 2.0 * scale)
+
+    def acceleration(u, v, force):
+        return np.linalg.solve(mass, force - damping @ v - stiffness @ u)
+
+    u, v, force = frames[0], np.asarray(v0, dtype=float), forces[0]
+    a, u_scale, v_scale = acceleration(u, v, force), np.abs(u), np.zeros_like(u)
+    excess = []
+    for u1, force1 in zip(frames[1:], forces[1:]):
+        du = u1 - u
+        v1 = 2.0 * du / dt - v
+        a1 = acceleration(u1, v1, force1)
+        u1_scale = np.abs(u1) + np.abs(u) + dt * np.abs(v) + dt**2 * (np.abs(a) + np.abs(a1))
+        v1_scale = v_scale + 2.0 * u1_scale / dt + np.abs(v1)
+        both = v + v1
+        residual = (
+            0.5 * (v1 @ mass @ v1 + u1 @ stiffness @ u1 - v @ mass @ v - u @ stiffness @ u)
+            - 0.5 * du @ (force + force1)
+            + 0.25 * dt * both @ damping @ both
+        )
+        terms = (
+            widened(v1, mass, v1_scale)
+            + widened(u1, stiffness, u1_scale)
+            + widened(v, mass, v_scale)
+            + widened(u, stiffness, u_scale)
+            + (np.abs(du) + u_scale + u1_scale) @ np.abs(force + force1)
+            + 0.25 * dt * widened(both, damping, v_scale + v1_scale)
+        )
+        excess.append(abs(residual) / (np.finfo(float).eps * cond * terms))
+        u, v, force, a, u_scale, v_scale = u1, v1, force1, a1, u1_scale, v1_scale
+    return np.array(excess)
+
+
+def random_spd(rng, n: int, scale: float) -> np.ndarray:
+    """A random symmetric positive definite n x n matrix of about `scale`."""
+    factor = rng.normal(size=(n, n))
+    return scale * (factor @ factor.T + 0.1 * np.eye(n))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    dofs=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 40),
+    log_dt=st.floats(-4.0, 1.0),
+    damped=st.booleans(),
+)
+def test_property_integrate_keeps_the_energy_balance(dofs, seed, steps, log_dt, damped):
+    rng = np.random.default_rng(seed)
+    system = MdofSystem(
+        mass=random_spd(rng, dofs, 1.0),
+        damping=random_spd(rng, dofs, rng.uniform(0.0, 1.0) if damped else 0.0),
+        stiffness=random_spd(rng, dofs, 10.0 ** rng.uniform(-1.0, 3.0)),
+        labels=tuple(f"d{i}" for i in range(dofs)),
+    )
+    steady, swing = rng.normal(size=(2, dofs))
+    drive = rng.uniform(0.5, 20.0)
+
+    def schedule(t):
+        return steady + swing * math.sin(drive * t)
+
+    u0, v0 = rng.normal(size=(2, dofs))
+    dt = 10.0**log_dt
+    result = integrate(system, schedule, u0, v0, TimeGrid(0.0, steps * dt, dt))
+    forces = np.array([schedule(t) for t in result.times])
+    assert np.all(energy_balance_excess(system, result.frames, forces, v0, dt) <= 1.0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    modes=st.integers(1, 6),
+    freqs=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 300),
+    start=st.floats(-5.0, 5.0),
+)
+def test_property_modal_response_keeps_the_energy_balance(modes, freqs, seed, steps, start):
+    # each unit-mass mode, read out by the identity, is its own Newmark run,
+    # so every stitched block must keep the balance too
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** rng.uniform(-1.0, 4.0, modes)
+    damping = rng.uniform(0.0, 0.5, modes) * np.sqrt(lam)
+    gain = rng.normal(size=modes)
+    omega = rng.uniform(0.5, 60.0, freqs)
+    dt = 10.0 ** rng.uniform(-4.0, -0.5, freqs)
+    history = modal_harmonic_response(
+        lam, damping, gain, omega, dt, steps, np.eye(modes), start=start
+    )
+    system = MdofSystem(np.eye(modes), np.diag(damping), np.diag(lam), ("q",) * modes)
+    for column, (w, step) in enumerate(zip(omega, dt)):
+        # the drive's phase in long double, as the recurrence takes it
+        times = start + np.arange(steps + 1) * np.longdouble(step)
+        forces = (np.sin(np.longdouble(w) * times)[:, None] * gain).astype(float)
+        frames = history[:, column]
+        excess = energy_balance_excess(system, frames, forces, np.zeros(modes), step)
+        assert np.all(excess <= 1.0), (column, excess.max())
 
 
 def system_run_and_coupled_oracle(dofs, damping, axis, time, gamma, beta, stride):
@@ -902,13 +1051,20 @@ RIGID_BODY_ENDS = pytest.mark.parametrize(
 
 
 def refuses_rigid_body_ends(monkeypatch, ends):
-    """Fail any eigensolve, and expect the refusal that names `ends`."""
+    """Fail any eigensolve and any building of an operator, and expect the
+    refusal that names `ends`."""
 
-    def no_eigensolve(*args, **kwargs):
-        raise AssertionError("eigensolve before the rigid-body refusal")
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eigensolve or operator before the rigid-body refusal")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", no_eigensolve)
-    return pytest.raises(RankDeficiencyError, match=f"end conditions {ends} leave rigid-body")
+    monkeypatch.setattr(scipy.linalg, "eigh", unreachable)
+    for name in ("discretize_beam", "beam_stiffness_matrix", "beam_factor"):
+        monkeypatch.setattr(dynamics, name, unreachable)
+    return pytest.raises(
+        RankDeficiencyError,
+        match=f"^cannot integrate rank-deficient system: end conditions {ends} "
+        "leave rigid-body modes free$",
+    )
 
 
 def ends_spec(ends: str, spring: float = 1e6) -> BoundarySpec:

@@ -435,6 +435,14 @@ class TestModeShape:
         with pytest.raises(ValidationError, match="root"):
             mode_shape(0.21, ref_beam, PINNED, grid)
 
+    def test_double_root_refused(self, ref_beam):
+        # free-free ends near beta = 0: the shift and the tilt both solve it,
+        # so two singular values vanish; root scans start above this
+        grid = SpatialGrid.for_beam(ref_beam, 51)
+        message = "^degenerate root at beta=1e-08: two singular values vanish together$"
+        with pytest.raises(DegenerateModeError, match=message):
+            mode_shape(1e-8, ref_beam, FREE_FREE, grid)
+
     def test_field_equation_consistency(self, ref_beam):
         # omega^2 * rhoA * phi should match EI * phi'''' in the interior
         grid = SpatialGrid.for_beam(ref_beam, 401)

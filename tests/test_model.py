@@ -133,6 +133,13 @@ class TestGrids:
         assert idx == 100
         assert grid.positions[idx] == 5.0
 
+    @pytest.mark.parametrize("position", [-0.5, 10.5])
+    def test_nearest_node_refuses_positions_off_the_span(self, position):
+        with pytest.raises(
+            ValidationError, match=rf"^position {position} outside beam span \[0, 10\.0\]$"
+        ):
+            SpatialGrid(10.0, 5).nearest_node(position)
+
     def test_labels_round_trip_positions(self, ref_beam):
         assert SpatialGrid(10.0, 5).labels == ("x=0.0", "x=2.5", "x=5.0", "x=7.5", "x=10.0")
         grid = SpatialGrid.for_beam(ref_beam, 201)
@@ -220,6 +227,13 @@ class TestResults:
     def test_time_series_row_count_invariant(self):
         with pytest.raises(ValidationError, match="frames"):
             TimeSeriesResult(np.arange(5.0), np.zeros((4, 3)), ("a", "b", "c"))
+
+    @pytest.mark.parametrize("field", ["times", "frames"])
+    def test_time_series_refuses_non_finite_values(self, field):
+        arrays = {"times": np.arange(3.0), "frames": np.ones((3, 2))}
+        arrays[field][-1] = math.nan
+        with pytest.raises(ValidationError, match="^time series contains non-finite values$"):
+            TimeSeriesResult(arrays["times"], arrays["frames"], ("x", "y"))
 
     def test_time_series_probe_length_checked(self):
         with pytest.raises(ValidationError, match="probe"):

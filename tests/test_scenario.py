@@ -14,9 +14,11 @@ import beamlab.scenario
 from beamlab.dynamics import (
     MIN_BEAM_NODES,
     RECURRENCE_BYTES,
+    SweepPoint,
     _blocking,
     _frequency_bytes,
 )
+from beamlab.material import LoadCurvePoint
 from beamlab.model import (
     MIN_GRID_NODES,
     BoundarySpec,
@@ -33,6 +35,7 @@ from beamlab.scenario import (
     MAX_MODE_STEPS,
     PRESET_NAMES,
     LoadSweepSpec,
+    ResultSet,
     Scenario,
     SweepSpec,
     parse_scenario,
@@ -171,6 +174,28 @@ def test_integers_beyond_float_range_rejected_at_parse():
     data["grid"] = {"nodes": 10**400}
     with pytest.raises(ValidationError, match=r"^grid\.nodes 10+: .* MiB limit"):
         scenario_from_dict(data)
+
+
+def test_load_of_a_foreign_type_refused():
+    @dataclass(frozen=True)
+    class ForeignLoad:
+        q: float = 1.0
+
+    with pytest.raises(ValidationError, match="^cannot serialize load of type ForeignLoad$"):
+        replace(preset("exp1"), loads=(ForeignLoad(),))
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        ({"sweep_points": [SweepPoint(1.0, math.nan)]}, "sweep results contain"),
+        ({"load_curve": [LoadCurvePoint(1.0, 0.0, math.inf)]}, "load curve contains"),
+    ],
+    ids=["sweep", "load_curve"],
+)
+def test_result_set_refuses_non_finite_points(outputs, message):
+    with pytest.raises(ValidationError, match=f"^{message} non-finite values$"):
+        ResultSet(preset("exp1"), {}, **outputs)
 
 
 def test_repeated_keys_rejected_at_parse():

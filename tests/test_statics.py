@@ -101,6 +101,8 @@ class TestClosedForms:
             ss_point_deflection(3.0, P_REF, 10.5, ref_beam)
         with pytest.raises(ValidationError):
             cantilever_point_deflection(10.2, P_REF, 5.0, ref_beam)
+        with pytest.raises(ValidationError, match="^cantilever load position a must be positive$"):
+            cantilever_point_deflection(5.0, P_REF, 0.0, ref_beam)
 
 
 class TestNodalForce:
@@ -317,8 +319,17 @@ class TestFdSolve:
             "spring": EndCondition.spring(1e3),
         }
         bc = BoundarySpec(ends[left], ends[right])
-        with pytest.raises(RankDeficiencyError):
+        message = f"^end conditions {left}-{right} leave rigid-body modes free$"
+        with pytest.raises(RankDeficiencyError, match=message):
             static_fd_solve(ref_beam, bc, [UdlLoad(Q_REF)], 51)
+
+    def test_stiffness_underflowing_to_zero_refused(self):
+        # EI/dx^3, about 1e-33/8e294, underflows: K is exactly zero
+        beam = BeamSpec(
+            length=1e100, width=0.2, height=0.4, elastic_modulus=1e-30, density=2500.0
+        )
+        with pytest.raises(RankDeficiencyError, match="^static system is singular: "):
+            static_fd_solve(beam, BoundarySpec.pinned_pinned(), [UdlLoad(Q_REF)], 51)
 
     def test_time_dependent_load_rejected(self, ref_beam):
         with pytest.raises(ValidationError, match="time-dependent"):
