@@ -131,7 +131,9 @@ class MdofSystem:
 
     For beam systems the matrices cover the free (non-Dirichlet) nodes only;
     `grid` and `free_mask` let results be scattered back onto the full grid.
-    A float64 matrix is kept as given, not copied, and made read-only.
+    Only the mass must be positive definite; a singular stiffness, as on ends
+    that leave rigid-body modes free, is a valid system.  A float64 matrix is
+    kept as given, not copied, and made read-only.
     """
 
     mass: np.ndarray
@@ -140,7 +142,6 @@ class MdofSystem:
     labels: tuple[str, ...]
     grid: SpatialGrid | None = None
     free_mask: np.ndarray | None = None
-    rank_warning: str | None = None
 
     def __post_init__(self):
         n = np.shape(self.mass)[0]
@@ -188,17 +189,13 @@ def integrate(
     """March the system over `tgrid`, recording every `stride`-th sample.
 
     `force_schedule` maps time to the force vector.  The effective matrix is
-    factorized once.  Systems flagged rank-deficient are rejected unless they
-    carry damping.
+    factorized once; with C and K positive semidefinite it is positive
+    definite whenever M is, so a system with rigid-body modes steps too.
     """
     import scipy.linalg
 
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
-    if system.rank_warning and not system.is_damped:
-        raise RankDeficiencyError(
-            f"cannot integrate undamped rank-deficient system: {system.rank_warning}"
-        )
     n = system.size
     dt = tgrid.dt
     gamma, beta = cfg.gamma, cfg.beta_nm
@@ -280,9 +277,9 @@ def discretize_beam(beam: BeamSpec, bc: BoundarySpec, n_nodes: int) -> MdofSyste
     """Undamped lumped-mass finite-difference beam model over the free nodes.
 
     Mass lumps rho*A over nodal tributary lengths (half cells at the ends);
-    stiffness is the static bending operator.
-    Under-constrained support sets are allowed (for eigen comparisons) but
-    tagged with `BoundarySpec.rigid_body_warning`, which `integrate` honors.
+    stiffness is the static bending operator, singular on ends that leave
+    rigid-body modes free.  `integrate` steps such a system; `static_fd_solve`,
+    `beam_time_response` and `frequency_sweep` refuse those ends themselves.
     """
     _check_beam_nodes(n_nodes)
     grid = SpatialGrid.for_beam(beam, n_nodes)
@@ -295,7 +292,6 @@ def discretize_beam(beam: BeamSpec, bc: BoundarySpec, n_nodes: int) -> MdofSyste
         labels=tuple(compress(grid.labels, free)),
         grid=grid,
         free_mask=free,
-        rank_warning=bc.rigid_body_warning,
     )
 
 

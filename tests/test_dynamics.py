@@ -517,15 +517,19 @@ def random_spd(rng, n: int, scale: float) -> np.ndarray:
     steps=st.integers(1, 40),
     log_dt=st.floats(-4.0, 1.0),
     damped=st.booleans(),
+    rigid=st.booleans(),
 )
-def test_property_integrate_keeps_the_energy_balance(dofs, seed, steps, log_dt, damped):
+def test_property_integrate_keeps_the_energy_balance(dofs, seed, steps, log_dt, damped, rigid):
     rng = np.random.default_rng(seed)
-    system = MdofSystem(
-        mass=random_spd(rng, dofs, 1.0),
-        damping=random_spd(rng, dofs, rng.uniform(0.0, 1.0) if damped else 0.0),
-        stiffness=random_spd(rng, dofs, 10.0 ** rng.uniform(-1.0, 3.0)),
-        labels=tuple(f"d{i}" for i in range(dofs)),
-    )
+    mass = random_spd(rng, dofs, 1.0)
+    damping = random_spd(rng, dofs, rng.uniform(0.0, 1.0) if damped else 0.0)
+    scale = 10.0 ** rng.uniform(-1.0, 3.0)
+    if rigid:  # K = F F' of rank 0 to dofs - 1 leaves rigid-body modes free
+        factor = rng.normal(size=(dofs, rng.integers(dofs)))
+        stiffness = scale * (factor @ factor.T)
+    else:
+        stiffness = random_spd(rng, dofs, scale)
+    system = MdofSystem(mass, damping, stiffness, tuple(f"d{i}" for i in range(dofs)))
     steady, swing = rng.normal(size=(2, dofs))
     drive = rng.uniform(0.5, 20.0)
 
@@ -951,14 +955,23 @@ class TestDiscretizeBeam:
         scale = np.abs(system.stiffness).max()
         np.testing.assert_allclose(sums, 0.0, atol=1e-12 * scale)
 
-    def test_rank_warning_and_integrate_rejection(self, ref_beam):
+    def test_free_free_beam_translates_rigidly_under_uniform_load(self, ref_beam):
+        # K is singular on free ends, yet M + dt^2/4 K is positive definite:
+        # a uniform load q, lumped as q*w_i onto masses rho*A*w_i, gives every
+        # node the acceleration q/(rho*A), and average acceleration steps a
+        # constant acceleration exactly, to u = q*t^2/(2*rho*A)
         bc = BoundarySpec(EndCondition.free(), EndCondition.free())
-        system = discretize_beam(ref_beam, bc, 21)
-        assert system.rank_warning is not None
-        tgrid = TimeGrid(0.0, 0.1, 0.01)
+        system = discretize_beam(ref_beam, bc, 41)
+        q = 2000.0
+        force = q * trapezoid_weights(system.grid)
         zeros = np.zeros(system.size)
-        with pytest.raises(RankDeficiencyError):
-            integrate(system, lambda t: zeros, zeros, zeros, tgrid)
+        tgrid = TimeGrid(0.0, 1.0, 0.001)
+        result = integrate(system, constant_force(force), zeros, zeros, tgrid)
+        assert result.frames.shape == (1001, 41)
+        want = q * result.times**2 / (2.0 * ref_beam.section.mass_per_length)
+        np.testing.assert_allclose(
+            result.frames, np.broadcast_to(want[:, None], result.frames.shape), rtol=1e-9
+        )
 
     def test_eigenfrequencies_match_characteristic_roots(self, ref_beam):
         system = discretize_beam(ref_beam, PINNED, 201)
