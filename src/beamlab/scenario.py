@@ -88,6 +88,14 @@ MAX_MODES = 10_000
 #: put omega1 1.7e-4 off the factor SVD's at this ratio, 2.7e-3 at 1e4 and 0
 #: at 1e8.  It admits bc.k up to 1.7e12 N/m at 41 nodes and 1.4e16 N/m at 801.
 MAX_SPRING_RATIO = 1e3
+#: Smallest k*dx^3/(EI*(n-1)) of a spring end that bears the first mode (no
+#: end clamped) on a beam `dynamic` run with Rayleigh damping.  The dense eigh
+#: resolves omega1^2, about 2k/(rho*A*L) on soft springs, to about eps times
+#: the largest eigenvalue 16*EI/(rho*A*dx^4): about 8*eps over this ratio.  On
+#: the reference beam at 41, 201 and 801 nodes (one BLAS thread) omega1 was
+#: within 7e-5 of the factor SVD's at this bound, 9e-5 to 6e-4 off a decade
+#: below, and 10% to 100% off at 1e-15.
+MIN_SPRING_RATIO = 1e-11
 _MIB = 2**20
 #: The fields of a beam's EI and its grid spacing.
 _BEAM_FIELDS = "beam.elastic_modulus beam.width beam.height beam.length grid.nodes"
@@ -271,6 +279,9 @@ class Scenario:
         for block in needs.split():
             what = "at least one load" if block == "loads" else f"a {block} block"
             self._need(not given.isdisjoint(block.split("|")), what.replace("|", " block or a "))
+        # every kind that needs ends needs them to hold both rigid-body modes
+        if "bc" in needs.split() and (warning := self.bc.rigid_body_warning):
+            raise ValidationError(f"'bc': {warning}")
         if load_tags:  # a needed block, so loads[0] is there
             tags = load_tags.split()
             one = isinstance(self.loads[0], tuple(_LOADS.blocks[tag].make for tag in tags))
@@ -377,13 +388,29 @@ class Scenario:
         self._finite("beam", quantity, f"{_BEAM_FIELDS} bc.k", entry)
         return entry
 
-    def _spring_ratio(self, dx: float) -> None:
+    @property
+    def _on_springs(self) -> bool:
+        """Whether its springs bear the first mode: a spring end, none clamped."""
+        return bool(self._spring) and "clamped" not in (self.bc.left.kind, self.bc.right.kind)
+
+    def _spring_ratio(self, dx: float, least: float = 0.0) -> None:
+        # a first mode fitted from K is lost to rounding under springs far
+        # stiffer than EI/dx^3, or, by the dense eigh, far softer when they
+        # bear that mode: `least` bounds the latter, over n - 1
         ratio = self._spring * dx * dx * dx / self.beam.section.flexural_rigidity
         if ratio > MAX_SPRING_RATIO:
             raise ValidationError(
                 f"'bc.k' {self._spring!r}: k*dx^3/EI at grid.nodes {self.grid_nodes} is "
                 f"{ratio:.3g}, above {MAX_SPRING_RATIO:.0f}, where the first mode is lost "
                 "to rounding; lower bc.k or use pinned ends"
+            )
+        soft = ratio / (self.grid_nodes - 1)
+        if self._on_springs and soft < least:
+            raise ValidationError(
+                f"'bc.k' {self._spring!r}: k*dx^3/(EI*(n-1)) at grid.nodes {self.grid_nodes} "
+                f"is {soft:.3g}, below {least:.0e}, where the damping fit loses the first "
+                "mode, which the springs bear, to rounding; raise bc.k, lower grid.nodes, "
+                "clamp an end or set integrator.rayleigh.zeta1 to 0"
             )
 
     def _damping(self, smallest: float, entry: float) -> float:
@@ -392,10 +419,10 @@ class Scenario:
         # (1.875/pi)^2 of it, and 7 nodes undershoot that by 2%.  With no end
         # clamped, a beam may also move rigidly on springs k, and then
         # 1/omega1^2 <= 1/omega_beam^2 + rho*A*L/(2*k) (Dunkerley)
-        period, spring = (math.pi / 1.8) ** 2 / math.sqrt(smallest), self._spring
-        if spring and "clamped" not in (self.bc.left.kind, self.bc.right.kind):
+        period = (math.pi / 1.8) ** 2 / math.sqrt(smallest)
+        if self._on_springs:
             rigid = math.sqrt(0.5 * self.beam.section.mass_per_length * self.beam.length)
-            period = math.hypot(period, rigid / math.sqrt(spring))
+            period = math.hypot(period, rigid / math.sqrt(self._spring))
         coeff = 2.0 * self.zeta1 * period
         self._finite(
             "integrator.rayleigh.zeta1",
@@ -1090,8 +1117,8 @@ def _check_dynamic(s: Scenario) -> None:
     s._time_samples(s.grid_nodes)
     dx = s._spacing()
     entry = s._stiffness(dx)
-    if s.zeta1 > 0.0:  # the Rayleigh fit takes the first mode
-        s._spring_ratio(dx)
+    if s.zeta1 > 0.0:  # the Rayleigh fit takes the first mode, by a dense eigh
+        s._spring_ratio(dx, MIN_SPRING_RATIO)
         smallest, _ = s._eigenvalues(dx, "dynamic run's")
         s._damping(smallest, entry)
 

@@ -26,7 +26,6 @@ from beamlab.model import (
     HarmonicPointLoad,
     MovingPointLoad,
     NonConvergenceError,
-    RankDeficiencyError,
     UdlLoad,
     ValidationError,
 )
@@ -772,11 +771,16 @@ def test_solver_error_carries_scenario_name():
         run_scenario(scenario_from_dict(data))
 
 
-def test_underconstrained_static_raises_solver_error():
+def test_underconstrained_static_refused_at_parse():
     data = minimal_static_dict()
     data["bc"] = {"left": "pinned", "right": "free"}
-    with pytest.raises(RankDeficiencyError, match="case"):
-        run_scenario(scenario_from_dict(data))
+    refusal = "'bc': end conditions pinned-free leave rigid-body modes free"
+    with pytest.raises(ValidationError, match=f"^{refusal}$"):
+        scenario_from_dict(data)
+    # a modal run takes those ends: its root scan finds the elastic modes
+    data["solver"] = "modal"
+    del data["loads"]
+    assert len(run_scenario(scenario_from_dict(data)).modes) == 3
 
 
 def test_sweep_worker_counts_agree():
