@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -444,16 +444,12 @@ class TimeSeriesResult:
 
     `frames` holds one row per recorded time and one column per node (beam
     runs) or per degree of freedom (mass-spring runs); `columns` labels the
-    frame columns, one string each; `probes` maps a column index to its
-    extracted history.  A scenario run keys `probes` by the grid node each
-    probe position snaps to, so probes that snap to one node share one
-    entry, while `probes.csv` keeps one column per listed probe.
+    frame columns, one string each.
     """
 
     times: np.ndarray
     frames: np.ndarray
     columns: tuple[str, ...]
-    probes: Mapping[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         times = _readonly(self.times)
@@ -470,11 +466,12 @@ class TimeSeriesResult:
                 f"columns must be {frames.shape[1]} strings, one per frame column, "
                 f"got {len(columns)} labels"
             )
-        probes = {int(k): _readonly(v) for k, v in self.probes.items()}
-        for idx, series in probes.items():
-            if series.shape != (times.size,):
-                raise ValidationError(f"probe {idx} history length mismatch")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "probes", probes)
+
+    @property
+    def probes(self) -> np.ndarray:
+        """Each frame column's history, by column index (a beam run's by
+        node): a read-only view of `frames`, not a copy."""
+        return self.frames.T

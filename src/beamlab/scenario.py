@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import reduce
 from types import SimpleNamespace
 from typing import Callable, Mapping, NamedTuple, get_type_hints
@@ -992,13 +992,6 @@ def probe_nodes(s: Scenario) -> list[int]:
     return [grid.nearest_node(pos) for pos in s.probes]
 
 
-def _attach_probes(s: Scenario, result: TimeSeriesResult) -> TimeSeriesResult:
-    if not s.probes:
-        return result
-    mapping = {idx: result.frames[:, idx] for idx in probe_nodes(s)}
-    return replace(result, probes=mapping)
-
-
 def _check_static(s: Scenario) -> None:
     s._nodes(MIN_GRID_NODES, 4)
     if any(not isinstance(load, STATIC_LOADS) for load in s.loads):
@@ -1032,7 +1025,6 @@ def _run_quasi_static(s: Scenario) -> tuple[dict, dict]:
         result = quasi_static_sinusoidal(
             s.beam, load.p0, load.f_hz, load.position, s.tgrid, s.grid_nodes, s.stride
         )
-    result = _attach_probes(s, result)
     return {"time_series": result}, {}
 
 
@@ -1134,7 +1126,6 @@ def _run_dynamic(s: Scenario) -> tuple[dict, dict]:
         zeta1=s.zeta1,
         stride=s.stride,
     )
-    result = _attach_probes(s, result)
     return {"time_series": result}, {}
 
 

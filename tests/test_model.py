@@ -205,19 +205,20 @@ class TestResults:
         # a float64 array is kept as given and made read-only, not copied
         grid = SpatialGrid.for_beam(ref_beam, 11)
         deflection = np.zeros(11)
-        times, frames, probe = np.arange(3.0), np.ones((3, 2)), np.ones(3)
+        times, frames = np.arange(3.0), np.ones((3, 2))
         profile = StaticProfile(grid, deflection)
-        series = TimeSeriesResult(times, frames, ("x", "y"), probes={0: probe})
+        series = TimeSeriesResult(times, frames, ("x", "y"))
         assert profile.deflection is deflection
         assert series.times is times and series.frames is frames
-        assert series.probes[0] is probe
-        for array in (deflection, times, frames, probe):
+        # each probe history is a view of its frame column
+        assert series.probes[0].base is frames
+        for array in (deflection, times, frames, series.probes[0]):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 2.0
         # other dtypes and lists are converted to new float64 arrays
         counts = np.arange(3)
-        series = TimeSeriesResult(counts, [[1, 2]] * 3, ("x", "y"), probes={1: counts})
+        series = TimeSeriesResult(counts, [[1, 2]] * 3, ("x", "y"))
         assert series.times.dtype == series.frames.dtype == series.probes[1].dtype == float
         assert series.times is not counts and counts.flags.writeable
         assert not series.frames.flags.writeable and not series.probes[1].flags.writeable
@@ -236,15 +237,17 @@ class TestResults:
             TimeSeriesResult(arrays["times"], arrays["frames"], ("x", "y"))
 
     def test_time_series_probe_length_checked(self):
-        with pytest.raises(ValidationError, match="probe"):
-            TimeSeriesResult(
-                np.arange(5.0), np.zeros((5, 3)), ("a", "b", "c"), probes={1: np.zeros(4)}
-            )
+        # one history per frame column, each one entry per sample time
+        res = TimeSeriesResult(np.arange(5.0), np.arange(15.0).reshape(5, 3), ("a", "b", "c"))
+        assert len(res.probes) == 3
+        for idx, history in enumerate(res.probes):
+            assert history.shape == (5,)
+            np.testing.assert_array_equal(history, res.frames[:, idx])
+        with pytest.raises(AttributeError):
+            res.probes = {}
 
     def test_time_series_accepts_consistent_data(self):
-        res = TimeSeriesResult(
-            np.arange(3.0), np.ones((3, 2)), ["x", "y"], probes={0: np.ones(3)}
-        )
+        res = TimeSeriesResult(np.arange(3.0), np.ones((3, 2)), ["x", "y"])
         assert res.frames.shape == (3, 2)
         assert res.columns == ("x", "y")
 
