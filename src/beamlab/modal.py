@@ -174,6 +174,31 @@ def _refine(brackets, tol: float, beam: BeamSpec, bc: BoundarySpec) -> list[floa
     ]
 
 
+def spring_borne_roots(beam: BeamSpec, bc: BoundarySpec) -> list[float]:
+    """beta*L of the modes a rigid bar has on the spring ends, lowest first;
+    none unless an end is a spring and none is clamped.
+
+    A beam on soft springs moves nearly as a rigid bar, which gives
+    (beta*L)^4 = c*k*L^3/EI: c = 3 beside a pinned end, 4 beside a free end
+    (the bar's other mode, a rigid turn at beta = 0, is no root), and on two
+    springs c = 2 (bounce) and 6 (rocking).  The beam's own flexibility puts
+    each true root a little lower.
+    """
+    kinds = (bc.left.kind, bc.right.kind)
+    if "spring" not in kinds or "clamped" in kinds:
+        return []
+    ei = beam.section.flexural_rigidity
+    scale = beam.length * beam.length * beam.length / ei if ei else math.inf
+    k0, k1 = ((end.stiffness or 0.0) * scale for end in (bc.left, bc.right))
+    if kinds != ("spring", "spring"):
+        return [((3.0 if "pinned" in kinds else 4.0) * (k0 + k1)) ** 0.25]
+    # roots mu of mu^2 - 4*(k0 + k1)*mu + 12*k0*k1, the lower one from their
+    # product, so that it keeps its digits when k0 and k1 lie far apart
+    half = k0 + k1 + math.hypot(k0 - 0.5 * k1, math.sqrt(0.75) * k1)
+    low = 6.0 * k0 * (k1 / half) if half else 0.0
+    return [low**0.25, (2.0 * half) ** 0.25]
+
+
 def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarray:
     """First `n_roots` positive roots of the characteristic determinant.
 
@@ -183,7 +208,8 @@ def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarra
     root within half a scan step of the one before it is dropped, and the
     scan goes on.  Raises SolverError if beta^3 over the scan leaves the
     normal float range (a beam.length far from 1), and InsufficientRootsError
-    if the scan window beta*L <= 4*pi*n_roots + 10 runs out first.
+    if the scan window beta*L <= 4*pi*n_roots + 10 runs out first, or, before
+    the scan, if `spring_borne_roots` puts a mode where the scan would skip it.
     """
     if n_roots < 1:
         raise ValidationError(f"n_roots must be >= 1, got {n_roots}")
@@ -204,6 +230,22 @@ def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarra
         raise SolverError(
             f"beam.length {length!r}: the root scan over beta*L in [{BETA_MIN_SCALE}, "
             f"{beta_max * length:.4g}] takes beta^3 out of the normal float range"
+        )
+
+    # the scan would skip a spring-borne mode below its start, or two of them
+    # within one step; 1% above the start covers the estimate's error
+    bar = spring_borne_roots(beam, bc)
+    if bar and (
+        bar[0] < 1.01 * BETA_MIN_SCALE
+        or any(b - a < SCAN_STEP_SCALE for a, b in zip(bar, bar[1:]))
+    ):
+        springs = [end.stiffness for end in (bc.left, bc.right) if end.kind == "spring"]
+        raise InsufficientRootsError(
+            f"{bc.left.kind}-{bc.right.kind} ends with spring k = "
+            f"{' and '.join(map(repr, dict.fromkeys(springs)))} N/m: a rigid bar on them "
+            f"has modes at beta*L {', '.join(f'{b:.4g}' for b in bar)}, which a root scan "
+            f"from beta*L {BETA_MIN_SCALE} in steps of {SCAN_STEP_SCALE} cannot resolve; "
+            "stiffen the springs"
         )
 
     roots: list[float] = []

@@ -669,20 +669,34 @@ def entered(monkeypatch):
 
 
 def unclean_ends(data, entered) -> list[str]:
-    """What went wrong when `data` was parsed and run: a ValidationError once
-    a runner had started, and every warning.  A refusal at parse and a
-    SolverError are clean ends."""
+    """What went wrong when `data` was parsed, run and, with a beam, solved
+    for its modes: a ValidationError once a runner had started or from the
+    modal solve, and every warning.  A refusal at parse and a SolverError
+    are clean ends."""
     entered.clear()
     failures = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            scenario.run_scenario(scenario.scenario_from_dict(data))
-        except ValidationError as exc:
-            if entered:
-                failures.append(f"refused after its runner started: {exc}")
-        except SolverError:
-            pass
+            s = scenario.scenario_from_dict(data)
+        except ValidationError:
+            s = None
+        if s is not None:
+            try:
+                scenario.run_scenario(s)
+            except ValidationError as exc:
+                if entered:
+                    failures.append(f"refused after its runner started: {exc}")
+            except SolverError:
+                pass
+        if s is not None and s.beam is not None:
+            # the modal solve reads modal_only.bearing_k, which no run does
+            try:
+                scenario.modal_results(s)
+            except ValidationError as exc:
+                failures.append(f"modal solve refused: {exc}")
+            except SolverError:
+                pass
     return failures + [f"{w.category.__name__}: {w.message}" for w in caught]
 
 

@@ -27,6 +27,7 @@ from beamlab.modal import (
     natural_frequencies,
     shape_basis,
     solve_modes,
+    spring_borne_roots,
 )
 from beamlab.scenario import MAX_MODES, modal_bc, preset
 
@@ -142,8 +143,9 @@ class TestFindBetaRoots:
         assert abs(beta1 - target) / target < 1e-4
 
     def test_first_root_monotone_in_spring_stiffness(self, ref_beam):
+        # from 10 N/m: at 1 N/m the first mode lies below the scan's start
         roots = []
-        for k in (1e0, 1e3, 1e6, 1e9, 1e12):
+        for k in (1e1, 1e3, 1e6, 1e9, 1e12):
             bc = BoundarySpec(EndCondition.spring(k), EndCondition.spring(k))
             roots.append(find_beta_roots(ref_beam, bc, 1)[0])
         assert all(r2 > r1 for r1, r2 in zip(roots, roots[1:])), f"roots {roots}"
@@ -188,6 +190,58 @@ class TestFindBetaRoots:
         with pytest.raises(ValidationError):
             find_beta_roots(ref_beam, PINNED, 0)
 
+    @pytest.mark.parametrize(
+        "other, k, refused",
+        [
+            # the bounce mode at beta*L 0.0931 lies below the scan's start
+            ("spring", 1.0, True),
+            # bounce and rocking at 0.1107 and 0.1456 share the scan's first step
+            ("spring", 2.0, True),
+            ("spring", 1e-4, True),
+            ("pinned", 1e-4, True),
+            ("free", 1e-4, True),
+            *((other, k, False) for other in ("spring", "pinned", "free") for k in (10.0, 100.0)),
+        ],
+    )
+    def test_spring_borne_modes_below_the_scan_refused(self, ref_beam, other, k, refused):
+        # a rigid bar on the springs: (beta*L)^4 = c*k*L^3/EI, c = 2 on two
+        # springs, 3 beside a pinned end and 4 beside a free end
+        right = EndCondition.spring(k) if other == "spring" else EndCondition(other)
+        bc = BoundarySpec(EndCondition.spring(k), right)
+        c = {"spring": 2.0, "pinned": 3.0, "free": 4.0}[other]
+        estimate = (c * k * ref_beam.length**3 / ref_beam.section.flexural_rigidity) ** 0.25
+        assert spring_borne_roots(ref_beam, bc)[0] == pytest.approx(estimate, rel=1e-12)
+        if refused:
+            message = (
+                rf"^spring-{other} ends with spring k = {k!r} N/m: a rigid bar on them has "
+                rf"modes at beta\*L {estimate:.4g}"
+            )
+            with pytest.raises(InsufficientRootsError, match=message):
+                find_beta_roots(ref_beam, bc, 3)
+        else:
+            first = find_beta_roots(ref_beam, bc, 3)[0] * ref_beam.length
+            assert first == pytest.approx(estimate, rel=1e-4)
+            assert first < estimate
+
+    def test_no_spring_borne_roots_beside_a_clamped_end(self, ref_beam):
+        for bc in (
+            BoundarySpec(EndCondition.clamped(), EndCondition.spring(1e-4)),
+            PINNED,
+            FREE_FREE,
+        ):
+            assert spring_borne_roots(ref_beam, bc) == []
+
+
+def roots_unless_refused(beam, bc, n_roots):
+    """find_beta_roots, or None where it refuses spring-borne modes that its
+    scan cannot resolve, which only soft springs carry."""
+    try:
+        return find_beta_roots(beam, bc, n_roots)
+    except InsufficientRootsError as exc:
+        assert "a rigid bar on them has modes at" in str(exc)
+        assert spring_borne_roots(beam, bc)[0] < 0.2
+        return None
+
 
 SPRING_SUPPORTS = {
     "spring-spring": lambda k1, k2: (EndCondition.spring(k1), EndCondition.spring(k2)),
@@ -209,8 +263,15 @@ def test_property_spring_supported_roots(supports, log_k1, log_k2, n_roots):
     # nearly rigid ends
     beam = BeamSpec(length=10.0, width=0.2, height=0.4, elastic_modulus=25e9, density=2500.0)
     bc = BoundarySpec(*SPRING_SUPPORTS[supports](10.0**log_k1, 10.0**log_k2))
-    roots = find_beta_roots(beam, bc, n_roots)
+    roots = roots_unless_refused(beam, bc, n_roots)
+    if roots is None:
+        return
     assert len(roots) == n_roots
+    # no spring-borne mode skipped: a rigid bar's lowest one, where its
+    # estimate holds, is the first root
+    bar = spring_borne_roots(beam, bc)
+    if bar and bar[0] < 0.5:
+        assert roots[0] * beam.length == pytest.approx(bar[0], rel=1e-3)
     # strictly increasing, and never closer than half a scan step
     assert np.all(np.diff(roots) > 0.5 * modal.SCAN_STEP_SCALE / beam.length)
     modes = solve_modes(beam, bc, n_roots)
@@ -325,8 +386,11 @@ def test_narrow_bracket_is_left_untouched():
 def test_property_roots_are_a_prefix_of_more_roots(left, right, log_k1, log_k2, n, more):
     # a bracket's root does not depend on the batch it is refined in
     bc = ends(left, right, log_k1, log_k2)
-    fewer = find_beta_roots(BRACKET_BEAM, bc, n)
-    assert np.array_equal(find_beta_roots(BRACKET_BEAM, bc, n + more)[:n], fewer)
+    fewer = roots_unless_refused(BRACKET_BEAM, bc, n)
+    if fewer is None:  # the refusal does not depend on the count
+        assert roots_unless_refused(BRACKET_BEAM, bc, n + more) is None
+    else:
+        assert np.array_equal(find_beta_roots(BRACKET_BEAM, bc, n + more)[:n], fewer)
 
 
 @pytest.mark.parametrize("bc", [PINNED, CLAMPED_FREE, FREE_FREE], ids=["pp", "cf", "ff"])
@@ -494,6 +558,7 @@ def per_root_coefficients(beta, beam, bc):
 @given(n_modes=st.integers(min_value=1, max_value=60), **ENDS)
 def test_property_stacked_shapes_match_per_root_svd(left, right, log_k1, log_k2, n_modes):
     bc = ends(left, right, log_k1, log_k2)
+    assume(roots_unless_refused(BRACKET_BEAM, bc, 1) is not None)
     for mode in solve_modes(BRACKET_BEAM, bc, n_modes):
         expected = per_root_coefficients(mode.beta, BRACKET_BEAM, bc)
         # bit for bit, the sign of a zero included

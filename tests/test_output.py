@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -16,10 +17,12 @@ from beamlab.output import write_result
 from beamlab.scenario import (
     ResultSet,
     preset,
+    probe_nodes,
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
+from test_cli import BEAM_DYNAMIC
 
 
 def read_rows(path):
@@ -263,3 +266,31 @@ def test_one_probe_column_per_listed_probe(tmp_path, name):
     index = [frame_rows[0].index(label) for label in probe_rows[0]]
     for frame_row, probe_row in zip(frame_rows, probe_rows):
         assert probe_row == [frame_row[i] for i in index]
+
+
+@pytest.mark.parametrize("probes", [None, [5.0, 5.01, 5.0]], ids=["own", "repeated"])
+@pytest.mark.parametrize("name", ["exp1", "exp2_1", "beam_dynamic"])
+def test_probes_csv_and_library_follow_probe_nodes(tmp_path, name, probes):
+    # one rule from probe positions to histories: column j of probes.csv is,
+    # bit for bit, the library's history at probe_nodes(s)[j]
+    data = copy.deepcopy(BEAM_DYNAMIC) if name == "beam_dynamic" else scenario_to_dict(preset(name))
+    if probes is not None:
+        data["probes"] = probes
+    s = scenario_from_dict(data)
+    rs = run_scenario(s)
+    write_result(rs, tmp_path)
+    rows = read_rows(tmp_path / "probes.csv")
+    columns = np.array([[float(cell) for cell in row] for row in rows[1:]]).T
+    nodes = probe_nodes(s)
+    assert len(columns) == 1 + len(nodes) == 1 + len(s.probes)
+    if rs.time_series is None:  # a static run: one frame at t = 0
+        times = np.zeros(1)
+        histories = [rs.static_profile.deflection[[node]] for node in nodes]
+    else:
+        times = rs.time_series.times
+        # one history per frame column
+        assert len(rs.time_series.probes) == len(rs.time_series.columns)
+        histories = [rs.time_series.probes[node] for node in nodes]
+    assert columns[0].tobytes() == times.tobytes()
+    for column, history in zip(columns[1:], histories):
+        assert column.tobytes() == history.tobytes()
