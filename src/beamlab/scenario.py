@@ -1172,8 +1172,6 @@ def _check_sweep(s: Scenario) -> None:
 
 def _run_sweep(s: Scenario) -> tuple[dict, dict]:
     load = s.loads[0]
-    # before the sweep: the root scan refuses ends whose first mode it would skip
-    first_mode_hz = natural_frequencies(find_beta_roots(s.beam, s.bc, 1), s.beam)[0].f_hz
     points = frequency_sweep(
         s.beam,
         s.bc,
@@ -1186,6 +1184,7 @@ def _run_sweep(s: Scenario) -> tuple[dict, dict]:
         measure_periods=s.sweep.measure_periods,
         zeta1=s.zeta1,
     )
+    first_mode_hz = natural_frequencies(find_beta_roots(s.beam, s.bc, 1), s.beam)[0].f_hz
     extras = {"first_mode_hz_analytic": first_mode_hz, "nominal_load_f_hz": load.f_hz}
     return {"sweep_points": points}, extras
 
