@@ -6,8 +6,8 @@ Files carry no timestamps and provenance keys are sorted: two runs of the
 same scenario produce byte-identical output.
 
 `probe_nodes` is the one rule from probe positions to histories: column j of
-probes.csv is the frame column `probe_nodes(s)[j]`, which a time-history run
-also holds as `rs.time_series.probes[probe_nodes(s)[j]]`.
+probes.csv is the frame column `probe_nodes(s)[j]`, repeats kept, which a
+time-history run also holds as `rs.time_series.probes[probe_nodes(s)[j]]`.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def write_result(rs: ResultSet, out_dir) -> list[Path]:
 
     frames.csv/probes.csv for profiles and histories, modes.csv for modal
     runs, sweep.csv for frequency sweeps, loadcurve.csv for load sweeps, and
-    provenance.json always.  probes.csv has one column per listed probe, in
-    order, repeats kept.
+    provenance.json always.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
