@@ -1,5 +1,7 @@
 import inspect
 import math
+import os
+import threading
 from dataclasses import replace
 from typing import NamedTuple
 from unittest import mock
@@ -410,6 +412,85 @@ class TestIntegrate:
         system = sdof_system(2.0, 0.0, 8.0)
         energy = system_energy(system, np.array([1.0]), np.array([2.0]))
         assert energy == pytest.approx(0.5 * 2.0 * 4.0 + 0.5 * 8.0 * 1.0)
+
+
+def use_cpus(monkeypatch, count: int, min_dof: int) -> None:
+    """Let `integrate` see `count` usable CPUs and hand damping products to
+    its worker from `min_dof` dofs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(dynamics, "OVERLAP_MIN_DOF", min_dof)
+
+
+def damped_beam_frames(monkeypatch, ref_beam, cpus: int, min_dof: int):
+    """Frames of a damped 201-node beam under a harmonic and a moving load,
+    stride 4, and the thread count at each nodal force its schedule built."""
+    use_cpus(monkeypatch, cpus, min_dof)
+    seen = []
+
+    def counted(*args):
+        seen.append(threading.active_count())
+        return nodal_force(*args)
+
+    monkeypatch.setattr(dynamics, "nodal_force", counted)
+    loads = [HarmonicPointLoad(5000.0, 4.0, 4.0), MovingPointLoad(20000.0, 25.0, 0.5)]
+    tgrid = TimeGrid(0.0, 0.05, 5e-4)
+    result = beam_time_response(ref_beam, PINNED, 201, loads, tgrid, zeta1=0.02, stride=4)
+    return result.frames, seen
+
+
+class TestDampingWorker:
+    """`integrate` computes C @ v_pred on a worker thread on large damped
+    systems when two CPUs are usable: the same bytes, and no thread left."""
+
+    def test_worker_gives_the_same_bytes_and_stops(self, monkeypatch, ref_beam):
+        baseline = threading.active_count()
+        overlapped, seen = damped_beam_frames(monkeypatch, ref_beam, 2, 0)
+        assert threading.active_count() == baseline
+        assert max(seen) == baseline + 1  # the worker ran during the steps
+        sequential, seen = damped_beam_frames(monkeypatch, ref_beam, 2, 10**9)
+        assert set(seen) == {baseline}
+        np.testing.assert_array_equal(overlapped, sequential)
+
+    def test_one_cpu_runs_no_worker(self, monkeypatch, ref_beam):
+        baseline = threading.active_count()
+        one_cpu, seen = damped_beam_frames(monkeypatch, ref_beam, 1, 0)
+        assert set(seen) == {baseline}
+        overlapped, _ = damped_beam_frames(monkeypatch, ref_beam, 2, 0)
+        np.testing.assert_array_equal(one_cpu, overlapped)
+
+    @pytest.mark.parametrize("failure", ["force", "getrs"])
+    def test_refusal_mid_run_stops_the_worker(self, monkeypatch, ref_beam, failure):
+        use_cpus(monkeypatch, 2, 0)
+        system = discretize_beam(ref_beam, PINNED, 41)
+        system = replace(system, damping=1e-3 * system.stiffness)
+        shape = np.linspace(0.0, 1e3, system.size)
+        if failure == "force":
+            # finite up to t = 0.005, then NaN
+            schedule = lambda t: shape * (math.nan if t > 0.0055 else math.sin(20.0 * t))
+            error, message = ValidationError, r"^force at t=0\.006 is not finite$"
+        else:
+            schedule = lambda t: shape * math.sin(20.0 * t)
+            error, message = SolverError, r"failed at t=0\.001: getrs info -3$"
+            broken_getrs = lambda lu, piv, b, overwrite_b=False: (b, -3)
+            monkeypatch.setattr(
+                scipy.linalg, "get_lapack_funcs", lambda names, arrays: (broken_getrs,)
+            )
+        baseline = threading.active_count()
+        zeros = np.zeros(system.size)
+        with pytest.raises(error, match=message):
+            integrate(system, schedule, zeros, zeros, TimeGrid(0.0, 0.01, 1e-3))
+        assert threading.active_count() == baseline
+
+    def test_product_error_is_raised_in_the_caller(self):
+        baseline = threading.active_count()
+        worker = dynamics._ProductWorker(np.eye(3))
+        worker.submit(np.ones(2))
+        worker.submit(np.ones(3))
+        with pytest.raises(ValueError, match="matmul"):
+            worker.product()
+        np.testing.assert_array_equal(worker.product(), np.ones(3))
+        worker.close()
+        assert threading.active_count() == baseline
 
 
 #: Newmark steps each energy example runs.
