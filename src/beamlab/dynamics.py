@@ -36,24 +36,24 @@ sweeps fold them into two peaks per frequency.
 Only `integrate` and `eigenfrequencies` call scipy, and each imports
 `scipy.linalg` itself, so mass-spring runs and sweeps never load scipy.
 Only `integrate` starts a thread: on a damped system of at least
-`OVERLAP_MIN_DOF` dofs, when the process may run on two or more CPUs, one
-worker computes each step's damping product while the calling thread
-computes the force and the stiffness product, and it is joined before
-`integrate` returns or raises.  Each product is the same numpy call on the
-same arrays either way, so the output bytes do not depend on the CPU
-count.  A sweep takes its modes from numpy's SVD of the stiffness factor B,
-whose squared singular values are the eigenvalues of (K, M) without the
-squared condition number of K.  A sweep reads only midspan, so when its ends are
-equal and its node count odd, which mirrors the free nodes about the
-midspan node, it steps only the modes symmetric about midspan: every
-antisymmetric one is zero there.
+`OVERLAP_MIN_DOF` dofs, when the process may run on two or more CPUs, a
+one-thread `concurrent.futures.ThreadPoolExecutor` computes each step's
+damping product while the calling thread computes the force and the
+stiffness product, and it is shut down before `integrate` returns or
+raises.  Each product is the same numpy call on the same arrays either way,
+so the output bytes do not depend on the CPU count.  A sweep takes its
+modes from numpy's SVD of the stiffness factor B, whose squared singular
+values are the eigenvalues of (K, M) without the squared condition number
+of K.  A sweep reads only midspan, so when its ends are equal and its node
+count odd, which mirrors the free nodes about the midspan node, it steps
+only the modes symmetric about midspan: every antisymmetric one is zero
+there.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 from itertools import compress
 
@@ -196,44 +196,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _ProductWorker:
-    """One thread that computes `matrix @ vector` for each vector submitted,
-    in order, while the submitting thread works on; numpy releases the GIL
-    inside the product, so the two threads' products run at once.  `close`
-    must follow, or the thread keeps waiting."""
-
-    def __init__(self, matrix: np.ndarray):
-        import queue
-
-        self._vectors, self._products = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(
-            target=self._run, args=(matrix,), name="beamlab-product", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self, matrix: np.ndarray) -> None:
-        while (vector := self._vectors.get()) is not None:
-            try:
-                self._products.put(matrix @ vector)
-            except Exception as exc:  # raised again by `product`, in the caller's thread
-                self._products.put(exc)
-
-    def submit(self, vector: np.ndarray) -> None:
-        self._vectors.put(vector)
-
-    def product(self) -> np.ndarray:
-        """The product of the oldest submitted vector not yet taken."""
-        product = self._products.get()
-        if isinstance(product, Exception):
-            raise product
-        return product
-
-    def close(self) -> None:
-        """Stop the thread once it has finished what was submitted."""
-        self._vectors.put(None)
-        self._thread.join()
-
-
 def integrate(
     system: MdofSystem,
     force_schedule,
@@ -250,8 +212,9 @@ def integrate(
     and K positive semidefinite it is positive definite whenever M is, so a
     system with rigid-body modes steps too.  A damped system of at least
     `OVERLAP_MIN_DOF` dofs, in a process that may run on two or more CPUs,
-    has each step's C @ v_pred computed on one worker thread beside K @
-    u_pred, with the same bytes; the worker stops before this returns or
+    has each step's C @ v_pred computed by a one-thread ThreadPoolExecutor
+    beside K @ u_pred, with the same bytes; an error in that product is
+    raised here, and the executor is shut down before this returns or
     raises.
     """
     import scipy.linalg
@@ -287,19 +250,22 @@ def integrate(
     c_vpred = (1.0 - gamma) * dt
     c_u = beta * dt**2
     c_v = gamma * dt
-    overlap = damped and n >= OVERLAP_MIN_DOF and _usable_cpus() > 1
-    worker = _ProductWorker(damping) if overlap else None
+    worker = None
+    if damped and n >= OVERLAP_MIN_DOF and _usable_cpus() > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded on this path only
+
+        worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="beamlab-product")
     try:
         for i in range(1, steps + 1):
             t = tgrid.start + i * dt
             u_pred = u + dt * v + c_upred * a
             v_pred = v + c_vpred * a
             if worker:
-                worker.submit(v_pred)
+                product = worker.submit(np.matmul, damping, v_pred)
             force = _check_vector(f"force at t={t}", force_schedule(t), n)
             rhs = force - stiffness @ u_pred
             if worker:
-                rhs -= worker.product()
+                rhs -= product.result()
             elif damped:
                 rhs -= damping @ v_pred
             a, info = getrs(lu, piv, rhs, overwrite_b=True)
@@ -312,7 +278,7 @@ def integrate(
                 recorded += 1
     finally:
         if worker:
-            worker.close()
+            worker.shutdown()
 
     return TimeSeriesResult(tgrid.sample_times(stride), frames[:recorded], system.labels)
 

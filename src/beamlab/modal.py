@@ -208,8 +208,9 @@ def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarra
     root within half a scan step of the one before it is dropped, and the
     scan goes on.  Raises SolverError if beta^3 over the scan leaves the
     normal float range (a beam.length far from 1), and InsufficientRootsError
-    if the scan window beta*L <= 4*pi*n_roots + 10 runs out first, or, before
-    the scan, if `spring_borne_roots` puts a mode where the scan would skip it.
+    if the scan window beta*L <= 4*pi*n_roots + 10 runs out first, or if
+    `spring_borne_roots` puts a mode where the scan may skip it and the scan
+    did skip it: one of the first roots lies above 1.01 times its estimate.
     """
     if n_roots < 1:
         raise ValidationError(f"n_roots must be >= 1, got {n_roots}")
@@ -232,21 +233,13 @@ def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarra
             f"{beta_max * length:.4g}] takes beta^3 out of the normal float range"
         )
 
-    # the scan would skip a spring-borne mode below its start, or two of them
+    # the scan may skip a spring-borne mode below its start, or two of them
     # within one step; 1% above the start covers the estimate's error
     bar = spring_borne_roots(beam, bc)
-    if bar and (
+    doubtful = bar and (
         bar[0] < 1.01 * BETA_MIN_SCALE
         or any(b - a < SCAN_STEP_SCALE for a, b in zip(bar, bar[1:]))
-    ):
-        springs = [end.stiffness for end in (bc.left, bc.right) if end.kind == "spring"]
-        raise InsufficientRootsError(
-            f"{bc.left.kind}-{bc.right.kind} ends with spring k = "
-            f"{' and '.join(map(repr, dict.fromkeys(springs)))} N/m: a rigid bar on them "
-            f"has modes at beta*L {', '.join(f'{b:.4g}' for b in bar)}, which a root scan "
-            f"from beta*L {BETA_MIN_SCALE} in steps of {SCAN_STEP_SCALE} cannot resolve; "
-            "stiffen the springs"
-        )
+    )
 
     roots: list[float] = []
     brackets: list[tuple[float, float, float, float]] = []
@@ -268,6 +261,17 @@ def find_beta_roots(beam: BeamSpec, bc: BoundarySpec, n_roots: int) -> np.ndarra
             if not roots or root - roots[-1] > 0.5 * scan_step:
                 roots.append(root)
         brackets = []
+    # the beam's flexibility only lowers a true root below its bar estimate,
+    # and a skipped mode leaves the next root, at least 3**0.25 higher, in its place
+    if doubtful and any(root * length > 1.01 * b for root, b in zip(roots, bar)):
+        springs = [end.stiffness for end in (bc.left, bc.right) if end.kind == "spring"]
+        raise InsufficientRootsError(
+            f"{bc.left.kind}-{bc.right.kind} ends with spring k = "
+            f"{' and '.join(map(repr, dict.fromkeys(springs)))} N/m: a rigid bar on them "
+            f"has modes at beta*L {', '.join(f'{b:.4g}' for b in bar)}, which a root scan "
+            f"from beta*L {BETA_MIN_SCALE} in steps of {SCAN_STEP_SCALE} cannot resolve; "
+            "stiffen the springs"
+        )
     return np.array(roots)
 
 

@@ -481,15 +481,27 @@ class TestDampingWorker:
             integrate(system, schedule, zeros, zeros, TimeGrid(0.0, 0.01, 1e-3))
         assert threading.active_count() == baseline
 
-    def test_product_error_is_raised_in_the_caller(self):
+    def test_product_error_is_raised_in_the_caller(self, monkeypatch, ref_beam):
+        use_cpus(monkeypatch, 2, 0)
+        system = discretize_beam(ref_beam, PINNED, 41)
+        system = replace(system, damping=1e-3 * system.stiffness)
+        shape = np.linspace(0.0, 1e3, system.size)
+        matmul, error, threads = np.matmul, FloatingPointError("product failed"), []
+
+        def failing_on_the_third(*args):
+            # the calling thread's `@` does not look up np.matmul
+            threads.append(threading.current_thread().name)
+            if len(threads) == 3:
+                raise error
+            return matmul(*args)
+
+        monkeypatch.setattr(np, "matmul", failing_on_the_third)
         baseline = threading.active_count()
-        worker = dynamics._ProductWorker(np.eye(3))
-        worker.submit(np.ones(2))
-        worker.submit(np.ones(3))
-        with pytest.raises(ValueError, match="matmul"):
-            worker.product()
-        np.testing.assert_array_equal(worker.product(), np.ones(3))
-        worker.close()
+        schedule, zeros = lambda t: shape * math.sin(20.0 * t), np.zeros(system.size)
+        with pytest.raises(FloatingPointError) as raised:
+            integrate(system, schedule, zeros, zeros, TimeGrid(0.0, 0.01, 1e-3))
+        assert raised.value is error
+        assert threads == ["beamlab-product_0"] * 3
         assert threading.active_count() == baseline
 
 

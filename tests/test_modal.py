@@ -48,6 +48,21 @@ def free_free_reference_roots():
     return [brentq(fn, 4.0, 5.5, xtol=1e-13), brentq(fn, 7.0, 8.5, xtol=1e-13)]
 
 
+def fine_scan_roots(beam, bc, n_roots, step=5e-4):
+    """Oracle independent of the root scan and its refinement: the first
+    `n_roots` sign changes of the characteristic determinant over beta*L
+    from 0.01, below the scan's start, in steps of `step` (a hundredth of
+    the scan's), each refined by brentq."""
+    roots, first = [], 0
+    while len(roots) < n_roots:
+        betas = (0.01 + step * np.arange(first, first + 4097)) / beam.length
+        dets = np.linalg.det(modal._characteristic_matrices(betas, beam, bc))
+        for i in np.flatnonzero(np.signbit(dets[:-1]) != np.signbit(dets[1:])):
+            roots.append(brentq(characteristic_det, betas[i], betas[i + 1], args=(beam, bc)))
+        first += 4096
+    return roots[:n_roots]
+
+
 def scalar_find_beta_roots(beam, bc, n_roots):
     """Reference oracle: the one-determinant-at-a-time scan.
 
@@ -200,6 +215,14 @@ class TestFindBetaRoots:
             ("spring", 1e-4, True),
             ("pinned", 1e-4, True),
             ("free", 1e-4, True),
+            # bounce and rocking at 0.1514 and 0.1992 share the scan step from 0.15
+            ("spring", 7.0, True),
+            # the scan brackets bounce and rocking in scan steps of their own
+            ("spring", 3.0, False),
+            ("spring", 5.0, False),
+            ("spring", 8.0, False),
+            # a spring-borne mode at 0.1003, just above the scan's start
+            ("pinned", 0.9, False),
             *((other, k, False) for other in ("spring", "pinned", "free") for k in (10.0, 100.0)),
         ],
     )
@@ -219,9 +242,13 @@ class TestFindBetaRoots:
             with pytest.raises(InsufficientRootsError, match=message):
                 find_beta_roots(ref_beam, bc, 3)
         else:
-            first = find_beta_roots(ref_beam, bc, 3)[0] * ref_beam.length
+            roots = find_beta_roots(ref_beam, bc, 3)
+            first = roots[0] * ref_beam.length
             assert first == pytest.approx(estimate, rel=1e-4)
             assert first < estimate
+            # no mode skipped, below the scan's start or within one of its steps
+            reference = fine_scan_roots(ref_beam, bc, 3)
+            np.testing.assert_allclose(roots, reference, rtol=0.0, atol=1e-10)
 
     def test_no_spring_borne_roots_beside_a_clamped_end(self, ref_beam):
         for bc in (
