@@ -52,9 +52,10 @@ there.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -123,12 +124,28 @@ def _symmetric(name: str, matrix: np.ndarray) -> None:
             raise ValidationError(f"{name} matrix must be symmetric")
 
 
-def _positive_definite(matrix: np.ndarray) -> bool:
-    """Cholesky test of a symmetric matrix.  A diagonal one, found by
-    counting non-zeros without an n x n temporary, needs only a positive
-    diagonal."""
+def _checked_matrix(name: str, values, n: int) -> np.ndarray:
+    """`values` as an n x n finite symmetric float64 matrix; a float64 array
+    is kept as given, not copied."""
+    matrix = np.asarray(values, dtype=float)
+    if matrix.shape != (n, n):
+        raise ValidationError(f"{name} matrix must be {n}x{n}, got {matrix.shape}")
+    _symmetric(name, matrix)
+    return matrix
+
+
+def _diagonal(matrix: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a matrix with no other non-zero entry, else None;
+    found by counting non-zeros, without an n x n temporary."""
     diagonal = np.diagonal(matrix)
-    if np.count_nonzero(matrix) == np.count_nonzero(diagonal):
+    return diagonal if np.count_nonzero(matrix) == np.count_nonzero(diagonal) else None
+
+
+def _positive_definite(matrix: np.ndarray) -> bool:
+    """Cholesky test of a symmetric matrix.  A diagonal one needs only a
+    positive diagonal."""
+    diagonal = _diagonal(matrix)
+    if diagonal is not None:
         return bool(np.all(diagonal > 0.0))
     try:
         np.linalg.cholesky(matrix)
@@ -158,11 +175,7 @@ class MdofSystem:
     def __post_init__(self):
         n = np.shape(self.mass)[0]
         for name in ("mass", "damping", "stiffness"):
-            matrix = np.asarray(getattr(self, name), dtype=float)
-            if matrix.shape != (n, n):
-                raise ValidationError(f"{name} matrix must be {n}x{n}, got {matrix.shape}")
-            _symmetric(name, matrix)
-            object.__setattr__(self, name, matrix)
+            object.__setattr__(self, name, _checked_matrix(name, getattr(self, name), n))
         if not _positive_definite(self.mass):
             raise ValidationError("mass matrix must be positive definite")
         if len(self.labels) != n:
@@ -179,6 +192,16 @@ class MdofSystem:
     def is_damped(self) -> bool:
         return bool(np.any(self.damping))
 
+    def with_damping(self, damping) -> "MdofSystem":
+        """This system with `damping` as its damping matrix.  Only the new
+        matrix is checked (mass and stiffness passed when this one was
+        built) and made read-only."""
+        matrix = _checked_matrix("damping", damping, self.size)
+        matrix.setflags(write=False)
+        system = copy.copy(self)
+        object.__setattr__(system, "damping", matrix)
+        return system
+
 
 def _check_vector(name: str, values, n: int) -> np.ndarray:
     vector = np.asarray(values, dtype=float)
@@ -194,6 +217,13 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _mass_solve(mass: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M^-1 rhs.  A diagonal M divides: the bits of np.linalg.solve, whose LU
+    of a diagonal matrix is that diagonal, without its O(n^3) factorization."""
+    diagonal = _diagonal(mass)
+    return rhs / diagonal if diagonal is not None else np.linalg.solve(mass, rhs)
 
 
 def integrate(
@@ -230,11 +260,16 @@ def integrate(
     u, v = _check_vector("u0", u0, n), _check_vector("v0", v0, n)
     force0 = _check_vector(f"force at t={tgrid.start}", force_schedule(tgrid.start), n)
     # consistent start: M a0 = F(t0) - C v0 - K u0
-    a = np.linalg.solve(mass, force0 - damping @ v - stiffness @ u)
+    a = _mass_solve(mass, force0 - damping @ v - stiffness @ u)
 
-    effective = mass + gamma * dt * damping + beta * dt**2 * stiffness
+    # effective = (M + gamma*dt*C) + beta*dt^2*K, built in one Fortran-order
+    # array that getrf factors in place; the sums are the same as in C
+    # order, so are the factors
+    effective = np.multiply(damping, gamma * dt, order="F")
+    effective += mass
+    effective += beta * dt**2 * stiffness
     try:
-        lu, piv = scipy.linalg.lu_factor(effective)
+        lu, piv = scipy.linalg.lu_factor(effective, overwrite_a=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"effective matrix factorization failed: {exc}") from exc
     # the LAPACK routine lu_solve wraps, called without its per-call checks
@@ -325,7 +360,7 @@ def discretize_beam(beam: BeamSpec, bc: BoundarySpec, n_nodes: int) -> MdofSyste
     mass = np.diag(_lumped_mass(beam, grid, free))
     return MdofSystem(
         mass=mass,
-        damping=np.zeros_like(mass),
+        damping=np.zeros(mass.shape),  # np.zeros, so pages only ever read stay unmapped
         stiffness=stiffness,
         labels=tuple(compress(grid.labels, free)),
         grid=grid,
@@ -372,7 +407,7 @@ def beam_time_response(
     if zeta1 > 0.0:
         omega1 = float(eigenfrequencies(system, 1)[0])
         coeff = stiffness_damping_coeff(zeta1, omega1)
-        system = replace(system, damping=coeff * system.stiffness)
+        system = system.with_damping(coeff * system.stiffness)
     grid, free = system.grid, system.free_mask
     fixed = np.zeros(grid.node_count)
     varying = []

@@ -254,14 +254,34 @@ def quasi_static_moving(
         raise ValidationError(f"moving load speed must be nonnegative, got {speed}")
     _check_span(x0, beam.length, "moving load x0")
     grid = SpatialGrid.for_beam(beam, n_nodes)
-    xs = grid.positions
     times = tgrid.sample_times(stride)
+    positions = x0 + speed * times
     frames = np.zeros((times.size, grid.node_count))
-    for j, t in enumerate(times):
-        position = x0 + speed * t
-        if 0.0 <= position <= beam.length:
-            frames[j] = ss_point_deflection(xs, p, position, beam)
+    # the frames with the load on the span, a block of rows at a time so the
+    # broadcast's temporaries stay near 8k entries (64 KiB) each
+    on = np.flatnonzero((positions >= 0.0) & (positions <= beam.length))
+    rows = max(1, 2**13 // grid.node_count)
+    for start in range(0, on.size, rows):
+        block = on[start : start + rows]
+        frames[block] = _ss_point_rows(grid.positions, p, positions[block], beam)
     return TimeSeriesResult(times, frames, grid.labels)
+
+
+def _ss_point_rows(xs: np.ndarray, p: float, a: np.ndarray, beam: BeamSpec) -> np.ndarray:
+    """Row i is `ss_point_deflection(xs, p, a[i], beam)`, bit for bit: one
+    broadcast of its formulas, operation for operation.  The squares of a
+    and b are Python float powers, as there: numpy's square can round
+    differently from the C library's pow."""
+    ei = beam.section.flexural_rigidity
+    length = beam.length
+    b = length - a
+    a2, b2 = (np.array([v**2 for v in values.tolist()]) for values in (a, b))
+    left = (p * b)[:, None] * xs * ((length**2 - b2)[:, None] - xs**2) / (6.0 * length * ei)
+    right = (
+        (p * a)[:, None] * (length - xs) * (2.0 * length * xs - a2[:, None] - xs**2)
+        / (6.0 * length * ei)
+    )
+    return np.where(xs <= a[:, None], left, right)
 
 
 def quasi_static_sinusoidal(

@@ -236,6 +236,39 @@ class TestSystemBuilders:
                 with pytest.raises(ValidationError, match=f"stiffness matrix {message}"):
                     MdofSystem(*args)
 
+    def test_with_damping_checks_only_the_new_matrix(self, ref_beam):
+        system = discretize_beam(ref_beam, PINNED, 41)
+        damping = 1e-3 * system.stiffness
+        with mock.patch.object(dynamics, "_symmetric", wraps=dynamics._symmetric) as checked:
+            damped = system.with_damping(damping)
+        assert [c.args[0] for c in checked.call_args_list] == ["damping"]
+        assert damped.damping is damping and not damping.flags.writeable
+        assert damped.mass is system.mass and damped.stiffness is system.stiffness
+        assert (damped.labels, damped.grid, damped.free_mask) == (
+            system.labels,
+            system.grid,
+            system.free_mask,
+        )
+        assert not system.is_damped and damped.is_damped
+
+    @pytest.mark.parametrize(
+        "damping, message",
+        [
+            (np.zeros((2, 3)), r"^damping matrix must be 2x2, got \(2, 3\)$"),
+            ([[1.0, 0.5], [0.0, 1.0]], "^damping matrix must be symmetric$"),
+            ([[1.0, math.nan], [math.nan, 1.0]], "^damping matrix is not finite$"),
+        ],
+        ids=["shape", "asymmetric", "nan"],
+    )
+    def test_with_damping_refuses_what_the_constructor_refuses(self, damping, message):
+        system = MdofSystem(np.eye(2), np.zeros((2, 2)), np.eye(2), ("a", "b"))
+        for build in (
+            lambda: system.with_damping(damping),
+            lambda: MdofSystem(np.eye(2), damping, np.eye(2), ("a", "b")),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                build()
+
 
 class TestNewmarkStep:
     def test_zero_everything_stays_zero(self):
@@ -412,6 +445,31 @@ class TestIntegrate:
         system = sdof_system(2.0, 0.0, 8.0)
         energy = system_energy(system, np.array([1.0]), np.array([2.0]))
         assert energy == pytest.approx(0.5 * 2.0 * 4.0 + 0.5 * 8.0 * 1.0)
+
+    @pytest.mark.parametrize("nodes", [7, 41, 201, 801])
+    def test_start_acceleration_of_a_beam_mass_is_linalg_solve(self, ref_beam, nodes):
+        # a lumped (diagonal) mass divides, with the bits of np.linalg.solve
+        mass = discretize_beam(ref_beam, PINNED, nodes).mass
+        rng = np.random.default_rng(nodes)
+        for scale in (1e-12, 1.0, 1e9):
+            rhs = scale * rng.standard_normal(mass.shape[0])
+            expected = np.linalg.solve(mass, rhs)
+            assert dynamics._mass_solve(mass, rhs).tobytes() == expected.tobytes()
+        full = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert dynamics._mass_solve(full, np.array([3.0, 0.0])).tobytes() == (
+            np.linalg.solve(full, np.array([3.0, 0.0])).tobytes()
+        )
+
+    def test_integrate_starts_from_linalg_solve(self, ref_beam, monkeypatch):
+        system = discretize_beam(ref_beam, PINNED, 41)
+        system = system.with_damping(1e-3 * system.stiffness)
+        x = np.linspace(0.0, math.pi, system.size)
+        shape = np.linspace(0.0, 1e3, system.size)
+        args = (lambda t: (1.0 + math.sin(20.0 * t)) * shape, 1e-4 * np.sin(x), np.cos(x))
+        tgrid = TimeGrid(0.0, 0.02, 1e-3)
+        frames = integrate(system, *args, tgrid).frames
+        monkeypatch.setattr(dynamics, "_mass_solve", np.linalg.solve)
+        assert integrate(system, *args, tgrid).frames.tobytes() == frames.tobytes()
 
 
 def use_cpus(monkeypatch, count: int, min_dof: int) -> None:

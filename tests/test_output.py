@@ -5,6 +5,8 @@ import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from beamlab.dynamics import SweepPoint
 from beamlab.material import LoadCurvePoint
 from beamlab.model import SpatialGrid, TimeSeriesResult
-from beamlab.output import write_result
+from beamlab import output
+from beamlab.output import write_modes, write_result
 from beamlab.scenario import (
     ResultSet,
     preset,
@@ -147,7 +150,8 @@ def test_system_run_uses_dof_labels(tmp_path):
     assert rows[0] == ["t", "x", "y"]
     # no probes for mass-spring runs: probes.csv keeps only the time column
     probe_rows = read_rows(tmp_path / "probes.csv")
-    assert probe_rows[0] == ["t"]
+    assert probe_rows == [row[:1] for row in rows]
+    assert probe_rows[0] == ["t"] and len(probe_rows) == 10002
 
 
 def test_write_result_creates_directory(tmp_path):
@@ -157,11 +161,14 @@ def test_write_result_creates_directory(tmp_path):
 
 
 def csv_writer_bytes(header, rows):
-    """Reference: the bytes `csv.writer` gives for repr(float(v)) cells."""
+    """Reference: the bytes `csv.writer` gives for repr(int) and
+    repr(float(v)) cells."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([repr(float(v)) for v in row] for row in rows)
+    writer.writerows(
+        [repr(v) if isinstance(v, int) else repr(float(v)) for v in row] for row in rows
+    )
     return buf.getvalue().encode("utf-8")
 
 
@@ -294,3 +301,86 @@ def test_probes_csv_and_library_follow_probe_nodes(tmp_path, name, probes):
     assert columns[0].tobytes() == times.tobytes()
     for column, history in zip(columns[1:], histories):
         assert column.tobytes() == history.tobytes()
+
+
+@st.composite
+def tables(draw):
+    """Times and frames of 0-40 rows and 0-8 frame columns, so tables of 1-9
+    cells a row, and a probe selection of the frame columns, repeats allowed."""
+    width = draw(st.integers(min_value=0, max_value=8))
+    count = draw(st.integers(min_value=0, max_value=40))
+    times = draw(st.lists(cells, min_size=count, max_size=count))
+    frames = draw(
+        st.lists(
+            st.lists(cells, min_size=width, max_size=width), min_size=count, max_size=count
+        )
+    )
+    nodes = draw(st.lists(st.integers(0, width - 1), max_size=4)) if width else []
+    return np.array(times, dtype=float), np.array(frames, dtype=float).reshape(count, width), nodes
+
+
+@given(tables(), st.integers(min_value=1, max_value=12))
+@settings(max_examples=150, deadline=None, database=None)
+def test_blocks_of_a_few_cells_match_csv_module(table, block_cells):
+    # tables that span many blocks, down to one row per block, write the
+    # bytes of one csv.writer pass; each block holds whole rows and no more
+    # than BLOCK_CELLS cells, or one row where a row is wider
+    times, frames, nodes = table
+    header = ["t", *(f"c{j}" for j in range(frames.shape[1]))]
+    for chosen in (None, nodes):
+        picked = range(frames.shape[1]) if chosen is None else chosen
+        columns = ["t", *(header[1 + j] for j in picked)]
+        with mock.patch.object(output, "BLOCK_CELLS", block_cells):
+            blocks = list(output._history_blocks(times, frames, chosen))
+        width = len(columns)
+        assert all(len(b) % width == 0 and len(b) <= max(block_cells, width) for b in blocks)
+        assert sum(len(b) for b in blocks) == width * len(times)
+        buf = io.StringIO()
+        output._write_csv(buf, columns, blocks)
+        rows = [[t, *(row[j] for j in picked)] for t, row in zip(times, frames)]
+        assert buf.getvalue().encode("utf-8") == csv_writer_bytes(columns, rows)
+
+
+@pytest.mark.parametrize("name", ["exp1", "exp2_1", "exp5_2"])
+def test_write_result_bytes_do_not_depend_on_the_block_size(tmp_path, name):
+    # a static profile, a beam history with probes and a mass-spring history
+    # whose probes.csv is the time column alone
+    rs = run_scenario(preset(name))
+    write_result(rs, tmp_path / "default")
+    with mock.patch.object(output, "BLOCK_CELLS", 5):
+        write_result(rs, tmp_path / "small")
+    for path in (tmp_path / "default").iterdir():
+        assert path.read_bytes() == (tmp_path / "small" / path.name).read_bytes(), path.name
+
+
+def test_modes_table_keeps_its_int_index():
+    modes = [
+        SimpleNamespace(beta=beta, omega_rad_s=omega, f_hz=f)
+        for beta, omega, f in zip(EDGE_FLOATS, EDGE_FLOATS[3:], EDGE_FLOATS[6:])
+    ]
+    buf = io.StringIO()
+    write_modes(buf, modes)
+    rows = [[i, m.beta, m.omega_rad_s, m.f_hz] for i, m in enumerate(modes, start=1)]
+    expected = csv_writer_bytes(["mode_index", "beta", "omega_rad_s", "f_hz"], rows)
+    assert buf.getvalue().encode("utf-8") == expected
+    assert buf.getvalue().splitlines()[1].startswith("1,0.0,")
+
+
+def test_empty_table_writes_its_header_only(tmp_path):
+    rs = ResultSet(
+        scenario=preset("exp5_2"),
+        provenance={},
+        time_series=TimeSeriesResult(np.zeros(0), np.zeros((0, 2)), ("x", "y")),
+    )
+    write_result(rs, tmp_path)
+    assert (tmp_path / "frames.csv").read_bytes() == b"t,x,y\n"
+    assert (tmp_path / "probes.csv").read_bytes() == b"t\n"
+    buf = io.StringIO()
+    write_modes(buf, [])
+    assert buf.getvalue() == "mode_index,beta,omega_rad_s,f_hz\n"
+
+
+def test_block_of_partial_rows_refused():
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="^a block of 5 cells is not whole rows of 2$"):
+        output._write_csv(buf, ["f_hz", "amplitude_m"], [[1.0, 2.0], [3.0, 4.0, 5.0, 6.0, 7.0]])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from beamlab import (
     BeamSpec,
@@ -438,6 +438,60 @@ class TestQuasiStaticMoving:
     def test_negative_speed_rejected(self, ref_beam):
         with pytest.raises(ValidationError, match="speed"):
             quasi_static_moving(ref_beam, P_REF, -1.0, 0.0, TimeGrid(0.0, 1.0, 0.1), 51)
+
+
+def per_frame_moving(beam, p, speed, x0, tgrid, n_nodes, stride=1):
+    """Reference: one `ss_point_deflection` per frame with the load on the span."""
+    xs = SpatialGrid.for_beam(beam, n_nodes).positions
+    times = tgrid.sample_times(stride)
+    frames = np.zeros((times.size, n_nodes))
+    for j, t in enumerate(times):
+        position = x0 + speed * t
+        if 0.0 <= position <= beam.length:
+            frames[j] = ss_point_deflection(xs, p, position, beam)
+    return frames
+
+
+# binary fractions with few bits: x0 + speed*t is exact, so it lands on L =
+# 10 m wherever (L - x0)/speed is a whole number of time steps, and on 0 when
+# x0 is 0
+dyadic_moving = st.tuples(
+    st.integers(0, 80).map(lambda i: i / 8),
+    st.integers(0, 96).map(lambda j: j / 16),
+    st.sampled_from([0.0625, 0.125, 0.25]),
+)
+float_moving = st.tuples(
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 50.0),
+    st.sampled_from([0.01, 0.05, 0.1]),
+)
+
+
+@given(
+    st.one_of(dyadic_moving, float_moving),
+    st.sampled_from([7, 51, 201, 401]),
+    st.sampled_from([-2.5e4, 1e4]),
+    st.integers(1, 3),
+)
+@example((0.0, 1.0, 0.125), 201, 1e4, 1)  # on 0 at t = 0 and on L at t = 10
+@example((10.0, 0.0, 0.0625), 401, -2.5e4, 1)  # parked on L, rows in ten blocks
+@example((2.5, 0.75, 0.0625), 401, 1e4, 2)  # on L at t = 10, every second sample
+@example((3.91871399864724, 0.0, 0.1), 51, 1e4, 1)  # a**2 over 51 nodes moves with np.square
+@settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # ref_beam is frozen
+)
+def test_property_moving_frames_are_per_frame_influence_lines(ref_beam, load, nodes, p, stride):
+    # bit for bit, -0.0 included, and exactly zero off the span
+    x0, speed, dt = load
+    tgrid = TimeGrid(0.0, 12.0, dt)
+    result = quasi_static_moving(ref_beam, p, speed, x0, tgrid, nodes, stride)
+    expected = per_frame_moving(ref_beam, p, speed, x0, tgrid, nodes, stride)
+    assert result.frames.tobytes() == expected.tobytes()
+    positions = x0 + speed * result.times
+    assert not np.any(result.frames[positions > ref_beam.length])
 
 
 class TestQuasiStaticSinusoidal:
