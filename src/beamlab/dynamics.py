@@ -447,6 +447,81 @@ DRIVE_TICKS = 256
 #: Blocks whose samples `modal_harmonic_response` weights in one matmul.
 STITCH_BLOCKS = 16
 
+#: pi * 2**256: its first 65 hex digits, which begin Blowfish's P-array.
+_PI_BITS = 0x3_243F6A88_85A308D3_13198A2E_03707344_A4093822_299F31D0_082EFA98_EC4E6C89
+#: Significant bits of a long double: 64 in x87's 80-bit format.
+_LONG_BITS = np.finfo(np.longdouble).nmant + 1
+
+
+def _half_pi_parts(width: int) -> tuple[np.longdouble, ...]:
+    """pi/2 as P1 + P2 + P3 + P4: P1, P2 and P3 cut to `width` significant
+    bits each, and P4 the rest rounded to a float64."""
+    parts, rest = [], _PI_BITS
+    for _ in range(3):
+        drop = rest.bit_length() - width
+        head = rest >> drop
+        parts.append(np.ldexp(np.longdouble(head), drop - 257))
+        rest -= head << drop
+    return (*parts, np.longdouble(rest / 2**257))
+
+
+#: pi/2 in the parts `_sin_cos` reduces by.  On x87 they are 0x1.921fb544p+0,
+#: 0x1.0b4611a6p-34, 0x1.3198a2ep-69 and 0x1.b839a252049c1p-104.
+_HALF_PI = _half_pi_parts(_LONG_BITS // 2)
+#: Quarter turns q below which q times each of P1, P2 and P3 is exact, with
+#: a bit to spare: 2**31 on x87.
+_EXACT_TURNS = 2.0 ** (_LONG_BITS - _LONG_BITS // 2 - 1)
+#: Signs of sin(r + q*pi/2) and cos(r + q*pi/2) by q mod 4, once an odd q
+#: has swapped sin(r) and cos(r).
+_SIN_SIGNS, _COS_SIGNS = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, -1.0, 1.0])
+#: Bytes `_sin_cos` holds per phase beyond its argument, its results among
+#: them: at most the quarter turns as int64 and three long-double arrays.
+_SIN_COS_BYTES = 8 + 3 * 16
+
+
+def _sin_cos(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 sin and cos of a long-double phase array, each rounded from a
+    long-double value.
+
+    The C library's long-double sine and cosine took 133 ns a value at
+    exp5_1's block phases and 22 ns at |x| <= pi/4 (glibc, x86-64 Xeon), so
+    each phase is first reduced by q = rint(phase / (pi/2)) quarter turns to
+    r = phase - q*P1 - q*P2 - q*P3 - q*P4, after Cody & Waite (*Software
+    Manual for the Elementary Functions*, 1980).  pi/2 is split so that
+    q*P1, q*P2 and q*P3 are exact and each subtraction cancels without
+    rounding, so r keeps the long-double accuracy of the phase.  Four parts
+    rather than three: near 2**31 quarter turns a long double can lie within
+    2**-40 of a multiple of pi/2, and three parts, the last to double
+    precision, miss q*pi/2 by up to 2**-92, which cost up to 657 ulps on
+    100 000 such multiples.  A phase of `_EXACT_TURNS` quarter turns or more
+    (2**31 on x87), or one not finite, is not reduced: it takes the direct
+    call.
+    """
+    # q needs no long double: any integer near phase / (pi/2) keeps |r| near
+    # pi/4.  A phase past the float range is inf here, so not reduced
+    with np.errstate(over="ignore"):
+        turns = phase.astype(float)
+    turns *= 2 / math.pi
+    np.rint(turns, out=turns)
+    turns[~(np.abs(turns) < _EXACT_TURNS)] = 0.0
+    turns = turns.astype(np.int64)  # q = +0 at a phase of -0.0, so r = -0.0
+    quarters = turns.astype(np.longdouble)
+    product = quarters * _HALF_PI[0]
+    reduced = phase - product
+    for part in _HALF_PI[1:]:
+        reduced -= np.multiply(quarters, part, out=product)
+    del quarters, product
+    sines, cosines = np.empty(phase.shape), np.empty(phase.shape)
+    np.sin(reduced, out=sines)
+    np.cos(reduced, out=cosines)
+    del reduced
+    odd = (turns & 1).astype(bool)
+    turns &= 3
+    sin_q, cos_q = np.where(odd, cosines, sines), np.where(odd, sines, cosines)
+    sin_q *= _SIN_SIGNS[turns]
+    cos_q *= _COS_SIGNS[turns]
+    return sin_q, cos_q
+
 
 def _blocking(steps: int, stride: int) -> tuple[int, int]:
     """Block count and block length, a whole number of strides, that cut
@@ -470,15 +545,20 @@ def _blocking(steps: int, stride: int) -> tuple[int, int]:
 def _frequency_bytes(modes: int, outputs: int, blocks: int, size: int, stride: int) -> int:
     """Upper bound on the bytes one frequency takes in `_step_block` and
     `_modal_chunks`."""
-    columns = 2 + 3 * modes
-    # coefficient, state, temporary and end-state rows, then the drive table
-    stepping = 18 * 5 * modes + min(size, DRIVE_TICKS) * 13
-    # end states and the carry's temporaries, a chunk's weights, then the phases
-    stitching = 21 * modes + min(blocks, STITCH_BLOCKS) * columns + 8 * blocks
+    columns, ticks = 2 + 3 * modes, min(size, DRIVE_TICKS)
+    # coefficient, state, temporary and end-state rows, then per tick of the
+    # drive table its five rows, the tick index, the long-double angle and
+    # what `_sin_cos` holds
+    stepping = 8 * (18 * 5 * modes + ticks * 8) + ticks * _SIN_COS_BYTES
+    # end states and the carry's temporaries and a chunk's weights, then the
+    # phases: a long-double row, float64 sin and cos rows with a zero row 0,
+    # and what `_sin_cos` holds (made before the weights, counted beside them)
+    stitching = 8 * (21 * modes + min(blocks, STITCH_BLOCKS) * columns)
+    stitching += 16 * blocks + 16 * (blocks + 1) + blocks * _SIN_COS_BYTES
     basis = size // stride * outputs * columns
     # a chunk's samples, in a buffer that every group reuses
     samples = min(blocks, STITCH_BLOCKS) * (size // stride) * outputs
-    return 8 * (basis + samples + max(stepping, stitching))
+    return 8 * (basis + samples) + max(stepping, stitching)
 
 
 def modal_harmonic_response(
@@ -514,10 +594,14 @@ def modal_harmonic_response(
     end states, and batched matmuls, STITCH_BLOCKS blocks at a time, weight
     the rows' recorded samples into every block's.  The phases are taken in
     long double, as the rounding of phi_k is shared by every step of block
-    k.  Frequencies are stepped in groups whose rows and one chunk of
-    samples fit RECURRENCE_BYTES; `_modal_chunks` yields the chunks, and
-    this copies them into the history.  A run whose stride exceeds its
-    steps steps nothing: one row, at rest.
+    k, and so are their sines and cosines.  As the C library's long-double
+    sine costs about six times more past pi/4, `_sin_cos` first takes whole
+    quarter turns q off each phase, with pi/2 split in four so that q times
+    each of the first three parts is exact and the remainder keeps the
+    phase's long-double accuracy.  Frequencies are stepped in groups whose
+    rows and one chunk of samples fit RECURRENCE_BYTES; `_modal_chunks`
+    yields the chunks, and this copies them into the history.  A run whose
+    stride exceeds its steps steps nothing: one row, at rest.
     """
     history = np.zeros((np.size(omega), steps // stride + 1, *np.shape(readout)[1:]))
     chunks = _modal_chunks(lam, damping, gain, omega, dt, steps, readout, cfg, start, stride)
@@ -553,15 +637,14 @@ def _modal_chunks(lam, damping, gain, omega, dt, steps, readout, cfg, start, str
         ends, basis = _step_block(
             lam, damping, gain, omega[rows], step[rows], readout, cfg, size, stride
         )
-        # block k's weights: its phase row, then its start q, v and a
-        weights = np.empty((freqs, out.shape[1], basis.shape[1]))
-        phase = omega[rows].astype(np.longdouble) * (
-            start + np.arange(blocks) * size * step[rows].astype(np.longdouble)
-        )
         # row k + 1: sin(phi_k) and cos(phi_k); row 0, before block 0, is zero
         phases = np.zeros((freqs, blocks + 1, 2))
-        phases[:, 1:, 0] = np.sin(phase)
-        phases[:, 1:, 1] = np.cos(phase)
+        phases[:, 1:, 0], phases[:, 1:, 1] = _sin_cos(
+            omega[rows].astype(np.longdouble)
+            * (start + np.arange(blocks) * size * step[rows].astype(np.longdouble))
+        )
+        # block k's weights: its phase row, then its start q, v and a
+        weights = np.empty((freqs, out.shape[1], basis.shape[1]))
         unit_ends = ends[:, 2:].reshape(freqs, 3, 3, -1)
         basis = basis.reshape(freqs, basis.shape[1], -1)
         for first in range(0, blocks, STITCH_BLOCKS):
@@ -587,7 +670,7 @@ def _modal_chunks(lam, damping, gain, omega, dt, steps, readout, cfg, start, str
                 freqs, count * samples_per_block, *np.shape(readout)[1:]
             )
         # freed before the next group's are made
-        del ends, unit_ends, basis, phase, phases, weights, chunk, starts
+        del ends, unit_ends, basis, phases, weights, chunk, starts
 
 
 def _step_block(lam, damping, gain, omega, step, readout, cfg, size, stride):
@@ -623,14 +706,14 @@ def _step_block(lam, damping, gain, omega, step, readout, cfg, size, stride):
     outputs = np.reshape(readout, (modes, -1))
     unit_outputs = np.tile(outputs, (3, 1))
     basis = np.empty((freqs, 2 + 3 * modes, size // stride, outputs.shape[1]))
-    # the drive, DRIVE_TICKS steps at a time: cos and sin of omega*j*dt, then zeros
+    # the drive, DRIVE_TICKS steps at a time: cos and sin of omega*j*dt, taken
+    # from the long-double angle less its quarter turns by `_sin_cos`, then zeros
     drive = np.zeros((min(size, DRIVE_TICKS), freqs, 5, 1))
     for j in range(1, size + 1):
         if (j - 1) % DRIVE_TICKS == 0:
             ticks = np.arange(j, j + len(drive))[:, None, None]
             theta = omega.astype(np.longdouble) * (ticks * step.astype(np.longdouble))
-            drive[:, :, 0] = np.cos(theta)
-            drive[:, :, 1] = np.sin(theta)
+            drive[:, :, 1], drive[:, :, 0] = _sin_cos(theta)
         # in place, with the rounding of u_pred = q + dt*v + c_upred*a,
         # v_pred = v + c_vpred*a, a = force - damping_gain*v_pred
         # - stiffness_gain*u_pred, q = u_pred + c_u*a and v = v_pred + c_v*a

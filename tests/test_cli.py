@@ -1,11 +1,13 @@
 import ast
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -751,6 +753,34 @@ def test_extreme_values_refused_at_parse_or_run_cleanly(entered, name):
             case = f"{'.'.join(map(str, path))}={value!r}"
             failures += [f"{case}: {failure}" for failure in unclean_ends(data, entered)]
     assert not failures, "\n".join(failures)
+
+
+#: Shifts of a run's whole time window, in s.
+TIME_SHIFTS = (1e6, 1e12, 1e15, 2.0**53)
+
+
+@pytest.mark.parametrize("name", ["exp2_1", "exp2_2", "exp5_2", "beam_dynamic"])
+def test_shifted_time_window_refused_at_parse_or_run_cleanly(entered, name):
+    # each extreme time.start above leaves end <= start and is refused at
+    # parse; here start and end move together, so the runs step far from t = 0
+    base = BEAM_DYNAMIC if name == "beam_dynamic" else scenario_to_dict(preset(name))
+    sin_cos, reached = dynamics._sin_cos, dict.fromkeys(TIME_SHIFTS, 0.0)
+
+    def recorded(phase):  # the most quarter turns in a phase, per shift
+        turns = float(np.max(np.abs(phase))) / (math.pi / 2)
+        reached[shift] = max(reached[shift], turns)
+        return sin_cos(phase)
+
+    failures = []
+    with mock.patch.object(dynamics, "_sin_cos", recorded):
+        for shift in TIME_SHIFTS:
+            data = copy.deepcopy(base)
+            data["time"]["start"] += shift
+            data["time"]["end"] += shift
+            failures += [f"shift {shift!r}: {fault}" for fault in unclean_ends(data, entered)]
+    assert not failures, "\n".join(failures)
+    if name == "exp5_2":  # from 1e12 s on, its block phases take the direct call
+        assert reached[1e6] < dynamics._EXACT_TURNS <= min(reached[1e12], reached[1e15])
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@ import inspect
 import math
 import os
 import threading
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 from typing import NamedTuple
 from unittest import mock
 
@@ -43,7 +45,13 @@ from beamlab.dynamics import (
     sdof_system,
     stiffness_damping_coeff,
 )
-from beamlab.dynamics import _blocking, _frequency_bytes, _modal_chunks, _window_peaks
+from beamlab.dynamics import (
+    _blocking,
+    _frequency_bytes,
+    _modal_chunks,
+    _sin_cos,
+    _window_peaks,
+)
 from beamlab.modal import find_beta_roots, natural_frequencies
 from beamlab.scenario import preset, run_scenario, scenario_from_dict
 from beamlab.statics import beam_factor, nodal_force, ss_point_deflection, trapezoid_weights
@@ -926,6 +934,112 @@ def test_stride_past_the_run_steps_nothing():
     assert _blocking(3, 10**9)[0] == 0
     got = modal_harmonic_response(lam, damping, gain, [3.0], [2e-3], 3, gain, stride=10**9)
     np.testing.assert_array_equal(got, np.zeros((1, 1)))
+
+
+def direct_sin_cos(phase):
+    """The long-double calls that `_sin_cos` stands in for, rounded to float64."""
+    return np.sin(phase).astype(float), np.cos(phase).astype(float)
+
+
+@pytest.mark.parametrize("name", ["exp5_1", "exp5_2"])
+def test_sin_cos_of_a_presets_tables_is_the_direct_call(name):
+    # the drive and block-phase tables the run builds, bit for bit
+    tables = []
+
+    def recorded(phase):
+        tables.append(phase.copy())
+        return _sin_cos(phase)
+
+    with mock.patch.object(dynamics, "_sin_cos", recorded):
+        run_scenario(preset(name))
+    assert len(tables) >= 2
+    for phase in tables:
+        for got, want in zip(_sin_cos(phase), direct_sin_cos(phase)):
+            assert np.array_equal(got, want)
+
+
+def test_half_pi_parts_give_exact_products_below_the_exact_turns():
+    parts = dynamics._HALF_PI
+    assert dynamics._PI_BITS / 2**256 == math.pi
+    # the first three of the long double's half width, so each product
+    # with a quarter-turn count below _EXACT_TURNS is exact
+    turns = int(dynamics._EXACT_TURNS) - 1
+    for part in parts[:3]:
+        numerator, denominator = part.as_integer_ratio()
+        assert (numerator // (numerator & -numerator)).bit_length() <= dynamics._LONG_BITS // 2
+        exact = Fraction(turns * numerator, denominator)
+        assert Fraction(*(np.longdouble(turns) * part).as_integer_ratio()) == exact
+    # together pi/2 to within the last part's rounding
+    total = sum(Fraction(*part.as_integer_ratio()) for part in parts)
+    gap = abs(total - Fraction(dynamics._PI_BITS, 2**257))
+    assert gap <= Fraction(float(parts[3])) * 2**-53
+    if dynamics._LONG_BITS == 64:  # x87: Cody and Waite's 32-bit parts
+        assert dynamics._EXACT_TURNS == 2**31
+        assert [float(part).hex() for part in parts] == [
+            "0x1.921fb54400000p+0",
+            "0x1.0b4611a600000p-34",
+            "0x1.3198a2e000000p-69",
+            "0x1.b839a252049c1p-104",
+        ]
+
+
+#: pi/2 to long double, for phases at and near its multiples.
+HALF_PI_LONG = np.longdouble("1.57079632679489661923132169163975144")
+
+
+@st.composite
+def long_phases(draw):
+    """Long-double phases in about [-2**33, 2**33]: float64s with bits past
+    their last, or 256 running multiples of pi/2, each moved a few ulps."""
+    if draw(st.booleans()):
+        wholes = st.lists(st.floats(-(2.0**33), 2.0**33), min_size=1, max_size=6)
+        whole = np.array(draw(wholes), dtype=np.longdouble)
+        return whole + draw(st.integers(-(2**11), 2**11)) * np.spacing(abs(whole))
+    limit = int(2**33 / (math.pi / 2))
+    high = limit // 4  # about 2**30 quarter turns: q times pi/2's missing bits is large
+    first = draw(st.one_of(st.integers(-limit, limit), st.integers(high, high + 2**20)))
+    multiples = np.arange(first, first + 256).astype(np.longdouble) * HALF_PI_LONG
+    return multiples + draw(st.integers(-3, 3)) * np.spacing(abs(multiples))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(phase=long_phases())
+def test_property_sin_cos_within_one_ulp_of_the_direct_call(phase):
+    # near a multiple of pi/2 below 2**31 quarter turns a phase may be 2**-40
+    # or less from it, where pi/2 to 117 bits instead of 149 misplaces r by
+    # many ulps
+    for got, want in zip(_sin_cos(phase), direct_sin_cos(phase)):
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), (phase, got, want)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    magnitudes=st.lists(
+        st.floats((dynamics._EXACT_TURNS + 1) * (math.pi / 2), 1e300), min_size=1, max_size=6
+    ),
+    negative=st.booleans(),
+)
+def test_property_sin_cos_past_the_exact_turns_is_the_direct_call(magnitudes, negative):
+    # the first count of quarter turns that a long double does not reduce
+    # exactly, then phases past it, up to 1e300
+    first = np.longdouble(dynamics._EXACT_TURNS) * HALF_PI_LONG
+    phase = np.array([first, *magnitudes], dtype=np.longdouble) * (-1 if negative else 1)
+    for got, want in zip(_sin_cos(phase), direct_sin_cos(phase)):
+        assert np.array_equal(got, want)
+
+
+def test_sin_cos_keeps_negative_zero_and_never_warns_on_a_finite_phase():
+    sines, cosines = _sin_cos(np.array([-0.0, 0.0], dtype=np.longdouble))
+    assert sines.tolist() == [0.0, 0.0] and np.signbit(sines).tolist() == [True, False]
+    assert cosines.tolist() == [1.0, 1.0]
+    # up to 1e300, and past the float range, where the quarter turns overflow
+    finite = [5e-324, 1e-300, 1e30, 2.0**33, 1e300, np.finfo(np.longdouble).max]
+    phase = np.array(finite + [-x for x in finite], dtype=np.longdouble)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = _sin_cos(phase)
+    for got, want in zip(results, direct_sin_cos(phase)):
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 @st.composite
